@@ -41,6 +41,7 @@ from .errors import (
 from .pool import open_pool, validate_pool
 from .poolgen import generate_pool, load_config
 from .report import (
+    DEFAULT_SAMPLE_SIZE,
     MetricConfig,
     build_quality_report,
     make_table_getter,
@@ -82,20 +83,17 @@ def _resolve_source(handle, requested: str) -> str:
     return resolve_syn_source(handle.manifest.embedding_sources, requested)
 
 
-def _load_table(handle, label: str, workers: int):
-    if handle.has_scores(label):
-        return handle.read_score_table(label)
-    return score_pool(handle, label, workers=workers, write_sidecar=False)
-
-
 def _metric_config(args, workers: int) -> MetricConfig:
     vocab = load_token_file(args.vocab) if getattr(args, "vocab", None) else None
     lexicon = load_token_file(args.lexicon) if getattr(args, "lexicon", None) else None
     refs = None
     if getattr(args, "in1k_refs", None):
         refs = fileio.read_embeddings(args.in1k_refs)
+    sample_size = getattr(args, "sample_size", None)
+    if sample_size is not None and sample_size < 0:
+        raise ConfigError(f"--sample-size must be >= 0, got {sample_size}")
     return MetricConfig(
-        sample_size=getattr(args, "sample_size", None) or 100_000,
+        sample_size=DEFAULT_SAMPLE_SIZE if sample_size is None else sample_size,
         seed=getattr(args, "seed", None) or 0,
         vocab=vocab,
         lexicon=lexicon,
@@ -159,7 +157,7 @@ def _cmd_filter(args) -> int:
     workers = _resolve_workers(args)
     handle = open_pool(args.pool)
     label = _resolve_source(handle, args.source)
-    table = _load_table(handle, label, workers)
+    table = make_table_getter(handle, workers)(label)
     if filter_spec.kind == "top_fraction":
         mask, tau_used = top_fraction(table, filter_spec.p)
         header = {"kind": kind, "source": label, "p": filter_spec.p,
@@ -364,7 +362,7 @@ def cli_main(argv: list[str] | None = None) -> int:
     except (DataError, FormatError, IntegrityError, DomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except CapforgeError as exc:  # pragma: no cover - defensive
+    except (CapforgeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

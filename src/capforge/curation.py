@@ -9,35 +9,56 @@ ties toward the lower id; thresholds are inclusive (score >= tau).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from fractions import Fraction
 from pathlib import Path
-from typing import Iterator, Mapping
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, DataError, DomainError
+from .errors import ConfigError, DataError, DomainError, FormatError
 from .pool import PoolHandle, ScoreTable, SelectionMask
 
 RAW_CHOICE = -1
 
-STRATEGY_NAMES = (
-    "raw_all",
-    "syn_all",
-    "syn_best_variant_all",
-    "raw_top",
-    "syn_top",
-    "syn_on_raw_top",
-    "raw_top_plus_syn_rest",
-    "raw_top_plus_syn_rest_filtered",
-    "syn_top_plus_raw_rest_filtered",
-    "concat_top_plus_syn_rest_filtered",
-    "union_top_raw_top_syn",
-)
+# Each strategy is the union of its parts (rank, take, caption).  rank is the
+# score source of a top-p cut ("raw" or "syn"), or None for the whole pool.
+# take is "all", "top" (the cut), "rest" (its complement) or "rest >= tau"
+# (the complement where the caption's own score reaches the cut's tau).
+# caption is "raw", "syn" (the syn_source variant) or "best" (each record's
+# highest-scoring variant).  Validation, the score tables a spec reads and
+# the selection are all derived from this table.
+STRATEGIES: dict[str, tuple[tuple[str | None, str, str], ...]] = {
+    "raw_all": ((None, "all", "raw"),),
+    "syn_all": ((None, "all", "syn"),),
+    "syn_best_variant_all": ((None, "all", "best"),),
+    "raw_top": (("raw", "top", "raw"),),
+    "syn_top": (("syn", "top", "syn"),),
+    "syn_on_raw_top": (("raw", "top", "syn"),),
+    "raw_top_plus_syn_rest": (("raw", "top", "raw"), ("raw", "rest", "syn")),
+    "raw_top_plus_syn_rest_filtered": (
+        ("raw", "top", "raw"), ("raw", "rest >= tau", "syn"),
+    ),
+    "syn_top_plus_raw_rest_filtered": (
+        ("syn", "top", "syn"), ("syn", "rest >= tau", "raw"),
+    ),
+    "concat_top_plus_syn_rest_filtered": (
+        ("raw", "top", "raw"), ("raw", "top", "syn"), ("raw", "rest >= tau", "syn"),
+    ),
+    "union_top_raw_top_syn": (("raw", "top", "raw"), ("syn", "top", "syn")),
+}
+STRATEGY_NAMES = tuple(STRATEGIES)
 
-_NEEDS_P = tuple(name for name in STRATEGY_NAMES if "top" in name)
-_NEEDS_SYN = tuple(
-    name for name in STRATEGY_NAMES if "syn" in name and name != "syn_best_variant_all"
-)
+
+def _uses_syn(name: str) -> bool:
+    return any("syn" in (rank, caption) for rank, _, caption in STRATEGIES[name])
+
+
+def _parse(kind: type, value, what: str):
+    try:
+        return kind(value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{what} must be {kind.__name__}, got {value!r}") from None
 
 
 @dataclass(frozen=True)
@@ -84,14 +105,14 @@ class StrategySpec:
     cluster_params: ClusterParams | None = None
 
     def validate(self) -> None:
-        if self.name not in STRATEGY_NAMES:
+        if self.name not in STRATEGIES:
             raise ConfigError(f"unknown strategy name {self.name!r}")
-        if self.name in _NEEDS_P:
+        if any(rank is not None for rank, _, _ in STRATEGIES[self.name]):
             if self.p is None:
                 raise ConfigError(f"strategy {self.name} requires p")
             if not 0 < self.p <= 100:
                 raise ConfigError(f"p must lie in (0, 100], got {self.p}")
-        if self.name in _NEEDS_SYN and self.syn_source is None:
+        if _uses_syn(self.name) and self.syn_source is None:
             raise ConfigError(f"strategy {self.name} requires syn_source")
         if self.cluster_params is not None:
             self.cluster_params.validate()
@@ -122,20 +143,22 @@ class StrategySpec:
         params = None
         if obj.get("cluster_params") is not None:
             cp = obj["cluster_params"]
+            if not isinstance(cp, dict):
+                raise ConfigError("cluster_params must be an object")
             bad = set(cp) - {"k", "max_iters", "tol", "seed"}
             if bad:
                 raise ConfigError(f"unknown cluster_params field {sorted(bad)[0]!r}")
             if "k" not in cp:
                 raise ConfigError("cluster_params requires k")
             params = ClusterParams(
-                k=int(cp["k"]),
-                max_iters=int(cp.get("max_iters", 100)),
-                tol=float(cp.get("tol", 1e-4)),
-                seed=int(cp.get("seed", 0)),
+                k=_parse(int, cp["k"], "cluster_params k"),
+                max_iters=_parse(int, cp.get("max_iters", 100), "cluster_params max_iters"),
+                tol=_parse(float, cp.get("tol", 1e-4), "cluster_params tol"),
+                seed=_parse(int, cp.get("seed", 0), "cluster_params seed"),
             )
         spec = cls(
             name=str(obj["name"]),
-            p=None if obj.get("p") is None else float(obj["p"]),
+            p=None if obj.get("p") is None else _parse(float, obj["p"], "p"),
             syn_source=obj.get("syn_source"),
             in1k_intersect=bool(obj.get("in1k_intersect", False)),
             cluster_params=params,
@@ -177,18 +200,22 @@ def write_curated(curated: CuratedSet, path: str | Path) -> None:
 
 
 def read_curated(path: str | Path) -> CuratedSet:
-    with open(path, encoding="utf-8") as fh:
-        lines = [line for line in fh if line.strip()]
-    if not lines:
-        raise DataError(f"{path}: empty curated file")
-    header = json.loads(lines[0])
-    spec = StrategySpec.from_dict(header["spec"])
-    entries = []
-    for line in lines[1:]:
-        obj = json.loads(line)
-        cap = obj["cap"]
-        entries.append((int(obj["id"]), RAW_CHOICE if cap == "raw" else int(cap)))
-    return CuratedSet(entries=entries, spec=spec, tau_used=header.get("tau_used"))
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = [line for line in fh if line.strip()]
+        if not lines:
+            raise DataError(f"{path}: empty curated file")
+        header = json.loads(lines[0])
+        spec = StrategySpec.from_dict(header["spec"])
+        tau_used = header.get("tau_used")
+        entries = []
+        for line in lines[1:]:
+            obj = json.loads(line)
+            cap = obj["cap"]
+            entries.append((int(obj["id"]), RAW_CHOICE if cap == "raw" else int(cap)))
+    except (ValueError, KeyError, TypeError, ConfigError) as exc:
+        raise FormatError(f"{path}: not a curated file: {exc}") from None
+    return CuratedSet(entries=entries, spec=spec, tau_used=tau_used)
 
 
 def curated_filename(strategy: str) -> str:
@@ -215,7 +242,7 @@ def top_fraction(
         raise DomainError("top_fraction on empty score table")
     if ids is None:
         ids = np.arange(n, dtype=np.int64)
-    k = int(np.floor(p * n / 100.0))
+    k = Fraction(str(p)) * n // 100  # exact: p*n/100.0 can round across an integer
     if k == 0:
         return SelectionMask(np.zeros(n, dtype=bool)), None
     order = np.lexsort((ids, -values.astype(np.float64)))
@@ -355,7 +382,7 @@ def in1k_cluster_mask(
 # strategies
 
 
-def resolve_syn_source(labels: list[str], requested: str) -> str:
+def resolve_syn_source(labels: Sequence[str], requested: str) -> str:
     """Map a user-facing source name onto an embedding source label.
 
     Accepts a full label (``syn.blip2.0.75``) or a bare captioner name
@@ -390,6 +417,35 @@ def _variant_index_array(handle: PoolHandle, label: str) -> np.ndarray:
     return idx
 
 
+def _role_labels(spec: StrategySpec, sources: Sequence[str]) -> dict[str, str]:
+    """Score source label behind the "raw" and (if used) "syn" roles."""
+    labels = {"raw": "raw"}
+    if _uses_syn(spec.name):
+        labels["syn"] = resolve_syn_source(sources, spec.syn_source)
+    return labels
+
+
+def score_labels(spec: StrategySpec, sources: Sequence[str]) -> list[str]:
+    """Exactly the score tables apply_strategy reads for this spec.
+
+    These are the rank sources, the caption source of each filtered rest,
+    and every synthetic source when captions are chosen per record.
+    """
+    role = _role_labels(spec, sources)
+    labels: list[str] = []
+    for rank, take, caption in STRATEGIES[spec.name]:
+        if rank is not None:
+            labels.append(role[rank])
+        if take == "rest >= tau":
+            labels.append(role[caption])
+        if caption == "best":
+            syn = [s for s in sources if s.startswith("syn.")]
+            if not syn:
+                raise DataError("pool has no synthetic caption sources")
+            labels.extend(syn)
+    return list(dict.fromkeys(labels))
+
+
 def _require_tables(
     score_tables: Mapping[str, ScoreTable], *names: str, n: int
 ) -> None:
@@ -413,94 +469,38 @@ def apply_strategy(
     spec.validate()
     n = handle.num_records
     ids = np.array([r.id for r in handle.records()], dtype=np.int64)
+    sources = handle.manifest.embedding_sources
+    _require_tables(score_tables, *score_labels(spec, sources), n=n)
+    role = _role_labels(spec, sources)
+    parts = STRATEGIES[spec.name]
 
-    syn_label: str | None = None
-    var_idx: np.ndarray | None = None
-    if spec.name in _NEEDS_SYN:
-        syn_label = resolve_syn_source(handle.manifest.embedding_sources, spec.syn_source)
-        var_idx = _variant_index_array(handle, syn_label)
-
-    tau_used: float | None = None
-    entries: list[tuple[int, int]] = []
-
-    def add(indices: np.ndarray, caps: np.ndarray | int) -> None:
-        if isinstance(caps, (int, np.integer)):
-            caps = np.full(len(indices), caps, dtype=np.int64)
-        entries.extend(zip(ids[indices].tolist(), np.asarray(caps).tolist()))
-
-    if spec.name == "raw_all":
-        add(np.arange(n), RAW_CHOICE)
-
-    elif spec.name == "syn_all":
-        add(np.arange(n), var_idx)
-
-    elif spec.name == "syn_best_variant_all":
-        syn_sources = [
-            s for s in handle.manifest.embedding_sources if s.startswith("syn.")
-        ]
-        if not syn_sources:
-            raise DataError("pool has no synthetic caption sources")
-        _require_tables(score_tables, *syn_sources, n=n)
-        by_label = {s: score_tables[s].scores for s in syn_sources}
-        for i, rec in enumerate(handle.records()):
+    choices = {"raw": np.full(n, RAW_CHOICE, dtype=np.int64)}
+    if "syn" in role:
+        choices["syn"] = _variant_index_array(handle, role["syn"])
+    if any(caption == "best" for _, _, caption in parts):
+        choices["best"] = best = np.empty(n, dtype=np.int64)
+        for i, rec in enumerate(handle.records()):  # ties go to the lowest variant
             if not rec.synthetic_variants:
                 raise DataError(f"record {rec.id} has no synthetic variants")
-            best = int(
-                np.argmax([float(by_label[v.source_label][i]) for v in rec.synthetic_variants])
+            best[i] = np.argmax(
+                [float(score_tables[v.source_label].scores[i]) for v in rec.synthetic_variants]
             )
-            entries.append((int(ids[i]), best))
 
-    elif spec.name in ("raw_top", "syn_on_raw_top", "raw_top_plus_syn_rest",
-                       "raw_top_plus_syn_rest_filtered",
-                       "concat_top_plus_syn_rest_filtered"):
-        _require_tables(score_tables, "raw", n=n)
-        mask, tau_used = top_fraction(score_tables["raw"], spec.p, ids)
-        top = mask.indices()
-        rest = mask.complement().indices()
-        if spec.name == "raw_top":
-            add(top, RAW_CHOICE)
-        elif spec.name == "syn_on_raw_top":
-            add(top, var_idx[top])
-        elif spec.name == "raw_top_plus_syn_rest":
-            add(top, RAW_CHOICE)
-            add(rest, var_idx[rest])
+    cuts: dict[str, tuple[SelectionMask, float | None]] = {}
+    entries: list[tuple[int, int]] = []
+    for rank, take, caption in parts:
+        if rank is None:
+            rows = np.arange(n)
         else:
-            _require_tables(score_tables, syn_label, n=n)
-            add(top, RAW_CHOICE)
-            if spec.name == "concat_top_plus_syn_rest_filtered":
-                add(top, var_idx[top])
-            if tau_used is not None:
-                syn_scores = score_tables[syn_label].scores
-                keep = rest[syn_scores[rest] >= np.float32(tau_used)]
-                add(keep, var_idx[keep])
-
-    elif spec.name == "syn_top":
-        _require_tables(score_tables, syn_label, n=n)
-        mask, tau_used = top_fraction(score_tables[syn_label], spec.p, ids)
-        top = mask.indices()
-        add(top, var_idx[top])
-
-    elif spec.name == "syn_top_plus_raw_rest_filtered":
-        _require_tables(score_tables, syn_label, "raw", n=n)
-        mask, tau_used = top_fraction(score_tables[syn_label], spec.p, ids)
-        top = mask.indices()
-        add(top, var_idx[top])
-        if tau_used is not None:
-            raw_scores = score_tables["raw"].scores
-            rest = mask.complement().indices()
-            keep = rest[raw_scores[rest] >= np.float32(tau_used)]
-            add(keep, RAW_CHOICE)
-
-    elif spec.name == "union_top_raw_top_syn":
-        _require_tables(score_tables, "raw", syn_label, n=n)
-        raw_mask, tau_used = top_fraction(score_tables["raw"], spec.p, ids)
-        syn_mask, _ = top_fraction(score_tables[syn_label], spec.p, ids)
-        add(raw_mask.indices(), RAW_CHOICE)
-        syn_top = syn_mask.indices()
-        add(syn_top, var_idx[syn_top])
-
-    else:  # pragma: no cover - names are validated above
-        raise ConfigError(f"unhandled strategy {spec.name!r}")
+            if rank not in cuts:
+                cuts[rank] = top_fraction(score_tables[role[rank]], spec.p, ids)
+            mask, tau = cuts[rank]
+            rows = mask.indices() if take == "top" else mask.complement().indices()
+            if take == "rest >= tau":  # an empty cut has no tau and keeps no rest
+                scores = score_tables[role[caption]].scores
+                rows = rows[scores[rows] >= np.float32(tau)] if tau is not None else rows[:0]
+        entries.extend(zip(ids[rows].tolist(), choices[caption][rows].tolist()))
+    tau_used = next((tau for _, tau in cuts.values()), None)  # the first cut's
 
     if spec.in1k_intersect:
         if in1k_mask is None:

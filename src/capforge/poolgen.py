@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import json
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import lru_cache
 from pathlib import Path
 from typing import Sequence
@@ -139,6 +139,15 @@ _CONFIG_FIELDS = {
 _SYN_FIELDS = {"source_name", "temperature", "diversity_factor"}
 
 
+def _check_numbers(cls, obj: dict, where: str) -> None:
+    """Reject a JSON value that does not fit an int or float field of `cls`."""
+    for f in fields(cls):
+        allowed = {"int": int, "float": (int, float)}.get(f.type)
+        value = obj.get(f.name, 0)
+        if allowed and (isinstance(value, bool) or not isinstance(value, allowed)):
+            raise ConfigError(f"{where} field {f.name!r} must be {f.type}, got {value!r}")
+
+
 def config_from_dict(obj: dict) -> GenConfig:
     if not isinstance(obj, dict):
         raise ConfigError("generator config must be a JSON object")
@@ -148,8 +157,11 @@ def config_from_dict(obj: dict) -> GenConfig:
     for required in ("num_records", "seed"):
         if required not in obj:
             raise ConfigError(f"missing config field {required!r}")
+    _check_numbers(GenConfig, obj, "config")
     kwargs = {k: v for k, v in obj.items() if k != "syn_sources"}
     if "syn_sources" in obj:
+        if not isinstance(obj["syn_sources"], list):
+            raise ConfigError("syn_sources must be a list")
         sources = []
         for i, entry in enumerate(obj["syn_sources"]):
             if not isinstance(entry, dict):
@@ -160,6 +172,7 @@ def config_from_dict(obj: dict) -> GenConfig:
             missing = _SYN_FIELDS - set(entry)
             if missing:
                 raise ConfigError(f"syn_sources[{i}] missing {sorted(missing)[0]!r}")
+            _check_numbers(SynSource, entry, f"syn_sources[{i}]")
             sources.append(
                 SynSource(
                     str(entry["source_name"]),

@@ -25,16 +25,18 @@ from .curation import (
     StrategySpec,
     apply_strategy,
     in1k_cluster_mask,
-    resolve_syn_source,
+    score_labels,
 )
 from .errors import ConfigError
 from .pool import PoolHandle, ScoreTable, SelectionMask, open_pool
 from .poolgen import GenConfig, generate_pool
-from .scoring import score_pool
+from .scoring import clip_s, score_pool
 from .textmetrics import (
     default_noun_lexicon,
     default_visual_vocab,
     entry_caption,
+    grounded_fraction,
+    iter_trigrams,
     sample_subset,
     tokenize,
 )
@@ -115,31 +117,8 @@ def strategy_tables(
     handle: PoolHandle, spec: StrategySpec, get_table: TableGetter
 ) -> dict[str, ScoreTable]:
     """Exactly the score tables apply_strategy needs for this spec."""
-    needed: set[str] = set()
-    name = spec.name
-    if name in (
-        "raw_top",
-        "syn_on_raw_top",
-        "raw_top_plus_syn_rest",
-        "raw_top_plus_syn_rest_filtered",
-        "concat_top_plus_syn_rest_filtered",
-        "syn_top_plus_raw_rest_filtered",
-        "union_top_raw_top_syn",
-    ):
-        needed.add("raw")
-    if name in (
-        "syn_top",
-        "raw_top_plus_syn_rest_filtered",
-        "concat_top_plus_syn_rest_filtered",
-        "syn_top_plus_raw_rest_filtered",
-        "union_top_raw_top_syn",
-    ):
-        needed.add(resolve_syn_source(handle.manifest.embedding_sources, spec.syn_source))
-    if name == "syn_best_variant_all":
-        needed.update(
-            s for s in handle.manifest.embedding_sources if s.startswith("syn.")
-        )
-    return {label: get_table(label) for label in needed}
+    labels = score_labels(spec, handle.manifest.embedding_sources)
+    return {label: get_table(label) for label in labels}
 
 
 def build_quality_report(
@@ -164,7 +143,7 @@ def build_quality_report(
             label = handle.record(idx).synthetic_variants[cap].source_label
         score = float(get_table(label).scores[idx])
         cos_sum += score
-        clip_sum += 2.5 * max(score, 0.0)
+        clip_sum += clip_s(score)
     count = len(curated.entries)
     mean_cos = cos_sum / count if count else 0.0
     mean_clip = clip_sum / count if count else 0.0
@@ -178,10 +157,8 @@ def build_quality_report(
     for entry in sample.entries:
         tokens = tokenize(entry_caption(handle, entry))
         word_sum += len(tokens)
-        if tokens:
-            ground_sum += sum(1 for t in tokens if t in vocab) / len(tokens)
-        for i in range(len(tokens) - 2):
-            trigram_seen.add((tokens[i], tokens[i + 1], tokens[i + 2]))
+        ground_sum += grounded_fraction(tokens, vocab)
+        trigram_seen.update(iter_trigrams(tokens))
         noun_seen.update(t for t in tokens if t in lexicon)
     return QualityReport(
         strategy=curated.spec.name,

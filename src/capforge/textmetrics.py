@@ -36,7 +36,11 @@ def grounding_ratio(text: str, vocab: set[str]) -> float:
     """Fraction of tokens that name a visual concept; 0 for empty captions."""
     if not vocab:
         raise DomainError("grounding ratio requires a nonempty vocabulary")
-    tokens = tokenize(text)
+    return grounded_fraction(tokenize(text), vocab)
+
+
+def grounded_fraction(tokens: Sequence[str], vocab: set[str]) -> float:
+    """Fraction of `tokens` in `vocab`; 0 for no tokens."""
     if not tokens:
         return 0.0
     return sum(1 for t in tokens if t in vocab) / len(tokens)

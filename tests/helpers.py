@@ -8,6 +8,7 @@ with Python sets, so agreement with the fast implementations is meaningful.
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -19,7 +20,7 @@ RAW = -1
 def oracle_top(scores: dict[int, float], p: float) -> tuple[set[int], float | None]:
     """Top floor(p*n/100) ids by score, ties to the lower id."""
     n = len(scores)
-    k = math.floor(p * n / 100.0)
+    k = math.floor(Fraction(str(p)) * n / 100)  # exact in p's decimal value
     ranked = sorted(scores.items(), key=lambda kv: (-kv[1], kv[0]))
     chosen = ranked[:k]
     if not chosen:

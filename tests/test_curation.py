@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from capforge.curation import (
@@ -8,6 +8,7 @@ from capforge.curation import (
     CuratedSet,
     FilterSpec,
     StrategySpec,
+    STRATEGIES,
     STRATEGY_NAMES,
     apply_strategy,
     curated_filename,
@@ -22,6 +23,7 @@ from capforge.curation import (
 )
 from capforge.errors import ConfigError, DataError, DomainError
 from capforge.pool import ScoreTable, SelectionMask, open_pool
+from capforge.report import strategy_tables
 from helpers import RAW, build_plain_pool, oracle_strategy, oracle_top
 
 
@@ -89,6 +91,15 @@ def test_top_fraction_matches_sort_oracle(values, p):
         assert tau is None
     else:
         assert tau == pytest.approx(want_tau)
+
+
+@given(st.integers(1, 1000), st.integers(1, 2999))
+@example(184, 375)  # p=18.4: floor(18.4*375/100.0) is 68 in binary floating point
+@settings(max_examples=300, deadline=None)
+def test_top_fraction_count_is_exact(tenths, n):
+    p = tenths / 10
+    mask, _ = top_fraction(_table(np.zeros(n)), p)
+    assert mask.cardinality == tenths * n // 1000  # floor(p*n/100) in integers
 
 
 def test_threshold_filter_extremes():
@@ -395,6 +406,38 @@ def test_strategy_requires_in1k_mask(strategy_pool):
         apply_strategy(strategy_pool, spec, {})
 
 
+def test_strategy_table_names_exactly_the_needed_score_tables(strategy_pool):
+    rng = np.random.default_rng(4)
+    pool_tables = {
+        label: _table(rng.random(10), label)
+        for label in ("raw", "syn.blip2.0.75", SYN_LABEL)
+    }
+    both = {"raw", SYN_LABEL}
+    expected = {
+        "raw_all": set(),
+        "syn_all": set(),
+        "syn_best_variant_all": {"syn.blip2.0.75", SYN_LABEL},
+        "raw_top": {"raw"},
+        "syn_top": {SYN_LABEL},
+        "syn_on_raw_top": {"raw"},
+        "raw_top_plus_syn_rest": {"raw"},
+        "raw_top_plus_syn_rest_filtered": both,
+        "syn_top_plus_raw_rest_filtered": both,
+        "concat_top_plus_syn_rest_filtered": both,
+        "union_top_raw_top_syn": both,
+    }
+    assert set(expected) == set(STRATEGIES)
+    for name in STRATEGIES:
+        spec = _spec(name, p=30)
+        tables = strategy_tables(strategy_pool, spec, pool_tables.__getitem__)
+        assert set(tables) == expected[name], name
+        apply_strategy(strategy_pool, spec, tables)
+        for label in tables:
+            fewer = {k: v for k, v in tables.items() if k != label}
+            with pytest.raises(DataError, match="missing score table"):
+                apply_strategy(strategy_pool, spec, fewer)
+
+
 def test_strategy_spec_validation():
     with pytest.raises(ConfigError):
         StrategySpec("nope").validate()
@@ -405,6 +448,23 @@ def test_strategy_spec_validation():
     with pytest.raises(ConfigError):
         StrategySpec("syn_all").validate()  # syn_source missing
     StrategySpec("raw_all").validate()
+    needs_p = set(STRATEGY_NAMES) - {"raw_all", "syn_all", "syn_best_variant_all"}
+    needs_syn = {
+        "syn_all", "syn_top", "syn_on_raw_top", "raw_top_plus_syn_rest",
+        "raw_top_plus_syn_rest_filtered", "syn_top_plus_raw_rest_filtered",
+        "concat_top_plus_syn_rest_filtered", "union_top_raw_top_syn",
+    }
+    for name in STRATEGY_NAMES:
+        StrategySpec(name, p=30, syn_source="blip2").validate()
+        for spec, required in (
+            (StrategySpec(name, syn_source="blip2"), name in needs_p),
+            (StrategySpec(name, p=30), name in needs_syn),
+        ):
+            if required:
+                with pytest.raises(ConfigError, match="requires"):
+                    spec.validate()
+            else:
+                spec.validate()
 
 
 def test_resolve_syn_source(strategy_pool):

@@ -1,9 +1,14 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import capforge
 from capforge.cli import cli_main
 from capforge.curation import StrategySpec, apply_strategy, read_curated
 from capforge.pool import materialize, open_pool
@@ -343,3 +348,64 @@ def test_cli_in1k_mix(tmp_path):
     curated = read_curated(out)
     assert curated.spec.in1k_intersect
     assert len(curated) <= 150
+
+
+def test_cli_metrics_sample_size_zero_is_honoured(small_pool, tmp_path):
+    pool = str(small_pool)
+    curated = tmp_path / "c.jsonl"
+    cli_main(["mix", "--strategy", "raw_all", "--pool", pool, "--out", str(curated)])
+    metrics = tmp_path / "m.json"
+    args = ["metrics", "--pool", pool, "--curated", str(curated), "--out", str(metrics)]
+    assert cli_main(args + ["--sample-size", "0"]) == 0
+    row = json.loads(metrics.read_text())
+    assert row["sample_size"] == 0
+    assert row["unique_trigrams"] == 0
+    assert cli_main(args + ["--sample-size", "-1"]) == 1
+
+
+_STRATEGY_FILES = {
+    "p_not_a_number": [{"name": "raw_top", "p": "abc"}],
+    "cluster_params_not_an_object": [
+        {"name": "raw_all", "in1k_intersect": True, "cluster_params": 5}
+    ],
+    "cluster_k_not_an_integer": [
+        {"name": "raw_all", "in1k_intersect": True, "cluster_params": {"k": "x"}}
+    ],
+}
+_GEN_CONFIGS = {
+    "gen_seed_string": {"num_records": 10, "seed": "x"},
+    "gen_records_float": {"num_records": 10.0, "seed": 1},
+    "gen_syn_sources_not_a_list": {"num_records": 10, "seed": 1, "syn_sources": 5},
+}
+
+
+@pytest.mark.parametrize(
+    "case, code",
+    [(name, 1) for name in _STRATEGY_FILES]
+    + [(name, 1) for name in _GEN_CONFIGS]
+    + [("curated_not_json", 2), ("curated_missing", 2)],
+)
+def test_cli_malformed_input_exits_without_traceback(small_pool, tmp_path, case, code):
+    if case in _STRATEGY_FILES:
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps(_STRATEGY_FILES[case]))
+        args = ["report", "--pool", str(small_pool), "--strategies", str(path),
+                "--out-dir", str(tmp_path / "rep")]
+    elif case in _GEN_CONFIGS:
+        path = tmp_path / "g.json"
+        path.write_text(json.dumps(_GEN_CONFIGS[case]))
+        args = ["gen", "--config", str(path), "--out", str(tmp_path / "pool")]
+    else:
+        path = tmp_path / "c.jsonl"
+        if case == "curated_not_json":
+            path.write_text("not json\n")
+        args = ["metrics", "--pool", str(small_pool), "--curated", str(path),
+                "--out", str(tmp_path / "m.json")]
+    src = str(Path(capforge.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    proc = subprocess.run([sys.executable, "-m", "capforge.cli", *args],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == code, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert len(proc.stderr.strip().splitlines()) == 1, proc.stderr
