@@ -30,14 +30,7 @@ from .curation import (
     top_fraction,
     write_curated,
 )
-from .errors import (
-    CapforgeError,
-    ConfigError,
-    DataError,
-    DomainError,
-    FormatError,
-    IntegrityError,
-)
+from .errors import CapforgeError, ConfigError
 from .pool import open_pool, validate_pool
 from .poolgen import generate_pool, load_config
 from .report import (
@@ -166,7 +159,7 @@ def _cmd_filter(args) -> int:
         mask = threshold_filter(table, filter_spec.tau)
         header = {"kind": kind, "source": label, "tau": filter_spec.tau,
                   "tau_used": filter_spec.tau, "count": mask.cardinality}
-    ids = [handle.record(int(i)).id for i in mask.indices()]
+    ids = handle.ids()[mask.indices()].tolist()
     with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(json.dumps(header, separators=(",", ":")) + "\n")
         for rec_id in ids:
@@ -359,9 +352,6 @@ def cli_main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
-    except (DataError, FormatError, IntegrityError, DomainError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except (CapforgeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -17,9 +17,7 @@ from typing import Iterator, Mapping, Sequence
 import numpy as np
 
 from .errors import ConfigError, DataError, DomainError, FormatError
-from .pool import PoolHandle, ScoreTable, SelectionMask
-
-RAW_CHOICE = -1
+from .pool import RAW_CHOICE, PoolHandle, ScoreTable, SelectionMask
 
 # Each strategy is the union of its parts (rank, take, caption).  rank is the
 # score source of a top-p cut ("raw" or "syn"), or None for the whole pool.
@@ -156,11 +154,14 @@ class StrategySpec:
                 tol=_parse(float, cp.get("tol", 1e-4), "cluster_params tol"),
                 seed=_parse(int, cp.get("seed", 0), "cluster_params seed"),
             )
+        in1k_intersect = obj.get("in1k_intersect", False)
+        if not isinstance(in1k_intersect, bool):
+            raise ConfigError(f"in1k_intersect must be true or false, got {in1k_intersect!r}")
         spec = cls(
             name=str(obj["name"]),
             p=None if obj.get("p") is None else _parse(float, obj["p"], "p"),
             syn_source=obj.get("syn_source"),
-            in1k_intersect=bool(obj.get("in1k_intersect", False)),
+            in1k_intersect=in1k_intersect,
             cluster_params=params,
         )
         spec.validate()
@@ -402,21 +403,6 @@ def resolve_syn_source(labels: Sequence[str], requested: str) -> str:
     )
 
 
-def _variant_index_array(handle: PoolHandle, label: str) -> np.ndarray:
-    """Per-record index of the variant whose embedding source is `label`."""
-    idx = np.full(handle.num_records, -1, dtype=np.int64)
-    for i, rec in enumerate(handle.records()):
-        for j, variant in enumerate(rec.synthetic_variants):
-            if variant.source_label == label:
-                idx[i] = j
-                break
-    if (idx < 0).any():
-        missing = int(np.flatnonzero(idx < 0)[0])
-        rec = handle.record(missing)
-        raise DataError(f"record {rec.id} has no variant for source {label!r}")
-    return idx
-
-
 def _role_labels(spec: StrategySpec, sources: Sequence[str]) -> dict[str, str]:
     """Score source label behind the "raw" and (if used) "syn" roles."""
     labels = {"raw": "raw"}
@@ -459,6 +445,27 @@ def _require_tables(
             )
 
 
+def _best_variants(handle: PoolHandle, score_tables: Mapping[str, ScoreTable]) -> np.ndarray:
+    """Position of each record's highest-scoring variant.
+
+    Scores are stacked by variant position, so argmax sends ties to the
+    lowest position whatever order a record lists its sources in.
+    """
+    positions = {label: handle.variant_index(label) for label in handle.variant_labels()}
+    width = 1 + max((int(pos.max()) for pos in positions.values()), default=0)
+    stacked = np.full((width, handle.num_records), -np.inf, dtype=np.float32)
+    for label, pos in positions.items():
+        rows = np.flatnonzero(pos >= 0)
+        if label not in score_tables:
+            rec_id = handle.ids()[rows[0]]
+            raise DataError(f"record {rec_id}: no embeddings for variant {label!r}")
+        stacked[pos[rows], rows] = score_tables[label].scores[rows]
+    empty = np.isneginf(stacked).all(axis=0)
+    if empty.any():
+        raise DataError(f"record {handle.ids()[np.argmax(empty)]} has no synthetic variants")
+    return stacked.argmax(axis=0)
+
+
 def apply_strategy(
     handle: PoolHandle,
     spec: StrategySpec,
@@ -468,7 +475,7 @@ def apply_strategy(
     """Materialize a strategy spec into a curated (id, caption) selection."""
     spec.validate()
     n = handle.num_records
-    ids = np.array([r.id for r in handle.records()], dtype=np.int64)
+    ids = handle.ids()
     sources = handle.manifest.embedding_sources
     _require_tables(score_tables, *score_labels(spec, sources), n=n)
     role = _role_labels(spec, sources)
@@ -476,15 +483,13 @@ def apply_strategy(
 
     choices = {"raw": np.full(n, RAW_CHOICE, dtype=np.int64)}
     if "syn" in role:
-        choices["syn"] = _variant_index_array(handle, role["syn"])
-    if any(caption == "best" for _, _, caption in parts):
-        choices["best"] = best = np.empty(n, dtype=np.int64)
-        for i, rec in enumerate(handle.records()):  # ties go to the lowest variant
-            if not rec.synthetic_variants:
-                raise DataError(f"record {rec.id} has no synthetic variants")
-            best[i] = np.argmax(
-                [float(score_tables[v.source_label].scores[i]) for v in rec.synthetic_variants]
+        choices["syn"] = syn = handle.variant_index(role["syn"])
+        if (syn < 0).any():
+            raise DataError(
+                f"record {ids[np.argmax(syn < 0)]} has no variant for source {role['syn']!r}"
             )
+    if any(caption == "best" for _, _, caption in parts):
+        choices["best"] = _best_variants(handle, score_tables)
 
     cuts: dict[str, tuple[SelectionMask, float | None]] = {}
     entries: list[tuple[int, int]] = []

@@ -23,6 +23,10 @@ from .errors import DataError, FormatError, IntegrityError
 FORMAT_VERSION = 1
 MANIFEST_NAME = "manifest.json"
 
+# A caption choice is the position of a variant in a record's "syn" list, or
+# RAW_CHOICE for the record's raw caption.
+RAW_CHOICE = -1
+
 
 def variant_source_label(source_name: str, temperature: float) -> str:
     """Embedding-source label for a synthetic caption variant."""
@@ -173,12 +177,6 @@ class SelectionMask:
     def complement(self) -> "SelectionMask":
         return SelectionMask(~self.bits)
 
-    def __and__(self, other: "SelectionMask") -> "SelectionMask":
-        return SelectionMask(self.bits & other.bits)
-
-    def __or__(self, other: "SelectionMask") -> "SelectionMask":
-        return SelectionMask(self.bits | other.bits)
-
     def __eq__(self, other) -> bool:
         return isinstance(other, SelectionMask) and np.array_equal(self.bits, other.bits)
 
@@ -243,13 +241,13 @@ def write_manifest(out_dir: Path, manifest: PoolManifest) -> None:
 
 def write_pool(
     records: Iterable[Record],
-    embeddings: Mapping[str, Iterable[np.ndarray] | np.ndarray],
+    embeddings: Mapping[str, np.ndarray],
     out_path: str | Path,
     *,
     records_per_shard: int = 1000,
     generator_seed: int | None = None,
 ) -> PoolManifest:
-    """Write a pool directory from record and per-source embedding streams."""
+    """Write a pool directory from records and per-source (rows, dim) matrices."""
     out_dir = Path(out_path)
     out_dir.mkdir(parents=True, exist_ok=True)
 
@@ -261,19 +259,9 @@ def write_pool(
     matrices: dict[str, np.ndarray] = {}
     dim: int | None = None
     for source, stream in embeddings.items():
-        if isinstance(stream, np.ndarray):
-            mat = np.asarray(stream, dtype=np.float32)
-            if mat.ndim != 2:
-                raise DataError(f"source {source}: expected (rows, dim) matrix")
-        else:
-            vecs = [np.asarray(v, dtype=np.float32) for v in stream]
-            if len({v.shape for v in vecs}) > 1:
-                raise DataError(f"source {source}: vectors of differing dimension")
-            mat = (
-                np.stack(vecs)
-                if vecs
-                else np.zeros((0, dim if dim is not None else 0), dtype=np.float32)
-            )
+        mat = np.asarray(stream, dtype=np.float32)
+        if mat.ndim != 2:
+            raise DataError(f"source {source}: expected (rows, dim) matrix")
         if mat.shape[0] != n:
             raise DataError(
                 f"source {source}: {mat.shape[0]} vectors for {n} records"
@@ -315,14 +303,22 @@ def write_pool(
 
 
 class PoolHandle:
-    """Read-only view of a pool directory."""
+    """Read-only view of a pool directory.
+
+    Besides the parsed records, a handle keeps a columnar index built once
+    from them: the ids in pool order, and per variant source label the
+    position of that variant in each record.  Curated (id, caption choice)
+    entries resolve to rows and texts through it.
+    """
 
     def __init__(self, path: Path, manifest: PoolManifest):
         self.path = path
         self.manifest = manifest
         self._records: list[Record] | None = None
         self._embeddings: dict[str, np.ndarray] = {}
-        self._id_index: dict[int, int] | None = None
+        self._ids: np.ndarray | None = None
+        self._id_order: np.ndarray | None = None
+        self._variant_index: dict[str, np.ndarray] | None = None
 
     @property
     def num_records(self) -> int:
@@ -334,9 +330,6 @@ class PoolHandle:
 
     def shard_sizes(self) -> list[int]:
         return shard_layout(self.manifest.num_records, self.manifest.records_per_shard)
-
-    def shard_paths(self) -> list[Path]:
-        return [self.path / shard_jsonl_name(k) for k in range(self.manifest.num_shards)]
 
     def iter_shard_records(self, k: int) -> Iterator[Record]:
         with open(self.path / shard_jsonl_name(k), encoding="utf-8") as fh:
@@ -352,16 +345,64 @@ class PoolHandle:
             self._records = recs
         return self._records
 
-    def iter_records(self) -> Iterator[Record]:
-        return iter(self.records())
-
     def record(self, index: int) -> Record:
         return self.records()[index]
 
-    def id_to_index(self) -> dict[int, int]:
-        if self._id_index is None:
-            self._id_index = {r.id: i for i, r in enumerate(self.records())}
-        return self._id_index
+    # caption-choice index ------------------------------------------------
+
+    def ids(self) -> np.ndarray:
+        """Record ids in pool order (int64)."""
+        if self._ids is None:
+            recs = self.records()
+            ids = np.fromiter((r.id for r in recs), dtype=np.int64, count=len(recs))
+            self._id_order = np.argsort(ids, kind="stable")
+            self._ids = ids
+        return self._ids
+
+    def rows(self, ids: Sequence[int] | np.ndarray) -> np.ndarray:
+        """Row of each id; an id held by several records maps to the last."""
+        ids = np.asarray(ids, dtype=np.int64)
+        pool_ids = self.ids()
+        unknown = ~np.isin(ids, pool_ids)
+        if unknown.any():
+            bad = int(ids[np.argmax(unknown)])
+            raise DataError(f"curated entry references unknown record id {bad}")
+        pos = np.searchsorted(pool_ids, ids, side="right", sorter=self._id_order)
+        return self._id_order[pos - 1]
+
+    def variant_labels(self) -> list[str]:
+        """Source label of every variant some record lists."""
+        if self._variant_index is None:
+            n = len(self.records())
+            index: dict[str, np.ndarray] = {}
+            for row, rec in enumerate(self.records()):
+                for pos, variant in enumerate(rec.synthetic_variants):
+                    col = index.get(variant.source_label)
+                    if col is None:
+                        col = index[variant.source_label] = np.full(n, -1, np.int64)
+                    if col[row] < 0:  # a repeated label keeps its first position
+                        col[row] = pos
+            self._variant_index = index
+        return list(self._variant_index)
+
+    def variant_index(self, label: str) -> np.ndarray:
+        """Per-record position of the variant with source `label`, -1 if none."""
+        if label not in self.variant_labels():
+            return np.full(len(self.records()), -1, np.int64)
+        return self._variant_index[label]
+
+    def caption(self, row: int, cap: int) -> tuple[str, str]:
+        """(embedding source label, text) of caption choice `cap` at `row`."""
+        rec = self.records()[row]
+        if cap == RAW_CHOICE:
+            return "raw", rec.raw_caption
+        if not 0 <= cap < len(rec.synthetic_variants):
+            raise DataError(
+                f"curated entry references variant {cap} of record {rec.id} "
+                f"which has {len(rec.synthetic_variants)} variants"
+            )
+        variant = rec.synthetic_variants[cap]
+        return variant.source_label, variant.text
 
     def has_source(self, source: str) -> bool:
         return source in self.manifest.embedding_sources
@@ -392,9 +433,6 @@ class PoolHandle:
             )
         self._embeddings[source] = mat
         return mat
-
-    def embedding_row(self, source: str, index: int) -> np.ndarray:
-        return self.embeddings(source)[index]
 
     # score sidecars -------------------------------------------------------
 
@@ -562,38 +600,19 @@ def materialize(
     source record id is kept in the ``prov`` field.  New ids are sequential
     so duplicated records (concatenation strategies) stay distinct.
     """
-    id_index = handle.id_to_index()
-    out_records: list[Record] = []
-    image_rows: list[np.ndarray] = []
-    text_rows: list[np.ndarray] = []
     entries = sorted(curated.entries)
-    for new_id, (rec_id, cap) in enumerate(entries):
-        idx = id_index.get(rec_id)
-        if idx is None:
-            raise DataError(f"curated entry references unknown record id {rec_id}")
-        rec = handle.record(idx)
-        if cap == -1:
-            caption = rec.raw_caption
-            source = "raw"
-        else:
-            if cap < 0 or cap >= len(rec.synthetic_variants):
-                raise DataError(
-                    f"curated entry references variant {cap} of record {rec_id} "
-                    f"which has {len(rec.synthetic_variants)} variants"
-                )
-            variant = rec.synthetic_variants[cap]
-            caption = variant.text
-            source = variant.source_label
+    rows = handle.rows([rec_id for rec_id, _ in entries]).tolist()
+    out_records: list[Record] = []
+    text_rows: list[np.ndarray] = []
+    for new_id, ((rec_id, cap), row) in enumerate(zip(entries, rows)):
+        source, caption = handle.caption(row, cap)
         if not handle.has_source(source):
             raise DataError(f"record {rec_id}: pool has no embeddings for {source!r}")
         out_records.append(Record(id=new_id, raw_caption=caption, prov=rec_id))
-        image_rows.append(handle.embeddings("image")[idx])
-        text_rows.append(handle.embeddings(source)[idx])
+        text_rows.append(handle.embeddings(source)[row])
 
-    n = len(out_records)
-    dim = handle.embedding_dim
-    image = np.stack(image_rows) if n else np.zeros((0, dim), dtype=np.float32)
-    text = np.stack(text_rows) if n else np.zeros((0, dim), dtype=np.float32)
+    image = handle.embeddings("image")[rows]
+    text = np.stack(text_rows) if text_rows else np.zeros_like(image)
     return write_pool(
         out_records,
         {"image": image, "raw": text},

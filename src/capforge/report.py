@@ -19,7 +19,6 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .curation import (
-    RAW_CHOICE,
     ClusterParams,
     CuratedSet,
     StrategySpec,
@@ -34,7 +33,6 @@ from .scoring import clip_s, score_pool
 from .textmetrics import (
     default_noun_lexicon,
     default_visual_vocab,
-    entry_caption,
     grounded_fraction,
     iter_trigrams,
     sample_subset,
@@ -132,16 +130,12 @@ def build_quality_report(
     seed: int,
 ) -> QualityReport:
     """One report row for a curated set."""
-    id_index = handle.id_to_index()
     cos_sum = 0.0
     clip_sum = 0.0
-    for rec_id, cap in curated.entries:
-        idx = id_index[rec_id]
-        if cap == RAW_CHOICE:
-            label = "raw"
-        else:
-            label = handle.record(idx).synthetic_variants[cap].source_label
-        score = float(get_table(label).scores[idx])
+    rows = handle.rows(curated.ids()).tolist()
+    for row, (_, cap) in zip(rows, curated.entries):
+        label, _ = handle.caption(row, cap)
+        score = float(get_table(label).scores[row])
         cos_sum += score
         clip_sum += clip_s(score)
     count = len(curated.entries)
@@ -154,8 +148,9 @@ def build_quality_report(
     ground_sum = 0.0
     trigram_seen: set[tuple[str, str, str]] = set()
     noun_seen: set[str] = set()
-    for entry in sample.entries:
-        tokens = tokenize(entry_caption(handle, entry))
+    rows = handle.rows(sample.ids()).tolist()
+    for row, (_, cap) in zip(rows, sample.entries):
+        tokens = tokenize(handle.caption(row, cap)[1])
         word_sum += len(tokens)
         ground_sum += grounded_fraction(tokens, vocab)
         trigram_seen.update(iter_trigrams(tokens))

@@ -87,13 +87,13 @@ def variant_scores(handle: PoolHandle, record_index: int) -> VariantScores:
     rec = handle.record(record_index)
     if not rec.synthetic_variants:
         raise DataError(f"record {rec.id} has no synthetic variants")
-    image = handle.embedding_row("image", record_index)
+    image = handle.embeddings("image")[record_index]
     scores = []
     for variant in rec.synthetic_variants:
         label = variant.source_label
         if not handle.has_source(label):
             raise DataError(f"record {rec.id}: no embeddings for variant {label!r}")
-        scores.append(cosine(image, handle.embedding_row(label, record_index)))
+        scores.append(cosine(image, handle.embeddings(label)[record_index]))
     return VariantScores(record_id=rec.id, scores=scores)
 
 

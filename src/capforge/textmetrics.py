@@ -16,7 +16,7 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .curation import RAW_CHOICE, CuratedSet
+from .curation import CuratedSet
 from .errors import DataError, DomainError
 from .pool import PoolHandle
 
@@ -96,18 +96,7 @@ def sample_subset(curated: CuratedSet, n: int, seed: int) -> CuratedSet:
 def entry_caption(handle: PoolHandle, entry: tuple[int, int]) -> str:
     """Caption text a curated entry selects."""
     rec_id, cap = entry
-    idx = handle.id_to_index().get(rec_id)
-    if idx is None:
-        raise DataError(f"entry references unknown record id {rec_id}")
-    rec = handle.record(idx)
-    if cap == RAW_CHOICE:
-        return rec.raw_caption
-    if cap < 0 or cap >= len(rec.synthetic_variants):
-        raise DataError(
-            f"entry references variant {cap} of record {rec_id} "
-            f"which has {len(rec.synthetic_variants)} variants"
-        )
-    return rec.synthetic_variants[cap].text
+    return handle.caption(int(handle.rows([rec_id])[0]), cap)[1]
 
 
 class DiversityPoint(NamedTuple):
@@ -139,13 +128,14 @@ def diversity_curve(
         raise DomainError("diversity_curve requires a nonempty lexicon")
 
     order = np.random.default_rng(seed).permutation(total)
+    rows = handle.rows(curated.ids()).tolist()
     trigram_seen: set[tuple[str, str, str]] = set()
     noun_seen: set[str] = set()
     points: list[DiversityPoint] = []
     pos = 0
     for size in sizes:
-        for i in order[pos:size]:
-            tokens = tokenize(entry_caption(handle, curated.entries[int(i)]))
+        for i in order[pos:size].tolist():
+            tokens = tokenize(handle.caption(rows[i], curated.entries[i][1])[1])
             trigram_seen.update(iter_trigrams(tokens))
             noun_seen.update(t for t in tokens if t in noun_lexicon)
         pos = size

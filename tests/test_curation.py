@@ -22,9 +22,12 @@ from capforge.curation import (
     write_curated,
 )
 from capforge.errors import ConfigError, DataError, DomainError
-from capforge.pool import ScoreTable, SelectionMask, open_pool
+from capforge.pool import (
+    CaptionVariant, Record, ScoreTable, SelectionMask, open_pool, write_pool,
+)
 from capforge.report import strategy_tables
-from helpers import RAW, build_plain_pool, oracle_strategy, oracle_top
+from capforge.scoring import score_pool, select_best_variant
+from helpers import RAW, build_plain_pool, oracle_strategy, oracle_top, unit_rows
 
 
 def _table(values, source="raw"):
@@ -372,6 +375,51 @@ def test_syn_best_variant_all(strategy_pool):
         assert cap == want
 
 
+def _mixed_order_pool(path, override=None):
+    """Records list blip2/coca in either order or only one of them; every
+    fifth record gives both variants the same embedding, an exact tie.
+    `override` maps a row to the variant list it gets instead."""
+    n, dim = 40, 8
+    rng = np.random.default_rng(9)
+    blip2, coca = unit_rows(rng, n, dim), unit_rows(rng, n, dim)
+    coca[::5] = blip2[::5]
+    layouts = [("blip2", "coca"), ("coca", "blip2"), ("coca",), ("blip2",)]
+    temps = {"blip2": 0.75, "coca": 1.0}
+    records = [
+        Record(id=i, raw_caption=f"raw {i}", synthetic_variants=[
+            CaptionVariant(s, temps[s], f"{s} {i}") for s in layouts[i % 4]
+        ])
+        for i in range(n)
+    ]
+    for i, variants in (override or {}).items():
+        records[i].synthetic_variants = variants
+    embeddings = {"image": unit_rows(rng, n, dim), "raw": unit_rows(rng, n, dim),
+                  "syn.blip2.0.75": blip2, "syn.coca.1.00": coca}
+    write_pool(records, embeddings, path, records_per_shard=16)
+    handle = open_pool(path)
+    tables = {label: score_pool(handle, label, write_sidecar=False)
+              for label in ("syn.blip2.0.75", "syn.coca.1.00")}
+    return handle, tables
+
+
+def test_syn_best_variant_all_matches_per_record_oracle(tmp_path):
+    handle, tables = _mixed_order_pool(tmp_path / "pool")
+    spec = StrategySpec(name="syn_best_variant_all")
+    curated = apply_strategy(handle, spec, tables)
+    assert [i for i, _ in curated.entries] == list(range(40))
+    for i, cap in curated.entries:
+        assert cap == select_best_variant(handle, i), i
+    assert {cap for i, cap in curated.entries if i % 5 == 0 and i % 4 < 2} == {0}
+
+    handle, tables = _mixed_order_pool(tmp_path / "empty", {7: []})
+    with pytest.raises(DataError, match="record 7 has no synthetic variants"):
+        apply_strategy(handle, spec, tables)
+    ghost = [CaptionVariant("blip2", 0.75, "b"), CaptionVariant("ghost", 1.0, "g")]
+    handle, tables = _mixed_order_pool(tmp_path / "ghost", {9: ghost})
+    with pytest.raises(DataError, match="record 9: no embeddings for variant 'syn.ghost.1.00'"):
+        apply_strategy(handle, spec, tables)
+
+
 def test_monotonicity_smaller_p_never_adds(strategy_pool):
     rng = np.random.default_rng(8)
     raw = rng.random(10)
@@ -465,6 +513,15 @@ def test_strategy_spec_validation():
                     spec.validate()
             else:
                 spec.validate()
+
+
+def test_strategy_spec_in1k_intersect_must_be_boolean():
+    spec = StrategySpec.from_dict({"name": "raw_all", "in1k_intersect": False})
+    assert spec.in1k_intersect is False
+    with pytest.raises(ConfigError, match="in1k_intersect"):
+        StrategySpec.from_dict({"name": "raw_all", "in1k_intersect": "false"})
+    with pytest.raises(ConfigError, match="in1k_intersect"):
+        StrategySpec.from_dict({"name": "raw_all", "in1k_intersect": 1})
 
 
 def test_resolve_syn_source(strategy_pool):

@@ -12,7 +12,7 @@ import capforge
 from capforge.cli import cli_main
 from capforge.curation import StrategySpec, apply_strategy, read_curated
 from capforge.pool import materialize, open_pool
-from capforge.poolgen import GenConfig, generate_pool
+from capforge.poolgen import GenConfig, SynSource, generate_pool
 from capforge.report import (
     MetricConfig,
     REPORT_COLUMNS,
@@ -30,6 +30,15 @@ from capforge.errors import ConfigError
 def small_pool(tmp_path_factory):
     path = tmp_path_factory.mktemp("report") / "pool"
     generate_pool(GenConfig(num_records=1200, seed=21, records_per_shard=400), path)
+    return path
+
+
+@pytest.fixture(scope="module")
+def two_captioner_pool(tmp_path_factory):
+    path = tmp_path_factory.mktemp("report") / "pool2"
+    syn = [SynSource("blip2", 0.75, 0.7), SynSource("coca", 1.0, 0.5)]
+    generate_pool(GenConfig(num_records=200, seed=3, records_per_shard=100,
+                            syn_sources=syn), path)
     return path
 
 
@@ -372,6 +381,11 @@ _STRATEGY_FILES = {
         {"name": "raw_all", "in1k_intersect": True, "cluster_params": {"k": "x"}}
     ],
 }
+_CURATED_ENTRIES = {
+    "curated_unknown_id": {"id": 99999999, "cap": "raw"},
+    "curated_variant_past_end": {"id": 0, "cap": 7},
+    "curated_variant_negative": {"id": 0, "cap": -2},
+}
 _GEN_CONFIGS = {
     "gen_seed_string": {"num_records": 10, "seed": "x"},
     "gen_records_float": {"num_records": 10.0, "seed": 1},
@@ -383,9 +397,12 @@ _GEN_CONFIGS = {
     "case, code",
     [(name, 1) for name in _STRATEGY_FILES]
     + [(name, 1) for name in _GEN_CONFIGS]
-    + [("curated_not_json", 2), ("curated_missing", 2)],
+    + [("curated_not_json", 2), ("curated_missing", 2)]
+    + [(name, 2) for name in _CURATED_ENTRIES],
 )
-def test_cli_malformed_input_exits_without_traceback(small_pool, tmp_path, case, code):
+def test_cli_malformed_input_exits_without_traceback(
+    small_pool, two_captioner_pool, tmp_path, case, code
+):
     if case in _STRATEGY_FILES:
         path = tmp_path / "s.json"
         path.write_text(json.dumps(_STRATEGY_FILES[case]))
@@ -395,6 +412,15 @@ def test_cli_malformed_input_exits_without_traceback(small_pool, tmp_path, case,
         path = tmp_path / "g.json"
         path.write_text(json.dumps(_GEN_CONFIGS[case]))
         args = ["gen", "--config", str(path), "--out", str(tmp_path / "pool")]
+    elif case in _CURATED_ENTRIES:
+        # the whole curated set is checked, not only the sampled captions
+        path = tmp_path / "c.jsonl"
+        header = {"strategy": "raw_all", "tau_used": None, "entries": 2,
+                  "spec": {"name": "raw_all"}}
+        lines = [header, {"id": 1, "cap": "raw"}, _CURATED_ENTRIES[case]]
+        path.write_text("".join(json.dumps(obj) + "\n" for obj in lines))
+        args = ["metrics", "--pool", str(two_captioner_pool), "--curated", str(path),
+                "--out", str(tmp_path / "m.json"), "--sample-size", "0"]
     else:
         path = tmp_path / "c.jsonl"
         if case == "curated_not_json":
