@@ -2,8 +2,8 @@
 
 Subcommands: gen, score, filter, mix, metrics, report, sweep, validate.
 Exit codes: 0 success, 1 usage/config error, 2 data/format error.
-``--workers`` (or CAPFORGE_WORKERS) controls parallelism and never changes
-outputs; ``--seed`` flows to every seeded operation of a subcommand.
+``--workers`` (or CAPFORGE_WORKERS) parallelizes pool generation only and never
+changes outputs; ``--seed`` flows to every seeded operation of a subcommand.
 """
 
 from __future__ import annotations
@@ -76,7 +76,7 @@ def _resolve_source(handle, requested: str) -> str:
     return resolve_syn_source(handle.manifest.embedding_sources, requested)
 
 
-def _metric_config(args, workers: int) -> MetricConfig:
+def _metric_config(args) -> MetricConfig:
     vocab = load_token_file(args.vocab) if getattr(args, "vocab", None) else None
     lexicon = load_token_file(args.lexicon) if getattr(args, "lexicon", None) else None
     refs = None
@@ -90,7 +90,7 @@ def _metric_config(args, workers: int) -> MetricConfig:
         seed=getattr(args, "seed", None) or 0,
         vocab=vocab,
         lexicon=lexicon,
-        workers=workers,
+        workers=args.workers,
         in1k_refs=refs,
     )
 
@@ -114,16 +114,15 @@ def _cmd_gen(args) -> int:
     if args.seed is not None:
         config = dataclasses.replace(config, seed=args.seed)
         config.validate()
-    manifest = generate_pool(config, args.out, workers=_resolve_workers(args))
+    manifest = generate_pool(config, args.out, workers=args.workers)
     print(f"generated {manifest.num_records} records in {manifest.num_shards} shards at {args.out}")
     return 0
 
 
 def _cmd_score(args) -> int:
-    workers = _resolve_workers(args)
     handle = open_pool(args.pool)
     label = _resolve_source(handle, args.source)
-    table = score_pool(handle, label, workers=workers)
+    table = score_pool(handle, label)
     mean = float(np.mean(table.scores.astype(np.float64))) if table.scores.size else 0.0
     print(f"scored {table.scores.size} records for {label}: mean cosine {mean:.6f}")
     return 0
@@ -147,10 +146,9 @@ def _cmd_filter(args) -> int:
     kind = "top_fraction" if args.p is not None else "threshold"
     filter_spec = FilterSpec(kind=kind, p=args.p, tau=args.tau)
     filter_spec.validate()
-    workers = _resolve_workers(args)
     handle = open_pool(args.pool)
     label = _resolve_source(handle, args.source)
-    table = make_table_getter(handle, workers)(label)
+    table = make_table_getter(handle)(label)
     if filter_spec.kind == "top_fraction":
         mask, tau_used = top_fraction(table, filter_spec.p)
         header = {"kind": kind, "source": label, "p": filter_spec.p,
@@ -169,7 +167,6 @@ def _cmd_filter(args) -> int:
 
 
 def _cmd_mix(args) -> int:
-    workers = _resolve_workers(args)
     handle = open_pool(args.pool)
     cluster_params = None
     if args.in1k_refs:
@@ -187,7 +184,7 @@ def _cmd_mix(args) -> int:
         cluster_params=cluster_params,
     )
     spec.validate()
-    get_table = make_table_getter(handle, workers)
+    get_table = make_table_getter(handle)
     tables = strategy_tables(handle, spec, get_table)
     mask = None
     if spec.in1k_intersect:
@@ -201,14 +198,13 @@ def _cmd_mix(args) -> int:
 
 
 def _cmd_metrics(args) -> int:
-    workers = _resolve_workers(args)
     handle = open_pool(args.pool)
     curated = read_curated(args.curated)
-    config = _metric_config(args, workers)
+    config = _metric_config(args)
     row = build_quality_report(
         handle,
         curated,
-        make_table_getter(handle, workers),
+        make_table_getter(handle),
         vocab=config.vocab if config.vocab is not None else default_visual_vocab(),
         lexicon=config.lexicon if config.lexicon is not None else default_noun_lexicon(),
         sample_size=config.sample_size,
@@ -222,16 +218,14 @@ def _cmd_metrics(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    workers = _resolve_workers(args)
     specs = _load_strategy_file(args.strategies)
-    config = _metric_config(args, workers)
+    config = _metric_config(args)
     rows = run_report(args.pool, specs, config, out_dir=args.out_dir)
     print(f"report: {len(rows)} strategies -> {args.out_dir}")
     return 0
 
 
 def _cmd_sweep(args) -> int:
-    workers = _resolve_workers(args)
     template = load_config(args.config)
     if args.seed is not None:
         template = dataclasses.replace(template, seed=args.seed)
@@ -241,7 +235,7 @@ def _cmd_sweep(args) -> int:
     except ValueError as exc:
         raise ConfigError(f"--scales must be comma-separated integers: {exc}") from exc
     specs = _load_strategy_file(args.strategies)
-    config = _metric_config(args, workers)
+    config = _metric_config(args)
     result = run_sweep(template, scales, specs, config, out_dir=args.out_dir)
     print(f"sweep: {len(result.rows)} rows -> {args.out_dir}/sweep.csv")
     return 0
@@ -256,7 +250,7 @@ def build_parser() -> _Parser:
 
     def add_common(p, seed_help="seed for sampled metrics"):
         p.add_argument("--workers", type=int, default=None,
-                       help="parallel workers (default CAPFORGE_WORKERS or 1)")
+                       help="pool-generation workers (default CAPFORGE_WORKERS or 1)")
         p.add_argument("--seed", type=int, default=None, help=seed_help)
 
     p = sub.add_parser("gen", help="generate a synthetic pool")
@@ -348,6 +342,7 @@ def cli_main(argv: list[str] | None = None) -> int:
         parser.print_usage(sys.stderr)
         return 1
     try:
+        args.workers = _resolve_workers(args)
         return args.func(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

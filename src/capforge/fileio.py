@@ -12,6 +12,7 @@ zlib uses for crc32_combine).
 
 from __future__ import annotations
 
+import os
 import struct
 
 import numpy as np
@@ -125,6 +126,18 @@ def crc32c_hex(data: bytes | bytearray | memoryview | np.ndarray) -> str:
     return f"{crc32c(data):08x}"
 
 
+def read_bytes(path, *, context: str | None = None, checksum: str | None = None) -> bytes:
+    """A file's bytes; IntegrityError if it is missing or unequal to ``checksum``."""
+    if checksum is not None and not os.path.isfile(path):
+        raise IntegrityError(f"{context or path}: missing file")
+    with open(path, "rb") as fh:
+        blob = fh.read()
+    got = None if checksum is None else crc32c_hex(blob)
+    if got != checksum:
+        raise IntegrityError(f"{context or path}: checksum mismatch: expected {checksum}, got {got}")
+    return blob
+
+
 # ---------------------------------------------------------------------------
 # embedding sidecars
 
@@ -152,9 +165,9 @@ def decode_embeddings(blob: bytes, *, context: str) -> np.ndarray:
     return mat
 
 
-def read_embeddings(path, *, context: str | None = None) -> np.ndarray:
-    with open(path, "rb") as fh:
-        blob = fh.read()
+def read_embeddings(path, *, context: str | None = None,
+                    checksum: str | None = None) -> np.ndarray:
+    blob = read_bytes(path, context=context, checksum=checksum)
     return decode_embeddings(blob, context=context or str(path))
 
 
@@ -187,8 +200,7 @@ def decode_scores(blob: bytes, *, context: str) -> np.ndarray:
 
 
 def read_scores(path, *, context: str | None = None) -> np.ndarray:
-    with open(path, "rb") as fh:
-        blob = fh.read()
+    blob = read_bytes(path, context=context)
     return decode_scores(blob, context=context or str(path))
 
 

@@ -314,6 +314,7 @@ class PoolHandle:
     def __init__(self, path: Path, manifest: PoolManifest):
         self.path = path
         self.manifest = manifest
+        self._verified: set[str] = set()
         self._records: list[Record] | None = None
         self._embeddings: dict[str, np.ndarray] = {}
         self._ids: np.ndarray | None = None
@@ -331,11 +332,29 @@ class PoolHandle:
     def shard_sizes(self) -> list[int]:
         return shard_layout(self.manifest.num_records, self.manifest.records_per_shard)
 
+    def _read(self, name: str, read):
+        """``read`` a pool file; only the handle's first read of it checks the
+        manifest checksum, as pools are immutable."""
+        checksum = None if name in self._verified else self.manifest.checksums[name]
+        value = read(self.path / name, context=name, checksum=checksum)
+        self._verified.add(name)
+        return value
+
     def iter_shard_records(self, k: int) -> Iterator[Record]:
-        with open(self.path / shard_jsonl_name(k), encoding="utf-8") as fh:
-            for line in fh:
-                if line.strip():
-                    yield Record.from_json(line)
+        name = shard_jsonl_name(k)
+        try:
+            text = self._read(name, fileio.read_bytes).decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise FormatError(f"{name}: not UTF-8: {exc}") from exc
+        # split on "\n" only: captions may hold U+0085 or U+2028 unescaped
+        for number, line in enumerate(text.split("\n"), 1):
+            if not line.strip():
+                continue
+            try:
+                rec = Record.from_json(line)
+            except (ValueError, KeyError, TypeError) as exc:
+                raise FormatError(f"{name} line {number}: malformed record: {exc}") from exc
+            yield rec
 
     def records(self) -> list[Record]:
         if self._records is None:
@@ -408,8 +427,7 @@ class PoolHandle:
         return source in self.manifest.embedding_sources
 
     def shard_embeddings(self, k: int, source: str) -> np.ndarray:
-        name = shard_embedding_name(k, source)
-        return fileio.read_embeddings(self.path / name, context=name)
+        return self._read(shard_embedding_name(k, source), fileio.read_embeddings)
 
     def embeddings(self, source: str) -> np.ndarray:
         """Full (num_records, dim) matrix for one source, cached."""
@@ -458,7 +476,8 @@ class PoolHandle:
 
 
 def open_pool(path: str | Path) -> PoolHandle:
-    """Open a pool directory, verifying manifest and file checksums."""
+    """Open a pool directory; its manifest must list checksums for exactly the
+    files its layout implies."""
     pool_dir = Path(path)
     manifest_path = pool_dir / MANIFEST_NAME
     if not manifest_path.is_file():
@@ -466,22 +485,15 @@ def open_pool(path: str | Path) -> PoolHandle:
     manifest = PoolManifest.from_json(
         manifest_path.read_text(encoding="utf-8"), context=str(manifest_path)
     )
-    expected = set(manifest.checksums)
-    for k in range(manifest.num_shards):
-        for name in [shard_jsonl_name(k)] + [
-            shard_embedding_name(k, s) for s in manifest.embedding_sources
-        ]:
-            if name not in expected:
-                raise IntegrityError(f"{pool_dir}: manifest lacks checksum for {name}")
-    for name, want in sorted(manifest.checksums.items()):
-        file_path = pool_dir / name
-        if not file_path.is_file():
-            raise IntegrityError(f"{pool_dir}: missing file {name}")
-        got = fileio.crc32c_hex(file_path.read_bytes())
-        if got != want:
-            raise IntegrityError(
-                f"{pool_dir}: checksum mismatch for {name}: expected {want}, got {got}"
-            )
+    layout = {shard_jsonl_name(k) for k in range(manifest.num_shards)} | {
+        shard_embedding_name(k, s)
+        for k in range(manifest.num_shards)
+        for s in manifest.embedding_sources
+    }
+    if layout != set(manifest.checksums):
+        name = min(layout.symmetric_difference(manifest.checksums))
+        what = "lacks checksum for" if name in layout else "lists checksum for stray file"
+        raise IntegrityError(f"{pool_dir}: manifest {what} {name}")
     return PoolHandle(pool_dir, manifest)
 
 
@@ -502,10 +514,19 @@ def validate_pool(handle: PoolHandle) -> ValidationReport:
 
     seen_ids: dict[int, int] = {}
     duplicate_ids: set[int] = set()
+    # labels with embeddings, plus labels without them already reported
+    checked_labels = set(manifest.embedding_sources)
     total = 0
     for k in range(manifest.num_shards):
+        try:
+            records = list(handle.iter_shard_records(k))
+        except (FormatError, IntegrityError, OSError) as exc:
+            report.findings.append(
+                Finding("shard_error", str(exc), file=shard_jsonl_name(k))
+            )
+            continue
         rows = 0
-        for rec in handle.iter_shard_records(k):
+        for rec in records:
             if rec.id in seen_ids and rec.id not in duplicate_ids:
                 duplicate_ids.add(rec.id)
                 report.findings.append(
@@ -518,6 +539,15 @@ def validate_pool(handle: PoolHandle) -> ValidationReport:
                     Finding(
                         "duplicate_variant",
                         f"record {rec.id}: repeated (source, temperature) variant",
+                        record_index=total,
+                    )
+                )
+            for label in sorted(set(labels) - checked_labels):
+                checked_labels.add(label)
+                report.findings.append(
+                    Finding(
+                        "variant_source",
+                        f"record {rec.id}: no embeddings for variant {label!r}",
                         record_index=total,
                     )
                 )

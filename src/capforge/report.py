@@ -94,7 +94,7 @@ class SweepResult:
 TableGetter = Callable[[str], ScoreTable]
 
 
-def make_table_getter(handle: PoolHandle, workers: int = 1) -> TableGetter:
+def make_table_getter(handle: PoolHandle) -> TableGetter:
     """Score-table source: read the sidecar when present, else compute."""
     cache: dict[str, ScoreTable] = {}
 
@@ -103,9 +103,7 @@ def make_table_getter(handle: PoolHandle, workers: int = 1) -> TableGetter:
             if handle.has_scores(label):
                 cache[label] = handle.read_score_table(label)
             else:
-                cache[label] = score_pool(
-                    handle, label, workers=workers, write_sidecar=False
-                )
+                cache[label] = score_pool(handle, label, write_sidecar=False)
         return cache[label]
 
     return get
@@ -193,7 +191,7 @@ def report_rows(
 ) -> list[QualityReport]:
     vocab = config.vocab if config.vocab is not None else default_visual_vocab()
     lexicon = config.lexicon if config.lexicon is not None else default_noun_lexicon()
-    get_table = make_table_getter(handle, config.workers)
+    get_table = make_table_getter(handle)
     in1k_cache: dict[ClusterParams, SelectionMask] = {}
     rows = []
     for spec in specs:

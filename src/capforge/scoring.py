@@ -7,7 +7,6 @@ to the lowest index throughout.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,30 +44,20 @@ def clip_s(cos_score: float) -> float:
     return 2.5 * max(float(cos_score), 0.0)
 
 
-def score_pool(handle: PoolHandle, text_source: str, *, workers: int = 1,
+def score_pool(handle: PoolHandle, text_source: str, *,
                write_sidecar: bool = True) -> ScoreTable:
     """Cosine between image and one text source for every record.
 
-    Computed shard-by-shard and concatenated in shard order, so the result
-    is independent of worker count.  Written as a score sidecar unless
-    ``write_sidecar`` is false.
+    Computed shard-by-shard and concatenated in shard order.  Written as a
+    score sidecar unless ``write_sidecar`` is false.
     """
     for source in ("image", text_source):
         if not handle.has_source(source):
             raise DataError(f"pool has no embedding source {source!r}")
-
-    num_shards = handle.manifest.num_shards
-
-    def job(k: int) -> np.ndarray:
-        img = handle.shard_embeddings(k, "image")
-        txt = handle.shard_embeddings(k, text_source)
-        return _cosine_rows(img, txt).astype(np.float32)
-
-    if workers > 1 and num_shards > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(job, range(num_shards)))
-    else:
-        parts = [job(k) for k in range(num_shards)]
+    parts = []
+    for k in range(handle.manifest.num_shards):
+        img, txt = handle.shard_embeddings(k, "image"), handle.shard_embeddings(k, text_source)
+        parts.append(_cosine_rows(img, txt).astype(np.float32))
     scores = np.concatenate(parts) if parts else np.zeros(0, dtype=np.float32)
     table = ScoreTable(source=text_source, scores=scores)
     if write_sidecar:

@@ -15,6 +15,7 @@ from capforge.pool import (
     validate_pool,
     write_pool,
 )
+from capforge.scoring import score_pool
 from helpers import build_plain_pool, unit_rows
 
 
@@ -76,6 +77,19 @@ def test_roundtrip_bit_exact(tmp_path):
         assert handle.embeddings(source).tobytes() == mat.tobytes()
 
 
+def test_line_separators_inside_captions_round_trip(tmp_path):
+    records = _records(3)
+    records[0].raw_caption = "next\x85line"
+    records[1].raw_caption = "form\x0cfeed"
+    records[2].synthetic_variants[0] = CaptionVariant("blip2", 0.75, "line\u2028sep\u2029par")
+    rng = np.random.default_rng(0)
+    embs = {s: unit_rows(rng, 3, 4) for s in ("image", "raw", "syn.blip2.0.75")}
+    write_pool(records, embs, tmp_path)
+    handle = open_pool(tmp_path)
+    assert handle.records() == records
+    assert validate_pool(handle).ok
+
+
 def test_open_rejects_unknown_version(tmp_path):
     build_plain_pool(tmp_path, 4)
     manifest_path = tmp_path / "manifest.json"
@@ -95,8 +109,9 @@ def test_open_truncated_sidecar_names_shard_and_source(tmp_path):
     build_plain_pool(tmp_path, 10, records_per_shard=4)
     victim = tmp_path / "shard-00001.image.f32"
     victim.write_bytes(victim.read_bytes()[:-8])
+    handle = open_pool(tmp_path)
     with pytest.raises(IntegrityError, match="shard-00001.image.f32"):
-        open_pool(tmp_path)
+        handle.embeddings("image")
 
 
 def test_open_checksum_mismatch(tmp_path):
@@ -105,8 +120,63 @@ def test_open_checksum_mismatch(tmp_path):
     blob = bytearray(victim.read_bytes())
     blob[5] ^= 0xFF
     victim.write_bytes(bytes(blob))
+    handle = open_pool(tmp_path)
     with pytest.raises(IntegrityError, match="shard-00000.jsonl"):
+        handle.records()
+
+
+@pytest.mark.parametrize("edit, match", [
+    ("drop", "lacks checksum for shard-00001.raw.f32"),
+    ("stray", "stray file notes.txt"),
+])
+def test_open_rejects_checksum_names_off_the_layout(tmp_path, edit, match):
+    build_plain_pool(tmp_path, 10, records_per_shard=4)
+    manifest_path = tmp_path / "manifest.json"
+    obj = json.loads(manifest_path.read_text())
+    if edit == "drop":
+        del obj["checksums"]["shard-00001.raw.f32"]
+    else:
+        (tmp_path / "notes.txt").write_bytes(b"x")
+        obj["checksums"]["notes.txt"] = fileio.crc32c_hex(b"x")
+    manifest_path.write_text(json.dumps(obj))
+    with pytest.raises(IntegrityError, match=match):
         open_pool(tmp_path)
+
+
+def test_missing_pool_file_is_an_integrity_error(tmp_path):
+    build_plain_pool(tmp_path, 10, records_per_shard=4)
+    (tmp_path / "shard-00002.jsonl").unlink()
+    with pytest.raises(IntegrityError, match="shard-00002.jsonl: missing file"):
+        open_pool(tmp_path).records()
+
+
+def test_each_pool_file_is_checksummed_on_its_first_read_only(tmp_path, monkeypatch):
+    manifest = build_plain_pool(tmp_path, 10, records_per_shard=4)
+    crcs = []
+    crc32c = fileio.crc32c
+
+    def counted(data):
+        crcs.append(f"{crc32c(data):08x}")
+        return int(crcs[-1], 16)
+
+    def checked():
+        found = sorted(crcs)
+        crcs.clear()
+        return found
+
+    monkeypatch.setattr(fileio, "crc32c", counted)
+    handle = open_pool(tmp_path)
+    assert checked() == []
+    assert validate_pool(handle).ok
+    assert checked() == sorted(manifest.checksums.values())
+
+    # files no call reads (the blip2 sidecars) are never checked
+    handle = open_pool(tmp_path)
+    for _ in range(2):
+        handle.records()
+        score_pool(handle, "raw", write_sidecar=False)
+    read = [crc for name, crc in manifest.checksums.items() if "blip2" not in name]
+    assert checked() == sorted(read)
 
 
 def test_write_pool_length_mismatch(tmp_path):
@@ -138,7 +208,7 @@ def test_validate_clean(tmp_path):
 
 def test_validate_duplicate_id(tmp_path):
     rng = np.random.default_rng(0)
-    records = _records(6)
+    records = _records(6, variants=())  # no variant lacking embeddings
     records[4].id = records[1].id  # one duplicated id
     write_pool(
         records,
@@ -148,6 +218,34 @@ def test_validate_duplicate_id(tmp_path):
     report = validate_pool(open_pool(tmp_path))
     assert len(report.by_kind("duplicate_id")) == 1
     assert len(report.findings) == 1
+
+
+def test_validate_reports_variant_source_without_embeddings(tmp_path):
+    rng = np.random.default_rng(0)
+    records = _records(4, variants=(("blip2", 0.75), ("ghost", 1.0)))
+    embs = {s: unit_rows(rng, 4, 4) for s in ("image", "raw", "syn.blip2.0.75")}
+    write_pool(records, embs, tmp_path)
+    report = validate_pool(open_pool(tmp_path))
+    assert [(f.kind, f.record_index) for f in report.findings] == [("variant_source", 0)]
+    assert "syn.ghost.1.00" in report.findings[0].message
+
+
+def test_malformed_shard_line_is_a_format_error_and_a_finding(tmp_path):
+    build_plain_pool(tmp_path, 10, records_per_shard=4)
+    victim = tmp_path / "shard-00001.jsonl"
+    lines = victim.read_bytes().split(b"\n")
+    lines[1] = lines[1][:-7]  # a record cut short
+    blob = b"\n".join(lines)
+    victim.write_bytes(blob)
+    manifest_path = tmp_path / "manifest.json"
+    obj = json.loads(manifest_path.read_text())
+    obj["checksums"][victim.name] = fileio.crc32c_hex(blob)
+    manifest_path.write_text(json.dumps(obj))
+    with pytest.raises(FormatError, match="shard-00001.jsonl line 2"):
+        open_pool(tmp_path).records()
+    findings = validate_pool(open_pool(tmp_path)).by_kind("shard_error")
+    assert [f.file for f in findings] == ["shard-00001.jsonl"]
+    assert "line 2" in findings[0].message
 
 
 def test_validate_zero_norm_row(tmp_path):

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import capforge
+from capforge import fileio
 from capforge.cli import cli_main
 from capforge.curation import StrategySpec, apply_strategy, read_curated
 from capforge.pool import materialize, open_pool
@@ -30,6 +31,22 @@ from capforge.errors import ConfigError
 def small_pool(tmp_path_factory):
     path = tmp_path_factory.mktemp("report") / "pool"
     generate_pool(GenConfig(num_records=1200, seed=21, records_per_shard=400), path)
+    return path
+
+
+@pytest.fixture(scope="module")
+def truncated_line_pool(tmp_path_factory):
+    """Pool whose second shard has a record cut short, under a matching checksum."""
+    path = tmp_path_factory.mktemp("report") / "pool3"
+    generate_pool(GenConfig(num_records=40, seed=5, records_per_shard=20), path)
+    victim = path / "shard-00001.jsonl"
+    lines = victim.read_bytes().split(b"\n")
+    lines[2] = lines[2][: len(lines[2]) // 2]
+    blob = b"\n".join(lines)
+    victim.write_bytes(blob)
+    manifest = json.loads((path / "manifest.json").read_text())
+    manifest["checksums"][victim.name] = fileio.crc32c_hex(blob)
+    (path / "manifest.json").write_text(json.dumps(manifest))
     return path
 
 
@@ -182,6 +199,40 @@ def test_cli_validate_corrupt_pool(tmp_path):
     victim = pool / "shard-00000.jsonl"
     victim.write_bytes(victim.read_bytes() + b"garbage")
     assert cli_main(["validate", str(pool)]) == 2
+
+
+def test_cli_validate_names_each_corrupt_file(tmp_path, capsys):
+    config = _write_config(tmp_path)
+    pool = tmp_path / "pool"
+    cli_main(["gen", "--config", config, "--out", str(pool)])
+    shard = pool / "shard-00001.jsonl"
+    shard.write_bytes(b"x" + shard.read_bytes()[1:])
+    sidecar = pool / "shard-00002.syn.blip2.0.75.f32"
+    sidecar.write_bytes(sidecar.read_bytes()[:-4])
+    capsys.readouterr()
+    assert cli_main(["validate", str(pool)]) == 2
+    err = capsys.readouterr().err
+    assert "shard-00001.jsonl: checksum mismatch" in err
+    assert "shard-00002.syn.blip2.0.75.f32: checksum mismatch" in err
+
+
+def test_cli_score_reads_only_the_sidecars_it_scores(tmp_path, capsys):
+    config = _write_config(tmp_path)
+    pool = tmp_path / "pool"
+    cli_main(["gen", "--config", config, "--out", str(pool)])
+    raw_scores = pool / "raw.scores.f32"
+    assert cli_main(["score", "--pool", str(pool), "--source", "raw"]) == 0
+    expected = raw_scores.read_bytes()
+    raw_scores.unlink()
+    sidecar = pool / "shard-00001.syn.blip2.0.75.f32"
+    blob = bytearray(sidecar.read_bytes())
+    blob[-1] ^= 0xFF
+    sidecar.write_bytes(bytes(blob))
+    assert cli_main(["score", "--pool", str(pool), "--source", "raw"]) == 0
+    assert raw_scores.read_bytes() == expected
+    capsys.readouterr()
+    assert cli_main(["score", "--pool", str(pool), "--source", "blip2"]) == 2
+    assert "shard-00001.syn.blip2.0.75.f32: checksum mismatch" in capsys.readouterr().err
 
 
 def test_cli_score_writes_sidecar(tmp_path):
@@ -398,12 +449,22 @@ _GEN_CONFIGS = {
     [(name, 1) for name in _STRATEGY_FILES]
     + [(name, 1) for name in _GEN_CONFIGS]
     + [("curated_not_json", 2), ("curated_missing", 2)]
-    + [(name, 2) for name in _CURATED_ENTRIES],
+    + [(name, 2) for name in _CURATED_ENTRIES]
+    + [("shard_line_truncated_mix", 2), ("shard_line_truncated_filter", 2)]
+    + [("validate_workers_zero", 1)],
 )
 def test_cli_malformed_input_exits_without_traceback(
-    small_pool, two_captioner_pool, tmp_path, case, code
+    small_pool, two_captioner_pool, truncated_line_pool, tmp_path, case, code
 ):
-    if case in _STRATEGY_FILES:
+    if case == "shard_line_truncated_mix":
+        args = ["mix", "--strategy", "raw_all", "--pool", str(truncated_line_pool),
+                "--out", str(tmp_path / "c.jsonl")]
+    elif case == "shard_line_truncated_filter":
+        args = ["filter", "--p", "50", "--pool", str(truncated_line_pool),
+                "--out", str(tmp_path / "ids.jsonl")]
+    elif case == "validate_workers_zero":
+        args = ["validate", str(small_pool), "--workers", "0"]
+    elif case in _STRATEGY_FILES:
         path = tmp_path / "s.json"
         path.write_text(json.dumps(_STRATEGY_FILES[case]))
         args = ["report", "--pool", str(small_pool), "--strategies", str(path),

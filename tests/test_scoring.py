@@ -87,12 +87,6 @@ def test_score_pool_single_identical_record(tmp_path):
     assert table.scores.tolist() == [1.0]
 
 
-def test_score_pool_worker_counts_identical(gen_pool, tmp_path):
-    t1 = score_pool(gen_pool, "raw", workers=1, write_sidecar=False)
-    t8 = score_pool(gen_pool, "raw", workers=8, write_sidecar=False)
-    assert t1.scores.tobytes() == t8.scores.tobytes()
-
-
 def test_score_pool_missing_source(gen_pool):
     with pytest.raises(DataError):
         score_pool(gen_pool, "syn.nonexistent.0.10", write_sidecar=False)
