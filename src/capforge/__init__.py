@@ -8,7 +8,6 @@ procedure verifiable at desk scale.
 from .curation import (
     ClusterParams,
     CuratedSet,
-    FilterSpec,
     StrategySpec,
     apply_strategy,
     in1k_cluster_mask,
@@ -30,7 +29,6 @@ from .pool import (
     PoolManifest,
     Record,
     ScoreTable,
-    SelectionMask,
     materialize,
     open_pool,
     validate_pool,

@@ -1,4 +1,5 @@
-"""Word banks for the synthetic pool generator and the shipped vocab files.
+"""Word banks for the synthetic pool generator (the shipped vocab files in
+``data/`` list tokens drawn from them).
 
 Four disjoint token families:
 
@@ -160,13 +161,3 @@ def concept_word(index: int) -> str:
     j = index - len(CONCEPT_WORDS)
     s = len(_SYLLABLES)
     return "qa" + _SYLLABLES[(j // (s * s)) % s] + _SYLLABLES[(j // s) % s] + _SYLLABLES[j % s]
-
-
-def visual_vocabulary() -> list[str]:
-    """Default visual-concept vocabulary (grounding ratio)."""
-    return sorted(set(CONCEPT_WORDS) | set(VISUAL_ATTRIBUTES))
-
-
-def noun_lexicon(size: int = 4000) -> list[str]:
-    """Default noun lexicon: concept words plus their pseudo-noun extension."""
-    return [concept_word(i) for i in range(size)]

@@ -20,7 +20,6 @@ import numpy as np
 from . import fileio
 from .curation import (
     ClusterParams,
-    FilterSpec,
     StrategySpec,
     STRATEGY_NAMES,
     apply_strategy,
@@ -143,21 +142,19 @@ def _cmd_validate(args) -> int:
 def _cmd_filter(args) -> int:
     if (args.p is None) == (args.tau is None):
         raise ConfigError("filter requires exactly one of --p or --tau")
-    kind = "top_fraction" if args.p is not None else "threshold"
-    filter_spec = FilterSpec(kind=kind, p=args.p, tau=args.tau)
-    filter_spec.validate()
+    if args.p is not None and not 0 < args.p <= 100:
+        raise ConfigError(f"p must lie in (0, 100], got {args.p}")
     handle = open_pool(args.pool)
     label = _resolve_source(handle, args.source)
     table = make_table_getter(handle)(label)
-    if filter_spec.kind == "top_fraction":
-        mask, tau_used = top_fraction(table, filter_spec.p)
-        header = {"kind": kind, "source": label, "p": filter_spec.p,
-                  "tau_used": tau_used, "count": mask.cardinality}
+    if args.p is not None:
+        mask, tau_used = top_fraction(table, args.p, handle.ids())
+        header = {"kind": "top_fraction", "source": label, "p": args.p, "tau_used": tau_used}
     else:
-        mask = threshold_filter(table, filter_spec.tau)
-        header = {"kind": kind, "source": label, "tau": filter_spec.tau,
-                  "tau_used": filter_spec.tau, "count": mask.cardinality}
-    ids = handle.ids()[mask.indices()].tolist()
+        mask = threshold_filter(table, args.tau)
+        header = {"kind": "threshold", "source": label, "tau": args.tau, "tau_used": args.tau}
+    header["count"] = int(mask.sum())
+    ids = handle.ids()[mask].tolist()
     with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(json.dumps(header, separators=(",", ":")) + "\n")
         for rec_id in ids:

@@ -1,7 +1,8 @@
 """Filtering and caption-mixing strategies.
 
-A curated set is an ordered list of (record id, caption choice) entries,
-where the choice is -1 for the raw caption or a synthetic variant index.
+A selection is a bool mask over pool rows.  A curated set is an (n, 2)
+int64 array of (record id, caption choice) rows, where the choice is -1
+for the raw caption or a synthetic variant index.
 Top-fraction selection keeps exactly floor(p*N/100) records, breaking score
 ties toward the lower id; thresholds are inclusive (score >= tau).
 """
@@ -17,7 +18,7 @@ from typing import Iterator, Mapping, Sequence
 import numpy as np
 
 from .errors import ConfigError, DataError, DomainError, FormatError
-from .pool import RAW_CHOICE, PoolHandle, ScoreTable, SelectionMask
+from .pool import RAW_CHOICE, PoolHandle, ScoreTable
 
 # Each strategy is the union of its parts (rank, take, caption).  rank is the
 # score source of a top-p cut ("raw" or "syn"), or None for the whole pool.
@@ -57,25 +58,6 @@ def _parse(kind: type, value, what: str):
         return kind(value)
     except (TypeError, ValueError):
         raise ConfigError(f"{what} must be {kind.__name__}, got {value!r}") from None
-
-
-@dataclass(frozen=True)
-class FilterSpec:
-    kind: str  # "top_fraction" | "threshold"
-    p: float | None = None
-    tau: float | None = None
-
-    def validate(self) -> None:
-        if self.kind == "top_fraction":
-            if self.p is None or self.tau is not None:
-                raise ConfigError("top_fraction filter takes exactly p")
-            if not 0 < self.p <= 100:
-                raise ConfigError(f"p must lie in (0, 100], got {self.p}")
-        elif self.kind == "threshold":
-            if self.tau is None or self.p is not None:
-                raise ConfigError("threshold filter takes exactly tau")
-        else:
-            raise ConfigError(f"unknown filter kind {self.kind!r}")
 
 
 @dataclass(frozen=True)
@@ -170,20 +152,28 @@ class StrategySpec:
 
 @dataclass
 class CuratedSet:
-    """Sorted, duplicate-free (record id, caption choice) selection."""
+    """Sorted, duplicate-free (record id, caption choice) selection.
 
-    entries: list[tuple[int, int]]
+    ``entries`` may be given as any sequence of pairs; it is kept as an
+    (n, 2) int64 array ordered by id, then caption choice.
+    """
+
+    entries: np.ndarray
     spec: StrategySpec
     tau_used: float | None = None
 
     def __post_init__(self):
-        self.entries = sorted(set((int(i), int(c)) for i, c in self.entries))
+        pairs = np.asarray(self.entries, dtype=np.int64).reshape(-1, 2)
+        pairs = pairs[np.lexsort((pairs[:, 1], pairs[:, 0]))]
+        repeated = np.zeros(len(pairs), dtype=bool)
+        repeated[1:] = (pairs[1:] == pairs[:-1]).all(axis=1)
+        self.entries = pairs[~repeated]
 
     def __len__(self) -> int:
         return len(self.entries)
 
-    def ids(self) -> list[int]:
-        return [i for i, _ in self.entries]
+    def ids(self) -> np.ndarray:
+        return self.entries[:, 0]
 
 
 def write_curated(curated: CuratedSet, path: str | Path) -> None:
@@ -195,7 +185,7 @@ def write_curated(curated: CuratedSet, path: str | Path) -> None:
     }
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(json.dumps(header, ensure_ascii=False, separators=(",", ":")) + "\n")
-        for rec_id, cap in curated.entries:
+        for rec_id, cap in curated.entries.tolist():
             obj = {"id": rec_id, "cap": "raw" if cap == RAW_CHOICE else cap}
             fh.write(json.dumps(obj, separators=(",", ":")) + "\n")
 
@@ -214,13 +204,9 @@ def read_curated(path: str | Path) -> CuratedSet:
             obj = json.loads(line)
             cap = obj["cap"]
             entries.append((int(obj["id"]), RAW_CHOICE if cap == "raw" else int(cap)))
-    except (ValueError, KeyError, TypeError, ConfigError) as exc:
+        return CuratedSet(entries=entries, spec=spec, tau_used=tau_used)
+    except (ValueError, KeyError, TypeError, OverflowError, ConfigError) as exc:
         raise FormatError(f"{path}: not a curated file: {exc}") from None
-    return CuratedSet(entries=entries, spec=spec, tau_used=tau_used)
-
-
-def curated_filename(strategy: str) -> str:
-    return f"curated.{strategy}.jsonl"
 
 
 # ---------------------------------------------------------------------------
@@ -228,12 +214,13 @@ def curated_filename(strategy: str) -> str:
 
 
 def top_fraction(
-    scores: ScoreTable, p: float, ids: np.ndarray | None = None
-) -> tuple[SelectionMask, float | None]:
+    scores: ScoreTable, p: float, ids: np.ndarray
+) -> tuple[np.ndarray, float | None]:
     """Keep exactly floor(p*N/100) highest-scoring records.
 
-    Ties break toward the lower id.  Returns the mask and tau, the minimum
-    selected score (None when the selection is empty).
+    Ties break toward the lower of the records' ``ids``.  Returns the bool
+    mask and tau, the minimum selected score (None when the selection is
+    empty).
     """
     if not 0 < p <= 100:
         raise DomainError(f"p must lie in (0, 100], got {p}")
@@ -241,20 +228,18 @@ def top_fraction(
     n = values.size
     if n == 0:
         raise DomainError("top_fraction on empty score table")
-    if ids is None:
-        ids = np.arange(n, dtype=np.int64)
     k = Fraction(str(p)) * n // 100  # exact: p*n/100.0 can round across an integer
+    mask = np.zeros(n, dtype=bool)
     if k == 0:
-        return SelectionMask(np.zeros(n, dtype=bool)), None
-    order = np.lexsort((ids, -values.astype(np.float64)))
-    chosen = order[:k]
-    tau = float(values[chosen[-1]])
-    return SelectionMask.from_indices(chosen, n), tau
+        return mask, None
+    chosen = np.lexsort((ids, -values.astype(np.float64)))[:k]
+    mask[chosen] = True
+    return mask, float(values[chosen[-1]])
 
 
-def threshold_filter(scores: ScoreTable, tau: float) -> SelectionMask:
+def threshold_filter(scores: ScoreTable, tau: float) -> np.ndarray:
     """Inclusive threshold: keep every record with score >= tau."""
-    return SelectionMask(scores.scores >= np.float32(tau))
+    return scores.scores >= np.float32(tau)
 
 
 # ---------------------------------------------------------------------------
@@ -357,7 +342,7 @@ def _safe_unit_rows(mat: np.ndarray) -> np.ndarray:
 
 def in1k_cluster_mask(
     handle: PoolHandle, reference_embs: np.ndarray, params: ClusterParams
-) -> SelectionMask:
+) -> np.ndarray:
     """Keep records whose cluster centroid is nearest to some reference.
 
     Pool image embeddings are clustered with k-means; each reference picks
@@ -376,7 +361,7 @@ def in1k_cluster_mask(
     sims = _safe_unit_rows(refs) @ _safe_unit_rows(centroids).T
     nearest = np.argmax(sims, axis=1)  # cosine distance argmin, lowest index wins
     kept = np.unique(nearest)
-    return SelectionMask(np.isin(assignments, kept))
+    return np.isin(assignments, kept)
 
 
 # ---------------------------------------------------------------------------
@@ -470,9 +455,13 @@ def apply_strategy(
     handle: PoolHandle,
     spec: StrategySpec,
     score_tables: Mapping[str, ScoreTable],
-    in1k_mask: SelectionMask | None = None,
+    in1k_mask: np.ndarray | None = None,
 ) -> CuratedSet:
-    """Materialize a strategy spec into a curated (id, caption) selection."""
+    """Materialize a strategy spec into a curated (id, caption) selection.
+
+    With ``in1k_intersect``, ``in1k_mask`` (a bool mask over pool rows)
+    limits every part to the rows it keeps.
+    """
     spec.validate()
     n = handle.num_records
     ids = handle.ids()
@@ -480,6 +469,13 @@ def apply_strategy(
     _require_tables(score_tables, *score_labels(spec, sources), n=n)
     role = _role_labels(spec, sources)
     parts = STRATEGIES[spec.name]
+
+    scope = np.ones(n, dtype=bool)
+    if spec.in1k_intersect:
+        if not (isinstance(in1k_mask, np.ndarray) and in1k_mask.dtype == bool
+                and in1k_mask.shape == (n,)):
+            raise DataError(f"strategy {spec.name} requires an in1k mask of {n} bools")
+        scope = in1k_mask
 
     choices = {"raw": np.full(n, RAW_CHOICE, dtype=np.int64)}
     if "syn" in role:
@@ -491,26 +487,18 @@ def apply_strategy(
     if any(caption == "best" for _, _, caption in parts):
         choices["best"] = _best_variants(handle, score_tables)
 
-    cuts: dict[str, tuple[SelectionMask, float | None]] = {}
-    entries: list[tuple[int, int]] = []
+    cuts: dict[str, tuple[np.ndarray, float | None]] = {}
+    entries = []
     for rank, take, caption in parts:
-        if rank is None:
-            rows = np.arange(n)
-        else:
+        rows = scope
+        if rank is not None:
             if rank not in cuts:
                 cuts[rank] = top_fraction(score_tables[role[rank]], spec.p, ids)
             mask, tau = cuts[rank]
-            rows = mask.indices() if take == "top" else mask.complement().indices()
+            rows = rows & (mask if take == "top" else ~mask)
             if take == "rest >= tau":  # an empty cut has no tau and keeps no rest
                 scores = score_tables[role[caption]].scores
-                rows = rows[scores[rows] >= np.float32(tau)] if tau is not None else rows[:0]
-        entries.extend(zip(ids[rows].tolist(), choices[caption][rows].tolist()))
+                rows = rows & (scores >= np.float32(tau)) if tau is not None else rows & False
+        entries.append(np.column_stack((ids[rows], choices[caption][rows])))
     tau_used = next((tau for _, tau in cuts.values()), None)  # the first cut's
-
-    if spec.in1k_intersect:
-        if in1k_mask is None:
-            raise DataError(f"strategy {spec.name} requires an in1k mask")
-        kept_ids = set(ids[in1k_mask.indices()].tolist())
-        entries = [e for e in entries if e[0] in kept_ids]
-
-    return CuratedSet(entries=entries, spec=spec, tau_used=tau_used)
+    return CuratedSet(entries=np.concatenate(entries), spec=spec, tau_used=tau_used)

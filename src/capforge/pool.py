@@ -151,39 +151,6 @@ class ScoreTable:
     scores: np.ndarray  # float32, global record order
 
 
-class SelectionMask:
-    """Boolean mask over record indices with cached cardinality."""
-
-    def __init__(self, bits: np.ndarray):
-        bits = np.asarray(bits, dtype=bool)
-        if bits.ndim != 1:
-            raise ValueError("mask must be 1-d")
-        self.bits = bits
-        self.cardinality = int(bits.sum())
-
-    @classmethod
-    def from_indices(cls, indices: Sequence[int] | np.ndarray, size: int) -> "SelectionMask":
-        bits = np.zeros(size, dtype=bool)
-        bits[np.asarray(indices, dtype=np.int64)] = True
-        return cls(bits)
-
-    @property
-    def size(self) -> int:
-        return self.bits.size
-
-    def indices(self) -> np.ndarray:
-        return np.flatnonzero(self.bits)
-
-    def complement(self) -> "SelectionMask":
-        return SelectionMask(~self.bits)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, SelectionMask) and np.array_equal(self.bits, other.bits)
-
-    def __repr__(self) -> str:
-        return f"SelectionMask({self.cardinality}/{self.size})"
-
-
 @dataclass
 class Finding:
     kind: str
@@ -467,6 +434,9 @@ class PoolHandle:
             raise IntegrityError(
                 f"{path.name}: {scores.size} scores for {self.manifest.num_records} records"
             )
+        bad = np.flatnonzero(~(np.abs(scores) <= 1.0))  # scores are cosines; NaN too
+        if bad.size:
+            raise IntegrityError(f"{path.name}: row {bad[0]} holds {scores[bad[0]]}, not a cosine")
         return ScoreTable(source=name, scores=scores)
 
     def write_score_table(self, table: ScoreTable) -> Path:
@@ -630,11 +600,10 @@ def materialize(
     source record id is kept in the ``prov`` field.  New ids are sequential
     so duplicated records (concatenation strategies) stay distinct.
     """
-    entries = sorted(curated.entries)
-    rows = handle.rows([rec_id for rec_id, _ in entries]).tolist()
+    rows = handle.rows(curated.ids()).tolist()
     out_records: list[Record] = []
     text_rows: list[np.ndarray] = []
-    for new_id, ((rec_id, cap), row) in enumerate(zip(entries, rows)):
+    for new_id, ((rec_id, cap), row) in enumerate(zip(curated.entries.tolist(), rows)):
         source, caption = handle.caption(row, cap)
         if not handle.has_source(source):
             raise DataError(f"record {rec_id}: pool has no embeddings for {source!r}")

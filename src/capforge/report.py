@@ -27,7 +27,7 @@ from .curation import (
     score_labels,
 )
 from .errors import ConfigError
-from .pool import PoolHandle, ScoreTable, SelectionMask, open_pool
+from .pool import PoolHandle, ScoreTable, open_pool
 from .poolgen import GenConfig, generate_pool
 from .scoring import clip_s, score_pool
 from .textmetrics import (
@@ -131,7 +131,7 @@ def build_quality_report(
     cos_sum = 0.0
     clip_sum = 0.0
     rows = handle.rows(curated.ids()).tolist()
-    for row, (_, cap) in zip(rows, curated.entries):
+    for row, cap in zip(rows, curated.entries[:, 1].tolist()):
         label, _ = handle.caption(row, cap)
         score = float(get_table(label).scores[row])
         cos_sum += score
@@ -147,7 +147,7 @@ def build_quality_report(
     trigram_seen: set[tuple[str, str, str]] = set()
     noun_seen: set[str] = set()
     rows = handle.rows(sample.ids()).tolist()
-    for row, (_, cap) in zip(rows, sample.entries):
+    for row, cap in zip(rows, sample.entries[:, 1].tolist()):
         tokens = tokenize(handle.caption(row, cap)[1])
         word_sum += len(tokens)
         ground_sum += grounded_fraction(tokens, vocab)
@@ -172,8 +172,8 @@ def _in1k_mask_for(
     handle: PoolHandle,
     spec: StrategySpec,
     config: MetricConfig,
-    cache: dict[ClusterParams, SelectionMask],
-) -> SelectionMask:
+    cache: dict[ClusterParams, np.ndarray],
+) -> np.ndarray:
     if config.in1k_refs is None:
         raise ConfigError(
             f"strategy {spec.name}: in1k_intersect requires reference embeddings"
@@ -192,7 +192,7 @@ def report_rows(
     vocab = config.vocab if config.vocab is not None else default_visual_vocab()
     lexicon = config.lexicon if config.lexicon is not None else default_noun_lexicon()
     get_table = make_table_getter(handle)
-    in1k_cache: dict[ClusterParams, SelectionMask] = {}
+    in1k_cache: dict[ClusterParams, np.ndarray] = {}
     rows = []
     for spec in specs:
         spec.validate()

@@ -75,10 +75,10 @@ def unique_nouns(captions: Iterable[str], noun_lexicon: set[str]) -> int:
 
 def _partial_fisher_yates(n: int, total: int, seed: int) -> np.ndarray:
     """First n positions of a seeded Fisher-Yates shuffle of range(total)."""
-    rng = np.random.default_rng(seed)
+    # one call draws the same stream as one rng.integers(i, total) per i
+    targets = np.random.default_rng(seed).integers(np.arange(n), total).tolist()
     idx = np.arange(total, dtype=np.int64)
-    for i in range(n):
-        j = int(rng.integers(i, total))
+    for i, j in enumerate(targets):
         idx[i], idx[j] = idx[j], idx[i]
     return idx[:n]
 
@@ -88,9 +88,10 @@ def sample_subset(curated: CuratedSet, n: int, seed: int) -> CuratedSet:
     total = len(curated.entries)
     if n > total or n < 0:
         raise DomainError(f"cannot sample {n} of {total} entries")
-    chosen = _partial_fisher_yates(n, total, seed) if total else np.zeros(0, np.int64)
-    entries = [curated.entries[i] for i in chosen]
-    return CuratedSet(entries=entries, spec=curated.spec, tau_used=curated.tau_used)
+    chosen = _partial_fisher_yates(n, total, seed)
+    return CuratedSet(
+        entries=curated.entries[chosen], spec=curated.spec, tau_used=curated.tau_used
+    )
 
 
 def entry_caption(handle: PoolHandle, entry: tuple[int, int]) -> str:
@@ -129,13 +130,14 @@ def diversity_curve(
 
     order = np.random.default_rng(seed).permutation(total)
     rows = handle.rows(curated.ids()).tolist()
+    caps = curated.entries[:, 1].tolist()
     trigram_seen: set[tuple[str, str, str]] = set()
     noun_seen: set[str] = set()
     points: list[DiversityPoint] = []
     pos = 0
     for size in sizes:
         for i in order[pos:size].tolist():
-            tokens = tokenize(handle.caption(rows[i], curated.entries[i][1])[1])
+            tokens = tokenize(handle.caption(rows[i], caps[i])[1])
             trigram_seen.update(iter_trigrams(tokens))
             noun_seen.update(t for t in tokens if t in noun_lexicon)
         pos = size

@@ -86,6 +86,22 @@ def oracle_strategy(
     return entries
 
 
+def pairs(curated) -> list[tuple[int, int]]:
+    """A curated set's (id, caption choice) entries as a list of tuples."""
+    return list(map(tuple, curated.entries.tolist()))
+
+
+def scalar_fisher_yates(n: int, total: int, seed: int) -> list[int]:
+    """First n positions of a Fisher-Yates shuffle of range(total), one
+    rng.integers(i, total) call per swap."""
+    rng = np.random.default_rng(seed)
+    idx = list(range(total))
+    for i in range(n):
+        j = int(rng.integers(i, total))
+        idx[i], idx[j] = idx[j], idx[i]
+    return idx[:n]
+
+
 def oracle_trigrams(captions: list[str], tokenizer) -> int:
     """Brute-force unique trigram count via a string set."""
     seen: set[str] = set()

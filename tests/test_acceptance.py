@@ -28,7 +28,9 @@ from capforge.poolgen import GenConfig, SynSource, generate_pool
 from capforge.report import MetricConfig, run_report, run_sweep
 from capforge.scoring import recall_at_1, score_pool
 from capforge.textmetrics import tokenize, unique_trigrams
-from helpers import RAW, build_plain_pool, oracle_strategy, oracle_top, oracle_trigrams
+from helpers import (
+    RAW, build_plain_pool, oracle_strategy, oracle_top, oracle_trigrams, pairs,
+)
 
 
 @contextmanager
@@ -76,11 +78,11 @@ def test_criterion_01_selection_oracle():
             assert dup_fraction >= 0.3, dup_fraction
             p = float(rng.choice([0.5, 7, 10, 30, 33.3, 50, 99, 100]))
             table = ScoreTable("raw", values)
-            mask, tau = top_fraction(table, p)
+            mask, tau = top_fraction(table, p, np.arange(n))
             want_ids, want_tau = oracle_top(
                 {i: float(v) for i, v in enumerate(values)}, p
             )
-            assert set(mask.indices().tolist()) == want_ids, (trial, p)
+            assert set(np.flatnonzero(mask).tolist()) == want_ids, (trial, p)
             if want_tau is None:
                 assert tau is None
             else:
@@ -124,13 +126,13 @@ def test_criterion_02_mixing_size_identities(tmp_path):
                 if name == "syn_best_variant_all":
                     curated = apply_strategy(handle, spec, best_tables)
                     assert len(curated) == n
-                    for i, cap in curated.entries:
+                    for i, cap in pairs(curated):
                         assert cap == (0 if t075[i] >= t150[i] else 1)
                     continue
                 curated = apply_strategy(handle, spec, tables)
                 want = oracle_strategy(name, ids, raw_map, syn_map, p=p, var_of=var_of)
                 assert len(curated) == len(want), (name, trial)
-                assert set(curated.entries) == want, (name, trial)
+                assert set(pairs(curated)) == want, (name, trial)
                 if name == "raw_top_plus_syn_rest":
                     assert len(curated) == n  # unfiltered mix always covers the pool
 
@@ -142,9 +144,9 @@ def test_criterion_03_threshold_semantics():
         )
         mask = threshold_filter(ScoreTable("raw", values), 0.28)
         want = {i for i, v in enumerate(values) if float(v) >= float(np.float32(0.28))}
-        assert set(mask.indices().tolist()) == want
-        assert 2 in set(mask.indices().tolist())  # the exact-0.28 record
-        assert mask.cardinality == 5
+        assert set(np.flatnonzero(mask).tolist()) == want
+        assert 2 in set(np.flatnonzero(mask).tolist())  # the exact-0.28 record
+        assert int(mask.sum()) == 5
 
 
 def test_criterion_04_generator_calibration(calibrated):

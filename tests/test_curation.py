@@ -6,12 +6,10 @@ from hypothesis import strategies as st
 from capforge.curation import (
     ClusterParams,
     CuratedSet,
-    FilterSpec,
     StrategySpec,
     STRATEGIES,
     STRATEGY_NAMES,
     apply_strategy,
-    curated_filename,
     in1k_cluster_mask,
     kmeans,
     kmeans_trace,
@@ -22,12 +20,10 @@ from capforge.curation import (
     write_curated,
 )
 from capforge.errors import ConfigError, DataError, DomainError
-from capforge.pool import (
-    CaptionVariant, Record, ScoreTable, SelectionMask, open_pool, write_pool,
-)
+from capforge.pool import CaptionVariant, Record, ScoreTable, open_pool, write_pool
 from capforge.report import strategy_tables
 from capforge.scoring import score_pool, select_best_variant
-from helpers import RAW, build_plain_pool, oracle_strategy, oracle_top, unit_rows
+from helpers import RAW, build_plain_pool, oracle_strategy, oracle_top, pairs, unit_rows
 
 
 def _table(values, source="raw"):
@@ -40,38 +36,38 @@ def _table(values, source="raw"):
 
 def test_top_fraction_descending_example():
     scores = _table([0.9, 0.8, 0.7, 0.6, 0.5, 0.4, 0.3, 0.2, 0.1, 0.0])
-    mask, tau = top_fraction(scores, 30)
-    assert set(mask.indices().tolist()) == {0, 1, 2}
+    mask, tau = top_fraction(scores, 30, np.arange(10))
+    assert set(np.flatnonzero(mask).tolist()) == {0, 1, 2}
     assert tau == pytest.approx(0.7)
 
 
 def test_top_fraction_full_pool():
     scores = _table([0.3, 0.9, 0.5])
-    mask, tau = top_fraction(scores, 100)
-    assert mask.cardinality == 3
+    mask, tau = top_fraction(scores, 100, np.arange(3))
+    assert int(mask.sum()) == 3
     assert tau == pytest.approx(0.3)
 
 
 def test_top_fraction_all_ties_low_ids_win():
     scores = _table([0.5] * 10)
-    mask, tau = top_fraction(scores, 30)
-    assert set(mask.indices().tolist()) == {0, 1, 2}
+    mask, tau = top_fraction(scores, 30, np.arange(10))
+    assert set(np.flatnonzero(mask).tolist()) == {0, 1, 2}
     assert tau == pytest.approx(0.5)
 
 
 def test_top_fraction_k_zero():
-    mask, tau = top_fraction(_table([0.5, 0.6]), 10)
-    assert mask.cardinality == 0
+    mask, tau = top_fraction(_table([0.5, 0.6]), 10, np.arange(2))
+    assert int(mask.sum()) == 0
     assert tau is None
 
 
 def test_top_fraction_domain_checks():
     with pytest.raises(DomainError):
-        top_fraction(_table([0.1]), 0)
+        top_fraction(_table([0.1]), 0, np.arange(1))
     with pytest.raises(DomainError):
-        top_fraction(_table([0.1]), 101)
+        top_fraction(_table([0.1]), 101, np.arange(1))
     with pytest.raises(DomainError):
-        top_fraction(_table([]), 50)
+        top_fraction(_table([]), 50, np.arange(0))
 
 
 @given(
@@ -85,11 +81,11 @@ def test_top_fraction_domain_checks():
 @settings(max_examples=200, deadline=None)
 def test_top_fraction_matches_sort_oracle(values, p):
     scores = _table(values)
-    mask, tau = top_fraction(scores, p)
+    mask, tau = top_fraction(scores, p, np.arange(len(values)))
     want_ids, want_tau = oracle_top(
         {i: float(v) for i, v in enumerate(scores.scores)}, p
     )
-    assert set(mask.indices().tolist()) == want_ids
+    assert set(np.flatnonzero(mask).tolist()) == want_ids
     if want_tau is None:
         assert tau is None
     else:
@@ -101,20 +97,20 @@ def test_top_fraction_matches_sort_oracle(values, p):
 @settings(max_examples=300, deadline=None)
 def test_top_fraction_count_is_exact(tenths, n):
     p = tenths / 10
-    mask, _ = top_fraction(_table(np.zeros(n)), p)
-    assert mask.cardinality == tenths * n // 1000  # floor(p*n/100) in integers
+    mask, _ = top_fraction(_table(np.zeros(n)), p, np.arange(n))
+    assert int(mask.sum()) == tenths * n // 1000  # floor(p*n/100) in integers
 
 
 def test_threshold_filter_extremes():
     scores = _table([0.1, 0.28, 0.5])
-    assert threshold_filter(scores, -2.0).cardinality == 3
-    assert threshold_filter(scores, 2.0).cardinality == 0
+    assert int(threshold_filter(scores, -2.0).sum()) == 3
+    assert int(threshold_filter(scores, 2.0).sum()) == 0
 
 
 def test_threshold_filter_inclusive():
     scores = _table([0.1, 0.28, 0.5])
     mask = threshold_filter(scores, 0.28)
-    assert set(mask.indices().tolist()) == {1, 2}
+    assert set(np.flatnonzero(mask).tolist()) == {1, 2}
 
 
 def test_threshold_superset_of_top_fraction():
@@ -122,31 +118,20 @@ def test_threshold_superset_of_top_fraction():
     for _ in range(25):
         values = rng.choice([0.1, 0.2, 0.2, 0.3, 0.5, 0.5, 0.7], size=40)
         scores = _table(values)
-        mask, tau = top_fraction(scores, 30)
+        mask, tau = top_fraction(scores, 30, np.arange(40))
         if tau is None:
             continue
         thresholded = threshold_filter(scores, tau)
-        assert set(mask.indices().tolist()) <= set(thresholded.indices().tolist())
+        assert set(np.flatnonzero(mask).tolist()) <= set(np.flatnonzero(thresholded).tolist())
 
 
 def test_threshold_equals_top_fraction_without_ties():
     rng = np.random.default_rng(6)
     values = rng.permutation(np.linspace(0.0, 1.0, 40)).astype(np.float32)
     scores = _table(values)
-    mask, tau = top_fraction(scores, 25)
+    mask, tau = top_fraction(scores, 25, np.arange(40))
     thresholded = threshold_filter(scores, tau)
-    assert set(mask.indices().tolist()) == set(thresholded.indices().tolist())
-
-
-def test_filter_spec_validation():
-    FilterSpec("top_fraction", p=30).validate()
-    FilterSpec("threshold", tau=0.28).validate()
-    with pytest.raises(ConfigError):
-        FilterSpec("top_fraction", p=150).validate()
-    with pytest.raises(ConfigError):
-        FilterSpec("top_fraction", tau=0.1).validate()
-    with pytest.raises(ConfigError):
-        FilterSpec("bogus").validate()
+    assert set(np.flatnonzero(mask).tolist()) == set(np.flatnonzero(thresholded).tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -233,7 +218,7 @@ def test_in1k_mask_references_equal_centroids_keep_all(tmp_path):
     params = ClusterParams(k=2, seed=3)
     centroids, _ = kmeans(handle.embeddings("image").astype(np.float64), params)
     mask = in1k_cluster_mask(handle, centroids, params)
-    assert mask.cardinality == handle.num_records
+    assert int(mask.sum()) == handle.num_records
 
 
 def test_in1k_mask_single_cluster_geometry(tmp_path):
@@ -242,15 +227,15 @@ def test_in1k_mask_single_cluster_geometry(tmp_path):
     centroids, assignments = kmeans(handle.embeddings("image").astype(np.float64), params)
     refs = np.tile(centroids[0], (3, 1)) + 0.01
     mask = in1k_cluster_mask(handle, refs, params)
-    assert set(mask.indices().tolist()) == set(np.flatnonzero(assignments == 0).tolist())
-    assert 0 < mask.cardinality < handle.num_records
+    assert set(np.flatnonzero(mask).tolist()) == set(np.flatnonzero(assignments == 0).tolist())
+    assert 0 < int(mask.sum()) < handle.num_records
 
 
 def test_in1k_mask_nonempty_and_dim_check(tmp_path):
     handle, _ = _two_cluster_pool(tmp_path)
     params = ClusterParams(k=4, seed=1)
     refs = np.random.default_rng(0).standard_normal((5, 6))
-    assert in1k_cluster_mask(handle, refs, params).cardinality > 0
+    assert int(in1k_cluster_mask(handle, refs, params).sum()) > 0
     with pytest.raises(DomainError):
         in1k_cluster_mask(handle, np.ones((2, 3)), params)
     with pytest.raises(DomainError):
@@ -293,7 +278,7 @@ def test_filtered_mix_spec_example(strategy_pool):
     )
     assert curated.tau_used == pytest.approx(0.7)
     assert len(curated) == 7
-    assert curated.entries == [
+    assert pairs(curated) == [
         (0, RAW), (1, RAW), (2, RAW), (3, VAR_IDX), (4, VAR_IDX), (5, VAR_IDX), (6, VAR_IDX),
     ]
 
@@ -305,7 +290,7 @@ def test_concat_spec_example(strategy_pool):
         strategy_pool, _spec("concat_top_plus_syn_rest_filtered", p=30), _tables(raw, syn)
     )
     assert len(curated) == 10  # 3*2 + 4
-    assert (0, RAW) in set(curated.entries) and (0, VAR_IDX) in set(curated.entries)
+    assert (0, RAW) in set(pairs(curated)) and (0, VAR_IDX) in set(pairs(curated))
 
 
 def test_unfiltered_mix_covers_pool(strategy_pool):
@@ -316,8 +301,8 @@ def test_unfiltered_mix_covers_pool(strategy_pool):
         strategy_pool, _spec("raw_top_plus_syn_rest", p=30), _tables(raw, syn)
     )
     assert len(curated) == 10
-    top_ids = {i for i, c in curated.entries if c == RAW}
-    rest_ids = {i for i, c in curated.entries if c == VAR_IDX}
+    top_ids = {i for i, c in pairs(curated) if c == RAW}
+    rest_ids = {i for i, c in pairs(curated) if c == VAR_IDX}
     assert top_ids | rest_ids == set(range(10))
     assert not top_ids & rest_ids
 
@@ -333,7 +318,7 @@ def test_all_strategies_match_enumeration_oracle(strategy_pool):
         tables = _tables(raw, syn)
         p = float(rng.choice([10, 25, 30, 50, 100]))
         mask_ids = set(rng.choice(10, size=6, replace=False).tolist())
-        in1k = SelectionMask.from_indices(sorted(mask_ids), 10)
+        in1k = np.isin(np.arange(10), sorted(mask_ids))
         for name in STRATEGY_NAMES:
             if name == "syn_best_variant_all":
                 continue
@@ -347,16 +332,16 @@ def test_all_strategies_match_enumeration_oracle(strategy_pool):
                 p=p,
                 var_of=var_of,
             )
-            assert set(got.entries) == want, (name, trial)
+            assert set(pairs(got)) == want, (name, trial)
             spec_i = StrategySpec(
                 name=name, p=p, syn_source=SYN_LABEL, in1k_intersect=True
             )
             got_i = apply_strategy(strategy_pool, spec_i, tables, in1k)
-            assert set(got_i.entries) == {
+            assert set(pairs(got_i)) == {
                 (i, c) for i, c in want if i in mask_ids
             }, (name, trial)
             # intersection output is a subset by id
-            assert {i for i, _ in got_i.entries} <= {i for i, _ in got.entries}
+            assert {i for i, _ in pairs(got_i)} <= {i for i, _ in pairs(got)}
 
 
 def test_syn_best_variant_all(strategy_pool):
@@ -370,7 +355,7 @@ def test_syn_best_variant_all(strategy_pool):
     curated = apply_strategy(
         strategy_pool, StrategySpec(name="syn_best_variant_all"), tables
     )
-    for i, cap in curated.entries:
+    for i, cap in pairs(curated):
         want = 0 if t075[i] >= t100[i] else 1
         assert cap == want
 
@@ -406,10 +391,10 @@ def test_syn_best_variant_all_matches_per_record_oracle(tmp_path):
     handle, tables = _mixed_order_pool(tmp_path / "pool")
     spec = StrategySpec(name="syn_best_variant_all")
     curated = apply_strategy(handle, spec, tables)
-    assert [i for i, _ in curated.entries] == list(range(40))
-    for i, cap in curated.entries:
+    assert [i for i, _ in pairs(curated)] == list(range(40))
+    for i, cap in pairs(curated):
         assert cap == select_best_variant(handle, i), i
-    assert {cap for i, cap in curated.entries if i % 5 == 0 and i % 4 < 2} == {0}
+    assert {cap for i, cap in pairs(curated) if i % 5 == 0 and i % 4 < 2} == {0}
 
     handle, tables = _mixed_order_pool(tmp_path / "empty", {7: []})
     with pytest.raises(DataError, match="record 7 has no synthetic variants"):
@@ -427,7 +412,7 @@ def test_monotonicity_smaller_p_never_adds(strategy_pool):
     prev = None
     for p in (100, 70, 40, 20, 10):
         got = set(
-            apply_strategy(strategy_pool, StrategySpec("raw_top", p=p), tables).entries
+            pairs(apply_strategy(strategy_pool, StrategySpec("raw_top", p=p), tables))
         )
         if prev is not None:
             assert got <= prev
@@ -440,7 +425,7 @@ def test_union_can_duplicate_records(strategy_pool):
     curated = apply_strategy(
         strategy_pool, _spec("union_top_raw_top_syn", p=10), _tables(raw, syn)
     )
-    assert curated.entries == [(0, RAW), (0, VAR_IDX)]
+    assert pairs(curated) == [(0, RAW), (0, VAR_IDX)]
 
 
 def test_strategy_missing_table_raises(strategy_pool):
@@ -452,6 +437,18 @@ def test_strategy_requires_in1k_mask(strategy_pool):
     spec = StrategySpec("raw_all", in1k_intersect=True)
     with pytest.raises(DataError, match="in1k"):
         apply_strategy(strategy_pool, spec, {})
+
+
+@pytest.mark.parametrize("mask", [
+    np.ones(9, dtype=bool),  # wrong length
+    np.ones((10, 1), dtype=bool),  # not 1-d
+    np.ones(10, dtype=np.int64),  # not bool
+    [True] * 10,  # not an array
+])
+def test_strategy_rejects_malformed_in1k_mask(strategy_pool, mask):
+    spec = StrategySpec("raw_all", in1k_intersect=True)
+    with pytest.raises(DataError, match="in1k mask of 10 bools"):
+        apply_strategy(strategy_pool, spec, {}, mask)
 
 
 def test_strategy_table_names_exactly_the_needed_score_tables(strategy_pool):
@@ -538,16 +535,27 @@ def test_resolve_syn_source(strategy_pool):
 def test_curated_set_sorts_and_dedups():
     spec = StrategySpec("raw_all")
     curated = CuratedSet(entries=[(3, 0), (1, RAW), (3, 0), (1, 2)], spec=spec)
-    assert curated.entries == [(1, RAW), (1, 2), (3, 0)]
+    assert pairs(curated) == [(1, RAW), (1, 2), (3, 0)]
+
+
+@given(st.lists(st.tuples(st.integers(-2**62, 2**62), st.integers(-1, 5)), max_size=40)
+       | st.lists(st.tuples(st.integers(-3, 3), st.integers(-1, 1)), max_size=40))
+@example([])
+@settings(max_examples=200, deadline=None)
+def test_curated_set_entries_are_the_sorted_distinct_pairs(entries):
+    curated = CuratedSet(entries=entries, spec=StrategySpec("raw_all"))
+    assert curated.entries.dtype == np.int64 and curated.entries.shape == (len(curated), 2)
+    assert pairs(curated) == sorted(set(entries))
+    assert curated.ids().tolist() == [i for i, _ in sorted(set(entries))]
 
 
 def test_curated_roundtrip(tmp_path):
     spec = StrategySpec("raw_top_plus_syn_rest_filtered", p=30, syn_source="blip2")
     curated = CuratedSet(entries=[(0, RAW), (2, 1), (5, RAW)], spec=spec, tau_used=0.7)
-    path = tmp_path / curated_filename(spec.name)
+    path = tmp_path / f"curated.{spec.name}.jsonl"
     write_curated(curated, path)
     back = read_curated(path)
-    assert back.entries == curated.entries
+    assert pairs(back) == pairs(curated)
     assert back.tau_used == pytest.approx(0.7)
     assert back.spec.name == spec.name
     assert back.spec.p == spec.p

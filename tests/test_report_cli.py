@@ -12,7 +12,7 @@ import capforge
 from capforge import fileio
 from capforge.cli import cli_main
 from capforge.curation import StrategySpec, apply_strategy, read_curated
-from capforge.pool import materialize, open_pool
+from capforge.pool import Record, materialize, open_pool, write_pool
 from capforge.poolgen import GenConfig, SynSource, generate_pool
 from capforge.report import (
     MetricConfig,
@@ -47,6 +47,19 @@ def truncated_line_pool(tmp_path_factory):
     manifest = json.loads((path / "manifest.json").read_text())
     manifest["checksums"][victim.name] = fileio.crc32c_hex(blob)
     (path / "manifest.json").write_text(json.dumps(manifest))
+    return path
+
+
+@pytest.fixture(scope="module")
+def corrupt_scores_pool(tmp_path_factory):
+    """Pool whose raw score sidecar holds ten 3.4e38 scores (rows 22-31)."""
+    path = tmp_path_factory.mktemp("report") / "pool4"
+    generate_pool(GenConfig(num_records=60, seed=5, records_per_shard=30), path)
+    score_pool(open_pool(path), "raw")
+    sidecar = path / "raw.scores.f32"
+    blob = bytearray(sidecar.read_bytes())
+    blob[100:140] = b"\x7f" * 40
+    sidecar.write_bytes(bytes(blob))
     return path
 
 
@@ -278,10 +291,26 @@ def test_cli_filter_p_out_of_range(tmp_path):
     config = _write_config(tmp_path)
     pool = str(tmp_path / "pool")
     cli_main(["gen", "--config", config, "--out", pool])
-    code = cli_main(
-        ["filter", "--pool", pool, "--p", "150", "--out", str(tmp_path / "f.jsonl")]
-    )
-    assert code == 1
+    for p in ("150", "0"):
+        code = cli_main(
+            ["filter", "--pool", pool, "--p", p, "--out", str(tmp_path / "f.jsonl")]
+        )
+        assert code == 1, p
+
+
+def test_cli_filter_and_mix_break_ties_by_id(tmp_path):
+    # ids run opposite to row order and every score ties
+    pool = tmp_path / "pool"
+    records = [Record(id=90 - 10 * row, raw_caption=f"r{row}") for row in range(10)]
+    same = np.tile(np.eye(4, dtype=np.float32)[0], (10, 1))
+    write_pool(records, {"image": same, "raw": same}, pool, records_per_shard=4)
+    ids_out, mix_out = tmp_path / "ids.jsonl", tmp_path / "c.jsonl"
+    assert cli_main(["filter", "--pool", str(pool), "--p", "30", "--out", str(ids_out)]) == 0
+    assert cli_main(["mix", "--strategy", "raw_top", "--p", "30", "--pool", str(pool),
+                     "--out", str(mix_out)]) == 0
+    filtered = [json.loads(line)["id"] for line in ids_out.read_text().splitlines()[1:]]
+    mixed = [json.loads(line)["id"] for line in mix_out.read_text().splitlines()[1:]]
+    assert sorted(filtered) == mixed == [0, 10, 20]
 
 
 def test_cli_filter_threshold(tmp_path):
@@ -436,6 +465,7 @@ _CURATED_ENTRIES = {
     "curated_unknown_id": {"id": 99999999, "cap": "raw"},
     "curated_variant_past_end": {"id": 0, "cap": 7},
     "curated_variant_negative": {"id": 0, "cap": -2},
+    "curated_id_past_int64": {"id": 2**70, "cap": "raw"},
 }
 _GEN_CONFIGS = {
     "gen_seed_string": {"num_records": 10, "seed": "x"},
@@ -451,12 +481,28 @@ _GEN_CONFIGS = {
     + [("curated_not_json", 2), ("curated_missing", 2)]
     + [(name, 2) for name in _CURATED_ENTRIES]
     + [("shard_line_truncated_mix", 2), ("shard_line_truncated_filter", 2)]
-    + [("validate_workers_zero", 1)],
+    + [("validate_workers_zero", 1)]
+    + [("scores_corrupt_mix", 2), ("scores_corrupt_filter", 2), ("scores_corrupt_metrics", 2)],
 )
 def test_cli_malformed_input_exits_without_traceback(
-    small_pool, two_captioner_pool, truncated_line_pool, tmp_path, case, code
+    small_pool, two_captioner_pool, truncated_line_pool, corrupt_scores_pool, tmp_path,
+    case, code,
 ):
-    if case == "shard_line_truncated_mix":
+    if case == "scores_corrupt_mix":
+        args = ["mix", "--strategy", "raw_top", "--p", "30", "--pool", str(corrupt_scores_pool),
+                "--out", str(tmp_path / "c.jsonl")]
+    elif case == "scores_corrupt_filter":
+        args = ["filter", "--p", "30", "--pool", str(corrupt_scores_pool),
+                "--out", str(tmp_path / "ids.jsonl")]
+    elif case == "scores_corrupt_metrics":
+        path = tmp_path / "c.jsonl"
+        header = {"strategy": "raw_all", "tau_used": None, "entries": 2,
+                  "spec": {"name": "raw_all"}}
+        lines = [header, {"id": 1, "cap": "raw"}, {"id": 2, "cap": "raw"}]
+        path.write_text("".join(json.dumps(obj) + "\n" for obj in lines))
+        args = ["metrics", "--pool", str(corrupt_scores_pool), "--curated", str(path),
+                "--out", str(tmp_path / "m.json")]
+    elif case == "shard_line_truncated_mix":
         args = ["mix", "--strategy", "raw_all", "--pool", str(truncated_line_pool),
                 "--out", str(tmp_path / "c.jsonl")]
     elif case == "shard_line_truncated_filter":

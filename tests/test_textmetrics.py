@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from capforge.curation import CuratedSet, StrategySpec
 from capforge.errors import DomainError
 from capforge.textmetrics import (
+    _partial_fisher_yates,
     default_noun_lexicon,
     default_visual_vocab,
     diversity_curve,
@@ -18,7 +19,7 @@ from capforge.textmetrics import (
     unique_trigrams,
     word_count,
 )
-from helpers import RAW, oracle_trigrams
+from helpers import RAW, oracle_trigrams, pairs, scalar_fisher_yates
 
 
 def test_tokenize_paper_caption():
@@ -118,20 +119,20 @@ def _curated(n):
 
 def test_sample_subset_full_is_identity():
     c = _curated(20)
-    assert sample_subset(c, 20, seed=3).entries == c.entries
+    assert pairs(sample_subset(c, 20, seed=3)) == pairs(c)
 
 
 def test_sample_subset_empty():
-    assert sample_subset(_curated(5), 0, seed=0).entries == []
+    assert pairs(sample_subset(_curated(5), 0, seed=0)) == []
 
 
 def test_sample_subset_deterministic_and_sorted():
     c = _curated(50)
     a = sample_subset(c, 10, seed=7)
     b = sample_subset(c, 10, seed=7)
-    assert a.entries == b.entries
-    assert a.entries == sorted(a.entries)
-    assert sample_subset(c, 10, seed=8).entries != a.entries
+    assert pairs(a) == pairs(b)
+    assert pairs(a) == sorted(pairs(a))
+    assert pairs(sample_subset(c, 10, seed=8)) != pairs(a)
 
 
 def test_sample_subset_out_of_range():
@@ -139,12 +140,19 @@ def test_sample_subset_out_of_range():
         sample_subset(_curated(3), 4, seed=0)
 
 
+@given(st.integers(0, 3000), st.data(), st.integers(0, 2**32))
+@settings(max_examples=100, deadline=None)
+def test_partial_fisher_yates_matches_scalar_draws(total, data, seed):
+    n = data.draw(st.integers(0, total))
+    assert _partial_fisher_yates(n, total, seed).tolist() == scalar_fisher_yates(n, total, seed)
+
+
 def test_sample_subset_uniformity_smoke():
     # every entry should appear at roughly the expected frequency
     c = _curated(10)
     counts = np.zeros(10)
     for seed in range(300):
-        for i, _ in sample_subset(c, 5, seed=seed).entries:
+        for i, _ in pairs(sample_subset(c, 5, seed=seed)):
             counts[i] += 1
     assert counts.min() > 0.5 * 150
     assert counts.max() < 1.5 * 150
