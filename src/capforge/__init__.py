@@ -24,6 +24,7 @@ from .errors import (
     IntegrityError,
 )
 from .pool import (
+    CaptionTable,
     CaptionVariant,
     PoolHandle,
     PoolManifest,
@@ -36,7 +37,7 @@ from .pool import (
 )
 from .poolgen import GenConfig, SynSource, attach_alignment, embed_concept, generate_pool
 from .report import MetricConfig, QualityReport, SweepResult, run_report, run_sweep
-from .scoring import clip_s, cosine, recall_at_1, score_pool, select_best_variant
+from .scoring import clip_s, cosine, recall_at_1, score_pool
 from .textmetrics import (
     diversity_curve,
     grounding_ratio,

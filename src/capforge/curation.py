@@ -17,7 +17,7 @@ from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, DataError, DomainError, FormatError
+from .errors import ConfigError, DataError, DomainError, FormatError, check_numbers
 from .pool import RAW_CHOICE, PoolHandle, ScoreTable
 
 # Each strategy is the union of its parts (rank, take, caption).  rank is the
@@ -53,13 +53,6 @@ def _uses_syn(name: str) -> bool:
     return any("syn" in (rank, caption) for rank, _, caption in STRATEGIES[name])
 
 
-def _parse(kind: type, value, what: str):
-    try:
-        return kind(value)
-    except (TypeError, ValueError):
-        raise ConfigError(f"{what} must be {kind.__name__}, got {value!r}") from None
-
-
 @dataclass(frozen=True)
 class ClusterParams:
     k: int
@@ -72,8 +65,10 @@ class ClusterParams:
             raise ConfigError(f"cluster count must be >= 1, got {self.k}")
         if self.max_iters < 1:
             raise ConfigError("max_iters must be >= 1")
-        if self.tol < 0:
+        if not self.tol >= 0:  # NaN too
             raise ConfigError("tol must be nonnegative")
+        if not 0 <= self.seed < 2**64:
+            raise ConfigError("cluster seed must be an unsigned 64-bit integer")
 
 
 @dataclass
@@ -130,18 +125,15 @@ class StrategySpec:
                 raise ConfigError(f"unknown cluster_params field {sorted(bad)[0]!r}")
             if "k" not in cp:
                 raise ConfigError("cluster_params requires k")
-            params = ClusterParams(
-                k=_parse(int, cp["k"], "cluster_params k"),
-                max_iters=_parse(int, cp.get("max_iters", 100), "cluster_params max_iters"),
-                tol=_parse(float, cp.get("tol", 1e-4), "cluster_params tol"),
-                seed=_parse(int, cp.get("seed", 0), "cluster_params seed"),
-            )
+            check_numbers(ClusterParams, cp, "cluster_params")
+            params = ClusterParams(**{**cp, "tol": float(cp.get("tol", 1e-4))})
         in1k_intersect = obj.get("in1k_intersect", False)
         if not isinstance(in1k_intersect, bool):
             raise ConfigError(f"in1k_intersect must be true or false, got {in1k_intersect!r}")
+        check_numbers(cls, obj, "strategy")
         spec = cls(
             name=str(obj["name"]),
-            p=None if obj.get("p") is None else _parse(float, obj["p"], "p"),
+            p=None if obj.get("p") is None else float(obj["p"]),
             syn_source=obj.get("syn_source"),
             in1k_intersect=in1k_intersect,
             cluster_params=params,
@@ -202,8 +194,13 @@ def read_curated(path: str | Path) -> CuratedSet:
         entries = []
         for line in lines[1:]:
             obj = json.loads(line)
-            cap = obj["cap"]
-            entries.append((int(obj["id"]), RAW_CHOICE if cap == "raw" else int(cap)))
+            rec_id, cap = obj["id"], RAW_CHOICE if obj["cap"] == "raw" else obj["cap"]
+            if type(rec_id) is not int or type(cap) is not int:
+                raise ValueError(f"entry {line.strip()} needs an integer id and cap")
+            entries.append((rec_id, cap))
+        count = header["entries"]
+        if type(count) is not int or count != len(entries):
+            raise ValueError(f"header counts {count!r} entries, file holds {len(entries)}")
         return CuratedSet(entries=entries, spec=spec, tau_used=tau_used)
     except (ValueError, KeyError, TypeError, OverflowError, ConfigError) as exc:
         raise FormatError(f"{path}: not a curated file: {exc}") from None

@@ -4,6 +4,8 @@ The CLI maps these onto exit codes: usage/config problems exit 1, data and
 file-format problems exit 2.
 """
 
+from dataclasses import fields
+
 
 class CapforgeError(Exception):
     """Base class for all capforge errors."""
@@ -27,3 +29,14 @@ class IntegrityError(CapforgeError):
 
 class DomainError(CapforgeError):
     """Argument outside the mathematical domain of an operation."""
+
+
+def check_numbers(cls, obj: dict, where: str) -> None:
+    """Raise ConfigError for a value of JSON object `obj` that does not fit
+    a number field of dataclass `cls` (annotated as a string): a bool or a
+    string is no number, and an int is a valid float."""
+    for f in fields(cls):
+        allowed = {"int": {int}, "float": {int, float},
+                   "float | None": {int, float, type(None)}}.get(f.type)
+        if allowed and f.name in obj and type(obj[f.name]) not in allowed:
+            raise ConfigError(f"{where} field {f.name!r} must be {f.type}, got {obj[f.name]!r}")

@@ -51,10 +51,6 @@ class CaptionVariant:
     temperature: float
     text: str
 
-    @property
-    def source_label(self) -> str:
-        return variant_source_label(self.source_name, self.temperature)
-
 
 @dataclass
 class Record:
@@ -76,18 +72,73 @@ class Record:
         ]
         return json.dumps(obj, ensure_ascii=False, separators=(",", ":"))
 
+
+def _typed(values: list, what: str, *types: type) -> list:
+    """`values`, if each one's type is one of `types` (so a bool is no int)."""
+    if not {*map(type, values)} <= {*types}:
+        raise TypeError(f"{what} must be {' or '.join(t.__name__ for t in types)}")
+    return values
+
+
+def _columns(objs: list) -> tuple:
+    """(ids, raw captions, variant counts, variant texts, variant labels) of
+    parsed shard records; each field's JSON type is checked for all records
+    at once."""
+    objs = _typed(objs, "record", dict)
+    syns = _typed([o.get("syn", []) for o in objs], "syn", list)
+    variants = _typed([v for syn in syns for v in syn], "variant", dict)
+    srcs = _typed([v["src"] for v in variants], "src", str)
+    temps = _typed([v["temp"] for v in variants], "temp", int, float)
+    names = {pair: variant_source_label(*pair) for pair in dict.fromkeys(zip(srcs, temps))}
+    return (np.array(_typed([o["id"] for o in objs], "id", int), np.int64),
+            _typed([o["raw"] for o in objs], "raw", str), list(map(len, syns)),
+            _typed([v["text"] for v in variants], "text", str),
+            [names[pair] for pair in zip(srcs, temps)])
+
+
+@dataclass(frozen=True)
+class CaptionTable:
+    """A pool's captions as columns, one row per record in pool order.
+
+    Column 0 of ``text_ids`` and ``label_ids`` is the raw caption and
+    column 1+p the variant at position p; -1 pads records with fewer
+    variants.  ``text_ids`` index ``texts``, which holds each distinct
+    caption once; ``label_ids`` index ``labels``: "raw", then each variant
+    source label in order of first appearance.
+    """
+
+    ids: np.ndarray  # (N,) int64
+    text_ids: np.ndarray  # (N, 1+W) int64
+    label_ids: np.ndarray  # (N, 1+W) int64
+    texts: tuple[str, ...]
+    labels: tuple[str, ...]
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
     @classmethod
-    def from_json(cls, line: str) -> "Record":
-        obj = json.loads(line)
-        return cls(
-            id=int(obj["id"]),
-            raw_caption=obj["raw"],
-            synthetic_variants=[
-                CaptionVariant(v["src"], float(v["temp"]), v["text"])
-                for v in obj.get("syn", [])
-            ],
-            prov=obj.get("prov"),
-        )
+    def from_shards(cls, shards: Iterable[tuple]) -> "CaptionTable":
+        """Concatenate shards' ``_columns``, interning texts and labels."""
+        text_index: dict[str, int] = {}
+        label_index = {"raw": 0}
+
+        def intern(values, index):
+            return np.array([index.setdefault(v, len(index)) for v in values], np.int64)
+
+        parts = [(ids, intern(raws, text_index), np.array(counts, np.int64),
+                  intern(texts, text_index), intern(labels, label_index))
+                 for ids, raws, counts, texts, labels in shards]
+        ids, raw, counts, var_texts, var_labels = map(
+            np.concatenate, zip((np.zeros(0, np.int64),) * 5, *parts))
+        text_ids = np.full((len(ids), 1 + int(counts.max(initial=0))), -1, np.int64)
+        label_ids = np.full_like(text_ids, -1)
+        text_ids[:, 0] = raw
+        label_ids[:, 0] = 0
+        rows = np.repeat(np.arange(len(ids)), counts)
+        cols = 1 + np.arange(rows.size) - np.repeat(np.cumsum(counts) - counts, counts)
+        text_ids[rows, cols] = var_texts
+        label_ids[rows, cols] = var_labels
+        return cls(ids, text_ids, label_ids, tuple(text_index), tuple(label_index))
 
 
 @dataclass
@@ -272,21 +323,19 @@ def write_pool(
 class PoolHandle:
     """Read-only view of a pool directory.
 
-    Besides the parsed records, a handle keeps a columnar index built once
-    from them: the ids in pool order, and per variant source label the
-    position of that variant in each record.  Curated (id, caption choice)
-    entries resolve to rows and texts through it.
+    The records are read once, shard by shard, into a ``CaptionTable``
+    (``records()``).  Curated (id, caption choice) entries resolve to rows
+    and texts through it: ``ids``, ``rows``, ``variant_labels``,
+    ``variant_index`` and ``caption`` all read the table.
     """
 
     def __init__(self, path: Path, manifest: PoolManifest):
         self.path = path
         self.manifest = manifest
         self._verified: set[str] = set()
-        self._records: list[Record] | None = None
-        self._embeddings: dict[str, np.ndarray] = {}
-        self._ids: np.ndarray | None = None
+        self._table: CaptionTable | None = None
         self._id_order: np.ndarray | None = None
-        self._variant_index: dict[str, np.ndarray] | None = None
+        self._embeddings: dict[str, np.ndarray] = {}
 
     @property
     def num_records(self) -> int:
@@ -296,9 +345,6 @@ class PoolHandle:
     def embedding_dim(self) -> int:
         return self.manifest.embedding_dim
 
-    def shard_sizes(self) -> list[int]:
-        return shard_layout(self.manifest.num_records, self.manifest.records_per_shard)
-
     def _read(self, name: str, read):
         """``read`` a pool file; only the handle's first read of it checks the
         manifest checksum, as pools are immutable."""
@@ -307,43 +353,48 @@ class PoolHandle:
         self._verified.add(name)
         return value
 
-    def iter_shard_records(self, k: int) -> Iterator[Record]:
+    def shard_columns(self, k: int) -> tuple:
+        """``_columns`` of shard k, one record per non-blank line.  A line
+        that is not exactly one JSON record, or whose fields have the wrong
+        types, raises a FormatError naming it."""
         name = shard_jsonl_name(k)
         try:
             text = self._read(name, fileio.read_bytes).decode("utf-8")
         except UnicodeDecodeError as exc:
             raise FormatError(f"{name}: not UTF-8: {exc}") from exc
         # split on "\n" only: captions may hold U+0085 or U+2028 unescaped
-        for number, line in enumerate(text.split("\n"), 1):
-            if not line.strip():
-                continue
+        lines = text.split("\n")
+        nonblank = [line for line in lines if line.strip()]
+        try:  # fast path: each line one value ending at its last character
+            parsed = list(map(json.JSONDecoder().raw_decode, nonblank))
+            if [end for _, end in parsed] == list(map(len, nonblank)):
+                return _columns([obj for obj, _ in parsed])
+        except (ValueError, KeyError, TypeError, OverflowError):
+            pass
+        objs = []
+        for number, line in enumerate(lines, 1):
             try:
-                rec = Record.from_json(line)
-            except (ValueError, KeyError, TypeError) as exc:
-                raise FormatError(f"{name} line {number}: malformed record: {exc}") from exc
-            yield rec
+                if line.strip():
+                    objs.append(json.loads(line))
+                    _columns(objs[-1:])
+            except (ValueError, KeyError, TypeError, OverflowError) as exc:
+                raise FormatError(f"{name} line {number}: malformed record: {exc}") from None
+        return _columns(objs)
 
-    def records(self) -> list[Record]:
-        if self._records is None:
-            recs: list[Record] = []
-            for k in range(self.manifest.num_shards):
-                recs.extend(self.iter_shard_records(k))
-            self._records = recs
-        return self._records
-
-    def record(self, index: int) -> Record:
-        return self.records()[index]
+    def records(self) -> CaptionTable:
+        """The pool's caption table, built on the first call."""
+        if self._table is None:
+            shards = map(self.shard_columns, range(self.manifest.num_shards))
+            table = CaptionTable.from_shards(shards)
+            self._id_order = np.argsort(table.ids, kind="stable")
+            self._table = table
+        return self._table
 
     # caption-choice index ------------------------------------------------
 
     def ids(self) -> np.ndarray:
         """Record ids in pool order (int64)."""
-        if self._ids is None:
-            recs = self.records()
-            ids = np.fromiter((r.id for r in recs), dtype=np.int64, count=len(recs))
-            self._id_order = np.argsort(ids, kind="stable")
-            self._ids = ids
-        return self._ids
+        return self.records().ids
 
     def rows(self, ids: Sequence[int] | np.ndarray) -> np.ndarray:
         """Row of each id; an id held by several records maps to the last."""
@@ -358,37 +409,27 @@ class PoolHandle:
 
     def variant_labels(self) -> list[str]:
         """Source label of every variant some record lists."""
-        if self._variant_index is None:
-            n = len(self.records())
-            index: dict[str, np.ndarray] = {}
-            for row, rec in enumerate(self.records()):
-                for pos, variant in enumerate(rec.synthetic_variants):
-                    col = index.get(variant.source_label)
-                    if col is None:
-                        col = index[variant.source_label] = np.full(n, -1, np.int64)
-                    if col[row] < 0:  # a repeated label keeps its first position
-                        col[row] = pos
-            self._variant_index = index
-        return list(self._variant_index)
+        return list(self.records().labels[1:])
 
     def variant_index(self, label: str) -> np.ndarray:
-        """Per-record position of the variant with source `label`, -1 if none."""
-        if label not in self.variant_labels():
-            return np.full(len(self.records()), -1, np.int64)
-        return self._variant_index[label]
+        """Per-record position of the variant with source `label`, -1 if none;
+        a repeated label keeps its first position."""
+        table = self.records()
+        if label not in table.labels[1:]:
+            return np.full(len(table), -1, np.int64)
+        match = table.label_ids[:, 1:] == table.labels.index(label)
+        return np.where(match.any(axis=1), match.argmax(axis=1), -1)
 
     def caption(self, row: int, cap: int) -> tuple[str, str]:
         """(embedding source label, text) of caption choice `cap` at `row`."""
-        rec = self.records()[row]
-        if cap == RAW_CHOICE:
-            return "raw", rec.raw_caption
-        if not 0 <= cap < len(rec.synthetic_variants):
+        table, col = self.records(), cap + 1
+        text_id = table.text_ids.item(row, col) if 0 <= col < table.text_ids.shape[1] else -1
+        if text_id < 0:
             raise DataError(
-                f"curated entry references variant {cap} of record {rec.id} "
-                f"which has {len(rec.synthetic_variants)} variants"
+                f"curated entry references variant {cap} of record {table.ids[row]} "
+                f"which has {int((table.text_ids[row, 1:] >= 0).sum())} variants"
             )
-        variant = rec.synthetic_variants[cap]
-        return variant.source_label, variant.text
+        return table.labels[table.label_ids.item(row, col)], table.texts[text_id]
 
     def has_source(self, source: str) -> bool:
         return source in self.manifest.embedding_sources
@@ -482,62 +523,51 @@ def validate_pool(handle: PoolHandle) -> ValidationReport:
             )
         )
 
-    seen_ids: dict[int, int] = {}
-    duplicate_ids: set[int] = set()
-    # labels with embeddings, plus labels without them already reported
-    checked_labels = set(manifest.embedding_sources)
-    total = 0
-    for k in range(manifest.num_shards):
-        try:
-            records = list(handle.iter_shard_records(k))
-        except (FormatError, IntegrityError, OSError) as exc:
-            report.findings.append(
-                Finding("shard_error", str(exc), file=shard_jsonl_name(k))
-            )
-            continue
-        rows = 0
-        for rec in records:
-            if rec.id in seen_ids and rec.id not in duplicate_ids:
-                duplicate_ids.add(rec.id)
+    def good_shards() -> Iterator[tuple]:
+        for k in range(manifest.num_shards):
+            try:
+                columns = handle.shard_columns(k)
+            except (FormatError, IntegrityError, OSError) as exc:
                 report.findings.append(
-                    Finding("duplicate_id", f"id {rec.id} appears more than once")
+                    Finding("shard_error", str(exc), file=shard_jsonl_name(k))
                 )
-            seen_ids.setdefault(rec.id, total)
-            labels = [v.source_label for v in rec.synthetic_variants]
-            if len(set(labels)) != len(labels):
+                continue
+            rows = len(columns[0])
+            if k < len(expected_sizes) and rows != expected_sizes[k]:
                 report.findings.append(
                     Finding(
-                        "duplicate_variant",
-                        f"record {rec.id}: repeated (source, temperature) variant",
-                        record_index=total,
+                        "shard_count",
+                        f"shard {k} holds {rows} records, expected {expected_sizes[k]}",
+                        file=shard_jsonl_name(k),
                     )
                 )
-            for label in sorted(set(labels) - checked_labels):
-                checked_labels.add(label)
-                report.findings.append(
-                    Finding(
-                        "variant_source",
-                        f"record {rec.id}: no embeddings for variant {label!r}",
-                        record_index=total,
-                    )
-                )
-            rows += 1
-            total += 1
-        if k < len(expected_sizes) and rows != expected_sizes[k]:
-            report.findings.append(
-                Finding(
-                    "shard_count",
-                    f"shard {k} holds {rows} records, expected {expected_sizes[k]}",
-                    file=shard_jsonl_name(k),
-                )
-            )
-    if total != manifest.num_records:
+            yield columns
+
+    table = CaptionTable.from_shards(good_shards())
+    if len(table) != manifest.num_records:
         report.findings.append(
             Finding(
                 "shard_count",
-                f"pool holds {total} records, manifest says {manifest.num_records}",
+                f"pool holds {len(table)} records, manifest says {manifest.num_records}",
             )
         )
+
+    values, counts = np.unique(table.ids, return_counts=True)
+    report.findings += [Finding("duplicate_id", f"id {rec_id} appears more than once")
+                        for rec_id in values[counts > 1].tolist()]
+    variants = np.sort(table.label_ids[:, 1:], axis=1)
+    repeated = (variants[:, 1:] == variants[:, :-1]) & (variants[:, 1:] >= 0)
+    report.findings += [
+        Finding("duplicate_variant", f"record {table.ids[row]}: repeated (source, "
+                "temperature) variant", record_index=row)
+        for row in np.flatnonzero(repeated.any(axis=1)).tolist()
+    ]
+    for index, label in enumerate(table.labels[1:], 1):
+        if label not in manifest.embedding_sources:
+            row = int(np.argmax((table.label_ids == index).any(axis=1)))
+            report.findings.append(Finding(
+                "variant_source", f"record {table.ids[row]}: no embeddings for variant "
+                f"{label!r}", record_index=row))
 
     for source in manifest.embedding_sources:
         offset = 0

@@ -1,4 +1,4 @@
-"""Alignment scoring: cosine similarity, CLIP-S, best-variant selection,
+"""Alignment scoring: cosine similarity, CLIP-S, per-source pool scores
 and retrieval Recall@1.
 
 All reductions over float32 embeddings accumulate in float64; ties resolve
@@ -6,8 +6,6 @@ to the lowest index throughout.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -63,33 +61,6 @@ def score_pool(handle: PoolHandle, text_source: str, *,
     if write_sidecar:
         handle.write_score_table(table)
     return table
-
-
-@dataclass
-class VariantScores:
-    record_id: int
-    scores: list[float]  # aligned with the record's synthetic_variants
-
-
-def variant_scores(handle: PoolHandle, record_index: int) -> VariantScores:
-    """Cosine of each synthetic variant of one record against its image."""
-    rec = handle.record(record_index)
-    if not rec.synthetic_variants:
-        raise DataError(f"record {rec.id} has no synthetic variants")
-    image = handle.embeddings("image")[record_index]
-    scores = []
-    for variant in rec.synthetic_variants:
-        label = variant.source_label
-        if not handle.has_source(label):
-            raise DataError(f"record {rec.id}: no embeddings for variant {label!r}")
-        scores.append(cosine(image, handle.embeddings(label)[record_index]))
-    return VariantScores(record_id=rec.id, scores=scores)
-
-
-def select_best_variant(handle: PoolHandle, record_index: int) -> int:
-    """Index of the highest-scoring variant; ties go to the lowest index."""
-    vs = variant_scores(handle, record_index)
-    return int(np.argmax(vs.scores))
 
 
 def recall_at_1(image_embs: np.ndarray, text_embs: np.ndarray) -> tuple[float, float, float]:

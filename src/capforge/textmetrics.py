@@ -94,12 +94,6 @@ def sample_subset(curated: CuratedSet, n: int, seed: int) -> CuratedSet:
     )
 
 
-def entry_caption(handle: PoolHandle, entry: tuple[int, int]) -> str:
-    """Caption text a curated entry selects."""
-    rec_id, cap = entry
-    return handle.caption(int(handle.rows([rec_id])[0]), cap)[1]
-
-
 class DiversityPoint(NamedTuple):
     subset_size: int
     unique_trigrams: int

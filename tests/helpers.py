@@ -1,18 +1,24 @@
 """Shared test helpers: independent oracles and small pool builders.
 
 The oracles deliberately avoid the library's code paths: selection uses a
-plain stable sort over (score desc, id asc) and strategies are enumerated
-with Python sets, so agreement with the fast implementations is meaningful.
+plain stable sort over (score desc, id asc), strategies are enumerated
+with Python sets, and records are parsed line by line into objects, so
+agreement with the fast implementations is meaningful.
 """
 
 from __future__ import annotations
 
+import json
 import math
 from fractions import Fraction
+from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
-from capforge.pool import CaptionVariant, Record, write_pool
+from capforge.errors import DataError
+from capforge.pool import CaptionVariant, Record, variant_source_label, write_pool
+from capforge.scoring import cosine
 
 RAW = -1
 
@@ -84,6 +90,77 @@ def oracle_strategy(
     if in1k is not None:
         entries = {(i, c) for i, c in entries if i in in1k}
     return entries
+
+
+def read_records(pool_dir) -> list[Record]:
+    """Every record of a pool, one JSON line at a time, as objects."""
+    pool_dir = Path(pool_dir)
+    manifest = json.loads((pool_dir / "manifest.json").read_text(encoding="utf-8"))
+    records = []
+    for k in range(manifest["num_shards"]):
+        text = (pool_dir / f"shard-{k:05d}.jsonl").read_bytes().decode("utf-8")
+        for line in text.split("\n"):
+            if line.strip():
+                obj = json.loads(line)
+                records.append(Record(
+                    id=int(obj["id"]),
+                    raw_caption=obj["raw"],
+                    synthetic_variants=[
+                        CaptionVariant(v["src"], float(v["temp"]), v["text"])
+                        for v in obj.get("syn", [])
+                    ],
+                    prov=obj.get("prov"),
+                ))
+    return records
+
+
+def record_captions(records) -> list[tuple[int, list[tuple[str, str]]]]:
+    """Each record's id and the (source label, text) of its raw caption and
+    then of each variant."""
+    return [
+        (r.id, [("raw", r.raw_caption)] + [
+            (variant_source_label(v.source_name, v.temperature), v.text)
+            for v in r.synthetic_variants
+        ])
+        for r in records
+    ]
+
+
+def handle_captions(handle) -> list[tuple[int, list[tuple[str, str]]]]:
+    """``record_captions`` as a pool handle's caption table reads them."""
+    table = handle.records()
+    return [
+        (int(table.ids[row]), [
+            handle.caption(row, cap)
+            for cap in range(-1, int((table.text_ids[row] >= 0).sum()) - 1)
+        ])
+        for row in range(len(table))
+    ]
+
+
+class VariantScores(NamedTuple):
+    record_id: int
+    scores: list[float]  # aligned with the record's synthetic_variants
+
+
+def variant_scores(handle, record_index: int) -> VariantScores:
+    """Cosine of each synthetic variant of one record against its image."""
+    rec = read_records(handle.path)[record_index]
+    if not rec.synthetic_variants:
+        raise DataError(f"record {rec.id} has no synthetic variants")
+    image = handle.embeddings("image")[record_index]
+    scores = []
+    for variant in rec.synthetic_variants:
+        label = variant_source_label(variant.source_name, variant.temperature)
+        if not handle.has_source(label):
+            raise DataError(f"record {rec.id}: no embeddings for variant {label!r}")
+        scores.append(cosine(image, handle.embeddings(label)[record_index]))
+    return VariantScores(record_id=rec.id, scores=scores)
+
+
+def select_best_variant(handle, record_index: int) -> int:
+    """Index of the record's highest-scoring variant; ties go to the lowest."""
+    return int(np.argmax(variant_scores(handle, record_index).scores))
 
 
 def pairs(curated) -> list[tuple[int, int]]:

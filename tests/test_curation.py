@@ -22,8 +22,10 @@ from capforge.curation import (
 from capforge.errors import ConfigError, DataError, DomainError
 from capforge.pool import CaptionVariant, Record, ScoreTable, open_pool, write_pool
 from capforge.report import strategy_tables
-from capforge.scoring import score_pool, select_best_variant
-from helpers import RAW, build_plain_pool, oracle_strategy, oracle_top, pairs, unit_rows
+from capforge.scoring import score_pool
+from helpers import (
+    RAW, build_plain_pool, oracle_strategy, oracle_top, pairs, select_best_variant, unit_rows,
+)
 
 
 def _table(values, source="raw"):

@@ -1,7 +1,10 @@
 import json
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from capforge import fileio
 from capforge.curation import CuratedSet, StrategySpec
@@ -16,7 +19,9 @@ from capforge.pool import (
     write_pool,
 )
 from capforge.scoring import score_pool
-from helpers import build_plain_pool, unit_rows
+from helpers import (
+    build_plain_pool, handle_captions, read_records, record_captions, unit_rows,
+)
 
 
 def _records(n, variants=(("blip2", 0.75),)):
@@ -49,7 +54,7 @@ def test_ceiling_division_sharding(tmp_path):
     )
     handle = open_pool(tmp_path)
     assert handle.manifest.num_shards == 2
-    assert handle.shard_sizes() == [2, 1]
+    assert shard_layout(handle.num_records, handle.manifest.records_per_shard) == [2, 1]
 
 
 def test_shard_layout_pure_function():
@@ -71,8 +76,8 @@ def test_roundtrip_bit_exact(tmp_path):
     }
     write_pool(records, embs, tmp_path, records_per_shard=30)
     handle = open_pool(tmp_path)
-    back = handle.records()
-    assert back == records
+    assert read_records(tmp_path) == records
+    assert handle_captions(handle) == record_captions(records)
     for source, mat in embs.items():
         assert handle.embeddings(source).tobytes() == mat.tobytes()
 
@@ -86,7 +91,8 @@ def test_line_separators_inside_captions_round_trip(tmp_path):
     embs = {s: unit_rows(rng, 3, 4) for s in ("image", "raw", "syn.blip2.0.75")}
     write_pool(records, embs, tmp_path)
     handle = open_pool(tmp_path)
-    assert handle.records() == records
+    assert read_records(tmp_path) == records
+    assert handle_captions(handle) == record_captions(records)
     assert validate_pool(handle).ok
 
 
@@ -220,6 +226,108 @@ def test_validate_duplicate_id(tmp_path):
     assert len(report.findings) == 1
 
 
+def test_validate_reports_repeated_variant_and_index_keeps_first_position(tmp_path):
+    records = [
+        Record(id=10, raw_caption="a", synthetic_variants=[
+            CaptionVariant("blip2", 0.75, "b0"), CaptionVariant("coca", 1.0, "c0")]),
+        Record(id=11, raw_caption="b", synthetic_variants=[
+            CaptionVariant("coca", 1.0, "c1"), CaptionVariant("blip2", 0.75, "b1"),
+            CaptionVariant("blip2", 0.75, "b1 again")]),
+        Record(id=12, raw_caption="c", synthetic_variants=[CaptionVariant("coca", 1.0, "c2")]),
+    ]
+    rng = np.random.default_rng(0)
+    embs = {s: unit_rows(rng, 3, 4) for s in ("image", "raw", "syn.blip2.0.75", "syn.coca.1.00")}
+    write_pool(records, embs, tmp_path)
+    handle = open_pool(tmp_path)
+    report = validate_pool(handle)
+    assert [(f.kind, f.record_index) for f in report.findings] == [("duplicate_variant", 1)]
+    assert "record 11" in report.findings[0].message
+    assert handle.variant_index("syn.blip2.0.75").tolist() == [0, 1, -1]
+    assert handle.variant_index("syn.coca.1.00").tolist() == [1, 0, 0]
+    assert handle.variant_index("syn.ghost.0.50").tolist() == [-1, -1, -1]
+    assert handle.caption(1, 2) == ("syn.blip2.0.75", "b1 again")
+
+
+_SOURCES = [("blip2", 0.75), ("coca", 1.0), ("ghost", 0.5)]
+_CAPTIONS = st.text(st.sampled_from(["a", " ", "\x85", "\u2028", '"', "\\", "é"]), max_size=5)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    pool=st.lists(
+        st.tuples(
+            st.integers(-(2**63), 2**63 - 1),
+            _CAPTIONS,
+            st.lists(st.tuples(st.sampled_from(_SOURCES), _CAPTIONS), max_size=3),
+        ),
+        max_size=30,
+    ),
+    records_per_shard=st.integers(1, 7),
+)
+def test_caption_table_reads_every_record(pool, records_per_shard):
+    records = [
+        Record(id=rec_id, raw_caption=raw, synthetic_variants=[
+            CaptionVariant(src, temp, text) for (src, temp), text in variants])
+        for rec_id, raw, variants in pool
+    ]
+    with tempfile.TemporaryDirectory() as path:
+        write_pool(records, {"image": np.ones((len(records), 2), np.float32)}, path,
+                   records_per_shard=records_per_shard)
+        handle = open_pool(path)
+        assert len(handle.records()) == len(records)
+        expected = record_captions(records)
+        for row, (rec_id, captions) in enumerate(expected):
+            assert handle.ids()[row] == rec_id
+            for cap, caption in enumerate(captions, -1):
+                assert handle.caption(row, cap) == caption
+            for cap in (len(captions) - 1, -2):
+                with pytest.raises(DataError, match=f"variant {cap} of record {rec_id} "):
+                    handle.caption(row, cap)
+            labels = [label for label, _ in captions[1:]]
+            for src, temp in _SOURCES:
+                label = f"syn.{src}.{temp:.2f}"
+                want = labels.index(label) if label in labels else -1
+                assert handle.variant_index(label)[row] == want
+        first_seen = [label for _, captions in expected for label, _ in captions[1:]]
+        assert handle.variant_labels() == list(dict.fromkeys(first_seen))
+
+
+def _rewrite_shard(pool_dir, name, blob):
+    """Replace a pool file and its manifest checksum."""
+    (pool_dir / name).write_bytes(blob)
+    manifest_path = pool_dir / "manifest.json"
+    obj = json.loads(manifest_path.read_text())
+    obj["checksums"][name] = fileio.crc32c_hex(blob)
+    manifest_path.write_text(json.dumps(obj))
+
+
+@pytest.mark.parametrize("edit, line", [
+    pytest.param({"id": 0.5}, 3, id="id_float"),
+    pytest.param({"id": True}, 3, id="id_bool"),
+    pytest.param({"raw": 5}, 3, id="raw_number"),
+    pytest.param({"syn": [{"src": "blip2", "temp": "0.75", "text": "t"}]}, 3, id="temp_string"),
+    pytest.param({"syn": [{"src": "blip2", "temp": 0.75, "text": 5}]}, 3, id="text_number"),
+    pytest.param("joined", 2, id="two_records_one_line"),
+    pytest.param("split_and_joined", 1, id="one_record_on_two_lines_two_on_one"),
+])
+def test_shard_record_of_wrong_shape_is_a_format_error_and_a_finding(tmp_path, edit, line):
+    build_plain_pool(tmp_path, 10, records_per_shard=4)
+    lines = (tmp_path / "shard-00000.jsonl").read_bytes().decode("utf-8").split("\n")
+    if edit == "joined":  # two records on one line
+        lines[1:3] = [lines[1] + "," + lines[2]]
+    elif edit == "split_and_joined":  # as many values as lines, but not one per line
+        variant = json.dumps(json.loads(lines[0])["syn"][0])
+        lines[:3] = [lines[0][:-2], variant + "]}", lines[1] + "," + lines[2]]
+    else:
+        lines[2] = json.dumps({**json.loads(lines[2]), **edit})
+    _rewrite_shard(tmp_path, "shard-00000.jsonl", "\n".join(lines).encode("utf-8"))
+    with pytest.raises(FormatError, match=f"shard-00000.jsonl line {line}: malformed record"):
+        open_pool(tmp_path).records()
+    findings = validate_pool(open_pool(tmp_path)).by_kind("shard_error")
+    assert [f.file for f in findings] == ["shard-00000.jsonl"]
+    assert f"line {line}:" in findings[0].message
+
+
 def test_validate_reports_variant_source_without_embeddings(tmp_path):
     rng = np.random.default_rng(0)
     records = _records(4, variants=(("blip2", 0.75), ("ghost", 1.0)))
@@ -282,14 +390,14 @@ def test_materialize_identity_raw_view(tmp_path):
     out_dir = tmp_path / "out"
     build_plain_pool(pool_dir, 12, records_per_shard=5)
     handle = open_pool(pool_dir)
-    curated = _curated([(r.id, -1) for r in handle.records()])
+    curated = _curated([(i, -1) for i in handle.ids().tolist()])
     manifest = materialize(handle, curated, out_dir)
     assert manifest.num_records == 12
     out = open_pool(out_dir)
-    assert [r.raw_caption for r in out.records()] == [
-        r.raw_caption for r in handle.records()
+    assert [r.raw_caption for r in read_records(out_dir)] == [
+        r.raw_caption for r in read_records(pool_dir)
     ]
-    assert [r.prov for r in out.records()] == [r.id for r in handle.records()]
+    assert [r.prov for r in read_records(out_dir)] == [r.id for r in read_records(pool_dir)]
     assert out.embeddings("raw").tobytes() == handle.embeddings("raw").tobytes()
     assert out.embeddings("image").tobytes() == handle.embeddings("image").tobytes()
     assert validate_pool(out).ok
@@ -304,12 +412,12 @@ def test_materialize_concat_duplicates_share_provenance(tmp_path):
     manifest = materialize(handle, curated, out_dir)
     assert manifest.num_records == 2
     out = open_pool(out_dir)
-    recs = out.records()
+    recs = read_records(out_dir)
     assert [r.id for r in recs] == [0, 1]
     assert [r.prov for r in recs] == [2, 2]
     # raw choice sorts before the variant choice
-    assert recs[0].raw_caption == handle.record(2).raw_caption
-    assert recs[1].raw_caption == handle.record(2).synthetic_variants[0].text
+    assert recs[0].raw_caption == read_records(pool_dir)[2].raw_caption
+    assert recs[1].raw_caption == read_records(pool_dir)[2].synthetic_variants[0].text
     assert np.array_equal(out.embeddings("raw")[0], handle.embeddings("raw")[2])
     assert np.array_equal(
         out.embeddings("raw")[1], handle.embeddings("syn.blip2.0.75")[2]

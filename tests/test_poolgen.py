@@ -14,7 +14,7 @@ from capforge._words import (
     concept_word,
 )
 from capforge.errors import ConfigError, DomainError
-from capforge.pool import open_pool, validate_pool
+from capforge.pool import open_pool, validate_pool, variant_source_label
 from capforge.poolgen import (
     GenConfig,
     SynSource,
@@ -26,6 +26,7 @@ from capforge.poolgen import (
 )
 from capforge.scoring import score_pool
 from capforge.textmetrics import tokenize, unique_trigrams
+from helpers import read_records
 
 
 def _dir_bytes(path):
@@ -107,7 +108,7 @@ def test_alignment_mean_calibration(tmp_path):
 
 
 def test_boilerplate_rate_and_content(gen_pool):
-    captions = [r.raw_caption for r in gen_pool.records()]
+    captions = [r.raw_caption for r in read_records(gen_pool.path)]
     boiler = [c for c in captions if c in BOILERPLATE_CAPTIONS]
     rate = len(boiler) / len(captions)
     assert 0.08 < rate < 0.16  # configured 0.12
@@ -116,7 +117,7 @@ def test_boilerplate_rate_and_content(gen_pool):
 
 def test_raw_captions_use_no_glue_tokens(gen_pool):
     glue = set(GLUE_WORDS)
-    for rec in gen_pool.records():
+    for rec in read_records(gen_pool.path):
         assert not glue & set(tokenize(rec.raw_caption)), rec.raw_caption
 
 
@@ -131,16 +132,16 @@ def test_syn_trigrams_below_raw_when_diversity_reduced(tmp_path):
         out = tmp_path / f"df{df}"
         generate_pool(config, out)
         handle = open_pool(out)
-        raw = unique_trigrams(r.raw_caption for r in handle.records())
+        raw = unique_trigrams(r.raw_caption for r in read_records(out))
         syn = unique_trigrams(
-            r.synthetic_variants[0].text for r in handle.records()
+            r.synthetic_variants[0].text for r in read_records(out)
         )
         assert syn < raw, (df, syn, raw)
 
 
 def test_variant_labels_unique_per_record(gen_pool):
-    rec = gen_pool.record(0)
-    labels = [v.source_label for v in rec.synthetic_variants]
+    rec = read_records(gen_pool.path)[0]
+    labels = [variant_source_label(v.source_name, v.temperature) for v in rec.synthetic_variants]
     assert labels == ["syn.blip2.0.75", "syn.blip2.1.50"]
 
 

@@ -34,19 +34,48 @@ def small_pool(tmp_path_factory):
     return path
 
 
-@pytest.fixture(scope="module")
-def truncated_line_pool(tmp_path_factory):
-    """Pool whose second shard has a record cut short, under a matching checksum."""
-    path = tmp_path_factory.mktemp("report") / "pool3"
-    generate_pool(GenConfig(num_records=40, seed=5, records_per_shard=20), path)
-    victim = path / "shard-00001.jsonl"
+def _edit_shard_line(path, shard: str, index: int, edit) -> None:
+    """Replace line `index` of a shard by `edit(line)`, fixing its checksum."""
+    victim = path / shard
     lines = victim.read_bytes().split(b"\n")
-    lines[2] = lines[2][: len(lines[2]) // 2]
+    lines[index] = edit(lines[index])
     blob = b"\n".join(lines)
     victim.write_bytes(blob)
     manifest = json.loads((path / "manifest.json").read_text())
     manifest["checksums"][victim.name] = fileio.crc32c_hex(blob)
     (path / "manifest.json").write_text(json.dumps(manifest))
+
+
+@pytest.fixture(scope="module")
+def truncated_line_pool(tmp_path_factory):
+    """Pool whose second shard has a record cut short, under a matching checksum."""
+    path = tmp_path_factory.mktemp("report") / "pool3"
+    generate_pool(GenConfig(num_records=40, seed=5, records_per_shard=20), path)
+    _edit_shard_line(path, "shard-00001.jsonl", 2, lambda line: line[: len(line) // 2])
+    return path
+
+
+@pytest.fixture(scope="module")
+def float_id_pool(tmp_path_factory):
+    """Pool whose first shard gives one record the id 0.5, under a matching checksum."""
+    path = tmp_path_factory.mktemp("report") / "pool5"
+    generate_pool(GenConfig(num_records=40, seed=5, records_per_shard=20), path)
+    _edit_shard_line(path, "shard-00000.jsonl", 3,
+                     lambda line: json.dumps({**json.loads(line), "id": 0.5}).encode())
+    return path
+
+
+@pytest.fixture(scope="module")
+def truncated_curated(tmp_path_factory):
+    """A 2k-pool mix output cut to half its lines; the header still counts all."""
+    path = tmp_path_factory.mktemp("report")
+    generate_pool(GenConfig(num_records=2000, seed=7, records_per_shard=500), path / "pool")
+    curated = path / "c.jsonl"
+    assert cli_main(["mix", "--strategy", "raw_top_plus_syn_rest_filtered", "--p", "30",
+                     "--syn-source", "blip2", "--pool", str(path / "pool"),
+                     "--out", str(curated)]) == 0
+    lines = curated.read_text().splitlines(keepends=True)
+    curated.write_text("".join(lines[: len(lines) // 2]))
     return path
 
 
@@ -460,12 +489,23 @@ _STRATEGY_FILES = {
     "cluster_k_not_an_integer": [
         {"name": "raw_all", "in1k_intersect": True, "cluster_params": {"k": "x"}}
     ],
+    "cluster_k_float": [{"name": "raw_all", "cluster_params": {"k": 2.7}}],
+    "cluster_k_bool": [{"name": "raw_all", "cluster_params": {"k": True}}],
+    "cluster_max_iters_float": [{"name": "raw_all", "cluster_params": {"k": 2, "max_iters": 3.9}}],
+    "cluster_seed_string": [{"name": "raw_all", "cluster_params": {"k": 2, "seed": "4"}}],
+    "p_numeric_string": [{"name": "raw_top", "p": "30"}],
+    "p_bool": [{"name": "raw_top", "p": True}],
+    "cluster_seed_negative": [{"name": "raw_all", "cluster_params": {"k": 2, "seed": -1}}],
+    "cluster_tol_nan": [{"name": "raw_all", "cluster_params": {"k": 2, "tol": float("nan")}}],
 }
 _CURATED_ENTRIES = {
     "curated_unknown_id": {"id": 99999999, "cap": "raw"},
     "curated_variant_past_end": {"id": 0, "cap": 7},
     "curated_variant_negative": {"id": 0, "cap": -2},
     "curated_id_past_int64": {"id": 2**70, "cap": "raw"},
+    "curated_id_float": {"id": 1.9, "cap": "raw"},
+    "curated_cap_float": {"id": 2, "cap": 0.7},
+    "curated_cap_bool": {"id": 2, "cap": True},
 }
 _GEN_CONFIGS = {
     "gen_seed_string": {"num_records": 10, "seed": "x"},
@@ -482,13 +522,27 @@ _GEN_CONFIGS = {
     + [(name, 2) for name in _CURATED_ENTRIES]
     + [("shard_line_truncated_mix", 2), ("shard_line_truncated_filter", 2)]
     + [("validate_workers_zero", 1)]
-    + [("scores_corrupt_mix", 2), ("scores_corrupt_filter", 2), ("scores_corrupt_metrics", 2)],
+    + [("scores_corrupt_mix", 2), ("scores_corrupt_filter", 2), ("scores_corrupt_metrics", 2)]
+    + [("shard_id_float_mix", 2), ("curated_truncated", 2), ("curated_count_not_integer", 2)],
 )
 def test_cli_malformed_input_exits_without_traceback(
-    small_pool, two_captioner_pool, truncated_line_pool, corrupt_scores_pool, tmp_path,
-    case, code,
+    small_pool, two_captioner_pool, truncated_line_pool, corrupt_scores_pool, float_id_pool,
+    truncated_curated, tmp_path, case, code,
 ):
-    if case == "scores_corrupt_mix":
+    if case == "shard_id_float_mix":
+        args = ["mix", "--strategy", "raw_all", "--pool", str(float_id_pool),
+                "--out", str(tmp_path / "c.jsonl")]
+    elif case == "curated_truncated":
+        args = ["metrics", "--pool", str(truncated_curated / "pool"), "--curated",
+                str(truncated_curated / "c.jsonl"), "--out", str(tmp_path / "m.json")]
+    elif case == "curated_count_not_integer":
+        path = tmp_path / "c.jsonl"
+        header = {"strategy": "raw_all", "tau_used": None, "entries": "1",
+                  "spec": {"name": "raw_all"}}
+        path.write_text("".join(json.dumps(obj) + "\n" for obj in [header, {"id": 1, "cap": "raw"}]))
+        args = ["metrics", "--pool", str(small_pool), "--curated", str(path),
+                "--out", str(tmp_path / "m.json")]
+    elif case == "scores_corrupt_mix":
         args = ["mix", "--strategy", "raw_top", "--p", "30", "--pool", str(corrupt_scores_pool),
                 "--out", str(tmp_path / "c.jsonl")]
     elif case == "scores_corrupt_filter":

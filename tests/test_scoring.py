@@ -5,14 +5,8 @@ from hypothesis import strategies as st
 
 from capforge.errors import DataError, DomainError
 from capforge.pool import CaptionVariant, Record, open_pool, write_pool
-from capforge.scoring import (
-    clip_s,
-    cosine,
-    recall_at_1,
-    score_pool,
-    select_best_variant,
-    variant_scores,
-)
+from capforge.scoring import clip_s, cosine, recall_at_1, score_pool
+from helpers import select_best_variant, variant_scores
 
 finite_floats = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
 

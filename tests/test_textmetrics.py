@@ -10,7 +10,6 @@ from capforge.textmetrics import (
     default_noun_lexicon,
     default_visual_vocab,
     diversity_curve,
-    entry_caption,
     grounding_ratio,
     load_token_file,
     sample_subset,
@@ -19,7 +18,7 @@ from capforge.textmetrics import (
     unique_trigrams,
     word_count,
 )
-from helpers import RAW, oracle_trigrams, pairs, scalar_fisher_yates
+from helpers import RAW, oracle_trigrams, pairs, read_records, scalar_fisher_yates
 
 
 def test_tokenize_paper_caption():
@@ -162,25 +161,30 @@ def test_sample_subset_uniformity_smoke():
 # diversity curves
 
 
+def _entry_caption(handle, entry):
+    rec_id, cap = entry
+    return handle.caption(int(handle.rows([rec_id])[0]), cap)[1]
+
+
 def test_entry_caption_resolution(gen_pool):
-    rec = gen_pool.record(3)
-    assert entry_caption(gen_pool, (rec.id, RAW)) == rec.raw_caption
-    assert entry_caption(gen_pool, (rec.id, 1)) == rec.synthetic_variants[1].text
+    rec = read_records(gen_pool.path)[3]
+    assert _entry_caption(gen_pool, (rec.id, RAW)) == rec.raw_caption
+    assert _entry_caption(gen_pool, (rec.id, 1)) == rec.synthetic_variants[1].text
 
 
 def test_diversity_curve_full_size_matches_whole_set(gen_pool):
     lexicon = default_noun_lexicon()
-    entries = [(r.id, RAW) for r in gen_pool.records()[:400]]
+    entries = [(i, RAW) for i in gen_pool.ids()[:400].tolist()]
     curated = CuratedSet(entries=entries, spec=StrategySpec("raw_all"))
     points = diversity_curve(gen_pool, curated, [400], seed=0, noun_lexicon=lexicon)
-    captions = [entry_caption(gen_pool, e) for e in curated.entries]
+    captions = [_entry_caption(gen_pool, e) for e in curated.entries]
     assert points[0].unique_trigrams == unique_trigrams(captions)
     assert points[0].unique_nouns == unique_nouns(captions, lexicon)
 
 
 def test_diversity_curve_nested_and_monotone(gen_pool):
     lexicon = default_noun_lexicon()
-    entries = [(r.id, RAW) for r in gen_pool.records()]
+    entries = [(i, RAW) for i in gen_pool.ids().tolist()]
     curated = CuratedSet(entries=entries, spec=StrategySpec("raw_all"))
     sizes = [100, 500, 1000, 3000]
     points = diversity_curve(gen_pool, curated, sizes, seed=1, noun_lexicon=lexicon)
@@ -204,10 +208,10 @@ def test_diversity_curve_syn_below_raw_at_every_size(tmp_path):
     handle = open_pool(tmp_path)
     lexicon = default_noun_lexicon()
     raw = CuratedSet(
-        entries=[(r.id, RAW) for r in handle.records()], spec=StrategySpec("raw_all")
+        entries=[(i, RAW) for i in handle.ids().tolist()], spec=StrategySpec("raw_all")
     )
     syn = CuratedSet(
-        entries=[(r.id, 0) for r in handle.records()],
+        entries=[(i, 0) for i in handle.ids().tolist()],
         spec=StrategySpec("syn_all", syn_source="blip2"),
     )
     sizes = [100, 400, 1000, 2500, 4000]
@@ -220,7 +224,7 @@ def test_diversity_curve_syn_below_raw_at_every_size(tmp_path):
 
 def test_diversity_curve_validation(gen_pool):
     curated = CuratedSet(
-        entries=[(r.id, RAW) for r in gen_pool.records()[:10]],
+        entries=[(i, RAW) for i in gen_pool.ids()[:10].tolist()],
         spec=StrategySpec("raw_all"),
     )
     lexicon = {"dog"}
