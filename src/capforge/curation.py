@@ -252,11 +252,53 @@ class KMeansStep:
 
 
 def _distances(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
-    """Squared Euclidean distances, one column per centroid."""
+    """Squared Euclidean distances, one column per centroid (the exact form)."""
     out = np.empty((points.shape[0], centroids.shape[0]))
     for j in range(centroids.shape[0]):
         out[:, j] = ((points - centroids[j]) ** 2).sum(axis=1)
     return out
+
+
+_BLOCK_CELLS = 1 << 17  # (points x centroids) cells per GEMM block: 2048 rows at k=64
+
+
+def _assign(
+    points: np.ndarray, sq_norms: np.ndarray, centroids: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Each point's nearest centroid and squared distance, as ``_distances``
+    and a lowest-index argmin give them.
+
+    Centroids are ranked by ``|x|^2 - 2 x.c + |c|^2``, one GEMM per block of
+    points.  Each form errs by at most gamma_dim times the sum of its terms'
+    magnitudes, whatever the summation order, so a point whose two best
+    ranks lie within ``(4 dim + 16) eps (|x|^2 + max |c|^2)`` of each other
+    is settled by its exact distances instead.
+    """
+    n, dim = points.shape
+    k = centroids.shape[0]
+    c_sq = (centroids * centroids).sum(axis=1)
+    slack = (4 * dim + 16) * np.finfo(np.float64).eps
+    c_max = c_sq.max()
+    nearest, dists = np.empty(n, dtype=np.intp), np.empty(n)
+    rows = max(1, _BLOCK_CELLS // k)
+    for start in range(0, n, rows):
+        x, x_sq = points[start : start + rows], sq_norms[start : start + rows]
+        approx = x @ centroids.T
+        approx *= -2
+        approx += x_sq[:, None]
+        approx += c_sq
+        best = np.argmin(approx, axis=1)
+        if k > 1:
+            approx.partition(1, axis=1)
+            # "not above" rather than "at most", so a NaN gap is re-checked too
+            close = ~(approx[:, 1] - approx[:, 0] > slack * (x_sq + c_max))
+            if close.any():
+                best[close] = np.argmin(_distances(x[close], centroids), axis=1)
+        nearest[start : start + rows] = best
+        diff = x - centroids[best]
+        diff *= diff
+        dists[start : start + rows] = diff.sum(axis=1)
+    return nearest, dists
 
 
 def _kmeans_pp_init(points: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
@@ -282,22 +324,30 @@ def kmeans_trace(points: np.ndarray, params: ClusterParams) -> Iterator[KMeansSt
     tol.  Empty clusters are re-seeded from the points farthest from their
     assigned centroid.  The last yielded step's assignments are argmin
     consistent with its centroids.
+
+    Assignment ranks centroids by one GEMM per block of points and re-checks
+    in the exact per-centroid form every point whose two nearest centroids
+    lie within float64 rounding of each other (see ``_assign``).  So every
+    step's assignments, centroids and SSE equal those of the per-centroid
+    form bit for bit, and ties go to the lower centroid index.
     """
     params.validate()
     points = np.asarray(points, dtype=np.float64)
     if points.ndim != 2:
         raise DomainError("points must be a (n, dim) matrix")
+    finite = np.isfinite(points).all(axis=1)
+    if not finite.all():
+        raise DomainError(f"point {int(np.argmin(finite))} is not finite")
     n = points.shape[0]
     if params.k > n:
         raise DomainError(f"k={params.k} exceeds number of points {n}")
     rng = np.random.default_rng(params.seed)
     centroids = _kmeans_pp_init(points, params.k, rng)
+    sq_norms = (points * points).sum(axis=1)
 
     prev_sse: float | None = None
     for iteration in range(params.max_iters):
-        dists = _distances(points, centroids)
-        assignments = np.argmin(dists, axis=1)
-        min_dists = dists[np.arange(n), assignments]
+        assignments, min_dists = _assign(points, sq_norms, centroids)
         sse = float(min_dists.sum())
         yield KMeansStep(iteration, centroids.copy(), assignments, sse)
         if prev_sse is not None and prev_sse - sse <= params.tol * prev_sse:
@@ -316,9 +366,8 @@ def kmeans_trace(points: np.ndarray, params: ClusterParams) -> Iterator[KMeansSt
                 centroids[cluster] = points[farthest[slot % n]]
 
     # max_iters exhausted after an update: re-derive consistent assignments
-    dists = _distances(points, centroids)
-    assignments = np.argmin(dists, axis=1)
-    sse = float(dists[np.arange(n), assignments].sum())
+    assignments, min_dists = _assign(points, sq_norms, centroids)
+    sse = float(min_dists.sum())
     yield KMeansStep(params.max_iters, centroids.copy(), assignments, sse)
 
 
@@ -345,10 +394,17 @@ def in1k_cluster_mask(
     Pool image embeddings are clustered with k-means; each reference picks
     its nearest centroid under cosine distance (ties to the lower index) and
     the mask keeps all records assigned to the union of picked centroids.
+    A reference row that is not finite or is all zeros is a DomainError.
     """
     refs = np.asarray(reference_embs, dtype=np.float64)
     if refs.ndim != 2 or refs.shape[0] == 0:
         raise DomainError("reference set must be a nonempty (n, dim) matrix")
+    finite = np.isfinite(refs).all(axis=1)
+    bad = ~finite | ~refs.any(axis=1)
+    if bad.any():
+        row = int(np.argmax(bad))
+        problem = "has zero norm" if finite[row] else "is not finite"
+        raise DomainError(f"reference row {row} {problem}")
     points = handle.embeddings("image").astype(np.float64)
     if refs.shape[1] != points.shape[1]:
         raise DomainError(

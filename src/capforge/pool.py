@@ -257,6 +257,16 @@ def write_manifest(out_dir: Path, manifest: PoolManifest) -> None:
     (out_dir / MANIFEST_NAME).write_text(manifest.to_json() + "\n", encoding="utf-8")
 
 
+def new_pool_dir(out_path: str | Path) -> Path:
+    """Create the directory a pool is written to; it must be new or empty,
+    so no file of an earlier pool (a score sidecar, a shard) survives."""
+    out_dir = Path(out_path)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    if any(out_dir.iterdir()):
+        raise DataError(f"{out_dir}: not empty; write a pool into a new directory")
+    return out_dir
+
+
 def write_pool(
     records: Iterable[Record],
     embeddings: Mapping[str, np.ndarray],
@@ -266,8 +276,7 @@ def write_pool(
     generator_seed: int | None = None,
 ) -> PoolManifest:
     """Write a pool directory from records and per-source (rows, dim) matrices."""
-    out_dir = Path(out_path)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = new_pool_dir(out_path)
 
     record_list = list(records)
     n = len(record_list)

@@ -38,6 +38,7 @@ from .pool import (
     PoolManifest,
     Record,
     CaptionVariant,
+    new_pool_dir,
     score_sidecar_name,
     shard_layout,
     variant_source_label,
@@ -417,8 +418,7 @@ def generate_pool(config: GenConfig, out_path: str | Path, *, workers: int = 1) 
     ``{source}.alpha`` so tests can compare measured cosines against them.
     """
     config.validate()
-    out_dir = Path(out_path)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = new_pool_dir(out_path)
 
     sizes = shard_layout(config.num_records, config.records_per_shard)
     concept_mat = np.stack(

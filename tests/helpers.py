@@ -16,6 +16,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from capforge.curation import KMeansStep, _kmeans_pp_init
 from capforge.errors import DataError
 from capforge.pool import CaptionVariant, Record, variant_source_label, write_pool
 from capforge.scoring import cosine
@@ -177,6 +178,46 @@ def scalar_fisher_yates(n: int, total: int, seed: int) -> list[int]:
         j = int(rng.integers(i, total))
         idx[i], idx[j] = idx[j], idx[i]
     return idx[:n]
+
+
+def oracle_kmeans_trace(points: np.ndarray, params):
+    """Lloyd iterations with one exact distance column per centroid.
+
+    The per-centroid form ``kmeans_trace`` must match bit for bit, with the
+    same update, empty-cluster re-seeding and stopping rule.  Only the
+    k-means++ init is the library's own.
+    """
+    points = np.asarray(points, dtype=np.float64)
+    n = points.shape[0]
+    centroids = _kmeans_pp_init(points, params.k, np.random.default_rng(params.seed))
+
+    def assign():
+        dists = np.empty((n, params.k))
+        for j in range(params.k):
+            dists[:, j] = ((points - centroids[j]) ** 2).sum(axis=1)
+        assignments = np.argmin(dists, axis=1)
+        return assignments, dists[np.arange(n), assignments]
+
+    prev_sse = None
+    for iteration in range(params.max_iters):
+        assignments, min_dists = assign()
+        sse = float(min_dists.sum())
+        yield KMeansStep(iteration, centroids.copy(), assignments, sse)
+        if prev_sse is not None and prev_sse - sse <= params.tol * prev_sse:
+            return
+        prev_sse = sse
+        counts = np.bincount(assignments, minlength=params.k)
+        sums = np.zeros_like(centroids)
+        np.add.at(sums, assignments, points)
+        nonempty = counts > 0
+        centroids[nonempty] = sums[nonempty] / counts[nonempty, None]
+        empty = np.flatnonzero(~nonempty)
+        if empty.size:
+            farthest = np.argsort(-min_dists, kind="stable")
+            for slot, cluster in enumerate(empty):
+                centroids[cluster] = points[farthest[slot % n]]
+    assignments, min_dists = assign()
+    yield KMeansStep(params.max_iters, centroids.copy(), assignments, float(min_dists.sum()))
 
 
 def oracle_trigrams(captions: list[str], tokenizer) -> int:

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from capforge import curation
 from capforge.curation import (
     ClusterParams,
     CuratedSet,
@@ -24,7 +25,8 @@ from capforge.pool import CaptionVariant, Record, ScoreTable, open_pool, write_p
 from capforge.report import strategy_tables
 from capforge.scoring import score_pool
 from helpers import (
-    RAW, build_plain_pool, oracle_strategy, oracle_top, pairs, select_best_variant, unit_rows,
+    RAW, build_plain_pool, oracle_kmeans_trace, oracle_strategy, oracle_top, pairs,
+    select_best_variant, unit_rows,
 )
 
 
@@ -192,6 +194,75 @@ def test_kmeans_sse_nonincreasing_and_argmin_consistent():
             assert final.assignments[i] == int(np.argmin(dists))
 
 
+@st.composite
+def _kmeans_instances(draw):
+    """Points where GEMM ranking is hardest: exact ties on an integer lattice,
+    repeated points, k = n, and a 1e8 offset that cancels in |x|^2 - 2x.c."""
+    kind = draw(st.sampled_from(["lattice", "repeated", "k_equals_n", "offset"]))
+    n, dim = draw(st.integers(1, 40)), draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "lattice":
+        points = rng.integers(-2, 3, size=(n, dim)).astype(np.float64)
+    elif kind == "repeated":
+        distinct = rng.standard_normal((draw(st.integers(1, 4)), dim))
+        points = distinct[rng.integers(0, len(distinct), n)]
+    elif kind == "offset":
+        points = 1e8 + rng.standard_normal((n, dim))
+    else:
+        points = rng.standard_normal((n, dim))
+    k = n if kind == "k_equals_n" else draw(st.integers(1, n))
+    params = ClusterParams(k=k, seed=draw(st.integers(0, 2**16)),
+                           tol=draw(st.sampled_from([0.0, 1e-4])),
+                           max_iters=draw(st.integers(1, 12)))
+    return points, params
+
+
+@settings(max_examples=150, deadline=None)
+@given(_kmeans_instances())
+def test_kmeans_trace_equals_per_centroid_oracle_bit_for_bit(instance):
+    points, params = instance
+    got = list(kmeans_trace(points, params))
+    want = list(oracle_kmeans_trace(points, params))
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert a.iteration == b.iteration
+        assert np.array_equal(a.centroids, b.centroids)
+        assert np.array_equal(a.assignments, b.assignments)
+        assert a.assignments.dtype == b.assignments.dtype
+        assert a.sse == b.sse
+
+
+def test_assign_duplicated_centroids_tie_to_lower_index_through_repair(monkeypatch):
+    rng = np.random.default_rng(11)
+    points = rng.standard_normal((300, 5))
+    distinct = rng.standard_normal((3, 5))
+    centroids = np.concatenate([distinct, distinct[::-1]])  # centroid j ties with 5 - j
+    exact_form, repaired = curation._distances, []
+
+    def spy(pts, cents):
+        repaired.append(len(pts))
+        return exact_form(pts, cents)
+
+    monkeypatch.setattr(curation, "_distances", spy)
+    monkeypatch.setattr(curation, "_BLOCK_CELLS", 6 * 64)  # blocks of 64 points
+    sq_norms = (points * points).sum(axis=1)
+    nearest, dists = curation._assign(points, sq_norms, centroids)
+    full = exact_form(points, centroids)
+    assert sum(repaired) == len(points)  # every point ties, so every point is re-checked
+    assert len(repaired) == 5
+    assert np.array_equal(nearest, np.argmin(full, axis=1))
+    assert (nearest < 3).all()
+    assert np.array_equal(dists, full[np.arange(len(points)), nearest])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_kmeans_rejects_non_finite_points(bad):
+    points = np.zeros((5, 3))
+    points[3, 1] = bad
+    with pytest.raises(DomainError, match="point 3 is not finite"):
+        kmeans(points, ClusterParams(k=2))
+
+
 # ---------------------------------------------------------------------------
 # in1k cluster mask
 
@@ -242,6 +313,20 @@ def test_in1k_mask_nonempty_and_dim_check(tmp_path):
         in1k_cluster_mask(handle, np.ones((2, 3)), params)
     with pytest.raises(DomainError):
         in1k_cluster_mask(handle, np.ones((0, 6)), params)
+
+
+@pytest.mark.parametrize("row, value, problem", [
+    (2, np.nan, "reference row 2 is not finite"),
+    (1, np.inf, "reference row 1 is not finite"),
+    (3, 0.0, "reference row 3 has zero norm"),
+])
+def test_in1k_mask_rejects_non_finite_and_zero_references(tmp_path, row, value, problem):
+    handle, _ = _two_cluster_pool(tmp_path)
+    refs = np.random.default_rng(0).standard_normal((5, 6))
+    refs[row] = value
+    refs[4, 0] = np.nan  # a later bad row is not the one named
+    with pytest.raises(DomainError, match=problem):
+        in1k_cluster_mask(handle, refs, ClusterParams(k=2, seed=3))
 
 
 # ---------------------------------------------------------------------------

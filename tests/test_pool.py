@@ -207,6 +207,17 @@ def test_write_pool_requires_image(tmp_path):
         write_pool(_records(1), {"raw": np.ones((1, 4), dtype=np.float32)}, tmp_path)
 
 
+def test_write_pool_refuses_a_non_empty_directory(tmp_path):
+    image = {"image": np.ones((3, 4), dtype=np.float32)}
+    write_pool(_records(3), image, tmp_path / "pool")
+    before = sorted(p.name for p in (tmp_path / "pool").iterdir())
+    with pytest.raises(DataError, match="not empty"):
+        write_pool(_records(2), {"image": image["image"][:2]}, tmp_path / "pool")
+    assert sorted(p.name for p in (tmp_path / "pool").iterdir()) == before
+    (tmp_path / "empty").mkdir()
+    write_pool(_records(3), image, tmp_path / "empty")  # an empty directory is fine
+
+
 def test_validate_clean(tmp_path):
     build_plain_pool(tmp_path, 20, records_per_shard=7)
     assert validate_pool(open_pool(tmp_path)).ok

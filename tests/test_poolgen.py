@@ -13,7 +13,7 @@ from capforge._words import (
     VISUAL_ATTRIBUTES,
     concept_word,
 )
-from capforge.errors import ConfigError, DomainError
+from capforge.errors import ConfigError, DataError, DomainError
 from capforge.pool import open_pool, validate_pool, variant_source_label
 from capforge.poolgen import (
     GenConfig,
@@ -79,6 +79,16 @@ def test_different_seed_changes_pool(tmp_path):
     generate_pool(GenConfig(num_records=100, seed=1), tmp_path / "a")
     generate_pool(GenConfig(num_records=100, seed=2), tmp_path / "b")
     assert _dir_bytes(tmp_path / "a") != _dir_bytes(tmp_path / "b")
+
+
+def test_regenerating_into_a_scored_pool_is_refused(tmp_path):
+    generate_pool(GenConfig(num_records=60, seed=1, records_per_shard=20), tmp_path)
+    score_pool(open_pool(tmp_path), "raw")
+    before = _dir_bytes(tmp_path)
+    # a smaller pool with another seed would leave raw.scores.f32 and shard-00002 stale
+    with pytest.raises(DataError, match="not empty"):
+        generate_pool(GenConfig(num_records=40, seed=2, records_per_shard=20), tmp_path)
+    assert _dir_bytes(tmp_path) == before
 
 
 def test_generated_pool_validates_and_has_truth_sidecars(gen_pool):

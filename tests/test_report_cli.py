@@ -468,6 +468,49 @@ def test_cli_in1k_mix(tmp_path):
     assert len(curated) <= 150
 
 
+@pytest.mark.parametrize("command, value, problem", [
+    ("mix", np.nan, "reference row 0 is not finite"),
+    ("mix", 0.0, "reference row 0 has zero norm"),
+    ("report", np.nan, "reference row 0 is not finite"),
+])
+def test_cli_in1k_rejects_non_finite_and_zero_references(
+    small_pool, tmp_path, capsys, command, value, problem
+):
+    refs = tmp_path / "refs.emb"
+    fileio.write_embeddings(refs, np.full((4, open_pool(small_pool).embedding_dim), value,
+                                          dtype=np.float32))
+    out = tmp_path / "out"
+    if command == "mix":
+        args = ["mix", "--strategy", "raw_all", "--cluster-k", "8", "--out", str(out)]
+    else:
+        strategies = tmp_path / "strategies.json"
+        strategies.write_text(json.dumps([{"name": "raw_all", "in1k_intersect": True,
+                                           "cluster_params": {"k": 8}}]))
+        args = ["report", "--strategies", str(strategies), "--out-dir", str(out)]
+    capsys.readouterr()
+    assert cli_main(args + ["--pool", str(small_pool), "--in1k-refs", str(refs)]) == 2
+    assert capsys.readouterr().err == f"error: {problem}\n"
+    assert not out.exists()
+
+
+def test_cli_gen_and_sweep_refuse_a_used_directory(tmp_path, capsys):
+    config = _write_config(tmp_path, n=40, rps=20)
+    pool = tmp_path / "pool"
+    assert cli_main(["gen", "--config", config, "--out", str(pool)]) == 0
+    assert cli_main(["score", "--pool", str(pool), "--source", "raw"]) == 0
+    capsys.readouterr()
+    assert cli_main(["gen", "--config", config, "--out", str(pool)]) == 2
+    assert "not empty" in capsys.readouterr().err
+    strategies = tmp_path / "strategies.json"
+    strategies.write_text(json.dumps([{"name": "raw_all"}]))
+    sweep = ["sweep", "--config", config, "--scales", "20,40", "--strategies",
+             str(strategies), "--out-dir", str(tmp_path / "sweep")]
+    assert cli_main(sweep) == 0
+    capsys.readouterr()
+    assert cli_main(sweep) == 2
+    assert "not empty" in capsys.readouterr().err
+
+
 def test_cli_metrics_sample_size_zero_is_honoured(small_pool, tmp_path):
     pool = str(small_pool)
     curated = tmp_path / "c.jsonl"
