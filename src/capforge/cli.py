@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import itertools
 import json
 import os
 import sys
@@ -155,10 +156,10 @@ def _cmd_filter(args) -> int:
         header = {"kind": "threshold", "source": label, "tau": args.tau, "tau_used": args.tau}
     header["count"] = int(mask.sum())
     ids = handle.ids()[mask].tolist()
-    with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(json.dumps(header, separators=(",", ":")) + "\n")
-        for rec_id in ids:
-            fh.write(json.dumps({"id": rec_id}, separators=(",", ":")) + "\n")
+    lines = itertools.chain([header], ({"id": rec_id} for rec_id in ids))
+    fileio.write_atomic(
+        args.out, (json.dumps(obj, separators=(",", ":")).encode() + b"\n" for obj in lines)
+    )
     print(f"selected {len(ids)} of {handle.num_records} records -> {args.out}")
     return 0
 
@@ -167,8 +168,9 @@ def _cmd_mix(args) -> int:
     handle = open_pool(args.pool)
     cluster_params = None
     if args.in1k_refs:
+        k = args.cluster_k
         cluster_params = ClusterParams(
-            k=args.cluster_k,
+            k=ClusterParams.default_k(handle.num_records) if k is None else k,
             max_iters=args.cluster_iters,
             tol=args.cluster_tol,
             seed=args.cluster_seed if args.cluster_seed is not None else (args.seed or 0),
@@ -207,9 +209,7 @@ def _cmd_metrics(args) -> int:
         sample_size=config.sample_size,
         seed=config.seed,
     )
-    with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(row.to_dict(), fh, indent=2)
-        fh.write("\n")
+    fileio.write_atomic(args.out, (json.dumps(row.to_dict(), indent=2) + "\n").encode())
     print(f"metrics for {row.strategy}: {row.entries} entries -> {args.out}")
     return 0
 
@@ -284,7 +284,8 @@ def build_parser() -> _Parser:
     p.add_argument("--syn-source", dest="syn_source", default=None)
     p.add_argument("--in1k-refs", dest="in1k_refs", default=None,
                    help="EMB1 file of reference image embeddings; enables intersection")
-    p.add_argument("--cluster-k", dest="cluster_k", type=int, default=64)
+    p.add_argument("--cluster-k", dest="cluster_k", type=int, default=None,
+                   help="k-means clusters (default 64, or the pool size if smaller)")
     p.add_argument("--cluster-iters", dest="cluster_iters", type=int, default=100)
     p.add_argument("--cluster-tol", dest="cluster_tol", type=float, default=1e-4)
     p.add_argument("--cluster-seed", dest="cluster_seed", type=int, default=None)

@@ -17,6 +17,7 @@ from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
+from . import fileio
 from .errors import ConfigError, DataError, DomainError, FormatError, check_numbers
 from .pool import RAW_CHOICE, PoolHandle, ScoreTable
 
@@ -59,6 +60,11 @@ class ClusterParams:
     max_iters: int = 100
     tol: float = 1e-4
     seed: int = 0
+
+    @staticmethod
+    def default_k(num_points: int) -> int:
+        """The cluster count when none is given: 64, or fewer on a smaller pool."""
+        return min(64, max(1, num_points))
 
     def validate(self) -> None:
         if self.k < 1:
@@ -175,11 +181,14 @@ def write_curated(curated: CuratedSet, path: str | Path) -> None:
         "entries": len(curated.entries),
         "spec": curated.spec.to_dict(),
     }
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(json.dumps(header, ensure_ascii=False, separators=(",", ":")) + "\n")
+
+    def lines() -> Iterator[str]:
+        yield json.dumps(header, ensure_ascii=False, separators=(",", ":"))
         for rec_id, cap in curated.entries.tolist():
             obj = {"id": rec_id, "cap": "raw" if cap == RAW_CHOICE else cap}
-            fh.write(json.dumps(obj, separators=(",", ":")) + "\n")
+            yield json.dumps(obj, separators=(",", ":"))
+
+    fileio.write_atomic(path, (line.encode("utf-8") + b"\n" for line in lines()))
 
 
 def read_curated(path: str | Path) -> CuratedSet:

@@ -1,19 +1,23 @@
-"""Binary sidecar formats and CRC32C checksumming.
+"""Binary sidecar formats, CRC32C checksums and atomic file writes.
 
 Embedding sidecars: magic ``EMB1``, u32 dim, u64 row count, then
 rows*dim little-endian float32 values.  Score sidecars: magic ``SCR1``,
 u64 count, then count little-endian float32 values.
 
-CRC32C (Castagnoli) is implemented here because no binding is available:
-rows of the input are checksummed column-by-column with numpy, then folded
-together with precomputed GF(2) shift operators (the same combine trick
-zlib uses for crc32_combine).
+CRC32C (Castagnoli) is implemented here because no binding is available.
+CRC is linear over GF(2), so a 512-byte row's CRC is the XOR of one
+position-table entry per byte: one numpy gather and one XOR-reduce for a
+block of rows.  The row CRCs are then folded in order (slicing-by-N and
+zlib's ``crc32_combine`` are scalar forms of the same idea).
 """
 
 from __future__ import annotations
 
+import functools
 import os
 import struct
+from pathlib import Path
+from typing import Iterable
 
 import numpy as np
 
@@ -23,6 +27,10 @@ EMB_MAGIC = b"EMB1"
 SCORE_MAGIC = b"SCR1"
 
 _POLY = 0x82F63B78  # reflected Castagnoli polynomial
+_ROW_BYTES = 512  # W: the position table is W x 256 x 4 bytes = 512 KiB
+# Rows gathered at once: 384 KiB of scratch.  128 rows ran no faster and
+# raised the peak RSS of `report` by 2.5 MiB, 64 rows by 0.5 MiB.
+_CHUNK_ROWS = 64
 
 
 def _build_table() -> np.ndarray:
@@ -46,53 +54,24 @@ def _update_scalar(reg: int, data: bytes) -> int:
     return reg
 
 
-def _gf2_times(mat: list[int], vec: int) -> int:
-    out = 0
-    i = 0
-    while vec:
-        if vec & 1:
-            out ^= mat[i]
-        vec >>= 1
-        i += 1
-    return out
+@functools.cache
+def _position_table(width: int) -> np.ndarray:
+    """(width, 256) uint32: entry [p, v] is the register (zero init) after a
+    width-byte row whose only nonzero byte is v, at offset p."""
+    tbl = np.empty((width, 256), dtype=np.uint32)
+    tbl[-1] = _TABLE
+    for p in range(width - 2, -1, -1):
+        tbl[p] = _TABLE[tbl[p + 1] & 0xFF] ^ (tbl[p + 1] >> 8)
+    tbl.flags.writeable = False
+    return tbl
 
 
-def _gf2_square(mat: list[int]) -> list[int]:
-    return [_gf2_times(mat, mat[i]) for i in range(32)]
-
-
-def _zero_shift_matrix(nbytes: int) -> list[int]:
-    # advance-by-one-zero-byte operator, then square log2(nbytes) times
-    mat = [_TABLE_LIST[(1 << i) & 0xFF] ^ ((1 << i) >> 8) for i in range(32)]
-    assert nbytes & (nbytes - 1) == 0
-    steps = nbytes.bit_length() - 1
-    for _ in range(steps):
-        mat = _gf2_square(mat)
-    return mat
-
-
-_FOLD_TABLES: dict[int, tuple[list[int], list[int], list[int], list[int]]] = {}
-
-
-def _fold_tables(nbytes: int) -> tuple[list[int], list[int], list[int], list[int]]:
-    cached = _FOLD_TABLES.get(nbytes)
-    if cached is None:
-        mat = _zero_shift_matrix(nbytes)
-        cached = tuple(
-            [_gf2_times(mat, v << (8 * p)) for v in range(256)] for p in range(4)
-        )
-        _FOLD_TABLES[nbytes] = cached
-    return cached
-
-
-def _row_crcs(block: np.ndarray) -> np.ndarray:
-    """update(0, row) for every row of a (rows, width) uint8 block."""
-    cols = np.ascontiguousarray(block.T)
-    reg = np.zeros(block.shape[0], dtype=np.uint32)
-    tbl = _TABLE
-    for p in range(cols.shape[0]):
-        reg = tbl[(reg ^ cols[p]) & 0xFF] ^ (reg >> 8)
-    return reg
+@functools.cache
+def _shift_tables(width: int) -> list[list[int]]:
+    """Rows 0-3 of the position table as lists.  Advancing a register over
+    ``width`` zero bytes equals XORing it into the first four bytes of a zero
+    row, so it is four lookups here."""
+    return _position_table(width)[:4].tolist()
 
 
 def crc32c(data: bytes | bytearray | memoryview | np.ndarray) -> int:
@@ -101,24 +80,24 @@ def crc32c(data: bytes | bytearray | memoryview | np.ndarray) -> int:
         buf = np.ascontiguousarray(data).view(np.uint8).ravel()
     else:
         buf = np.frombuffer(data, dtype=np.uint8)
-    n = buf.size
-    if n < 1024:
-        return _update_scalar(0xFFFFFFFF, buf.tobytes()) ^ 0xFFFFFFFF
-    # column width ~sqrt(n) balances the vectorized column loop vs the fold loop
-    width = 1 << min(14, max(8, (n.bit_length() + 1) // 2))
-    rows = n // width
-    row_crcs = _row_crcs(buf[: rows * width].reshape(rows, width)).tolist()
-    t0, t1, t2, t3 = _fold_tables(width)
+    rows = buf.size // _ROW_BYTES
+    block = buf[: rows * _ROW_BYTES].reshape(rows, _ROW_BYTES)
+    flat = _position_table(_ROW_BYTES).ravel()
+    offsets = np.arange(_ROW_BYTES) * 256
+    t0, t1, t2, t3 = _shift_tables(_ROW_BYTES)
     reg = 0xFFFFFFFF
-    for c in row_crcs:
-        reg = (
-            t0[reg & 0xFF]
-            ^ t1[(reg >> 8) & 0xFF]
-            ^ t2[(reg >> 16) & 0xFF]
-            ^ t3[reg >> 24]
-            ^ c
-        )
-    reg = _update_scalar(reg, buf[rows * width :].tobytes())
+    for start in range(0, rows, _CHUNK_ROWS):
+        chunk = block[start : start + _CHUNK_ROWS]
+        row_crcs = np.bitwise_xor.reduce(flat.take(chunk + offsets), axis=1)
+        for c in row_crcs.tolist():
+            reg = (
+                t0[reg & 0xFF]
+                ^ t1[(reg >> 8) & 0xFF]
+                ^ t2[(reg >> 16) & 0xFF]
+                ^ t3[reg >> 24]
+                ^ c
+            )
+    reg = _update_scalar(reg, buf[rows * _ROW_BYTES :].tobytes())
     return reg ^ 0xFFFFFFFF
 
 
@@ -136,6 +115,27 @@ def read_bytes(path, *, context: str | None = None, checksum: str | None = None)
     if got != checksum:
         raise IntegrityError(f"{context or path}: checksum mismatch: expected {checksum}, got {got}")
     return blob
+
+
+def write_atomic(path, data: bytes | Iterable[bytes]) -> None:
+    """Write ``data`` (bytes, or byte chunks in order) to ``path`` whole or not
+    at all: it goes to a temporary file in the same directory, which then
+    replaces ``path``.  On any error the temporary file is removed and an
+    existing ``path`` keeps its old bytes; an OSError names ``path``."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            if isinstance(data, (bytes, bytearray, memoryview)):
+                fh.write(data)
+            else:
+                fh.writelines(data)
+        os.replace(tmp, path)
+    except BaseException as exc:
+        tmp.unlink(missing_ok=True)
+        if isinstance(exc, OSError) and exc.strerror:
+            raise OSError(exc.errno, exc.strerror, str(path)) from exc
+        raise
 
 
 # ---------------------------------------------------------------------------
@@ -172,8 +172,7 @@ def read_embeddings(path, *, context: str | None = None,
 
 
 def write_embeddings(path, data: np.ndarray) -> None:
-    with open(path, "wb") as fh:
-        fh.write(encode_embeddings(data))
+    write_atomic(path, encode_embeddings(data))
 
 
 # ---------------------------------------------------------------------------
@@ -205,5 +204,4 @@ def read_scores(path, *, context: str | None = None) -> np.ndarray:
 
 
 def write_scores(path, values: np.ndarray) -> None:
-    with open(path, "wb") as fh:
-        fh.write(encode_scores(values))
+    write_atomic(path, encode_scores(values))

@@ -254,7 +254,7 @@ def write_shard(
 
 
 def write_manifest(out_dir: Path, manifest: PoolManifest) -> None:
-    (out_dir / MANIFEST_NAME).write_text(manifest.to_json() + "\n", encoding="utf-8")
+    fileio.write_atomic(out_dir / MANIFEST_NAME, (manifest.to_json() + "\n").encode("utf-8"))
 
 
 def new_pool_dir(out_path: str | Path) -> Path:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import io
 import json
 import tempfile
 from dataclasses import dataclass, field
@@ -18,6 +19,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from . import fileio
 from .curation import (
     ClusterParams,
     CuratedSet,
@@ -40,7 +42,6 @@ from .textmetrics import (
 )
 
 DEFAULT_SAMPLE_SIZE = 100_000
-DEFAULT_CLUSTER_K = 64
 MAX_SWEEP_SCALE = 10_000_000
 
 REPORT_COLUMNS = [
@@ -179,7 +180,7 @@ def _in1k_mask_for(
             f"strategy {spec.name}: in1k_intersect requires reference embeddings"
         )
     params = spec.cluster_params or ClusterParams(
-        k=min(DEFAULT_CLUSTER_K, max(1, handle.num_records)), seed=config.seed
+        k=ClusterParams.default_k(handle.num_records), seed=config.seed
     )
     if params not in cache:
         cache[params] = in1k_cluster_mask(handle, config.in1k_refs, params)
@@ -221,18 +222,19 @@ def _cell(value) -> str:
     return "" if value is None else str(value)
 
 
+def _csv_bytes(rows: list[list[str]]) -> bytes:
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(rows)
+    return buf.getvalue().encode("utf-8")
+
+
 def write_report_files(rows: Sequence[QualityReport], out_dir: str | Path) -> None:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     dicts = [r.to_dict() for r in rows]
-    with open(out / "report.json", "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(dicts, fh, indent=2)
-        fh.write("\n")
-    with open(out / "report.csv", "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(REPORT_COLUMNS)
-        for row in dicts:
-            writer.writerow([_cell(row[c]) for c in REPORT_COLUMNS])
+    fileio.write_atomic(out / "report.json", (json.dumps(dicts, indent=2) + "\n").encode())
+    lines = [REPORT_COLUMNS] + [[_cell(row[c]) for c in REPORT_COLUMNS] for row in dicts]
+    fileio.write_atomic(out / "report.csv", _csv_bytes(lines))
 
 
 def run_report(
@@ -291,10 +293,9 @@ def run_sweep(
 
     if base is not None:
         base.mkdir(parents=True, exist_ok=True)
-        with open(base / "sweep.csv", "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["pool_scale"] + REPORT_COLUMNS)
-            for scale, _, row in result.rows:
-                d = row.to_dict()
-                writer.writerow([str(scale)] + [_cell(d[c]) for c in REPORT_COLUMNS])
+        lines = [["pool_scale"] + REPORT_COLUMNS]
+        for scale, _, row in result.rows:
+            d = row.to_dict()
+            lines.append([str(scale)] + [_cell(d[c]) for c in REPORT_COLUMNS])
+        fileio.write_atomic(base / "sweep.csv", _csv_bytes(lines))
     return result

@@ -19,6 +19,10 @@ def cosine(u: np.ndarray, v: np.ndarray) -> float:
     v = np.asarray(v, dtype=np.float64)
     if u.shape != v.shape or u.ndim != 1:
         raise DomainError(f"dimension mismatch: {u.shape} vs {v.shape}")
+    # Scaling by a power of two is exact: the result is unchanged wherever no
+    # square underflowed or overflowed, and now none can (tiny or huge entries).
+    u = np.ldexp(u, -np.frexp(np.abs(u).max(initial=0.0))[1])
+    v = np.ldexp(v, -np.frexp(np.abs(v).max(initial=0.0))[1])
     nu = np.linalg.norm(u)
     nv = np.linalg.norm(v)
     if nu == 0.0 or nv == 0.0:

@@ -646,3 +646,25 @@ def test_curated_roundtrip(tmp_path):
     assert back.tau_used == pytest.approx(0.7)
     assert back.spec.name == spec.name
     assert back.spec.p == spec.p
+
+
+def test_write_curated_failing_halfway_keeps_the_old_file(tmp_path, monkeypatch):
+    path = tmp_path / "curated.jsonl"
+    write_curated(CuratedSet(entries=[(7, RAW)], spec=StrategySpec("raw_all")), path)
+    old = path.read_bytes()
+    dumps = curation.json.dumps
+    calls = []
+
+    def dumps_then_fail(obj, **kwargs):
+        calls.append(obj)
+        if len(calls) == 3:
+            raise OSError("disk full")
+        return dumps(obj, **kwargs)
+
+    monkeypatch.setattr(curation.json, "dumps", dumps_then_fail)
+    curated = CuratedSet(entries=[(0, RAW), (2, 1), (5, RAW)], spec=StrategySpec("raw_all"))
+    with pytest.raises(OSError, match="disk full"):
+        write_curated(curated, path)
+    assert len(calls) == 3
+    assert path.read_bytes() == old
+    assert [p.name for p in tmp_path.iterdir()] == ["curated.jsonl"]

@@ -468,6 +468,26 @@ def test_cli_in1k_mix(tmp_path):
     assert len(curated) <= 150
 
 
+def test_cli_mix_and_report_share_the_cluster_k_default_on_a_small_pool(tmp_path):
+    """Without --cluster-k or cluster_params, both commands cluster a 40-record
+    pool into 40 clusters (the default 64 clamped), and keep the same records."""
+    pool = tmp_path / "pool"
+    assert cli_main(["gen", "--config", _write_config(tmp_path, n=40, rps=20),
+                     "--out", str(pool)]) == 0
+    refs = tmp_path / "refs.emb"
+    fileio.write_embeddings(refs, open_pool(pool).embeddings("image")[[0, 9, 30]])
+    out = tmp_path / "c.jsonl"
+    assert cli_main(["mix", "--pool", str(pool), "--strategy", "raw_all",
+                     "--in1k-refs", str(refs), "--out", str(out)]) == 0
+    assert read_curated(out).spec.cluster_params.k == 40
+    strategies = tmp_path / "strategies.json"
+    strategies.write_text(json.dumps([{"name": "raw_all", "in1k_intersect": True}]))
+    assert cli_main(["report", "--pool", str(pool), "--strategies", str(strategies),
+                     "--in1k-refs", str(refs), "--out-dir", str(tmp_path / "r")]) == 0
+    row = json.loads((tmp_path / "r" / "report.json").read_text())[0]
+    assert row["entries"] == len(read_curated(out)) == 3
+
+
 @pytest.mark.parametrize("command, value, problem", [
     ("mix", np.nan, "reference row 0 is not finite"),
     ("mix", 0.0, "reference row 0 has zero norm"),

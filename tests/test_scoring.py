@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from capforge.errors import DataError, DomainError
@@ -36,6 +36,7 @@ def test_cosine_domain_errors():
     st.lists(finite_floats, min_size=2, max_size=8),
     st.floats(1e-3, 1e3),
 )
+@example(u=[5.6176346167751724e-157, 0.0], v=[1.0, 0.0], c=0.001)
 @settings(max_examples=200, deadline=None)
 def test_cosine_symmetric_and_scale_invariant(u, v, c):
     n = min(len(u), len(v))
