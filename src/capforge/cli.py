@@ -37,6 +37,7 @@ from .report import (
     DEFAULT_SAMPLE_SIZE,
     MetricConfig,
     build_quality_report,
+    caption_features,
     make_table_getter,
     run_report,
     run_sweep,
@@ -44,7 +45,7 @@ from .report import (
 )
 from .curation import read_curated
 from .scoring import score_pool
-from .textmetrics import default_noun_lexicon, default_visual_vocab, load_token_file
+from .textmetrics import load_token_file
 
 
 class _UsageError(Exception):
@@ -85,9 +86,12 @@ def _metric_config(args) -> MetricConfig:
     sample_size = getattr(args, "sample_size", None)
     if sample_size is not None and sample_size < 0:
         raise ConfigError(f"--sample-size must be >= 0, got {sample_size}")
+    seed = getattr(args, "seed", None) or 0
+    if not 0 <= seed < 2**64:
+        raise ConfigError("seed must be an unsigned 64-bit integer")
     return MetricConfig(
         sample_size=DEFAULT_SAMPLE_SIZE if sample_size is None else sample_size,
-        seed=getattr(args, "seed", None) or 0,
+        seed=seed,
         vocab=vocab,
         lexicon=lexicon,
         workers=args.workers,
@@ -204,8 +208,7 @@ def _cmd_metrics(args) -> int:
         handle,
         curated,
         make_table_getter(handle),
-        vocab=config.vocab if config.vocab is not None else default_visual_vocab(),
-        lexicon=config.lexicon if config.lexicon is not None else default_noun_lexicon(),
+        caption_features(handle, config),
         sample_size=config.sample_size,
         seed=config.seed,
     )

@@ -10,6 +10,7 @@ ties toward the lower id; thresholds are inclusive (score >= tau).
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -199,7 +200,10 @@ def read_curated(path: str | Path) -> CuratedSet:
             raise DataError(f"{path}: empty curated file")
         header = json.loads(lines[0])
         spec = StrategySpec.from_dict(header["spec"])
+        check_numbers(CuratedSet, header, "header")
         tau_used = header.get("tau_used")
+        if tau_used is not None and not math.isfinite(tau_used):
+            raise ValueError(f"tau_used {tau_used!r} is not finite")
         entries = []
         for line in lines[1:]:
             obj = json.loads(line)

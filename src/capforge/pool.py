@@ -434,11 +434,27 @@ class PoolHandle:
         table, col = self.records(), cap + 1
         text_id = table.text_ids.item(row, col) if 0 <= col < table.text_ids.shape[1] else -1
         if text_id < 0:
-            raise DataError(
-                f"curated entry references variant {cap} of record {table.ids[row]} "
-                f"which has {int((table.text_ids[row, 1:] >= 0).sum())} variants"
-            )
+            raise self._missing_choice(row, cap)
         return table.labels[table.label_ids.item(row, col)], table.texts[text_id]
+
+    def caption_ids(self, rows: np.ndarray, caps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(label ids, text ids) into ``records()`` of each (row, caption
+        choice); the first choice its record lacks raises as ``caption``."""
+        table, cols = self.records(), np.asarray(caps, np.int64) + 1
+        held = (cols >= 0) & (cols < table.text_ids.shape[1])
+        cols = np.where(held, cols, 0)
+        text_ids = np.where(held, table.text_ids[rows, cols], -1)
+        if (text_ids < 0).any():
+            bad = int(np.argmax(text_ids < 0))
+            raise self._missing_choice(int(rows[bad]), int(caps[bad]))
+        return table.label_ids[rows, cols], text_ids
+
+    def _missing_choice(self, row: int, cap: int) -> DataError:
+        table = self.records()
+        return DataError(
+            f"curated entry references variant {cap} of record {table.ids[row]} "
+            f"which has {int((table.text_ids[row, 1:] >= 0).sum())} variants"
+        )
 
     def has_source(self, source: str) -> bool:
         return source in self.manifest.embedding_sources

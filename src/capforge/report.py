@@ -33,12 +33,11 @@ from .pool import PoolHandle, ScoreTable, open_pool
 from .poolgen import GenConfig, generate_pool
 from .scoring import clip_s, score_pool
 from .textmetrics import (
+    CaptionFeatures,
     default_noun_lexicon,
     default_visual_vocab,
-    grounded_fraction,
-    iter_trigrams,
+    ordered_sum,
     sample_subset,
-    tokenize,
 )
 
 DEFAULT_SAMPLE_SIZE = 100_000
@@ -118,52 +117,51 @@ def strategy_tables(
     return {label: get_table(label) for label in labels}
 
 
+def caption_features(handle: PoolHandle, config: MetricConfig) -> CaptionFeatures:
+    """Caption features of the pool's texts under the config's vocabulary
+    and lexicon, the packaged ones where it names none."""
+    return CaptionFeatures(
+        handle.records().texts,
+        config.vocab if config.vocab is not None else default_visual_vocab(),
+        config.lexicon if config.lexicon is not None else default_noun_lexicon(),
+    )
+
+
 def build_quality_report(
     handle: PoolHandle,
     curated: CuratedSet,
     get_table: TableGetter,
+    features: CaptionFeatures,
     *,
-    vocab: set[str],
-    lexicon: set[str],
     sample_size: int,
     seed: int,
 ) -> QualityReport:
-    """One report row for a curated set."""
-    cos_sum = 0.0
-    clip_sum = 0.0
-    rows = handle.rows(curated.ids()).tolist()
-    for row, cap in zip(rows, curated.entries[:, 1].tolist()):
-        label, _ = handle.caption(row, cap)
-        score = float(get_table(label).scores[row])
-        cos_sum += score
-        clip_sum += clip_s(score)
+    """One report row for a curated set; sums run in entry order."""
+    rows = handle.rows(curated.ids())
+    label_ids, _ = handle.caption_ids(rows, curated.entries[:, 1])
+    scores = np.empty(len(rows))
+    labels, first = np.unique(label_ids, return_index=True)
+    for label in labels[np.argsort(first)].tolist():
+        at = label_ids == label
+        scores[at] = get_table(handle.records().labels[label]).scores[rows[at]]
     count = len(curated.entries)
-    mean_cos = cos_sum / count if count else 0.0
-    mean_clip = clip_sum / count if count else 0.0
+    mean_cos = ordered_sum(scores) / count if count else 0.0
+    mean_clip = ordered_sum(clip_s(scores)) / count if count else 0.0
 
     n_sample = min(sample_size, count)
     sample = sample_subset(curated, n_sample, seed)
-    word_sum = 0
-    ground_sum = 0.0
-    trigram_seen: set[tuple[str, str, str]] = set()
-    noun_seen: set[str] = set()
-    rows = handle.rows(sample.ids()).tolist()
-    for row, cap in zip(rows, sample.entries[:, 1].tolist()):
-        tokens = tokenize(handle.caption(row, cap)[1])
-        word_sum += len(tokens)
-        ground_sum += grounded_fraction(tokens, vocab)
-        trigram_seen.update(iter_trigrams(tokens))
-        noun_seen.update(t for t in tokens if t in lexicon)
+    _, text_ids = handle.caption_ids(handle.rows(sample.ids()), sample.entries[:, 1])
+    stats = features.sample_stats(text_ids)
     return QualityReport(
         strategy=curated.spec.name,
         entries=count,
         tau_used=curated.tau_used,
         mean_cosine=mean_cos,
         mean_clip_s=mean_clip,
-        mean_word_count=word_sum / n_sample if n_sample else 0.0,
-        mean_grounding_ratio=ground_sum / n_sample if n_sample else 0.0,
-        unique_trigrams=len(trigram_seen),
-        unique_nouns=len(noun_seen),
+        mean_word_count=stats.word_sum / n_sample if n_sample else 0.0,
+        mean_grounding_ratio=stats.ground_sum / n_sample if n_sample else 0.0,
+        unique_trigrams=stats.unique_trigrams,
+        unique_nouns=stats.unique_nouns,
         sample_size=n_sample,
         sample_seed=seed,
     )
@@ -190,10 +188,9 @@ def _in1k_mask_for(
 def report_rows(
     handle: PoolHandle, specs: Sequence[StrategySpec], config: MetricConfig
 ) -> list[QualityReport]:
-    vocab = config.vocab if config.vocab is not None else default_visual_vocab()
-    lexicon = config.lexicon if config.lexicon is not None else default_noun_lexicon()
     get_table = make_table_getter(handle)
     in1k_cache: dict[ClusterParams, np.ndarray] = {}
+    features = None
     rows = []
     for spec in specs:
         spec.validate()
@@ -204,13 +201,14 @@ def report_rows(
             else None
         )
         curated = apply_strategy(handle, spec, tables, mask)
+        if features is None:  # here, so no caption table is held through k-means
+            features = caption_features(handle, config)
         rows.append(
             build_quality_report(
                 handle,
                 curated,
                 get_table,
-                vocab=vocab,
-                lexicon=lexicon,
+                features,
                 sample_size=config.sample_size,
                 seed=config.seed,
             )

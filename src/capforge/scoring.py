@@ -41,9 +41,10 @@ def _cosine_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.clip(np.einsum("ij,ij->i", a, b) / (na * nb), -1.0, 1.0)
 
 
-def clip_s(cos_score: float) -> float:
-    """Reference-free caption compatibility score: 2.5 * max(cos, 0)."""
-    return 2.5 * max(float(cos_score), 0.0)
+def clip_s(cos_score):
+    """Reference-free caption compatibility score: 2.5 * max(cos, 0),
+    elementwise on an array."""
+    return 2.5 * np.maximum(cos_score, 0.0)
 
 
 def score_pool(handle: PoolHandle, text_source: str, *,

@@ -19,7 +19,9 @@ import numpy as np
 from capforge.curation import KMeansStep, _kmeans_pp_init
 from capforge.errors import DataError
 from capforge.pool import CaptionVariant, Record, variant_source_label, write_pool
+from capforge.report import QualityReport
 from capforge.scoring import cosine
+from capforge.textmetrics import sample_subset, tokenize
 
 RAW = -1
 
@@ -228,6 +230,49 @@ def oracle_trigrams(captions: list[str], tokenizer) -> int:
         for i in range(len(toks) - 2):
             seen.add(" ".join(toks[i : i + 3]))
     return len(seen)
+
+
+def oracle_quality_report(handle, curated, get_table, *, vocab, lexicon, sample_size, seed):
+    """A report row caption by caption: every entry's caption and score
+    looked up one at a time, its sample tokenized caption by caption, float
+    sums added left to right, trigrams and nouns collected in sets."""
+    cos_sum = 0.0
+    clip_sum = 0.0
+    rows = handle.rows(curated.ids()).tolist()
+    for row, cap in zip(rows, curated.entries[:, 1].tolist()):
+        label, _ = handle.caption(row, cap)
+        score = float(get_table(label).scores[row])
+        cos_sum += score
+        clip_sum += 2.5 * max(score, 0.0)
+    count = len(curated.entries)
+
+    n_sample = min(sample_size, count)
+    sample = sample_subset(curated, n_sample, seed)
+    word_sum = 0
+    ground_sum = 0.0
+    trigrams: set[tuple[str, str, str]] = set()
+    nouns: set[str] = set()
+    rows = handle.rows(sample.ids()).tolist()
+    for row, cap in zip(rows, sample.entries[:, 1].tolist()):
+        tokens = tokenize(handle.caption(row, cap)[1])
+        word_sum += len(tokens)
+        if tokens:
+            ground_sum += sum(1 for t in tokens if t in vocab) / len(tokens)
+        trigrams.update(zip(tokens, tokens[1:], tokens[2:]))
+        nouns.update(t for t in tokens if t in lexicon)
+    return QualityReport(
+        strategy=curated.spec.name,
+        entries=count,
+        tau_used=curated.tau_used,
+        mean_cosine=cos_sum / count if count else 0.0,
+        mean_clip_s=clip_sum / count if count else 0.0,
+        mean_word_count=word_sum / n_sample if n_sample else 0.0,
+        mean_grounding_ratio=ground_sum / n_sample if n_sample else 0.0,
+        unique_trigrams=len(trigrams),
+        unique_nouns=len(nouns),
+        sample_size=n_sample,
+        sample_seed=seed,
+    )
 
 
 def unit_rows(rng: np.random.Generator, n: int, dim: int) -> np.ndarray:

@@ -3,28 +3,35 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import capforge
 from capforge import fileio
 from capforge.cli import cli_main
-from capforge.curation import StrategySpec, apply_strategy, read_curated
-from capforge.pool import Record, materialize, open_pool, write_pool
+from capforge.curation import CuratedSet, StrategySpec, apply_strategy, read_curated
+from capforge.errors import DataError
+from capforge.pool import CaptionVariant, Record, materialize, open_pool, write_pool
 from capforge.poolgen import GenConfig, SynSource, generate_pool
 from capforge.report import (
     MetricConfig,
     REPORT_COLUMNS,
     build_quality_report,
+    caption_features,
     make_table_getter,
     run_report,
     run_sweep,
     strategy_tables,
 )
 from capforge.scoring import score_pool
+from capforge.textmetrics import CaptionFeatures
 from capforge.errors import ConfigError
+from helpers import oracle_quality_report, read_records, unit_rows
 
 
 @pytest.fixture(scope="module")
@@ -159,6 +166,84 @@ def test_report_files_deterministic_and_value_identical(small_pool, tmp_path):
                 assert float(cell) == jval
 
 
+# NFC and NFD "café", "İ" (lowercases to "i" and a combining dot), "ß"
+_WORDS = ["dog", "red", "a", "dog", "x1", "café", "cafe\u0301", "İ", "ß", "", "-"]
+_CAPTION = st.lists(st.sampled_from(_WORDS), max_size=7).map(" ".join)
+_VARIANTS = [("blip2", 0.75), ("coca", 1.0)]
+
+
+def _float_bits(row: dict) -> dict:
+    return {k: v.hex() if isinstance(v, float) else v for k, v in row.items()}
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    records=st.lists(
+        st.tuples(_CAPTION, st.lists(st.tuples(st.sampled_from(_VARIANTS), _CAPTION),
+                                     max_size=2)),
+        min_size=1, max_size=16,
+    ),
+    seed=st.integers(0, 2**32),
+    data=st.data(),
+)
+def test_quality_report_matches_caption_by_caption_oracle(records, seed, data):
+    """Rows from per-text features equal the caption-by-caption oracle to the
+    bit, with one features object shared by every row of the pool."""
+    pool_records = [
+        Record(id=3 * i + 1, raw_caption=raw, synthetic_variants=[
+            CaptionVariant(src, temp, text) for (src, temp), text in variants])
+        for i, (raw, variants) in enumerate(records)
+    ]
+    rng = np.random.default_rng(seed)
+    labels = ["image", "raw", "syn.blip2.0.75", "syn.coca.1.00"]
+    with tempfile.TemporaryDirectory() as path:
+        write_pool(pool_records, {s: unit_rows(rng, len(records), 4) for s in labels}, path,
+                   records_per_shard=5)
+        handle = open_pool(path)
+        get_table = make_table_getter(handle)
+        vocab, lexicon = {"dog", "red", "i", "x1"}, {"dog", "caf", "ss", "a"}
+        features = CaptionFeatures(handle.records().texts, vocab, lexicon)
+        choices = [(r.id, cap) for r in pool_records
+                   for cap in range(-1, len(r.synthetic_variants))]
+        for _ in range(data.draw(st.integers(1, 3))):
+            entries = data.draw(st.lists(st.sampled_from(choices), max_size=40))
+            if data.draw(st.booleans()):  # a choice its record lacks
+                rec = data.draw(st.sampled_from(pool_records))
+                entries.append((rec.id, data.draw(st.sampled_from(
+                    [-2, len(rec.synthetic_variants), 5]))))
+            curated = CuratedSet(entries=entries, spec=StrategySpec("raw_all"), tau_used=0.25)
+            count = len(curated)
+            sample_size = data.draw(st.sampled_from([0, 1, max(count - 1, 0), count, count + 3]))
+            kwargs = dict(sample_size=sample_size, seed=data.draw(st.integers(0, 2**64 - 1)))
+            try:
+                want = oracle_quality_report(handle, curated, get_table, vocab=vocab,
+                                             lexicon=lexicon, **kwargs)
+            except DataError as exc:
+                with pytest.raises(DataError) as got:
+                    build_quality_report(handle, curated, get_table, features, **kwargs)
+                assert str(got.value) == str(exc)
+                continue
+            row = build_quality_report(handle, curated, get_table, features, **kwargs)
+            assert _float_bits(row.to_dict()) == _float_bits(want.to_dict())
+
+
+@pytest.mark.parametrize("sample_size", [2000, 100_000])
+def test_quality_report_matches_oracle_on_a_generated_pool(gen_pool, sample_size):
+    """Thousands of grounded fractions: a pairwise sum would differ in the last bits."""
+    get_table = make_table_getter(gen_pool)
+    config = MetricConfig(seed=11, sample_size=sample_size)
+    features = caption_features(gen_pool, config)
+    for spec in [StrategySpec("raw_all"), StrategySpec("syn_best_variant_all"),
+                 StrategySpec("concat_top_plus_syn_rest_filtered", p=30,
+                              syn_source="syn.blip2.1.50")]:
+        curated = apply_strategy(gen_pool, spec, strategy_tables(gen_pool, spec, get_table))
+        kwargs = dict(sample_size=sample_size, seed=config.seed)
+        row = build_quality_report(gen_pool, curated, get_table, features, **kwargs)
+        want = oracle_quality_report(gen_pool, curated, get_table, vocab=features.vocab,
+                                     lexicon=features.lexicon, **kwargs)
+        assert _float_bits(row.to_dict()) == _float_bits(want.to_dict())
+
+
 def test_report_empty_strategy_list(small_pool, tmp_path):
     run_report(small_pool, [], MetricConfig(), out_dir=tmp_path)
     assert json.loads((tmp_path / "report.json").read_text()) == []
@@ -175,8 +260,7 @@ def test_mix_materialize_report_roundtrip(small_pool, tmp_path):
         handle,
         curated,
         get_table,
-        vocab={"dog"},
-        lexicon={"dog"},
+        CaptionFeatures(handle.records().texts, {"dog"}, {"dog"}),
         sample_size=10,
         seed=0,
     )
@@ -542,6 +626,50 @@ def test_cli_metrics_sample_size_zero_is_honoured(small_pool, tmp_path):
     assert row["sample_size"] == 0
     assert row["unique_trigrams"] == 0
     assert cli_main(args + ["--sample-size", "-1"]) == 1
+
+
+@pytest.mark.parametrize("command", ["metrics", "report"])
+def test_cli_metrics_and_report_reject_a_negative_seed(small_pool, tmp_path, capsys, command):
+    curated, strategies = tmp_path / "c.jsonl", tmp_path / "s.json"
+    strategies.write_text(json.dumps([{"name": "raw_all"}]))
+    assert cli_main(["mix", "--strategy", "raw_all", "--pool", str(small_pool),
+                     "--out", str(curated)]) == 0
+    args = {"metrics": ["--curated", str(curated), "--out", str(tmp_path / "m.json")],
+            "report": ["--strategies", str(strategies), "--out-dir", str(tmp_path / "r")]}
+    capsys.readouterr()
+    assert cli_main([command, "--pool", str(small_pool), "--seed", "-3", *args[command]]) == 1
+    assert capsys.readouterr().err == "config error: seed must be an unsigned 64-bit integer\n"
+
+
+@pytest.mark.parametrize("tau", ['"abc"', "true", "NaN", "Infinity", "[0.5]", "1e999"])
+def test_cli_metrics_rejects_a_tau_used_that_is_no_finite_number(
+    small_pool, tmp_path, capsys, tau
+):
+    curated = tmp_path / "c.jsonl"
+    curated.write_text(
+        '{"strategy":"raw_all","tau_used":%s,"entries":1,"spec":{"name":"raw_all"}}\n'
+        '{"id":1,"cap":"raw"}\n' % tau)
+    out = tmp_path / "m.json"
+    capsys.readouterr()
+    assert cli_main(["metrics", "--pool", str(small_pool), "--curated", str(curated),
+                     "--out", str(out)]) == 2
+    assert "not a curated file" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cli_metrics_names_the_missing_variant(two_captioner_pool, tmp_path, capsys):
+    rec = read_records(two_captioner_pool)[4]
+    curated = tmp_path / "c.jsonl"
+    lines = [{"strategy": "raw_all", "tau_used": None, "entries": 3,
+              "spec": {"name": "raw_all"}},
+             {"id": 1, "cap": "raw"}, {"id": rec.id, "cap": 5}, {"id": rec.id, "cap": 9}]
+    curated.write_text("".join(json.dumps(obj) + "\n" for obj in lines))
+    capsys.readouterr()
+    assert cli_main(["metrics", "--pool", str(two_captioner_pool), "--curated", str(curated),
+                     "--out", str(tmp_path / "m.json")]) == 2
+    assert capsys.readouterr().err == (
+        f"error: curated entry references variant 5 of record {rec.id} "
+        f"which has {len(rec.synthetic_variants)} variants\n")
 
 
 _STRATEGY_FILES = {

@@ -7,6 +7,7 @@ from capforge.curation import CuratedSet, StrategySpec
 from capforge.errors import DomainError
 from capforge.textmetrics import (
     _partial_fisher_yates,
+    CaptionFeatures,
     default_noun_lexicon,
     default_visual_vocab,
     diversity_curve,
@@ -14,6 +15,7 @@ from capforge.textmetrics import (
     load_token_file,
     sample_subset,
     tokenize,
+    trigram_keys,
     unique_nouns,
     unique_trigrams,
     word_count,
@@ -85,6 +87,36 @@ def test_unique_trigrams_union_monotone():
         a, b = captions[:cut], captions[cut:]
         whole = unique_trigrams(captions)
         assert whole >= max(unique_trigrams(a), unique_trigrams(b))
+
+
+@pytest.mark.parametrize("vocab_size", [2**21 + 2, 2**22 + 5, 2**31])
+def test_trigram_keys_exact_for_token_ids_past_2_21(vocab_size):
+    """(a*V + b)*V + c wraps int64 once V >= 2**21; the ranked key does not."""
+    rng = np.random.default_rng(vocab_size)
+    ids = np.array([0, 1, 2**21 - 1, 2**21, 2**21 + 1, vocab_size - 1], np.int64)
+    lengths = rng.integers(0, 7, size=300)
+    tokens = rng.choice(ids, size=int(lengths.sum()))
+    expected, pos = set(), 0
+    for n in lengths.tolist():
+        text = tokens[pos : pos + n].tolist()
+        expected.update(zip(text, text[1:], text[2:]))
+        pos += n
+    keys = trigram_keys(tokens, lengths, vocab_size)
+    assert np.unique(keys).size == len(expected)
+    assert keys.size == int(np.maximum(lengths - 2, 0).sum())
+
+
+def test_caption_features_fill_only_the_texts_asked_for():
+    texts = ("a red dog", "dog", "", "red red red red", "a red dog")
+    features = CaptionFeatures(texts, {"red"}, {"dog"})
+    stats = features.sample_stats(np.array([1, 1, 2]))
+    assert features.words.tolist() == [-1, 1, 0, -1, -1]
+    assert stats == (2, 0.0, 0, 1)
+    stats = features.sample_stats(np.array([4, 0, 3]))
+    assert features.words.tolist() == [3, 1, 0, 4, 3]
+    assert stats.word_sum == 10
+    assert stats.ground_sum == 1 / 3 + 1 / 3 + 1.0
+    assert (stats.unique_trigrams, stats.unique_nouns) == (2, 1)
 
 
 def test_unique_nouns_examples():
@@ -180,6 +212,21 @@ def test_diversity_curve_full_size_matches_whole_set(gen_pool):
     captions = [_entry_caption(gen_pool, e) for e in curated.entries]
     assert points[0].unique_trigrams == unique_trigrams(captions)
     assert points[0].unique_nouns == unique_nouns(captions, lexicon)
+
+
+def test_diversity_curve_prefixes_match_bruteforce(gen_pool):
+    lexicon = default_noun_lexicon()
+    ids = gen_pool.ids()[:900].tolist()
+    entries = [(i, RAW) for i in ids[:600]] + [(i, i % 2) for i in ids[300:]]
+    curated = CuratedSet(entries=entries, spec=StrategySpec("raw_top_plus_syn_rest"))
+    sizes = [0, 1, 37, 600, len(curated)]
+    points = diversity_curve(gen_pool, curated, sizes, seed=4, noun_lexicon=lexicon)
+    order = np.random.default_rng(4).permutation(len(curated))
+    captions = [_entry_caption(gen_pool, curated.entries[i]) for i in order]
+    for point, size in zip(points, sizes):
+        prefix = captions[:size]
+        assert point == (size, oracle_trigrams(prefix, tokenize),
+                         len({t for c in prefix for t in tokenize(c) if t in lexicon}))
 
 
 def test_diversity_curve_nested_and_monotone(gen_pool):
