@@ -14,7 +14,6 @@ import itertools
 import json
 import os
 import sys
-from pathlib import Path
 
 import numpy as np
 
@@ -58,17 +57,19 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _resolve_workers(args) -> int:
-    if getattr(args, "workers", None) is not None:
-        if args.workers < 1:
-            raise ConfigError("--workers must be >= 1")
-        return args.workers
-    env = os.environ.get("CAPFORGE_WORKERS")
-    if env:
+    """--workers, else CAPFORGE_WORKERS, else 1; either must be >= 1."""
+    workers, name = getattr(args, "workers", None), "--workers"
+    if workers is None:
+        env, name = os.environ.get("CAPFORGE_WORKERS"), "CAPFORGE_WORKERS"
+        if not env:
+            return 1
         try:
-            return max(1, int(env))
+            workers = int(env)
         except ValueError as exc:
             raise ConfigError(f"CAPFORGE_WORKERS={env!r} is not an integer") from exc
-    return 1
+    if workers < 1:
+        raise ConfigError(f"{name} must be >= 1")
+    return workers
 
 
 def _resolve_source(handle, requested: str) -> str:
@@ -100,10 +101,7 @@ def _metric_config(args) -> MetricConfig:
 
 
 def _load_strategy_file(path: str) -> list[StrategySpec]:
-    try:
-        obj = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path}: not valid JSON: {exc}") from exc
+    obj = fileio.read_json(path, ConfigError)
     if not isinstance(obj, list):
         raise ConfigError(f"{path}: expected a JSON list of strategy specs")
     return [StrategySpec.from_dict(entry) for entry in obj]

@@ -14,6 +14,7 @@ zlib's ``crc32_combine`` are scalar forms of the same idea).
 from __future__ import annotations
 
 import functools
+import json
 import os
 import struct
 from pathlib import Path
@@ -115,6 +116,23 @@ def read_bytes(path, *, context: str | None = None, checksum: str | None = None)
     if got != checksum:
         raise IntegrityError(f"{context or path}: checksum mismatch: expected {checksum}, got {got}")
     return blob
+
+
+def read_text(path, error: type[Exception] = FormatError) -> str:
+    """A UTF-8 text file's contents; bytes that are not UTF-8 raise ``error``
+    naming the file."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise error(f"{path}: not UTF-8: {exc}") from None
+
+
+def read_json(path, error: type[Exception] = FormatError):
+    """The JSON value a UTF-8 file holds; anything else raises ``error``."""
+    try:
+        return json.loads(read_text(path, error))
+    except json.JSONDecodeError as exc:
+        raise error(f"{path}: not valid JSON: {exc}") from exc
 
 
 def write_atomic(path, data: bytes | Iterable[bytes]) -> None:

@@ -236,15 +236,15 @@ def shard_layout(num_records: int, records_per_shard: int) -> list[int]:
 def write_shard(
     out_dir: Path,
     shard_index: int,
-    records: Sequence[Record],
+    jsonl: bytes,
     embeddings: Mapping[str, np.ndarray],
 ) -> dict[str, str]:
-    """Write one shard's JSONL and embedding sidecars; returns file->crc map."""
+    """Write one shard's encoded JSONL and embedding sidecars; returns
+    file->crc map."""
     checksums: dict[str, str] = {}
     jsonl_name = shard_jsonl_name(shard_index)
-    blob = ("".join(r.to_json() + "\n" for r in records)).encode("utf-8")
-    (out_dir / jsonl_name).write_bytes(blob)
-    checksums[jsonl_name] = fileio.crc32c_hex(blob)
+    (out_dir / jsonl_name).write_bytes(jsonl)
+    checksums[jsonl_name] = fileio.crc32c_hex(jsonl)
     for source, mat in embeddings.items():
         name = shard_embedding_name(shard_index, source)
         payload = fileio.encode_embeddings(np.asarray(mat, dtype=np.float32))
@@ -310,9 +310,9 @@ def write_pool(
     checksums: dict[str, str] = {}
     offset = 0
     for k, size in enumerate(sizes):
-        shard_records = record_list[offset : offset + size]
+        jsonl = "".join(r.to_json() + "\n" for r in record_list[offset : offset + size])
         shard_embs = {s: m[offset : offset + size] for s, m in matrices.items()}
-        checksums.update(write_shard(out_dir, k, shard_records, shard_embs))
+        checksums.update(write_shard(out_dir, k, jsonl.encode("utf-8"), shard_embs))
         offset += size
 
     manifest = PoolManifest(
@@ -519,7 +519,7 @@ def open_pool(path: str | Path) -> PoolHandle:
     if not manifest_path.is_file():
         raise FormatError(f"{pool_dir}: missing {MANIFEST_NAME}")
     manifest = PoolManifest.from_json(
-        manifest_path.read_text(encoding="utf-8"), context=str(manifest_path)
+        fileio.read_text(manifest_path), context=str(manifest_path)
     )
     layout = {shard_jsonl_name(k) for k in range(manifest.num_shards)} | {
         shard_embedding_name(k, s)

@@ -16,19 +16,22 @@ config.
 
 from __future__ import annotations
 
+import itertools
 import json
+import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import lru_cache
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
-from . import fileio
+from . import fileio, pool
 from ._words import (
     BOILERPLATE_CAPTIONS,
     FILLER_WORDS,
+    GLUE_WORDS,
     SYN_TEMPLATES,
     concept_word,
 )
@@ -36,14 +39,11 @@ from .errors import ConfigError, DomainError, check_numbers
 from .pool import (
     FORMAT_VERSION,
     PoolManifest,
-    Record,
-    CaptionVariant,
     new_pool_dir,
     score_sidecar_name,
     shard_layout,
     variant_source_label,
     write_manifest,
-    write_shard,
 )
 
 # spawn-key domains for stream separation
@@ -87,6 +87,12 @@ class GenConfig:
     )
 
     def validate(self) -> None:
+        numbers = [(f.name, getattr(self, f.name)) for f in fields(self)]
+        numbers += [(f"syn {f.name}", getattr(s, f.name))
+                    for s in self.syn_sources for f in fields(s)]
+        for name, value in numbers:
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ConfigError(f"{name} must be finite, got {value}")
         if self.num_records < 0:
             raise ConfigError(f"num_records must be >= 0, got {self.num_records}")
         if not 0 <= self.seed < 2**64:
@@ -118,6 +124,8 @@ class GenConfig:
                 raise ConfigError("syn temperature must be nonnegative")
             if src.diversity_factor <= 0:
                 raise ConfigError("syn diversity_factor must be positive")
+            if not math.isfinite(_CAPTIONER_BASE_VOCAB * src.diversity_factor):
+                raise ConfigError(f"syn diversity_factor {src.diversity_factor} is too large")
             if src.label in labels:
                 raise ConfigError(f"duplicate syn source {src.label}")
             labels.add(src.label)
@@ -182,11 +190,7 @@ def config_from_dict(obj: dict) -> GenConfig:
 
 
 def load_config(path: str | Path) -> GenConfig:
-    try:
-        obj = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path}: not valid JSON: {exc}") from exc
-    return config_from_dict(obj)
+    return config_from_dict(fileio.read_json(path, ConfigError))
 
 
 # ---------------------------------------------------------------------------
@@ -290,17 +294,85 @@ def _captioner_vocab(diversity_factor: float) -> int:
     return max(4, round(_CAPTIONER_BASE_VOCAB * diversity_factor))
 
 
-def _render_syn(template: tuple[str | None, ...], concepts: list[int], fold: int) -> str:
-    words = []
-    slot = 0
-    for tok in template:
-        if tok is None:
-            cid = concepts[slot % len(concepts)]
-            words.append(concept_word(cid if cid < fold else cid % fold))
-            slot += 1
-        else:
-            words.append(tok)
-    return " ".join(words)
+def _segments(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(segment, position within it) of each element of consecutive segments
+    of the given lengths."""
+    seg = np.repeat(np.arange(counts.size), counts)
+    return seg, np.arange(seg.size) - np.repeat(np.cumsum(counts) - counts, counts)
+
+
+def _interleave(columns: list[tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
+    """Record by record, each column's (values, per-record counts) segment
+    in column order: a shard's pieces in the order its lines hold them."""
+    counts = np.stack([c for _, c in columns], axis=1)
+    starts = (np.cumsum(counts) - counts.ravel()).reshape(counts.shape)
+    out = np.empty(int(counts.sum()), np.int64)
+    for j, (values, c) in enumerate(columns):
+        rec, pos = _segments(c)
+        out[starts[rec, j] + pos] = values
+    return out
+
+
+def _escape(s: str) -> str:
+    """``s`` as inside a JSON string; escaping goes character by character,
+    so escaped words joined by spaces are the escaped caption."""
+    return json.dumps(s, ensure_ascii=False)[1:-1]
+
+
+@dataclass(frozen=True)
+class _Text:
+    """A pool's caption text as pieces, each JSON-escaped once.
+
+    Word ids: concepts, then fillers, boilerplate captions and glue words;
+    ``pieces`` holds every word, then every word after a space, then the
+    JSON between the raw caption and the variants, between variants and at
+    the line's end.  ``templates`` holds each template's word ids, with
+    ``-1 - s`` for concept slot s; ``lengths`` its word count.
+    """
+
+    pieces: np.ndarray  # object
+    num_words: int
+    filler: int
+    boiler: int
+    templates: np.ndarray  # (templates, longest) int64
+    lengths: np.ndarray
+
+    @classmethod
+    def build(cls, config: GenConfig) -> "_Text":
+        concepts = [concept_word(c) for c in range(config.concept_vocab_size)]
+        words = concepts + FILLER_WORDS + BOILERPLATE_CAPTIONS + GLUE_WORDS
+        glue = len(words) - len(GLUE_WORDS)
+        literals = [
+            f'{{"src":"{_escape(s.source_name)}","temp":{json.dumps(s.temperature)},"text":"'
+            for s in config.syn_sources
+        ]
+        opens = ['","syn":['] + ['"},'] * (len(literals) - 1)
+        seps = [a + b for a, b in zip(opens, literals)]
+        seps.append('"}]}\n' if literals else '","syn":[]}\n')
+        escaped = list(map(_escape, words))
+        templates = np.zeros((len(SYN_TEMPLATES), max(map(len, SYN_TEMPLATES))), np.int64)
+        for t, template in enumerate(SYN_TEMPLATES):
+            slots = itertools.count()
+            templates[t, : len(template)] = [
+                -1 - next(slots) if tok is None else glue + GLUE_WORDS.index(tok)
+                for tok in template
+            ]
+        return cls(
+            pieces=np.array(escaped + [" " + w for w in escaped] + seps, dtype=object),
+            num_words=len(words),
+            filler=len(concepts),
+            boiler=len(concepts) + len(FILLER_WORDS),
+            templates=templates,
+            lengths=np.array(list(map(len, SYN_TEMPLATES))),
+        )
+
+    def caption(self, words: np.ndarray, pos: np.ndarray) -> np.ndarray:
+        """Piece ids of words at positions ``pos`` of their captions."""
+        return words + self.num_words * (pos > 0)
+
+    def separator(self, k: int, size: int) -> tuple[np.ndarray, np.ndarray]:
+        """Column of the k-th separator piece, once per record."""
+        return np.full(size, 2 * self.num_words + k), np.ones(size, np.int64)
 
 
 @dataclass
@@ -316,6 +388,7 @@ def _generate_shard(
     size: int,
     concept_mat: np.ndarray,
     zipf_cum: np.ndarray,
+    text: _Text,
     out_dir: Path,
 ) -> _ShardOutput:
     rng = shard_rng(config.seed, shard_index)
@@ -323,23 +396,26 @@ def _generate_shard(
 
     kcounts = rng.integers(2, 13, size=size)
     flat = np.searchsorted(zipf_cum, rng.random(int(kcounts.sum())), side="right")
-    offsets = np.concatenate(([0], np.cumsum(kcounts)))
     boiler = rng.random(size) < config.raw_noise_rate
     boiler_idx = rng.integers(0, len(BOILERPLATE_CAPTIONS), size=size)
     r_extra = rng.integers(0, 3, size=size)
     fcounts = rng.integers(2, 9, size=size)
     filler_flat = rng.integers(0, len(FILLER_WORDS), size=int(fcounts.sum()))
-    foffsets = np.concatenate(([0], np.cumsum(fcounts)))
+    foffsets = np.cumsum(fcounts) - fcounts
 
-    concepts: list[list[int]] = []
-    for i in range(size):
-        ids = flat[offsets[i] : offsets[i + 1]].tolist()
-        concepts.append(list(dict.fromkeys(ids)))
+    # each record's concept ids without repeats, in draw order
+    rec = np.repeat(np.arange(size), kcounts)
+    order = np.lexsort((flat, rec))
+    first = np.ones(order.size, bool)
+    first[1:] = (rec[order[1:]] != rec[order[:-1]]) | (flat[order[1:]] != flat[order[:-1]])
+    kept = np.sort(order[first])
+    concepts = flat[kept]
+    ccounts = np.bincount(rec[kept], minlength=size)
+    cstarts = np.cumsum(ccounts) - ccounts
 
     # raw caption word counts are known now; draw the shuffle keys in one go
-    rcounts = np.minimum([len(c) for c in concepts], 1 + r_extra)
-    key_total = int((rcounts + fcounts).sum())
-    order_keys = rng.random(key_total)
+    rcounts = np.minimum(ccounts, 1 + r_extra)
+    order_keys = rng.random(int((rcounts + fcounts).sum()))
 
     raw_alphas = np.clip(
         rng.normal(config.raw_alignment_mean, config.raw_alignment_sd, size),
@@ -362,9 +438,7 @@ def _generate_shard(
 
     # image embeddings: normalized sums of concept directions
     if size:
-        flat_uniq = np.concatenate([np.asarray(c, dtype=np.int64) for c in concepts])
-        seg = np.concatenate(([0], np.cumsum([len(c) for c in concepts])[:-1]))
-        sums = np.add.reduceat(concept_mat[flat_uniq], seg, axis=0)
+        sums = np.add.reduceat(concept_mat[concepts], cstarts, axis=0)
         images = sums / np.linalg.norm(sums, axis=1, keepdims=True)
     else:
         images = np.zeros((0, dim))
@@ -375,33 +449,42 @@ def _generate_shard(
         _, alphas, noise = syn_draws[src.label]
         embeddings[src.label] = _attach_batch(images, alphas, noise).astype(np.float32)
 
-    base_id = shard_index * config.records_per_shard
-    records = []
-    key_off = 0
-    for i in range(size):
-        if boiler[i]:
-            raw_caption = BOILERPLATE_CAPTIONS[boiler_idx[i]]
-            key_off += int(rcounts[i] + fcounts[i])
-        else:
-            words = [concept_word(c) for c in concepts[i][: rcounts[i]]]
-            words += [
-                FILLER_WORDS[j] for j in filler_flat[foffsets[i] : foffsets[i + 1]]
-            ]
-            keys = order_keys[key_off : key_off + len(words)]
-            key_off += int(rcounts[i] + fcounts[i])
-            raw_caption = " ".join(words[j] for j in np.argsort(keys, kind="stable"))
-        variants = []
-        for src in config.syn_sources:
-            t_idx, _, _ = syn_draws[src.label]
-            text = _render_syn(
-                SYN_TEMPLATES[int(t_idx[i])],
-                concepts[i],
-                _captioner_vocab(src.diversity_factor),
-            )
-            variants.append(CaptionVariant(src.source_name, src.temperature, text))
-        records.append(Record(id=base_id + i, raw_caption=raw_caption, synthetic_variants=variants))
+    # raw captions: a record's first rcounts concepts, then its fillers, in
+    # the order of their keys; a boilerplate record keeps one word
+    rec, pos = _segments(rcounts + fcounts)
+    is_concept = pos < rcounts[rec]
+    raw = np.empty(rec.size, np.int64)
+    raw[is_concept] = concepts[(cstarts[rec] + pos)[is_concept]]
+    raw[~is_concept] = text.filler + filler_flat[(foffsets[rec] + pos - rcounts[rec])[~is_concept]]
+    raw = raw[np.lexsort((order_keys, rec))]
+    boiler_first = boiler[rec] & (pos == 0)
+    raw[boiler_first] = text.boiler + boiler_idx[rec[boiler_first]]
+    keep = ~boiler[rec] | boiler_first
+    raw_counts = np.where(boiler, 1, rcounts + fcounts)
 
-    checksums = write_shard(out_dir, shard_index, records, embeddings)
+    base_id = shard_index * config.records_per_shard
+    heads = [f'{{"id":{i},"raw":"' for i in range(base_id, base_id + size)]
+    columns = [
+        (len(text.pieces) + np.arange(size), np.ones(size, np.int64)),
+        (text.caption(raw[keep], pos[keep]), raw_counts),
+        text.separator(0, size),
+    ]
+    # variants: slot s of a template takes the record's concept s mod its
+    # concept count, folded into the captioner's vocabulary
+    for k, src in enumerate(config.syn_sources, 1):
+        t_idx = syn_draws[src.label][0]
+        lengths = text.lengths[t_idx]
+        rec, pos = _segments(lengths)
+        words = text.templates[t_idx[rec], pos]
+        slot = words < 0
+        rec_slot = rec[slot]
+        cid = concepts[cstarts[rec_slot] + (-1 - words[slot]) % ccounts[rec_slot]]
+        words[slot] = cid % _captioner_vocab(src.diversity_factor)
+        columns += [(text.caption(words, pos), lengths), text.separator(k, size)]
+    pieces = np.concatenate((text.pieces, np.array(heads, dtype=object)))
+    blob = "".join(pieces[_interleave(columns)].tolist()).encode("utf-8")
+
+    checksums = pool.write_shard(out_dir, shard_index, blob, embeddings)
     return _ShardOutput(
         checksums=checksums,
         raw_alphas=raw_alphas.astype(np.float32),
@@ -428,13 +511,14 @@ def generate_pool(config: GenConfig, out_path: str | Path, *, workers: int = 1) 
         ]
     ) if config.concept_vocab_size else np.zeros((0, config.embedding_dim))
     zipf_cum = _zipf_cumulative(config.concept_vocab_size, config.zipf_exponent)
+    text = _Text.build(config)
 
     def job(k: int) -> _ShardOutput:
-        return _generate_shard(config, k, sizes[k], concept_mat, zipf_cum, out_dir)
+        return _generate_shard(config, k, sizes[k], concept_mat, zipf_cum, text, out_dir)
 
     if workers > 1 and len(sizes) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            outputs = list(pool.map(job, range(len(sizes))))
+        with ThreadPoolExecutor(max_workers=workers) as executor:
+            outputs = list(executor.map(job, range(len(sizes))))
     else:
         outputs = [job(k) for k in range(len(sizes))]
 

@@ -25,6 +25,7 @@ from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
+from . import fileio
 from .curation import CuratedSet
 from .errors import DataError, DomainError
 from .pool import PoolHandle
@@ -252,12 +253,9 @@ def diversity_curve(
 
 def load_token_file(path: str | Path) -> set[str]:
     """One lowercase token per line; blank lines and # comments ignored."""
-    tokens: set[str] = set()
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            word = line.strip()
-            if word and not word.startswith("#"):
-                tokens.add(word)
+    # read_text turns \r and \r\n into \n, so these are the file's lines
+    lines = fileio.read_text(path).split("\n")
+    tokens = {w for w in map(str.strip, lines) if w and not w.startswith("#")}
     if not tokens:
         raise DataError(f"{path}: no tokens found")
     return tokens

@@ -16,9 +16,16 @@ from typing import NamedTuple
 
 import numpy as np
 
+from capforge._words import BOILERPLATE_CAPTIONS, FILLER_WORDS, SYN_TEMPLATES, concept_word
 from capforge.curation import KMeansStep, _kmeans_pp_init
 from capforge.errors import DataError
 from capforge.pool import CaptionVariant, Record, variant_source_label, write_pool
+from capforge.poolgen import (
+    _captioner_vocab,
+    _template_cumulative,
+    _zipf_cumulative,
+    shard_rng,
+)
 from capforge.report import QualityReport
 from capforge.scoring import cosine
 from capforge.textmetrics import sample_subset, tokenize
@@ -273,6 +280,82 @@ def oracle_quality_report(handle, curated, get_table, *, vocab, lexicon, sample_
         sample_size=n_sample,
         sample_seed=seed,
     )
+
+
+def _render_syn(template: tuple[str | None, ...], concepts: list[int], fold: int) -> str:
+    words = []
+    slot = 0
+    for tok in template:
+        if tok is None:
+            cid = concepts[slot % len(concepts)]
+            words.append(concept_word(cid if cid < fold else cid % fold))
+            slot += 1
+        else:
+            words.append(tok)
+    return " ".join(words)
+
+
+def oracle_shard_jsonl(config, shard_index: int, size: int) -> bytes:
+    """A generated shard's JSONL record by record: concept ids deduplicated
+    by ``dict.fromkeys``, each raw caption shuffled by its own stable
+    argsort, each variant rendered slot by slot, and each record a
+    ``Record`` serialized by ``to_json``.  The draws are the generator's,
+    in its order; the embedding draws only advance the stream."""
+    rng = shard_rng(config.seed, shard_index)
+    zipf_cum = _zipf_cumulative(config.concept_vocab_size, config.zipf_exponent)
+    dim = config.embedding_dim
+
+    kcounts = rng.integers(2, 13, size=size)
+    flat = np.searchsorted(zipf_cum, rng.random(int(kcounts.sum())), side="right")
+    offsets = np.concatenate(([0], np.cumsum(kcounts)))
+    boiler = rng.random(size) < config.raw_noise_rate
+    boiler_idx = rng.integers(0, len(BOILERPLATE_CAPTIONS), size=size)
+    r_extra = rng.integers(0, 3, size=size)
+    fcounts = rng.integers(2, 9, size=size)
+    filler_flat = rng.integers(0, len(FILLER_WORDS), size=int(fcounts.sum()))
+    foffsets = np.concatenate(([0], np.cumsum(fcounts)))
+
+    concepts: list[list[int]] = []
+    for i in range(size):
+        ids = flat[offsets[i] : offsets[i + 1]].tolist()
+        concepts.append(list(dict.fromkeys(ids)))
+
+    rcounts = np.minimum([len(c) for c in concepts], 1 + r_extra)
+    order_keys = rng.random(int((rcounts + fcounts).sum()))
+    rng.normal(config.raw_alignment_mean, config.raw_alignment_sd, size)
+    rng.standard_normal((size, dim))
+    t_idx = []
+    for src in config.syn_sources:
+        _, tcum = _template_cumulative(src.diversity_factor)
+        t_idx.append(np.searchsorted(tcum, rng.random(size), side="right"))
+        rng.normal(config.syn_alignment_mean, config.syn_alignment_sd, size)
+        rng.standard_normal((size, dim))
+
+    base_id = shard_index * config.records_per_shard
+    records = []
+    key_off = 0
+    for i in range(size):
+        if boiler[i]:
+            raw_caption = BOILERPLATE_CAPTIONS[boiler_idx[i]]
+            key_off += int(rcounts[i] + fcounts[i])
+        else:
+            words = [concept_word(c) for c in concepts[i][: rcounts[i]]]
+            words += [
+                FILLER_WORDS[j] for j in filler_flat[foffsets[i] : foffsets[i + 1]]
+            ]
+            keys = order_keys[key_off : key_off + len(words)]
+            key_off += int(rcounts[i] + fcounts[i])
+            raw_caption = " ".join(words[j] for j in np.argsort(keys, kind="stable"))
+        variants = []
+        for src, t in zip(config.syn_sources, t_idx):
+            text = _render_syn(
+                SYN_TEMPLATES[int(t[i])],
+                concepts[i],
+                _captioner_vocab(src.diversity_factor),
+            )
+            variants.append(CaptionVariant(src.source_name, src.temperature, text))
+        records.append(Record(id=base_id + i, raw_caption=raw_caption, synthetic_variants=variants))
+    return "".join(r.to_json() + "\n" for r in records).encode("utf-8")
 
 
 def unit_rows(rng: np.random.Generator, n: int, dim: int) -> np.ndarray:

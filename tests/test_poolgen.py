@@ -1,8 +1,12 @@
 import itertools
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from capforge import fileio
 from capforge._words import (
@@ -14,7 +18,14 @@ from capforge._words import (
     concept_word,
 )
 from capforge.errors import ConfigError, DataError, DomainError
-from capforge.pool import open_pool, validate_pool, variant_source_label
+from capforge.cli import cli_main
+from capforge.pool import (
+    open_pool,
+    shard_jsonl_name,
+    shard_layout,
+    validate_pool,
+    variant_source_label,
+)
 from capforge.poolgen import (
     GenConfig,
     SynSource,
@@ -26,7 +37,7 @@ from capforge.poolgen import (
 )
 from capforge.scoring import score_pool
 from capforge.textmetrics import tokenize, unique_trigrams
-from helpers import read_records
+from helpers import oracle_shard_jsonl, read_records
 
 
 def _dir_bytes(path):
@@ -73,6 +84,66 @@ def test_worker_count_does_not_change_bytes(tmp_path):
     generate_pool(config, tmp_path / "a", workers=1)
     generate_pool(config, tmp_path / "b", workers=8)
     assert _dir_bytes(tmp_path / "a") == _dir_bytes(tmp_path / "b")
+
+
+# characters JSON escapes (quote, backslash, controls) or that a naive
+# escaper might (U+2028, non-ASCII), for source names
+_NAME_CHARS = ["a", "b", "\u00e9", "\u96ea", '"', "\\", "\u2028", "\x01", "\x1f", "\t", " "]
+
+
+@st.composite
+def _gen_configs(draw):
+    source = st.builds(
+        SynSource,
+        st.text(st.sampled_from(_NAME_CHARS), min_size=1, max_size=4),
+        st.one_of(st.integers(0, 3), st.floats(0, 3)),
+        st.sampled_from([0.01, 0.05, 0.3, 0.7, 1.0, 2.5]),
+    )
+    return GenConfig(
+        num_records=draw(st.integers(0, 30)),
+        seed=draw(st.integers(0, 2**64 - 1)),
+        embedding_dim=2,
+        records_per_shard=draw(st.integers(1, 12)),
+        concept_vocab_size=draw(st.sampled_from([2, 5, 348, 349, 400, 5000])),
+        zipf_exponent=draw(st.sampled_from([0.2, 1.1, 3.0])),
+        raw_noise_rate=draw(st.sampled_from([0.0, 0.12, 0.5, 1.0])),
+        syn_sources=draw(st.lists(source, max_size=3, unique_by=lambda s: s.label)),
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(config=_gen_configs())
+@example(config=GenConfig(num_records=0, seed=1))
+@example(config=GenConfig(num_records=7, seed=2, records_per_shard=1, concept_vocab_size=2,
+                          raw_noise_rate=1.0, syn_sources=[]))
+@example(config=GenConfig(
+    num_records=25, seed=3, records_per_shard=10, concept_vocab_size=5000,
+    zipf_exponent=0.2, raw_noise_rate=0.0,
+    syn_sources=[SynSource('q"\\\u2028\x01\u00e9\u96ea', 1, 0.01),
+                 SynSource("b", 0.5, 2.5), SynSource("c", 2, 0.3)]))
+def test_shards_match_the_record_by_record_oracle(config):
+    with tempfile.TemporaryDirectory() as tmp:
+        generate_pool(config, Path(tmp) / "pool")
+        sizes = shard_layout(config.num_records, config.records_per_shard)
+        for k, size in enumerate(sizes):
+            got = (Path(tmp) / "pool" / shard_jsonl_name(k)).read_bytes()
+            assert got == oracle_shard_jsonl(config, k, size)
+
+
+def test_readme_pool_checksums_are_pinned(tmp_path):
+    """A 2k-record pool of the README config, as generated before shards were
+    built from columns."""
+    manifest = generate_pool(GenConfig(num_records=2000, seed=7), tmp_path)
+    assert manifest.checksums == {
+        "shard-00000.image.f32": "d38e6713",
+        "shard-00000.jsonl": "8a48df6f",
+        "shard-00000.raw.f32": "ec2ff40f",
+        "shard-00000.syn.blip2.0.75.f32": "84a43111",
+        "shard-00001.image.f32": "11374233",
+        "shard-00001.jsonl": "6adfeae5",
+        "shard-00001.raw.f32": "376c84da",
+        "shard-00001.syn.blip2.0.75.f32": "61cad4f9",
+    }
 
 
 def test_different_seed_changes_pool(tmp_path):
@@ -275,6 +346,30 @@ def test_config_validation_bounds():
             seed=0,
             syn_sources=[SynSource("a", 0.75, 1.0), SynSource("a", 0.75, 0.5)],
         ).validate()
+
+
+@pytest.mark.parametrize("where, field, value", [
+    ("config", "zipf_exponent", "NaN"),
+    ("config", "zipf_exponent", "Infinity"),
+    ("config", "raw_alignment_mean", "NaN"),
+    ("config", "raw_noise_rate", "NaN"),
+    ("source", "temperature", "NaN"),
+    ("source", "temperature", "Infinity"),
+    ("source", "diversity_factor", "NaN"),
+    ("source", "diversity_factor", "Infinity"),
+    ("source", "diversity_factor", "1e308"),
+])
+def test_gen_refuses_non_finite_numbers(tmp_path, capsys, where, field, value):
+    source = {"source_name": "b", "temperature": 0.5, "diversity_factor": 0.7}
+    config = {"num_records": 4, "seed": 1, "syn_sources": [source]}
+    (config if where == "config" else source)[field] = "VALUE"
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps(config).replace('"VALUE"', value))
+    assert cli_main(["gen", "--config", str(path), "--out", str(tmp_path / "pool")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1
+    assert field in err
+    assert not (tmp_path / "pool").exists()
 
 
 def test_load_config_file(tmp_path):

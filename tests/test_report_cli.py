@@ -499,12 +499,43 @@ def test_cli_sweep(tmp_path):
     assert len(lines) == 3
 
 
-def test_cli_workers_env(tmp_path, monkeypatch):
+def test_cli_workers_env(tmp_path, monkeypatch, capsys):
     config = _write_config(tmp_path)
     monkeypatch.setenv("CAPFORGE_WORKERS", "4")
     assert cli_main(["gen", "--config", config, "--out", str(tmp_path / "p1")]) == 0
     monkeypatch.setenv("CAPFORGE_WORKERS", "banana")
     assert cli_main(["gen", "--config", config, "--out", str(tmp_path / "p2")]) == 1
+    for env in ["0", "-3"]:  # the rule --workers follows
+        monkeypatch.setenv("CAPFORGE_WORKERS", env)
+        capsys.readouterr()
+        assert cli_main(["gen", "--config", config, "--out", str(tmp_path / "p2")]) == 1
+        assert capsys.readouterr().err == "config error: CAPFORGE_WORKERS must be >= 1\n"
+        assert not (tmp_path / "p2").exists()
+    assert cli_main(["gen", "--config", config, "--out", str(tmp_path / "p2"),
+                     "--workers", "2"]) == 0
+
+
+@pytest.mark.parametrize("reader, code", [
+    ("config", 1), ("strategies", 1), ("manifest", 2), ("vocab", 2), ("lexicon", 2),
+])
+def test_cli_input_that_is_not_utf8_is_one_line(small_pool, tmp_path, capsys, reader, code):
+    bad = tmp_path / "bad"
+    bad.write_bytes(b"\xff" + json.dumps({"num_records": 4, "seed": 1}).encode())
+    strategies = tmp_path / "s.json"
+    strategies.write_text(json.dumps([{"name": "raw_all"}]))
+    report = ["report", "--pool", str(small_pool), "--out-dir", str(tmp_path / "r"),
+              "--strategies", str(bad if reader == "strategies" else strategies)]
+    if reader == "config":
+        args = ["gen", "--config", str(bad), "--out", str(tmp_path / "pool")]
+    elif reader == "manifest":
+        (tmp_path / "pool").mkdir()
+        bad.rename(tmp_path / "pool" / "manifest.json")
+        args = ["validate", str(tmp_path / "pool")]
+    else:
+        args = report + ([f"--{reader}", str(bad)] if reader != "strategies" else [])
+    assert cli_main(args) == code
+    err = capsys.readouterr().err
+    assert "not UTF-8" in err and err.count("\n") == 1, err
 
 
 def test_cli_gen_seed_override(tmp_path):
