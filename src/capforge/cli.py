@@ -12,6 +12,7 @@ import argparse
 import dataclasses
 import itertools
 import json
+import math
 import os
 import sys
 
@@ -147,6 +148,8 @@ def _cmd_filter(args) -> int:
         raise ConfigError("filter requires exactly one of --p or --tau")
     if args.p is not None and not 0 < args.p <= 100:
         raise ConfigError(f"p must lie in (0, 100], got {args.p}")
+    if args.tau is not None and not math.isfinite(args.tau):
+        raise ConfigError(f"tau must be finite, got {args.tau}")
     handle = open_pool(args.pool)
     label = _resolve_source(handle, args.source)
     table = make_table_getter(handle)(label)

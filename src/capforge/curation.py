@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -438,12 +439,14 @@ def resolve_syn_source(labels: Sequence[str], requested: str) -> str:
     """Map a user-facing source name onto an embedding source label.
 
     Accepts a full label (``syn.blip2.0.75``) or a bare captioner name
-    (``blip2``) when only one temperature is present.
+    (``blip2``, or ``a.b``: whatever lies between ``syn.`` and the
+    ``.{temp:.2f}`` suffix) when only one temperature is present.
     """
     if requested in labels:
         return requested
     matches = [
-        lab for lab in labels if lab.startswith("syn.") and lab.split(".", 2)[1] == requested
+        lab for lab in labels
+        if (m := re.fullmatch(r"syn\.(.*)\.\d+\.\d\d", lab, re.DOTALL)) and m[1] == requested
     ]
     if len(matches) == 1:
         return matches[0]

@@ -1,27 +1,41 @@
 """Pool data model and shard I/O.
 
-A pool is a directory with a ``manifest.json``, one JSONL shard file per
-record chunk, and per-source embedding sidecars (little-endian float32).
-Pools are immutable once written; handles are read-only and safe to share
-across threads (caches may be built redundantly under contention, never
-inconsistently).
+A pool is a directory with a ``manifest.json``, one binary caption shard
+per record chunk, and per-source embedding sidecars (little-endian
+float32).  Pools are immutable once written; handles are read-only and
+safe to share across threads (caches may be built redundantly under
+contention, never inconsistently).
+
+A caption shard (``shard-NNNNN.cap``, little-endian; only this module
+encodes and decodes one) holds the magic ``CAP2``, the variant width W
+(u32) and the row count N (u64), then the columns ``ids`` int64[N];
+``prov`` int64[N], a materialized record's source id or -1 for none;
+``labels`` int16[N*W], row by row, indexes into the manifest's
+``caption_labels`` with -1 padding only after a record's variants; and
+``offsets`` uint64[T+1] (T: N plus the variant count) into the UTF-8
+buffer that ends the file, which holds each record's raw caption and then
+its variants, record by record.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+import reprlib
+import struct
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
 from . import fileio
 from .errors import DataError, FormatError, IntegrityError
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 MANIFEST_NAME = "manifest.json"
+SHARD_MAGIC = b"CAP2"
+MAX_CAPTION_LABELS = 2**15 - 1  # a shard's labels are int16 indexes
 
 # A caption choice is the position of a variant in a record's "syn" list, or
 # RAW_CHOICE for the record's raw caption.
@@ -33,8 +47,16 @@ def variant_source_label(source_name: str, temperature: float) -> str:
     return f"syn.{source_name}.{temperature:.2f}"
 
 
-def shard_jsonl_name(k: int) -> str:
-    return f"shard-{k:05d}.jsonl"
+def check_source_name(name: str, error: type[Exception] = DataError) -> None:
+    """Raise ``error`` unless a source name can name a sidecar file: no '/',
+    no NUL and no lone surrogate, which UTF-8 cannot encode."""
+    if "/" in name or "\0" in name or any("\ud800" <= c <= "\udfff" for c in name):
+        raise error(f"source name {name!r} cannot name a file: it holds '/', NUL or "
+                    "a lone surrogate")
+
+
+def shard_caption_name(k: int) -> str:
+    return f"shard-{k:05d}.cap"
 
 
 def shard_embedding_name(k: int, source: str) -> str:
@@ -54,46 +76,74 @@ class CaptionVariant:
 
 @dataclass
 class Record:
-    """One image-text sample plus its generated caption variants."""
+    """One image-text sample plus its generated caption variants, as
+    ``write_pool`` takes it (a shard keeps each variant's source label)."""
 
     id: int
     raw_caption: str
     synthetic_variants: list[CaptionVariant] = field(default_factory=list)
-    prov: int | None = None  # source record id in materialized pools
-
-    def to_json(self) -> str:
-        obj: dict = {"id": self.id}
-        if self.prov is not None:
-            obj["prov"] = self.prov
-        obj["raw"] = self.raw_caption
-        obj["syn"] = [
-            {"src": v.source_name, "temp": v.temperature, "text": v.text}
-            for v in self.synthetic_variants
-        ]
-        return json.dumps(obj, ensure_ascii=False, separators=(",", ":"))
+    prov: int | None = None  # source record id in materialized pools; -1 reads as None
 
 
-def _typed(values: list, what: str, *types: type) -> list:
-    """`values`, if each one's type is one of `types` (so a bool is no int)."""
-    if not {*map(type, values)} <= {*types}:
-        raise TypeError(f"{what} must be {' or '.join(t.__name__ for t in types)}")
-    return values
+class ShardColumns(NamedTuple):
+    """One caption shard's columns as ``write_shard`` stores them."""
+
+    ids: np.ndarray  # (N,) int64
+    prov: np.ndarray  # (N,) int64, -1 for none
+    labels: np.ndarray  # (N, W) int16 into caption_labels, -1 pads
+    offsets: np.ndarray  # (T+1,) uint64 byte offsets into text
+    text: bytes  # UTF-8: each record's raw caption, then its variants
 
 
-def _columns(objs: list) -> tuple:
-    """(ids, raw captions, variant counts, variant texts, variant labels) of
-    parsed shard records; each field's JSON type is checked for all records
-    at once."""
-    objs = _typed(objs, "record", dict)
-    syns = _typed([o.get("syn", []) for o in objs], "syn", list)
-    variants = _typed([v for syn in syns for v in syn], "variant", dict)
-    srcs = _typed([v["src"] for v in variants], "src", str)
-    temps = _typed([v["temp"] for v in variants], "temp", int, float)
-    names = {pair: variant_source_label(*pair) for pair in dict.fromkeys(zip(srcs, temps))}
-    return (np.array(_typed([o["id"] for o in objs], "id", int), np.int64),
-            _typed([o["raw"] for o in objs], "raw", str), list(map(len, syns)),
-            _typed([v["text"] for v in variants], "text", str),
-            [names[pair] for pair in zip(srcs, temps)])
+def encode_shard(columns: ShardColumns) -> bytes:
+    """A caption shard's bytes, in the layout the module docstring gives."""
+    ids, prov, labels, offsets, text = columns
+    rows, width = labels.shape
+    return b"".join((
+        SHARD_MAGIC, struct.pack("<IQ", width, rows),
+        np.asarray(ids, "<i8").tobytes(), np.asarray(prov, "<i8").tobytes(),
+        np.asarray(labels, "<i2").tobytes(), np.asarray(offsets, "<u8").tobytes(), text,
+    ))
+
+
+def decode_shard(
+    blob: bytes, *, context: str, num_labels: int
+) -> tuple[np.ndarray, np.ndarray, list[str]]:
+    """(ids, labels, texts) of a caption shard, ``texts`` holding each
+    record's raw caption and then its variants, record by record.  A shard
+    that breaks the layout raises a FormatError or IntegrityError naming
+    ``context``."""
+    if len(blob) < 16 or blob[:4] != SHARD_MAGIC:
+        raise FormatError(f"{context}: not a CAP2 caption shard")
+    width, rows = struct.unpack_from("<IQ", blob, 4)
+    head = 16 + rows * (16 + 2 * width)
+    if len(blob) < head:
+        raise IntegrityError(f"{context}: {len(blob)} bytes, its header implies at least {head}")
+    # copies, so the columns do not keep the shard's bytes alive
+    ids = np.frombuffer(blob, "<i8", rows, 16).astype(np.int64)
+    labels = np.frombuffer(blob, "<i2", rows * width, 16 + 16 * rows).reshape(rows, width)
+    labels = labels.astype(np.int16)
+    bad = labels[(labels < -1) | (labels >= num_labels)]
+    if bad.size:
+        raise FormatError(f"{context}: label {bad[0]} outside [-1, {num_labels})")
+    held = labels >= 0
+    gaps = (held[:, 1:] > held[:, :-1]).any(axis=1)
+    if gaps.any():
+        raise FormatError(f"{context}: row {np.argmax(gaps)} pads before a variant")
+    count = rows + int(held.sum())
+    start = head + 8 * (count + 1)
+    if len(blob) < start:
+        raise IntegrityError(f"{context}: {len(blob)} bytes, its header implies at least {start}")
+    offsets = np.frombuffer(blob, "<u8", count + 1, head)
+    if offsets[0] != 0 or offsets[-1] != len(blob) - start or (offsets[1:] < offsets[:-1]).any():
+        raise FormatError(f"{context}: caption offsets do not rise from 0 to the "
+                          f"{len(blob) - start}-byte text buffer's end")
+    bounds = (offsets + start).tolist()
+    try:
+        texts = [blob[a:b].decode("utf-8") for a, b in zip(bounds, bounds[1:])]
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{context}: a caption is not UTF-8: {exc}") from None
+    return ids, labels, texts
 
 
 @dataclass(frozen=True)
@@ -117,28 +167,44 @@ class CaptionTable:
         return len(self.ids)
 
     @classmethod
-    def from_shards(cls, shards: Iterable[tuple]) -> "CaptionTable":
-        """Concatenate shards' ``_columns``, interning texts and labels."""
+    def from_shards(cls, shards: Iterable[tuple], caption_labels: Sequence[str]) -> "CaptionTable":
+        """Concatenate ``decode_shard`` results, interning texts; labels
+        index ``caption_labels``."""
         text_index: dict[str, int] = {}
-        label_index = {"raw": 0}
+        ids, labels, text_ids = [np.zeros(0, np.int64)], [], [np.zeros(0, np.int64)]
+        for shard_ids, shard_labels, texts in shards:
+            ids.append(shard_ids)
+            labels.append(shard_labels)
+            text_ids.append(np.array([text_index.setdefault(t, len(text_index)) for t in texts],
+                                     np.int64))
+        ids = np.concatenate(ids)
+        width = max((part.shape[1] for part in labels), default=0)
+        variants = np.concatenate([np.zeros((0, width), np.int16)] + [
+            np.pad(part, ((0, 0), (0, width - part.shape[1])), constant_values=-1)
+            for part in labels])
+        held = np.concatenate((np.ones((len(ids), 1), bool), variants >= 0), axis=1)
+        table_text_ids = np.full(held.shape, -1, np.int64)
+        table_text_ids[held] = np.concatenate(text_ids)  # row by row, as shards store texts
+        used, first = np.unique(variants[variants >= 0], return_index=True)
+        used = used[np.argsort(first)]
+        remap = np.full(len(caption_labels) + 1, -1, np.int64)  # remap[-1]: a pad stays -1
+        remap[used] = np.arange(1, used.size + 1)
+        label_ids = np.zeros_like(table_text_ids)
+        label_ids[:, 1:] = remap[variants]
+        return cls(ids, table_text_ids, label_ids, tuple(text_index),
+                   ("raw", *(caption_labels[i] for i in used.tolist())))
 
-        def intern(values, index):
-            return np.array([index.setdefault(v, len(index)) for v in values], np.int64)
 
-        parts = [(ids, intern(raws, text_index), np.array(counts, np.int64),
-                  intern(texts, text_index), intern(labels, label_index))
-                 for ids, raws, counts, texts, labels in shards]
-        ids, raw, counts, var_texts, var_labels = map(
-            np.concatenate, zip((np.zeros(0, np.int64),) * 5, *parts))
-        text_ids = np.full((len(ids), 1 + int(counts.max(initial=0))), -1, np.int64)
-        label_ids = np.full_like(text_ids, -1)
-        text_ids[:, 0] = raw
-        label_ids[:, 0] = 0
-        rows = np.repeat(np.arange(len(ids)), counts)
-        cols = 1 + np.arange(rows.size) - np.repeat(np.cumsum(counts) - counts, counts)
-        text_ids[rows, cols] = var_texts
-        label_ids[rows, cols] = var_labels
-        return cls(ids, text_ids, label_ids, tuple(text_index), tuple(label_index))
+_COUNT = ("a non-negative integer", lambda v: type(v) is int and v >= 0)
+_NAMES = ("a list of distinct strings",
+          lambda v: type(v) is list and {*map(type, v)} <= {str} and len({*v}) == len(v))
+_MANIFEST_FIELDS = {  # field: (what it must be, test)
+    "num_records": _COUNT, "num_shards": _COUNT, "records_per_shard": _COUNT,
+    "embedding_dim": _COUNT, "embedding_sources": _NAMES, "caption_labels": _NAMES,
+    "generator_seed": ("a non-negative integer or null", lambda v: v is None or _COUNT[1](v)),
+    "checksums": ("an object of strings",
+                  lambda v: type(v) is dict and {*map(type, v.values())} <= {str}),
+}
 
 
 @dataclass
@@ -149,25 +215,18 @@ class PoolManifest:
     records_per_shard: int
     embedding_dim: int
     embedding_sources: list[str]
+    caption_labels: list[str] = field(default_factory=list)
     generator_seed: int | None = None
     checksums: dict[str, str] = field(default_factory=dict)
 
     def to_json(self) -> str:
-        obj = {
-            "format_version": self.format_version,
-            "num_records": self.num_records,
-            "num_shards": self.num_shards,
-            "records_per_shard": self.records_per_shard,
-            "embedding_dim": self.embedding_dim,
-            "embedding_sources": self.embedding_sources,
-            "checksums": self.checksums,
-        }
-        if self.generator_seed is not None:
-            obj["generator_seed"] = self.generator_seed
+        obj = {k: v for k, v in asdict(self).items() if v is not None}
         return json.dumps(obj, indent=2, sort_keys=True)
 
     @classmethod
     def from_json(cls, text: str, *, context: str) -> "PoolManifest":
+        """A format-2 manifest whose fields pass ``_MANIFEST_FIELDS``'s tests;
+        anything else raises a FormatError in one line."""
         try:
             obj = json.loads(text)
         except json.JSONDecodeError as exc:
@@ -175,23 +234,23 @@ class PoolManifest:
         if not isinstance(obj, dict) or "format_version" not in obj:
             raise FormatError(f"{context}: manifest missing format_version")
         version = obj["format_version"]
-        if version != FORMAT_VERSION:
+        if type(version) is int and version == 1:
+            raise FormatError(f"{context}: format_version 1 (JSONL shards) is no longer "
+                              "read; regenerate the pool")
+        if type(version) is not int or version != FORMAT_VERSION:
             raise FormatError(
-                f"{context}: unsupported format_version {version} (expected {FORMAT_VERSION})"
-            )
-        try:
-            return cls(
-                format_version=int(version),
-                num_records=int(obj["num_records"]),
-                num_shards=int(obj["num_shards"]),
-                records_per_shard=int(obj["records_per_shard"]),
-                embedding_dim=int(obj["embedding_dim"]),
-                embedding_sources=list(obj["embedding_sources"]),
-                generator_seed=obj.get("generator_seed"),
-                checksums=dict(obj.get("checksums", {})),
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise FormatError(f"{context}: malformed manifest field: {exc}") from exc
+                f"{context}: unsupported format_version {version!r} (expected {FORMAT_VERSION})")
+        obj.setdefault("generator_seed", None)
+        for key, (what, ok) in _MANIFEST_FIELDS.items():
+            if key not in obj:
+                raise FormatError(f"{context}: manifest lacks field {key!r}")
+            if not ok(obj[key]):
+                raise FormatError(f"{context}: manifest field {key!r} must be {what}, "
+                                  f"got {reprlib.repr(obj[key])}")
+        if len(obj["caption_labels"]) > MAX_CAPTION_LABELS:
+            raise FormatError(f"{context}: manifest lists {len(obj['caption_labels'])} "
+                              f"caption labels, more than {MAX_CAPTION_LABELS}")
+        return cls(version, **{key: obj[key] for key in _MANIFEST_FIELDS})
 
 
 @dataclass
@@ -236,21 +295,17 @@ def shard_layout(num_records: int, records_per_shard: int) -> list[int]:
 def write_shard(
     out_dir: Path,
     shard_index: int,
-    jsonl: bytes,
+    columns: ShardColumns,
     embeddings: Mapping[str, np.ndarray],
 ) -> dict[str, str]:
-    """Write one shard's encoded JSONL and embedding sidecars; returns
+    """Write one caption shard and its embedding sidecars; returns
     file->crc map."""
-    checksums: dict[str, str] = {}
-    jsonl_name = shard_jsonl_name(shard_index)
-    (out_dir / jsonl_name).write_bytes(jsonl)
-    checksums[jsonl_name] = fileio.crc32c_hex(jsonl)
-    for source, mat in embeddings.items():
-        name = shard_embedding_name(shard_index, source)
-        payload = fileio.encode_embeddings(np.asarray(mat, dtype=np.float32))
+    payloads = {shard_caption_name(shard_index): encode_shard(columns)} | {
+        shard_embedding_name(shard_index, source): fileio.encode_embeddings(
+            np.asarray(mat, dtype=np.float32)) for source, mat in embeddings.items()}
+    for name, payload in payloads.items():
         (out_dir / name).write_bytes(payload)
-        checksums[name] = fileio.crc32c_hex(payload)
-    return checksums
+    return {name: fileio.crc32c_hex(payload) for name, payload in payloads.items()}
 
 
 def write_manifest(out_dir: Path, manifest: PoolManifest) -> None:
@@ -275,9 +330,8 @@ def write_pool(
     records_per_shard: int = 1000,
     generator_seed: int | None = None,
 ) -> PoolManifest:
-    """Write a pool directory from records and per-source (rows, dim) matrices."""
-    out_dir = new_pool_dir(out_path)
-
+    """Write a pool directory from records and per-source (rows, dim)
+    matrices; every check runs before the directory is made."""
     record_list = list(records)
     n = len(record_list)
     if "image" not in embeddings:
@@ -286,6 +340,7 @@ def write_pool(
     matrices: dict[str, np.ndarray] = {}
     dim: int | None = None
     for source, stream in embeddings.items():
+        check_source_name(source)
         mat = np.asarray(stream, dtype=np.float32)
         if mat.ndim != 2:
             raise DataError(f"source {source}: expected (rows, dim) matrix")
@@ -305,14 +360,33 @@ def write_pool(
         matrices[source] = mat
     if dim is None:
         dim = 0
-
+    index: dict[str, int] = {}
+    labels = [[index.setdefault(variant_source_label(v.source_name, v.temperature), len(index))
+               for v in r.synthetic_variants] for r in record_list]
+    if len(index) > MAX_CAPTION_LABELS:
+        raise DataError(f"{len(index)} variant source labels, more than {MAX_CAPTION_LABELS}")
+    width = max(map(len, labels), default=0)
+    try:
+        ids = np.array([r.id for r in record_list], np.int64)
+        prov = np.array([-1 if r.prov is None else r.prov for r in record_list], np.int64)
+        captions = [[r.raw_caption, *(v.text for v in r.synthetic_variants)] for r in record_list]
+        texts = [[t.encode("utf-8") for t in record] for record in captions]
+    except (OverflowError, UnicodeEncodeError) as exc:
+        raise DataError(f"records do not fit a caption shard: {exc}") from None
     sizes = shard_layout(n, records_per_shard)
+    out_dir = new_pool_dir(out_path)
+
     checksums: dict[str, str] = {}
     offset = 0
     for k, size in enumerate(sizes):
-        jsonl = "".join(r.to_json() + "\n" for r in record_list[offset : offset + size])
-        shard_embs = {s: m[offset : offset + size] for s, m in matrices.items()}
-        checksums.update(write_shard(out_dir, k, jsonl.encode("utf-8"), shard_embs))
+        rows = slice(offset, offset + size)
+        captions = [t for record in texts[rows] for t in record]
+        columns = ShardColumns(
+            ids[rows], prov[rows],
+            np.array([row + [-1] * (width - len(row)) for row in labels[rows]], np.int16),
+            np.cumsum([0, *map(len, captions)]), b"".join(captions))
+        shard_embs = {s: m[rows] for s, m in matrices.items()}
+        checksums.update(write_shard(out_dir, k, columns, shard_embs))
         offset += size
 
     manifest = PoolManifest(
@@ -322,6 +396,7 @@ def write_pool(
         records_per_shard=records_per_shard,
         embedding_dim=dim,
         embedding_sources=list(matrices.keys()),
+        caption_labels=list(index),
         generator_seed=generator_seed,
         checksums=checksums,
     )
@@ -362,39 +437,17 @@ class PoolHandle:
         self._verified.add(name)
         return value
 
-    def shard_columns(self, k: int) -> tuple:
-        """``_columns`` of shard k, one record per non-blank line.  A line
-        that is not exactly one JSON record, or whose fields have the wrong
-        types, raises a FormatError naming it."""
-        name = shard_jsonl_name(k)
-        try:
-            text = self._read(name, fileio.read_bytes).decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise FormatError(f"{name}: not UTF-8: {exc}") from exc
-        # split on "\n" only: captions may hold U+0085 or U+2028 unescaped
-        lines = text.split("\n")
-        nonblank = [line for line in lines if line.strip()]
-        try:  # fast path: each line one value ending at its last character
-            parsed = list(map(json.JSONDecoder().raw_decode, nonblank))
-            if [end for _, end in parsed] == list(map(len, nonblank)):
-                return _columns([obj for obj, _ in parsed])
-        except (ValueError, KeyError, TypeError, OverflowError):
-            pass
-        objs = []
-        for number, line in enumerate(lines, 1):
-            try:
-                if line.strip():
-                    objs.append(json.loads(line))
-                    _columns(objs[-1:])
-            except (ValueError, KeyError, TypeError, OverflowError) as exc:
-                raise FormatError(f"{name} line {number}: malformed record: {exc}") from None
-        return _columns(objs)
+    def shard_columns(self, k: int) -> tuple[np.ndarray, np.ndarray, list[str]]:
+        """``decode_shard`` of caption shard k."""
+        name = shard_caption_name(k)
+        return decode_shard(self._read(name, fileio.read_bytes), context=name,
+                            num_labels=len(self.manifest.caption_labels))
 
     def records(self) -> CaptionTable:
         """The pool's caption table, built on the first call."""
         if self._table is None:
             shards = map(self.shard_columns, range(self.manifest.num_shards))
-            table = CaptionTable.from_shards(shards)
+            table = CaptionTable.from_shards(shards, self.manifest.caption_labels)
             self._id_order = np.argsort(table.ids, kind="stable")
             self._table = table
         return self._table
@@ -521,7 +574,7 @@ def open_pool(path: str | Path) -> PoolHandle:
     manifest = PoolManifest.from_json(
         fileio.read_text(manifest_path), context=str(manifest_path)
     )
-    layout = {shard_jsonl_name(k) for k in range(manifest.num_shards)} | {
+    layout = {shard_caption_name(k) for k in range(manifest.num_shards)} | {
         shard_embedding_name(k, s)
         for k in range(manifest.num_shards)
         for s in manifest.embedding_sources
@@ -554,7 +607,7 @@ def validate_pool(handle: PoolHandle) -> ValidationReport:
                 columns = handle.shard_columns(k)
             except (FormatError, IntegrityError, OSError) as exc:
                 report.findings.append(
-                    Finding("shard_error", str(exc), file=shard_jsonl_name(k))
+                    Finding("shard_error", str(exc), file=shard_caption_name(k))
                 )
                 continue
             rows = len(columns[0])
@@ -563,12 +616,12 @@ def validate_pool(handle: PoolHandle) -> ValidationReport:
                     Finding(
                         "shard_count",
                         f"shard {k} holds {rows} records, expected {expected_sizes[k]}",
-                        file=shard_jsonl_name(k),
+                        file=shard_caption_name(k),
                     )
                 )
             yield columns
 
-    table = CaptionTable.from_shards(good_shards())
+    table = CaptionTable.from_shards(good_shards(), manifest.caption_labels)
     if len(table) != manifest.num_records:
         report.findings.append(
             Finding(

@@ -17,7 +17,6 @@ config.
 from __future__ import annotations
 
 import itertools
-import json
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
@@ -39,6 +38,8 @@ from .errors import ConfigError, DomainError, check_numbers
 from .pool import (
     FORMAT_VERSION,
     PoolManifest,
+    ShardColumns,
+    check_source_name,
     new_pool_dir,
     score_sidecar_name,
     shard_layout,
@@ -116,10 +117,13 @@ class GenConfig:
                 raise ConfigError(f"{name} must lie in (0, 1), got {value}")
         if not 0 <= self.raw_noise_rate <= 1:
             raise ConfigError("raw_noise_rate must lie in [0, 1]")
+        if len(self.syn_sources) > pool.MAX_CAPTION_LABELS:
+            raise ConfigError(f"more than {pool.MAX_CAPTION_LABELS} syn sources")
         labels = set()
         for src in self.syn_sources:
             if not src.source_name:
                 raise ConfigError("syn source_name must be nonempty")
+            check_source_name(src.source_name, ConfigError)
             if src.temperature < 0:
                 raise ConfigError("syn temperature must be nonnegative")
             if src.diversity_factor <= 0:
@@ -301,36 +305,32 @@ def _segments(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return seg, np.arange(seg.size) - np.repeat(np.cumsum(counts) - counts, counts)
 
 
-def _interleave(columns: list[tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
+def _interleave(columns: list[tuple[np.ndarray, np.ndarray]]) -> tuple[np.ndarray, np.ndarray]:
     """Record by record, each column's (values, per-record counts) segment
-    in column order: a shard's pieces in the order its lines hold them."""
+    in column order: a shard's pieces in the order its text holds them.
+    Also returns the segment lengths in that order."""
     counts = np.stack([c for _, c in columns], axis=1)
     starts = (np.cumsum(counts) - counts.ravel()).reshape(counts.shape)
     out = np.empty(int(counts.sum()), np.int64)
     for j, (values, c) in enumerate(columns):
         rec, pos = _segments(c)
         out[starts[rec, j] + pos] = values
-    return out
-
-
-def _escape(s: str) -> str:
-    """``s`` as inside a JSON string; escaping goes character by character,
-    so escaped words joined by spaces are the escaped caption."""
-    return json.dumps(s, ensure_ascii=False)[1:-1]
+    return out, counts.ravel()
 
 
 @dataclass(frozen=True)
 class _Text:
-    """A pool's caption text as pieces, each JSON-escaped once.
+    """A pool's caption text as pieces.
 
     Word ids: concepts, then fillers, boilerplate captions and glue words;
-    ``pieces`` holds every word, then every word after a space, then the
-    JSON between the raw caption and the variants, between variants and at
-    the line's end.  ``templates`` holds each template's word ids, with
-    ``-1 - s`` for concept slot s; ``lengths`` its word count.
+    ``pieces`` holds every word, then every word after a space, and
+    ``nbytes`` each piece's UTF-8 length.  ``templates`` holds each
+    template's word ids, with ``-1 - s`` for concept slot s; ``lengths``
+    its word count.
     """
 
     pieces: np.ndarray  # object
+    nbytes: np.ndarray
     num_words: int
     filler: int
     boiler: int
@@ -342,14 +342,7 @@ class _Text:
         concepts = [concept_word(c) for c in range(config.concept_vocab_size)]
         words = concepts + FILLER_WORDS + BOILERPLATE_CAPTIONS + GLUE_WORDS
         glue = len(words) - len(GLUE_WORDS)
-        literals = [
-            f'{{"src":"{_escape(s.source_name)}","temp":{json.dumps(s.temperature)},"text":"'
-            for s in config.syn_sources
-        ]
-        opens = ['","syn":['] + ['"},'] * (len(literals) - 1)
-        seps = [a + b for a, b in zip(opens, literals)]
-        seps.append('"}]}\n' if literals else '","syn":[]}\n')
-        escaped = list(map(_escape, words))
+        pieces = words + [" " + w for w in words]
         templates = np.zeros((len(SYN_TEMPLATES), max(map(len, SYN_TEMPLATES))), np.int64)
         for t, template in enumerate(SYN_TEMPLATES):
             slots = itertools.count()
@@ -358,7 +351,8 @@ class _Text:
                 for tok in template
             ]
         return cls(
-            pieces=np.array(escaped + [" " + w for w in escaped] + seps, dtype=object),
+            pieces=np.array(pieces, dtype=object),
+            nbytes=np.array([len(p.encode("utf-8")) for p in pieces]),
             num_words=len(words),
             filler=len(concepts),
             boiler=len(concepts) + len(FILLER_WORDS),
@@ -369,10 +363,6 @@ class _Text:
     def caption(self, words: np.ndarray, pos: np.ndarray) -> np.ndarray:
         """Piece ids of words at positions ``pos`` of their captions."""
         return words + self.num_words * (pos > 0)
-
-    def separator(self, k: int, size: int) -> tuple[np.ndarray, np.ndarray]:
-        """Column of the k-th separator piece, once per record."""
-        return np.full(size, 2 * self.num_words + k), np.ones(size, np.int64)
 
 
 @dataclass
@@ -462,16 +452,10 @@ def _generate_shard(
     keep = ~boiler[rec] | boiler_first
     raw_counts = np.where(boiler, 1, rcounts + fcounts)
 
-    base_id = shard_index * config.records_per_shard
-    heads = [f'{{"id":{i},"raw":"' for i in range(base_id, base_id + size)]
-    columns = [
-        (len(text.pieces) + np.arange(size), np.ones(size, np.int64)),
-        (text.caption(raw[keep], pos[keep]), raw_counts),
-        text.separator(0, size),
-    ]
+    columns = [(text.caption(raw[keep], pos[keep]), raw_counts)]
     # variants: slot s of a template takes the record's concept s mod its
     # concept count, folded into the captioner's vocabulary
-    for k, src in enumerate(config.syn_sources, 1):
+    for src in config.syn_sources:
         t_idx = syn_draws[src.label][0]
         lengths = text.lengths[t_idx]
         rec, pos = _segments(lengths)
@@ -480,11 +464,18 @@ def _generate_shard(
         rec_slot = rec[slot]
         cid = concepts[cstarts[rec_slot] + (-1 - words[slot]) % ccounts[rec_slot]]
         words[slot] = cid % _captioner_vocab(src.diversity_factor)
-        columns += [(text.caption(words, pos), lengths), text.separator(k, size)]
-    pieces = np.concatenate((text.pieces, np.array(heads, dtype=object)))
-    blob = "".join(pieces[_interleave(columns)].tolist()).encode("utf-8")
-
-    checksums = pool.write_shard(out_dir, shard_index, blob, embeddings)
+        columns.append((text.caption(words, pos), lengths))
+    pieces, counts = _interleave(columns)
+    ends = np.concatenate(([0], np.cumsum(text.nbytes[pieces])))
+    base_id = shard_index * config.records_per_shard
+    shard = ShardColumns(
+        ids=np.arange(base_id, base_id + size, dtype=np.int64),
+        prov=np.full(size, -1, np.int64),
+        labels=np.tile(np.arange(len(config.syn_sources), dtype=np.int16), (size, 1)),
+        offsets=ends[np.concatenate(([0], np.cumsum(counts)))],
+        text="".join(text.pieces[pieces].tolist()).encode("utf-8"),
+    )
+    checksums = pool.write_shard(out_dir, shard_index, shard, embeddings)
     return _ShardOutput(
         checksums=checksums,
         raw_alphas=raw_alphas.astype(np.float32),
@@ -526,14 +517,15 @@ def generate_pool(config: GenConfig, out_path: str | Path, *, workers: int = 1) 
     for out in outputs:
         checksums.update(out.checksums)
 
-    source_labels = ["image", "raw"] + [s.label for s in config.syn_sources]
+    caption_labels = [s.label for s in config.syn_sources]
     manifest = PoolManifest(
         format_version=FORMAT_VERSION,
         num_records=config.num_records,
         num_shards=len(sizes),
         records_per_shard=config.records_per_shard,
         embedding_dim=config.embedding_dim,
-        embedding_sources=source_labels,
+        embedding_sources=["image", "raw", *caption_labels],
+        caption_labels=caption_labels,
         generator_seed=config.seed,
         checksums=dict(sorted(checksums.items())),
     )

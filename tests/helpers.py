@@ -2,14 +2,15 @@
 
 The oracles deliberately avoid the library's code paths: selection uses a
 plain stable sort over (score desc, id asc), strategies are enumerated
-with Python sets, and records are parsed line by line into objects, so
-agreement with the fast implementations is meaningful.
+with Python sets, and shards are decoded field by field with ``struct``
+into objects, so agreement with the fast implementations is meaningful.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import struct
 from fractions import Fraction
 from pathlib import Path
 from typing import NamedTuple
@@ -102,25 +103,43 @@ def oracle_strategy(
     return entries
 
 
+def _variant(label: str, text: str) -> CaptionVariant:
+    """The variant a ``syn.{name}.{temp:.2f}`` label stands for."""
+    name, whole, frac = label.removeprefix("syn.").rsplit(".", 2)
+    return CaptionVariant(name, float(f"{whole}.{frac}"), text)
+
+
 def read_records(pool_dir) -> list[Record]:
-    """Every record of a pool, one JSON line at a time, as objects."""
+    """Every record of a format-2 pool, each shard unpacked with ``struct``
+    one column at a time, as objects.  A variant's name and temperature are
+    read back from its label, so a temperature keeps two decimals."""
     pool_dir = Path(pool_dir)
     manifest = json.loads((pool_dir / "manifest.json").read_text(encoding="utf-8"))
     records = []
     for k in range(manifest["num_shards"]):
-        text = (pool_dir / f"shard-{k:05d}.jsonl").read_bytes().decode("utf-8")
-        for line in text.split("\n"):
-            if line.strip():
-                obj = json.loads(line)
-                records.append(Record(
-                    id=int(obj["id"]),
-                    raw_caption=obj["raw"],
-                    synthetic_variants=[
-                        CaptionVariant(v["src"], float(v["temp"]), v["text"])
-                        for v in obj.get("syn", [])
-                    ],
-                    prov=obj.get("prov"),
-                ))
+        blob = (pool_dir / f"shard-{k:05d}.cap").read_bytes()
+        assert blob[:4] == b"CAP2"
+        width, n = struct.unpack_from("<IQ", blob, 4)
+        ids = struct.unpack_from(f"<{n}q", blob, 16)
+        prov = struct.unpack_from(f"<{n}q", blob, 16 + 8 * n)
+        flat = struct.unpack_from(f"<{n * width}h", blob, 16 + 16 * n)
+        labels = [[j for j in flat[i * width : (i + 1) * width] if j >= 0] for i in range(n)]
+        start = 16 + 16 * n + 2 * n * width
+        count = n + sum(map(len, labels))
+        offsets = struct.unpack_from(f"<{count + 1}Q", blob, start)
+        start += 8 * (count + 1)
+        assert start + offsets[-1] == len(blob)
+        texts = iter([blob[start + a : start + b].decode("utf-8")
+                      for a, b in zip(offsets, offsets[1:])])
+        for i in range(n):
+            raw = next(texts)
+            records.append(Record(
+                id=ids[i],
+                raw_caption=raw,
+                synthetic_variants=[
+                    _variant(manifest["caption_labels"][j], next(texts)) for j in labels[i]],
+                prov=None if prov[i] == -1 else prov[i],
+            ))
     return records
 
 
@@ -295,11 +314,10 @@ def _render_syn(template: tuple[str | None, ...], concepts: list[int], fold: int
     return " ".join(words)
 
 
-def oracle_shard_jsonl(config, shard_index: int, size: int) -> bytes:
-    """A generated shard's JSONL record by record: concept ids deduplicated
-    by ``dict.fromkeys``, each raw caption shuffled by its own stable
-    argsort, each variant rendered slot by slot, and each record a
-    ``Record`` serialized by ``to_json``.  The draws are the generator's,
+def oracle_shard_records(config, shard_index: int, size: int) -> list[Record]:
+    """A generated shard's records one by one: concept ids deduplicated by
+    ``dict.fromkeys``, each raw caption shuffled by its own stable argsort
+    and each variant rendered slot by slot.  The draws are the generator's,
     in its order; the embedding draws only advance the stream."""
     rng = shard_rng(config.seed, shard_index)
     zipf_cum = _zipf_cumulative(config.concept_vocab_size, config.zipf_exponent)
@@ -355,7 +373,7 @@ def oracle_shard_jsonl(config, shard_index: int, size: int) -> bytes:
             )
             variants.append(CaptionVariant(src.source_name, src.temperature, text))
         records.append(Record(id=base_id + i, raw_caption=raw_caption, synthetic_variants=variants))
-    return "".join(r.to_json() + "\n" for r in records).encode("utf-8")
+    return records
 
 
 def unit_rows(rng: np.random.Generator, n: int, dim: int) -> np.ndarray:

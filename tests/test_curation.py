@@ -617,6 +617,12 @@ def test_resolve_syn_source(strategy_pool):
     assert resolve_syn_source(["syn.a.0.50", "syn.a.1.00"], "syn.a.0.50") == "syn.a.0.50"
     with pytest.raises(ConfigError):
         resolve_syn_source(["syn.a.0.50", "syn.a.1.00"], "a")
+    # a captioner name lies between "syn." and the temperature, dots and all
+    assert resolve_syn_source(["syn.a.b.0.50"], "a.b") == "syn.a.b.0.50"
+    with pytest.raises(DataError, match="no synthetic source matching 'a'"):
+        resolve_syn_source(["syn.a.b.0.50"], "a")
+    assert resolve_syn_source(["syn.a.0.50", "syn.a.b.0.50"], "a") == "syn.a.0.50"
+    assert resolve_syn_source(["syn.a.0.50", "syn.a.b.0.50"], "a.b") == "syn.a.b.0.50"
 
 
 def test_curated_set_sorts_and_dedups():

@@ -7,11 +7,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from capforge import fileio
+from capforge.cli import cli_main
 from capforge.curation import CuratedSet, StrategySpec
 from capforge.errors import DataError, FormatError, IntegrityError
 from capforge.pool import (
     CaptionVariant,
     Record,
+    ShardColumns,
+    decode_shard,
+    encode_shard,
     materialize,
     open_pool,
     shard_layout,
@@ -122,12 +126,12 @@ def test_open_truncated_sidecar_names_shard_and_source(tmp_path):
 
 def test_open_checksum_mismatch(tmp_path):
     build_plain_pool(tmp_path, 10, records_per_shard=4)
-    victim = tmp_path / "shard-00000.jsonl"
+    victim = tmp_path / "shard-00000.cap"
     blob = bytearray(victim.read_bytes())
     blob[5] ^= 0xFF
     victim.write_bytes(bytes(blob))
     handle = open_pool(tmp_path)
-    with pytest.raises(IntegrityError, match="shard-00000.jsonl"):
+    with pytest.raises(IntegrityError, match="shard-00000.cap"):
         handle.records()
 
 
@@ -151,8 +155,8 @@ def test_open_rejects_checksum_names_off_the_layout(tmp_path, edit, match):
 
 def test_missing_pool_file_is_an_integrity_error(tmp_path):
     build_plain_pool(tmp_path, 10, records_per_shard=4)
-    (tmp_path / "shard-00002.jsonl").unlink()
-    with pytest.raises(IntegrityError, match="shard-00002.jsonl: missing file"):
+    (tmp_path / "shard-00002.cap").unlink()
+    with pytest.raises(IntegrityError, match="shard-00002.cap: missing file"):
         open_pool(tmp_path).records()
 
 
@@ -312,31 +316,157 @@ def _rewrite_shard(pool_dir, name, blob):
     manifest_path.write_text(json.dumps(obj))
 
 
-@pytest.mark.parametrize("edit, line", [
-    pytest.param({"id": 0.5}, 3, id="id_float"),
-    pytest.param({"id": True}, 3, id="id_bool"),
-    pytest.param({"raw": 5}, 3, id="raw_number"),
-    pytest.param({"syn": [{"src": "blip2", "temp": "0.75", "text": "t"}]}, 3, id="temp_string"),
-    pytest.param({"syn": [{"src": "blip2", "temp": 0.75, "text": 5}]}, 3, id="text_number"),
-    pytest.param("joined", 2, id="two_records_one_line"),
-    pytest.param("split_and_joined", 1, id="one_record_on_two_lines_two_on_one"),
+# three records with two, one and no variants: (ids, prov, labels, texts)
+_SHARD = ([5, 6, 7], [-1, 2, -1], [[0, 1], [1, -1], [-1, -1]],
+          ["r5", "a5", "b5", "r6", "b6", "r7"])
+_SHARD_RECORDS = [
+    Record(5, "r5", [CaptionVariant("a", 1.0, "a5"), CaptionVariant("b", 1.0, "b5")]),
+    Record(6, "r6", [CaptionVariant("b", 1.0, "b6")], prov=2),
+    Record(7, "r7"),
+]
+
+
+def _encode(ids=_SHARD[0], prov=_SHARD[1], labels=_SHARD[2], texts=_SHARD[3], offsets=None):
+    data = [t.encode("utf-8") if isinstance(t, str) else t for t in texts]
+    if offsets is None:
+        offsets = np.cumsum([0, *map(len, data)])
+    return encode_shard(ShardColumns(
+        np.array(ids, np.int64), np.array(prov, np.int64), np.array(labels, np.int16),
+        np.array(offsets, np.uint64), b"".join(data)))
+
+
+def test_write_pool_writes_the_shard_layout(tmp_path):
+    write_pool(_SHARD_RECORDS, {"image": np.ones((3, 2), np.float32)}, tmp_path)
+    assert (tmp_path / "shard-00000.cap").read_bytes() == _encode()
+    assert json.loads((tmp_path / "manifest.json").read_text())["caption_labels"] == [
+        "syn.a.1.00", "syn.b.1.00"]
+    assert read_records(tmp_path) == _SHARD_RECORDS
+    ids, labels, texts = decode_shard(_encode(), context="s", num_labels=2)
+    assert ids.tolist() == _SHARD[0]
+    assert labels.tolist() == _SHARD[2]
+    assert texts == _SHARD[3]
+
+
+_OFFSETS = [0, 2, 4, 6, 8, 10, 12]
+
+
+@pytest.mark.parametrize("edit, error, match", [
+    pytest.param(lambda: b"CAP1" + _encode()[4:], FormatError, "not a CAP2 caption shard",
+                 id="bad_magic"),
+    pytest.param(lambda: _encode()[:60], IntegrityError, "60 bytes, its header implies at least 76",
+                 id="shorter_than_its_header"),
+    pytest.param(lambda: _encode()[:-1], FormatError, "caption offsets do not rise from 0",
+                 id="offsets_past_the_buffer"),
+    pytest.param(lambda: _encode() + b"x", FormatError, "caption offsets do not rise from 0",
+                 id="offsets_short_of_the_buffer"),
+    pytest.param(lambda: _encode(offsets=[1, *_OFFSETS[1:]]), FormatError,
+                 "caption offsets do not rise from 0", id="offsets_not_from_zero"),
+    pytest.param(lambda: _encode(offsets=[0, 4, 2, *_OFFSETS[3:]]), FormatError,
+                 "caption offsets do not rise from 0", id="offsets_decrease"),
+    pytest.param(lambda: _encode(labels=[[0, 2], [1, -1], [-1, -1]]), FormatError,
+                 r"label 2 outside \[-1, 2\)", id="label_past_the_list"),
+    pytest.param(lambda: _encode(labels=[[0, 1], [1, -2], [-1, -1]]), FormatError,
+                 r"label -2 outside \[-1, 2\)", id="label_below_minus_one"),
+    pytest.param(lambda: _encode(labels=[[0, 1], [-1, 1], [-1, -1]]), FormatError,
+                 "row 1 pads before a variant", id="pad_before_a_variant"),
+    pytest.param(lambda: _encode(texts=["r5", "a5", b"\xff5", "r6", "b6", "r7"]), FormatError,
+                 "a caption is not UTF-8", id="invalid_utf8"),
+    pytest.param(lambda: _encode(texts=["r5", "a5", b"\xc3", b"\xa95", "b6", "r7"]), FormatError,
+                 "a caption is not UTF-8", id="character_split_between_captions"),
 ])
-def test_shard_record_of_wrong_shape_is_a_format_error_and_a_finding(tmp_path, edit, line):
-    build_plain_pool(tmp_path, 10, records_per_shard=4)
-    lines = (tmp_path / "shard-00000.jsonl").read_bytes().decode("utf-8").split("\n")
-    if edit == "joined":  # two records on one line
-        lines[1:3] = [lines[1] + "," + lines[2]]
-    elif edit == "split_and_joined":  # as many values as lines, but not one per line
-        variant = json.dumps(json.loads(lines[0])["syn"][0])
-        lines[:3] = [lines[0][:-2], variant + "]}", lines[1] + "," + lines[2]]
-    else:
-        lines[2] = json.dumps({**json.loads(lines[2]), **edit})
-    _rewrite_shard(tmp_path, "shard-00000.jsonl", "\n".join(lines).encode("utf-8"))
-    with pytest.raises(FormatError, match=f"shard-00000.jsonl line {line}: malformed record"):
+def test_shard_decoder_check_is_an_error_and_a_finding(tmp_path, edit, error, match):
+    blob = edit()
+    with pytest.raises(error, match=f"^shard-00000.cap: {match}"):
+        decode_shard(blob, context="shard-00000.cap", num_labels=2)
+    write_pool(_SHARD_RECORDS, {"image": np.ones((3, 2), np.float32)}, tmp_path)
+    _rewrite_shard(tmp_path, "shard-00000.cap", blob)
+    with pytest.raises(error, match=match):
         open_pool(tmp_path).records()
     findings = validate_pool(open_pool(tmp_path)).by_kind("shard_error")
-    assert [f.file for f in findings] == ["shard-00000.jsonl"]
-    assert f"line {line}:" in findings[0].message
+    assert [f.file for f in findings] == ["shard-00000.cap"]
+    assert match.replace("\\", "") in findings[0].message
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    cut=st.one_of(st.none(), st.integers(0, 120)),
+    flips=st.lists(st.tuples(st.integers(0, 119), st.integers(1, 255)), max_size=4),
+)
+def test_shard_decoder_raises_only_format_or_integrity_errors(cut, flips):
+    blob = bytearray(_encode())
+    for at, mask in flips:
+        if at < len(blob):
+            blob[at] ^= mask
+    try:
+        decode_shard(bytes(blob[:cut]), context="shard-00007.cap", num_labels=2)
+    except (FormatError, IntegrityError) as exc:
+        assert str(exc).startswith("shard-00007.cap: ")
+
+
+def test_write_pool_refuses_more_labels_than_a_shard_indexes(tmp_path):
+    many = [CaptionVariant(f"s{i}", 1.0, "") for i in range(2**15)]
+    with pytest.raises(DataError, match="32768 variant source labels, more than 32767"):
+        write_pool([Record(0, "r", many)], {"image": np.ones((1, 2), np.float32)},
+                   tmp_path / "pool")
+    assert not (tmp_path / "pool").exists()
+
+
+@pytest.mark.parametrize("name", ["a/b", "a\x00b", "\ud800"])
+def test_write_pool_refuses_a_source_that_cannot_name_a_file(tmp_path, name):
+    image = np.ones((1, 2), np.float32)
+    with pytest.raises(DataError, match="source name"):
+        write_pool(_records(1), {"image": image, name: image}, tmp_path / "pool")
+    assert not (tmp_path / "pool").exists()
+
+
+_MANY = [f"s{i}" for i in range(2**15)]
+
+
+@pytest.mark.parametrize("key, value, match", [
+    pytest.param("num_records", 1.7, "'num_records' must be a non-negative integer, got 1.7",
+                 id="num_records_float"),
+    pytest.param("num_shards", True, "'num_shards' must be a non-negative integer, got True",
+                 id="num_shards_bool"),
+    pytest.param("records_per_shard", "5", "'records_per_shard' must be a non-negative "
+                 "integer, got '5'", id="records_per_shard_string"),
+    pytest.param("embedding_dim", -8, "'embedding_dim' must be a non-negative integer, got -8",
+                 id="embedding_dim_negative"),
+    pytest.param("embedding_sources", "image", "'embedding_sources' must be a list of "
+                 "distinct strings, got 'image'", id="embedding_sources_string"),
+    pytest.param("embedding_sources", ["image", "image"], "'embedding_sources' must be a list "
+                 "of distinct strings", id="embedding_sources_repeated"),
+    pytest.param("caption_labels", [1], "'caption_labels' must be a list of distinct strings, "
+                 "got \\[1\\]", id="caption_labels_number"),
+    pytest.param("caption_labels", ["s", "s"], "'caption_labels' must be a list of distinct",
+                 id="caption_labels_repeated"),
+    pytest.param("caption_labels", _MANY, "32768 caption labels, more than 32767",
+                 id="caption_labels_too_many"),
+    pytest.param("generator_seed", 0.5, "'generator_seed' must be a non-negative integer or "
+                 "null, got 0.5", id="generator_seed_float"),
+    pytest.param("checksums", {"a": 1}, "'checksums' must be an object of strings",
+                 id="checksums_number"),
+    pytest.param("checksums", None, "manifest lacks field 'checksums'", id="checksums_missing"),
+    pytest.param("format_version", 1, "format_version 1 \\(JSONL shards\\) is no longer read; "
+                 "regenerate the pool", id="format_version_1"),
+    pytest.param("format_version", 2.0, "unsupported format_version 2.0",
+                 id="format_version_float"),
+])
+def test_manifest_field_of_the_wrong_type_exits_2_with_one_line(
+        tmp_path, capsys, key, value, match):
+    build_plain_pool(tmp_path, 4)
+    manifest_path = tmp_path / "manifest.json"
+    obj = json.loads(manifest_path.read_text())
+    if value is None:
+        del obj[key]
+    else:
+        obj[key] = value
+    manifest_path.write_text(json.dumps(obj))
+    with pytest.raises(FormatError, match=match):
+        open_pool(tmp_path)
+    capsys.readouterr()
+    assert cli_main(["validate", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1, err
 
 
 def test_validate_reports_variant_source_without_embeddings(tmp_path):
@@ -351,20 +481,13 @@ def test_validate_reports_variant_source_without_embeddings(tmp_path):
 
 def test_malformed_shard_line_is_a_format_error_and_a_finding(tmp_path):
     build_plain_pool(tmp_path, 10, records_per_shard=4)
-    victim = tmp_path / "shard-00001.jsonl"
-    lines = victim.read_bytes().split(b"\n")
-    lines[1] = lines[1][:-7]  # a record cut short
-    blob = b"\n".join(lines)
-    victim.write_bytes(blob)
-    manifest_path = tmp_path / "manifest.json"
-    obj = json.loads(manifest_path.read_text())
-    obj["checksums"][victim.name] = fileio.crc32c_hex(blob)
-    manifest_path.write_text(json.dumps(obj))
-    with pytest.raises(FormatError, match="shard-00001.jsonl line 2"):
+    victim = tmp_path / "shard-00001.cap"
+    _rewrite_shard(tmp_path, victim.name, victim.read_bytes()[:-7])  # a record cut short
+    with pytest.raises(FormatError, match="shard-00001.cap: caption offsets"):
         open_pool(tmp_path).records()
     findings = validate_pool(open_pool(tmp_path)).by_kind("shard_error")
-    assert [f.file for f in findings] == ["shard-00001.jsonl"]
-    assert "line 2" in findings[0].message
+    assert [f.file for f in findings] == ["shard-00001.cap"]
+    assert "caption offsets" in findings[0].message
 
 
 def test_validate_zero_norm_row(tmp_path):

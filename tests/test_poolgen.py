@@ -21,7 +21,6 @@ from capforge.errors import ConfigError, DataError, DomainError
 from capforge.cli import cli_main
 from capforge.pool import (
     open_pool,
-    shard_jsonl_name,
     shard_layout,
     validate_pool,
     variant_source_label,
@@ -37,7 +36,7 @@ from capforge.poolgen import (
 )
 from capforge.scoring import score_pool
 from capforge.textmetrics import tokenize, unique_trigrams
-from helpers import oracle_shard_jsonl, read_records
+from helpers import handle_captions, oracle_shard_records, read_records, record_captions
 
 
 def _dir_bytes(path):
@@ -86,8 +85,7 @@ def test_worker_count_does_not_change_bytes(tmp_path):
     assert _dir_bytes(tmp_path / "a") == _dir_bytes(tmp_path / "b")
 
 
-# characters JSON escapes (quote, backslash, controls) or that a naive
-# escaper might (U+2028, non-ASCII), for source names
+# quotes, backslashes, controls, U+2028 and non-ASCII, for source names
 _NAME_CHARS = ["a", "b", "\u00e9", "\u96ea", '"', "\\", "\u2028", "\x01", "\x1f", "\t", " "]
 
 
@@ -125,22 +123,25 @@ def test_shards_match_the_record_by_record_oracle(config):
     with tempfile.TemporaryDirectory() as tmp:
         generate_pool(config, Path(tmp) / "pool")
         sizes = shard_layout(config.num_records, config.records_per_shard)
-        for k, size in enumerate(sizes):
-            got = (Path(tmp) / "pool" / shard_jsonl_name(k)).read_bytes()
-            assert got == oracle_shard_jsonl(config, k, size)
+        expected = [record for k, size in enumerate(sizes)
+                    for record in oracle_shard_records(config, k, size)]
+        got = read_records(Path(tmp) / "pool")
+        assert [(r.id, r.prov) for r in got] == [(r.id, None) for r in expected]
+        assert record_captions(got) == record_captions(expected)
+        assert handle_captions(open_pool(Path(tmp) / "pool")) == record_captions(expected)
 
 
 def test_readme_pool_checksums_are_pinned(tmp_path):
-    """A 2k-record pool of the README config, as generated before shards were
-    built from columns."""
+    """A 2k-record pool of the README config.  The sidecar checksums are the
+    ones of every earlier generator; the caption shards' are format 2's."""
     manifest = generate_pool(GenConfig(num_records=2000, seed=7), tmp_path)
     assert manifest.checksums == {
+        "shard-00000.cap": "d8b46358",
         "shard-00000.image.f32": "d38e6713",
-        "shard-00000.jsonl": "8a48df6f",
         "shard-00000.raw.f32": "ec2ff40f",
         "shard-00000.syn.blip2.0.75.f32": "84a43111",
+        "shard-00001.cap": "d3e7ce05",
         "shard-00001.image.f32": "11374233",
-        "shard-00001.jsonl": "6adfeae5",
         "shard-00001.raw.f32": "376c84da",
         "shard-00001.syn.blip2.0.75.f32": "61cad4f9",
     }

@@ -41,12 +41,10 @@ def small_pool(tmp_path_factory):
     return path
 
 
-def _edit_shard_line(path, shard: str, index: int, edit) -> None:
-    """Replace line `index` of a shard by `edit(line)`, fixing its checksum."""
+def _edit_shard(path, shard: str, edit) -> None:
+    """Replace a shard's bytes by `edit(bytes)`, fixing its checksum."""
     victim = path / shard
-    lines = victim.read_bytes().split(b"\n")
-    lines[index] = edit(lines[index])
-    blob = b"\n".join(lines)
+    blob = edit(victim.read_bytes())
     victim.write_bytes(blob)
     manifest = json.loads((path / "manifest.json").read_text())
     manifest["checksums"][victim.name] = fileio.crc32c_hex(blob)
@@ -55,20 +53,23 @@ def _edit_shard_line(path, shard: str, index: int, edit) -> None:
 
 @pytest.fixture(scope="module")
 def truncated_line_pool(tmp_path_factory):
-    """Pool whose second shard has a record cut short, under a matching checksum."""
+    """Pool whose second shard has its last record cut short, under a matching
+    checksum."""
     path = tmp_path_factory.mktemp("report") / "pool3"
     generate_pool(GenConfig(num_records=40, seed=5, records_per_shard=20), path)
-    _edit_shard_line(path, "shard-00001.jsonl", 2, lambda line: line[: len(line) // 2])
+    _edit_shard(path, "shard-00001.cap", lambda blob: blob[:-7])
     return path
 
 
 @pytest.fixture(scope="module")
-def float_id_pool(tmp_path_factory):
-    """Pool whose first shard gives one record the id 0.5, under a matching checksum."""
+def bad_label_pool(tmp_path_factory):
+    """Pool whose first shard gives record 0 a variant label past the
+    manifest's list, under a matching checksum."""
     path = tmp_path_factory.mktemp("report") / "pool5"
     generate_pool(GenConfig(num_records=40, seed=5, records_per_shard=20), path)
-    _edit_shard_line(path, "shard-00000.jsonl", 3,
-                     lambda line: json.dumps({**json.loads(line), "id": 0.5}).encode())
+    labels_at = 16 + 16 * 20  # after the header and the ids and prov columns
+    _edit_shard(path, "shard-00000.cap",
+                lambda blob: blob[:labels_at] + b"\x07\x00" + blob[labels_at + 2 :])
     return path
 
 
@@ -322,7 +323,7 @@ def test_cli_validate_corrupt_pool(tmp_path):
     config = _write_config(tmp_path)
     pool = tmp_path / "pool"
     cli_main(["gen", "--config", config, "--out", str(pool)])
-    victim = pool / "shard-00000.jsonl"
+    victim = pool / "shard-00000.cap"
     victim.write_bytes(victim.read_bytes() + b"garbage")
     assert cli_main(["validate", str(pool)]) == 2
 
@@ -331,14 +332,14 @@ def test_cli_validate_names_each_corrupt_file(tmp_path, capsys):
     config = _write_config(tmp_path)
     pool = tmp_path / "pool"
     cli_main(["gen", "--config", config, "--out", str(pool)])
-    shard = pool / "shard-00001.jsonl"
+    shard = pool / "shard-00001.cap"
     shard.write_bytes(b"x" + shard.read_bytes()[1:])
     sidecar = pool / "shard-00002.syn.blip2.0.75.f32"
     sidecar.write_bytes(sidecar.read_bytes()[:-4])
     capsys.readouterr()
     assert cli_main(["validate", str(pool)]) == 2
     err = capsys.readouterr().err
-    assert "shard-00001.jsonl: checksum mismatch" in err
+    assert "shard-00001.cap: checksum mismatch" in err
     assert "shard-00002.syn.blip2.0.75.f32: checksum mismatch" in err
 
 
@@ -409,6 +410,46 @@ def test_cli_filter_p_out_of_range(tmp_path):
             ["filter", "--pool", pool, "--p", p, "--out", str(tmp_path / "f.jsonl")]
         )
         assert code == 1, p
+
+
+@pytest.mark.parametrize("tau", ["nan", "inf", "-inf"])
+def test_cli_filter_rejects_a_tau_that_is_not_finite(small_pool, tmp_path, capsys, tau):
+    out = tmp_path / "f.jsonl"
+    capsys.readouterr()
+    assert cli_main(["filter", "--pool", str(small_pool), f"--tau={tau}", "--out", str(out)]) == 1
+    assert "tau must be finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("name", ["a/b", "a\x00b", "\ud800"])
+def test_cli_gen_refuses_a_source_name_that_cannot_name_a_file(tmp_path, capsys, name):
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps({"num_records": 3, "seed": 1, "syn_sources": [
+        {"source_name": name, "temperature": 0.5, "diversity_factor": 0.5}]}))
+    capsys.readouterr()
+    assert cli_main(["gen", "--config", str(path), "--out", str(tmp_path / "pool")]) == 1
+    err = capsys.readouterr().err
+    assert "cannot name a file" in err or "not encodable as UTF-8" in err
+    assert len(err.splitlines()) == 1, err
+    assert not (tmp_path / "pool").exists()
+
+
+@pytest.mark.parametrize("names, requested, label", [
+    (["a.b"], "a.b", "syn.a.b.0.50"),
+    (["a", "a.b"], "a", "syn.a.0.50"),
+    (["a", "a.b"], "a.b", "syn.a.b.0.50"),
+])
+def test_cli_score_finds_a_captioner_whose_name_holds_dots(
+        tmp_path, capsys, names, requested, label):
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps({"num_records": 5, "seed": 1, "syn_sources": [
+        {"source_name": n, "temperature": 0.5, "diversity_factor": 0.5} for n in names]}))
+    pool = tmp_path / "pool"
+    assert cli_main(["gen", "--config", str(path), "--out", str(pool)]) == 0
+    capsys.readouterr()
+    assert cli_main(["score", "--pool", str(pool), "--source", requested]) == 0
+    assert f"for {label}:" in capsys.readouterr().out
+    assert (pool / f"{label}.scores.f32").exists()
 
 
 def test_cli_filter_and_mix_break_ties_by_id(tmp_path):
@@ -745,14 +786,14 @@ _GEN_CONFIGS = {
     + [("shard_line_truncated_mix", 2), ("shard_line_truncated_filter", 2)]
     + [("validate_workers_zero", 1)]
     + [("scores_corrupt_mix", 2), ("scores_corrupt_filter", 2), ("scores_corrupt_metrics", 2)]
-    + [("shard_id_float_mix", 2), ("curated_truncated", 2), ("curated_count_not_integer", 2)],
+    + [("shard_bad_label_mix", 2), ("curated_truncated", 2), ("curated_count_not_integer", 2)],
 )
 def test_cli_malformed_input_exits_without_traceback(
-    small_pool, two_captioner_pool, truncated_line_pool, corrupt_scores_pool, float_id_pool,
+    small_pool, two_captioner_pool, truncated_line_pool, corrupt_scores_pool, bad_label_pool,
     truncated_curated, tmp_path, case, code,
 ):
-    if case == "shard_id_float_mix":
-        args = ["mix", "--strategy", "raw_all", "--pool", str(float_id_pool),
+    if case == "shard_bad_label_mix":
+        args = ["mix", "--strategy", "raw_all", "--pool", str(bad_label_pool),
                 "--out", str(tmp_path / "c.jsonl")]
     elif case == "curated_truncated":
         args = ["metrics", "--pool", str(truncated_curated / "pool"), "--curated",
