@@ -23,8 +23,7 @@ from .curation import (
     ClusterParams,
     StrategySpec,
     STRATEGY_NAMES,
-    apply_strategy,
-    in1k_cluster_mask,
+    curate,
     resolve_syn_source,
     threshold_filter,
     top_fraction,
@@ -38,13 +37,11 @@ from .report import (
     MetricConfig,
     build_quality_report,
     caption_features,
-    make_table_getter,
     run_report,
     run_sweep,
-    strategy_tables,
 )
 from .curation import read_curated
-from .scoring import score_pool
+from .scoring import ScoreTables, score_pool
 from .textmetrics import load_token_file
 
 
@@ -152,7 +149,7 @@ def _cmd_filter(args) -> int:
         raise ConfigError(f"tau must be finite, got {args.tau}")
     handle = open_pool(args.pool)
     label = _resolve_source(handle, args.source)
-    table = make_table_getter(handle)(label)
+    table = ScoreTables(handle)[label]
     if args.p is not None:
         mask, tau_used = top_fraction(table, args.p, handle.ids())
         header = {"kind": "top_fraction", "source": label, "p": args.p, "tau_used": tau_used}
@@ -187,14 +184,8 @@ def _cmd_mix(args) -> int:
         in1k_intersect=args.in1k_refs is not None,
         cluster_params=cluster_params,
     )
-    spec.validate()
-    get_table = make_table_getter(handle)
-    tables = strategy_tables(handle, spec, get_table)
-    mask = None
-    if spec.in1k_intersect:
-        refs = fileio.read_embeddings(args.in1k_refs)
-        mask = in1k_cluster_mask(handle, refs, cluster_params)
-    curated = apply_strategy(handle, spec, tables, mask)
+    refs = None if args.in1k_refs is None else fileio.read_embeddings(args.in1k_refs)
+    curated = curate(handle, spec, ScoreTables(handle), refs, args.seed or 0, {})
     write_curated(curated, args.out)
     tau = "none" if curated.tau_used is None else f"{curated.tau_used:.6f}"
     print(f"{spec.name}: {len(curated)} entries (tau_used {tau}) -> {args.out}")
@@ -208,7 +199,7 @@ def _cmd_metrics(args) -> int:
     row = build_quality_report(
         handle,
         curated,
-        make_table_getter(handle),
+        ScoreTables(handle),
         caption_features(handle, config),
         sample_size=config.sample_size,
         seed=config.seed,
@@ -290,8 +281,9 @@ def build_parser() -> _Parser:
                    help="EMB1 file of reference image embeddings; enables intersection")
     p.add_argument("--cluster-k", dest="cluster_k", type=int, default=None,
                    help="k-means clusters (default 64, or the pool size if smaller)")
-    p.add_argument("--cluster-iters", dest="cluster_iters", type=int, default=100)
-    p.add_argument("--cluster-tol", dest="cluster_tol", type=float, default=1e-4)
+    p.add_argument("--cluster-iters", dest="cluster_iters", type=int,
+                   default=ClusterParams.max_iters)
+    p.add_argument("--cluster-tol", dest="cluster_tol", type=float, default=ClusterParams.tol)
     p.add_argument("--cluster-seed", dest="cluster_seed", type=int, default=None)
     p.add_argument("--out", required=True, help="output curated JSONL")
     add_common(p)

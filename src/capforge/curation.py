@@ -12,10 +12,10 @@ from __future__ import annotations
 import json
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from fractions import Fraction
 from pathlib import Path
-from typing import Iterator, Mapping, Sequence
+from typing import Callable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -28,8 +28,8 @@ from .pool import RAW_CHOICE, PoolHandle, ScoreTable
 # take is "all", "top" (the cut), "rest" (its complement) or "rest >= tau"
 # (the complement where the caption's own score reaches the cut's tau).
 # caption is "raw", "syn" (the syn_source variant) or "best" (each record's
-# highest-scoring variant).  Validation, the score tables a spec reads and
-# the selection are all derived from this table.
+# highest-scoring variant).  Validation and the selection, with the score
+# tables it reads, are both derived from this table.
 STRATEGIES: dict[str, tuple[tuple[str | None, str, str], ...]] = {
     "raw_all": ((None, "all", "raw"),),
     "syn_all": ((None, "all", "syn"),),
@@ -109,18 +109,14 @@ class StrategySpec:
         if self.in1k_intersect:
             obj["in1k_intersect"] = True
         if self.cluster_params is not None:
-            cp = self.cluster_params
-            obj["cluster_params"] = {
-                "k": cp.k, "max_iters": cp.max_iters, "tol": cp.tol, "seed": cp.seed,
-            }
+            obj["cluster_params"] = asdict(self.cluster_params)
         return obj
 
     @classmethod
     def from_dict(cls, obj: dict) -> "StrategySpec":
         if not isinstance(obj, dict) or "name" not in obj:
             raise ConfigError("strategy spec must be an object with a name")
-        known = {"name", "p", "syn_source", "in1k_intersect", "cluster_params"}
-        unknown = set(obj) - known
+        unknown = set(obj) - {f.name for f in fields(cls)}
         if unknown:
             raise ConfigError(f"unknown strategy field {sorted(unknown)[0]!r}")
         params = None
@@ -128,13 +124,13 @@ class StrategySpec:
             cp = obj["cluster_params"]
             if not isinstance(cp, dict):
                 raise ConfigError("cluster_params must be an object")
-            bad = set(cp) - {"k", "max_iters", "tol", "seed"}
+            bad = set(cp) - {f.name for f in fields(ClusterParams)}
             if bad:
                 raise ConfigError(f"unknown cluster_params field {sorted(bad)[0]!r}")
             if "k" not in cp:
                 raise ConfigError("cluster_params requires k")
             check_numbers(ClusterParams, cp, "cluster_params")
-            params = ClusterParams(**{**cp, "tol": float(cp.get("tol", 1e-4))})
+            params = ClusterParams(**{**cp, "tol": float(cp.get("tol", ClusterParams.tol))})
         in1k_intersect = obj.get("in1k_intersect", False)
         if not isinstance(in1k_intersect, bool):
             raise ConfigError(f"in1k_intersect must be true or false, got {in1k_intersect!r}")
@@ -457,63 +453,23 @@ def resolve_syn_source(labels: Sequence[str], requested: str) -> str:
     )
 
 
-def _role_labels(spec: StrategySpec, sources: Sequence[str]) -> dict[str, str]:
-    """Score source label behind the "raw" and (if used) "syn" roles."""
-    labels = {"raw": "raw"}
-    if _uses_syn(spec.name):
-        labels["syn"] = resolve_syn_source(sources, spec.syn_source)
-    return labels
-
-
-def score_labels(spec: StrategySpec, sources: Sequence[str]) -> list[str]:
-    """Exactly the score tables apply_strategy reads for this spec.
-
-    These are the rank sources, the caption source of each filtered rest,
-    and every synthetic source when captions are chosen per record.
-    """
-    role = _role_labels(spec, sources)
-    labels: list[str] = []
-    for rank, take, caption in STRATEGIES[spec.name]:
-        if rank is not None:
-            labels.append(role[rank])
-        if take == "rest >= tau":
-            labels.append(role[caption])
-        if caption == "best":
-            syn = [s for s in sources if s.startswith("syn.")]
-            if not syn:
-                raise DataError("pool has no synthetic caption sources")
-            labels.extend(syn)
-    return list(dict.fromkeys(labels))
-
-
-def _require_tables(
-    score_tables: Mapping[str, ScoreTable], *names: str, n: int
-) -> None:
-    for name in names:
-        table = score_tables.get(name)
-        if table is None:
-            raise DataError(f"missing score table for source {name!r}")
-        if table.scores.size != n:
-            raise DataError(
-                f"score table {name!r} has {table.scores.size} scores for {n} records"
-            )
-
-
-def _best_variants(handle: PoolHandle, score_tables: Mapping[str, ScoreTable]) -> np.ndarray:
+def _best_variants(handle: PoolHandle, table: Callable[[str], ScoreTable]) -> np.ndarray:
     """Position of each record's highest-scoring variant.
 
     Scores are stacked by variant position, so argmax sends ties to the
     lowest position whatever order a record lists its sources in.
     """
     positions = {label: handle.variant_index(label) for label in handle.variant_labels()}
+    if not positions and handle.num_records:
+        raise DataError("pool has no synthetic caption sources")
     width = 1 + max((int(pos.max()) for pos in positions.values()), default=0)
     stacked = np.full((width, handle.num_records), -np.inf, dtype=np.float32)
     for label, pos in positions.items():
         rows = np.flatnonzero(pos >= 0)
-        if label not in score_tables:
+        if not handle.has_source(label):
             rec_id = handle.ids()[rows[0]]
             raise DataError(f"record {rec_id}: no embeddings for variant {label!r}")
-        stacked[pos[rows], rows] = score_tables[label].scores[rows]
+        stacked[pos[rows], rows] = table(label).scores[rows]
     empty = np.isneginf(stacked).all(axis=0)
     if empty.any():
         raise DataError(f"record {handle.ids()[np.argmax(empty)]} has no synthetic variants")
@@ -528,16 +484,32 @@ def apply_strategy(
 ) -> CuratedSet:
     """Materialize a strategy spec into a curated (id, caption) selection.
 
+    Each score table is read as ``score_tables[label]`` where the selection
+    uses it, so a mapping that loads on first use (``scoring.ScoreTables``)
+    loads only the tables the spec needs.  A label the mapping lacks, or a
+    table whose size is not the pool's, is a DataError.
+
     With ``in1k_intersect``, ``in1k_mask`` (a bool mask over pool rows)
     limits every part to the rows it keeps.
     """
     spec.validate()
     n = handle.num_records
     ids = handle.ids()
-    sources = handle.manifest.embedding_sources
-    _require_tables(score_tables, *score_labels(spec, sources), n=n)
-    role = _role_labels(spec, sources)
+    role = {"raw": "raw"}  # the score source behind each role
+    if _uses_syn(spec.name):
+        role["syn"] = resolve_syn_source(handle.manifest.embedding_sources, spec.syn_source)
     parts = STRATEGIES[spec.name]
+
+    def table(label: str) -> ScoreTable:
+        try:
+            found = score_tables[label]
+        except KeyError:
+            raise DataError(f"missing score table for source {label!r}") from None
+        if found.scores.size != n:
+            raise DataError(
+                f"score table {label!r} has {found.scores.size} scores for {n} records"
+            )
+        return found
 
     scope = np.ones(n, dtype=bool)
     if spec.in1k_intersect:
@@ -554,7 +526,7 @@ def apply_strategy(
                 f"record {ids[np.argmax(syn < 0)]} has no variant for source {role['syn']!r}"
             )
     if any(caption == "best" for _, _, caption in parts):
-        choices["best"] = _best_variants(handle, score_tables)
+        choices["best"] = _best_variants(handle, table)
 
     cuts: dict[str, tuple[np.ndarray, float | None]] = {}
     entries = []
@@ -562,12 +534,42 @@ def apply_strategy(
         rows = scope
         if rank is not None:
             if rank not in cuts:
-                cuts[rank] = top_fraction(score_tables[role[rank]], spec.p, ids)
+                cuts[rank] = top_fraction(table(role[rank]), spec.p, ids)
             mask, tau = cuts[rank]
             rows = rows & (mask if take == "top" else ~mask)
             if take == "rest >= tau":  # an empty cut has no tau and keeps no rest
-                scores = score_tables[role[caption]].scores
+                scores = table(role[caption]).scores
                 rows = rows & (scores >= np.float32(tau)) if tau is not None else rows & False
         entries.append(np.column_stack((ids[rows], choices[caption][rows])))
     tau_used = next((tau for _, tau in cuts.values()), None)  # the first cut's
     return CuratedSet(entries=np.concatenate(entries), spec=spec, tau_used=tau_used)
+
+
+def curate(
+    handle: PoolHandle,
+    spec: StrategySpec,
+    score_tables: Mapping[str, ScoreTable],
+    in1k_refs: np.ndarray | None,
+    seed: int,
+    masks: dict[ClusterParams, np.ndarray],
+) -> CuratedSet:
+    """Validate a spec and apply it, with the in1k mask it asks for.
+
+    The mask clusters under the spec's ``cluster_params``, or else
+    ``default_k`` clusters seeded by ``seed``.  ``masks`` caches one mask
+    per params across the specs of a command.
+    """
+    spec.validate()
+    mask = None
+    if spec.in1k_intersect:
+        if in1k_refs is None:
+            raise ConfigError(
+                f"strategy {spec.name}: in1k_intersect requires reference embeddings"
+            )
+        params = spec.cluster_params or ClusterParams(
+            k=ClusterParams.default_k(handle.num_records), seed=seed
+        )
+        if params not in masks:
+            masks[params] = in1k_cluster_mask(handle, in1k_refs, params)
+        mask = masks[params]
+    return apply_strategy(handle, spec, score_tables, mask)

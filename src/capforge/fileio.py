@@ -135,13 +135,21 @@ def read_json(path, error: type[Exception] = FormatError):
         raise error(f"{path}: not valid JSON: {exc}") from exc
 
 
+LONGEST_PID = 9_999_999  # 7 digits: Linux pid_max is at most 4,194,304
+
+
+def temp_name(name: str, pid: int) -> str:
+    """Name of the temporary file ``write_atomic`` writes ``name`` through."""
+    return f".{name}.{pid}.tmp"
+
+
 def write_atomic(path, data: bytes | Iterable[bytes]) -> None:
     """Write ``data`` (bytes, or byte chunks in order) to ``path`` whole or not
     at all: it goes to a temporary file in the same directory, which then
     replaces ``path``.  On any error the temporary file is removed and an
     existing ``path`` keeps its old bytes; an OSError names ``path``."""
     path = Path(path)
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    tmp = path.with_name(temp_name(path.name, os.getpid()))
     try:
         with open(tmp, "wb") as fh:
             if isinstance(data, (bytes, bytearray, memoryview)):

@@ -36,6 +36,7 @@ FORMAT_VERSION = 2
 MANIFEST_NAME = "manifest.json"
 SHARD_MAGIC = b"CAP2"
 MAX_CAPTION_LABELS = 2**15 - 1  # a shard's labels are int16 indexes
+MAX_FILE_NAME_BYTES = 255  # NAME_MAX of Linux file systems
 
 # A caption choice is the position of a variant in a record's "syn" list, or
 # RAW_CHOICE for the record's raw caption.
@@ -53,6 +54,14 @@ def check_source_name(name: str, error: type[Exception] = DataError) -> None:
     if "/" in name or "\0" in name or any("\ud800" <= c <= "\udfff" for c in name):
         raise error(f"source name {name!r} cannot name a file: it holds '/', NUL or "
                     "a lone surrogate")
+
+
+def check_file_name(name: str, error: type[Exception] = DataError) -> None:
+    """Raise ``error`` if a file named after a source exceeds MAX_FILE_NAME_BYTES."""
+    size = len(name.encode("utf-8"))
+    if size > MAX_FILE_NAME_BYTES:
+        raise error(f"source name too long: file name {reprlib.repr(name)} takes {size} "
+                    f"bytes, more than {MAX_FILE_NAME_BYTES}")
 
 
 def shard_caption_name(k: int) -> str:
@@ -336,11 +345,13 @@ def write_pool(
     n = len(record_list)
     if "image" not in embeddings:
         raise DataError('embedding source "image" is required')
+    sizes = shard_layout(n, records_per_shard)
 
     matrices: dict[str, np.ndarray] = {}
     dim: int | None = None
     for source, stream in embeddings.items():
         check_source_name(source)
+        check_file_name(shard_embedding_name(max(len(sizes) - 1, 0), source))
         mat = np.asarray(stream, dtype=np.float32)
         if mat.ndim != 2:
             raise DataError(f"source {source}: expected (rows, dim) matrix")
@@ -373,7 +384,6 @@ def write_pool(
         texts = [[t.encode("utf-8") for t in record] for record in captions]
     except (OverflowError, UnicodeEncodeError) as exc:
         raise DataError(f"records do not fit a caption shard: {exc}") from None
-    sizes = shard_layout(n, records_per_shard)
     out_dir = new_pool_dir(out_path)
 
     checksums: dict[str, str] = {}

@@ -39,6 +39,7 @@ from .pool import (
     FORMAT_VERSION,
     PoolManifest,
     ShardColumns,
+    check_file_name,
     check_source_name,
     new_pool_dir,
     score_sidecar_name,
@@ -130,32 +131,19 @@ class GenConfig:
                 raise ConfigError("syn diversity_factor must be positive")
             if not math.isfinite(_CAPTIONER_BASE_VOCAB * src.diversity_factor):
                 raise ConfigError(f"syn diversity_factor {src.diversity_factor} is too large")
+            # the longest file gen names after the source: its alpha sidecar's
+            # temporary (a shard's embedding file is shorter below 10**18 shards)
+            alpha = score_sidecar_name(f"{src.label}.alpha")
+            check_file_name(fileio.temp_name(alpha, fileio.LONGEST_PID), ConfigError)
             if src.label in labels:
                 raise ConfigError(f"duplicate syn source {src.label}")
             labels.add(src.label)
 
 
-_CONFIG_FIELDS = {
-    "num_records",
-    "seed",
-    "embedding_dim",
-    "records_per_shard",
-    "concept_vocab_size",
-    "zipf_exponent",
-    "raw_alignment_mean",
-    "raw_alignment_sd",
-    "syn_alignment_mean",
-    "syn_alignment_sd",
-    "raw_noise_rate",
-    "syn_sources",
-}
-_SYN_FIELDS = {"source_name", "temperature", "diversity_factor"}
-
-
 def config_from_dict(obj: dict) -> GenConfig:
     if not isinstance(obj, dict):
         raise ConfigError("generator config must be a JSON object")
-    unknown = set(obj) - _CONFIG_FIELDS
+    unknown = set(obj) - {f.name for f in fields(GenConfig)}
     if unknown:
         raise ConfigError(f"unknown config field {sorted(unknown)[0]!r}")
     for required in ("num_records", "seed"):
@@ -170,10 +158,11 @@ def config_from_dict(obj: dict) -> GenConfig:
         for i, entry in enumerate(obj["syn_sources"]):
             if not isinstance(entry, dict):
                 raise ConfigError(f"syn_sources[{i}] must be an object")
-            bad = set(entry) - _SYN_FIELDS
+            names = {f.name for f in fields(SynSource)}
+            bad = set(entry) - names
             if bad:
                 raise ConfigError(f"unknown syn_sources field {sorted(bad)[0]!r}")
-            missing = _SYN_FIELDS - set(entry)
+            missing = names - set(entry)
             if missing:
                 raise ConfigError(f"syn_sources[{i}] missing {sorted(missing)[0]!r}")
             check_numbers(SynSource, entry, f"syn_sources[{i}]")

@@ -15,23 +15,16 @@ import json
 import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
 from . import fileio
-from .curation import (
-    ClusterParams,
-    CuratedSet,
-    StrategySpec,
-    apply_strategy,
-    in1k_cluster_mask,
-    score_labels,
-)
+from .curation import ClusterParams, CuratedSet, StrategySpec, curate
 from .errors import ConfigError
 from .pool import PoolHandle, ScoreTable, open_pool
 from .poolgen import GenConfig, generate_pool
-from .scoring import clip_s, score_pool
+from .scoring import ScoreTables, clip_s
 from .textmetrics import (
     CaptionFeatures,
     default_noun_lexicon,
@@ -91,32 +84,6 @@ class SweepResult:
     rows: list[tuple[int, str, QualityReport]] = field(default_factory=list)
 
 
-TableGetter = Callable[[str], ScoreTable]
-
-
-def make_table_getter(handle: PoolHandle) -> TableGetter:
-    """Score-table source: read the sidecar when present, else compute."""
-    cache: dict[str, ScoreTable] = {}
-
-    def get(label: str) -> ScoreTable:
-        if label not in cache:
-            if handle.has_scores(label):
-                cache[label] = handle.read_score_table(label)
-            else:
-                cache[label] = score_pool(handle, label, write_sidecar=False)
-        return cache[label]
-
-    return get
-
-
-def strategy_tables(
-    handle: PoolHandle, spec: StrategySpec, get_table: TableGetter
-) -> dict[str, ScoreTable]:
-    """Exactly the score tables apply_strategy needs for this spec."""
-    labels = score_labels(spec, handle.manifest.embedding_sources)
-    return {label: get_table(label) for label in labels}
-
-
 def caption_features(handle: PoolHandle, config: MetricConfig) -> CaptionFeatures:
     """Caption features of the pool's texts under the config's vocabulary
     and lexicon, the packaged ones where it names none."""
@@ -130,7 +97,7 @@ def caption_features(handle: PoolHandle, config: MetricConfig) -> CaptionFeature
 def build_quality_report(
     handle: PoolHandle,
     curated: CuratedSet,
-    get_table: TableGetter,
+    score_tables: Mapping[str, ScoreTable],
     features: CaptionFeatures,
     *,
     sample_size: int,
@@ -143,7 +110,7 @@ def build_quality_report(
     labels, first = np.unique(label_ids, return_index=True)
     for label in labels[np.argsort(first)].tolist():
         at = label_ids == label
-        scores[at] = get_table(handle.records().labels[label]).scores[rows[at]]
+        scores[at] = score_tables[handle.records().labels[label]].scores[rows[at]]
     count = len(curated.entries)
     mean_cos = ordered_sum(scores) / count if count else 0.0
     mean_clip = ordered_sum(clip_s(scores)) / count if count else 0.0
@@ -167,47 +134,22 @@ def build_quality_report(
     )
 
 
-def _in1k_mask_for(
-    handle: PoolHandle,
-    spec: StrategySpec,
-    config: MetricConfig,
-    cache: dict[ClusterParams, np.ndarray],
-) -> np.ndarray:
-    if config.in1k_refs is None:
-        raise ConfigError(
-            f"strategy {spec.name}: in1k_intersect requires reference embeddings"
-        )
-    params = spec.cluster_params or ClusterParams(
-        k=ClusterParams.default_k(handle.num_records), seed=config.seed
-    )
-    if params not in cache:
-        cache[params] = in1k_cluster_mask(handle, config.in1k_refs, params)
-    return cache[params]
-
-
 def report_rows(
     handle: PoolHandle, specs: Sequence[StrategySpec], config: MetricConfig
 ) -> list[QualityReport]:
-    get_table = make_table_getter(handle)
-    in1k_cache: dict[ClusterParams, np.ndarray] = {}
+    tables = ScoreTables(handle)
+    masks: dict[ClusterParams, np.ndarray] = {}
     features = None
     rows = []
     for spec in specs:
-        spec.validate()
-        tables = strategy_tables(handle, spec, get_table)
-        mask = (
-            _in1k_mask_for(handle, spec, config, in1k_cache)
-            if spec.in1k_intersect
-            else None
-        )
-        curated = apply_strategy(handle, spec, tables, mask)
+        curated = curate(handle, spec, tables, config.in1k_refs, config.seed, masks)
         if features is None:  # here, so no caption table is held through k-means
             features = caption_features(handle, config)
         rows.append(
             build_quality_report(
                 handle,
                 curated,
-                get_table,
+                tables,
                 features,
                 sample_size=config.sample_size,
                 seed=config.seed,

@@ -68,6 +68,23 @@ def score_pool(handle: PoolHandle, text_source: str, *,
     return table
 
 
+class ScoreTables(dict):
+    """A pool's score tables by source label, each loaded on first use: read
+    from its sidecar where the pool has one, else computed (not written)."""
+
+    def __init__(self, handle: PoolHandle):
+        super().__init__()
+        self.handle = handle
+
+    def __missing__(self, label: str) -> ScoreTable:
+        if self.handle.has_scores(label):
+            table = self.handle.read_score_table(label)
+        else:
+            table = score_pool(self.handle, label, write_sidecar=False)
+        self[label] = table
+        return table
+
+
 def recall_at_1(image_embs: np.ndarray, text_embs: np.ndarray) -> tuple[float, float, float]:
     """(text-to-image, image-to-text, average) Recall@1 under cosine.
 

@@ -11,6 +11,7 @@ from capforge.curation import (
     STRATEGIES,
     STRATEGY_NAMES,
     apply_strategy,
+    curate,
     in1k_cluster_mask,
     kmeans,
     kmeans_trace,
@@ -22,7 +23,6 @@ from capforge.curation import (
 )
 from capforge.errors import ConfigError, DataError, DomainError
 from capforge.pool import CaptionVariant, Record, ScoreTable, open_pool, write_pool
-from capforge.report import strategy_tables
 from capforge.scoring import score_pool
 from helpers import (
     RAW, build_plain_pool, oracle_kmeans_trace, oracle_strategy, oracle_top, pairs,
@@ -538,6 +538,18 @@ def test_strategy_rejects_malformed_in1k_mask(strategy_pool, mask):
         apply_strategy(strategy_pool, spec, {}, mask)
 
 
+class _RecordingTables(dict):
+    """Score tables that log every label read from them."""
+
+    def __init__(self, tables):
+        super().__init__(tables)
+        self.read = set()
+
+    def __getitem__(self, label):
+        self.read.add(label)
+        return super().__getitem__(label)
+
+
 def test_strategy_table_names_exactly_the_needed_score_tables(strategy_pool):
     rng = np.random.default_rng(4)
     pool_tables = {
@@ -561,13 +573,63 @@ def test_strategy_table_names_exactly_the_needed_score_tables(strategy_pool):
     assert set(expected) == set(STRATEGIES)
     for name in STRATEGIES:
         spec = _spec(name, p=30)
-        tables = strategy_tables(strategy_pool, spec, pool_tables.__getitem__)
-        assert set(tables) == expected[name], name
+        tables = _RecordingTables(pool_tables)
         apply_strategy(strategy_pool, spec, tables)
-        for label in tables:
-            fewer = {k: v for k, v in tables.items() if k != label}
+        assert tables.read == expected[name], name
+        for label in expected[name]:
+            fewer = {k: v for k, v in pool_tables.items() if k != label}
             with pytest.raises(DataError, match="missing score table"):
                 apply_strategy(strategy_pool, spec, fewer)
+
+
+def test_syn_best_variant_all_needs_no_table_of_a_source_no_record_lists(tmp_path):
+    rng = np.random.default_rng(3)
+    records = [Record(id=i, raw_caption=f"raw {i}",
+                      synthetic_variants=[CaptionVariant("blip2", 0.75, f"b {i}")])
+               for i in range(6)]
+    sources = ("image", "raw", "syn.blip2.0.75", "syn.spare.1.00")
+    write_pool(records, {s: unit_rows(rng, 6, 4) for s in sources}, tmp_path / "pool")
+    handle = open_pool(tmp_path / "pool")
+    tables = {"syn.blip2.0.75": _table(np.linspace(0, 0.5, 6), "syn.blip2.0.75")}
+    curated = apply_strategy(handle, StrategySpec("syn_best_variant_all"), tables)
+    assert pairs(curated) == [(i, 0) for i in range(6)]
+
+
+def test_syn_best_variant_all_needs_a_variant_source(tmp_path):
+    path = tmp_path / "pool"
+    rng = np.random.default_rng(3)
+    records = [Record(id=i, raw_caption=f"raw {i}") for i in range(4)]
+    write_pool(records, {s: unit_rows(rng, 4, 4) for s in ("image", "raw")}, path)
+    with pytest.raises(DataError, match="pool has no synthetic caption sources"):
+        apply_strategy(open_pool(path), StrategySpec("syn_best_variant_all"), {})
+
+
+def test_curate_clusters_once_per_params(strategy_pool, monkeypatch):
+    calls = []
+
+    def counted(handle, refs, params):
+        calls.append(params)
+        return np.arange(10) % 2 == 0
+
+    monkeypatch.setattr(curation, "in1k_cluster_mask", counted)
+    refs = strategy_pool.embeddings("image")[:2]
+    explicit = ClusterParams(k=3, seed=1)
+    specs = [StrategySpec("raw_all", in1k_intersect=True),
+             StrategySpec("raw_all", in1k_intersect=True, cluster_params=explicit),
+             StrategySpec("raw_top", p=50, in1k_intersect=True),
+             StrategySpec("raw_top", p=50)]
+    tables, masks = {"raw": _table(np.linspace(0, 0.9, 10))}, {}
+    got = [pairs(curate(strategy_pool, spec, tables, refs, 7, masks)) for spec in specs]
+    assert calls == [ClusterParams(k=10, seed=7), explicit]
+    assert list(masks) == calls
+    assert got[0] == got[1] == [(i, RAW) for i in range(0, 10, 2)]
+    assert got[2] == [(i, RAW) for i in (6, 8)]
+    assert got[3] == [(i, RAW) for i in range(5, 10)]
+    with pytest.raises(ConfigError, match="requires reference embeddings"):
+        curate(strategy_pool, specs[0], tables, None, 7, {})
+    with pytest.raises(ConfigError, match="requires p"):
+        curate(strategy_pool, StrategySpec("raw_top", in1k_intersect=True), tables, refs, 7, {})
+    assert len(calls) == 2
 
 
 def test_strategy_spec_validation():

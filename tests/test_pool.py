@@ -419,6 +419,23 @@ def test_write_pool_refuses_a_source_that_cannot_name_a_file(tmp_path, name):
     assert not (tmp_path / "pool").exists()
 
 
+def test_write_pool_refuses_a_source_too_long_for_its_last_shard_file(tmp_path):
+    """"shard-00000.{source}.f32" takes 16 bytes beside the source, and a
+    pool of 100,001 shards has a 6-digit last shard."""
+    image = np.ones((1, 2), np.float32)
+    write_pool(_records(1), {"image": image, "s" * 239: image}, tmp_path / "fits")
+    assert (tmp_path / "fits" / f"shard-00000.{'s' * 239}.f32").exists()
+    with pytest.raises(DataError, match="source name too long: .* takes 256 bytes"):
+        write_pool(_records(1), {"image": image, "s" * 240: image}, tmp_path / "pool")
+    assert not (tmp_path / "pool").exists()
+    records = [Record(i, "r") for i in range(100_001)]
+    image = np.ones((100_001, 2), np.float32)
+    with pytest.raises(DataError, match="source name too long: .* takes 256 bytes"):
+        write_pool(records, {"image": image, "s" * 239: image}, tmp_path / "pool",
+                   records_per_shard=1)
+    assert not (tmp_path / "pool").exists()
+
+
 _MANY = [f"s{i}" for i in range(2**15)]
 
 

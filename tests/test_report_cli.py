@@ -23,12 +23,10 @@ from capforge.report import (
     REPORT_COLUMNS,
     build_quality_report,
     caption_features,
-    make_table_getter,
     run_report,
     run_sweep,
-    strategy_tables,
 )
-from capforge.scoring import score_pool
+from capforge.scoring import ScoreTables, score_pool
 from capforge.textmetrics import CaptionFeatures
 from capforge.errors import ConfigError
 from helpers import oracle_quality_report, read_records, unit_rows
@@ -201,7 +199,7 @@ def test_quality_report_matches_caption_by_caption_oracle(records, seed, data):
         write_pool(pool_records, {s: unit_rows(rng, len(records), 4) for s in labels}, path,
                    records_per_shard=5)
         handle = open_pool(path)
-        get_table = make_table_getter(handle)
+        tables = ScoreTables(handle)
         vocab, lexicon = {"dog", "red", "i", "x1"}, {"dog", "caf", "ss", "a"}
         features = CaptionFeatures(handle.records().texts, vocab, lexicon)
         choices = [(r.id, cap) for r in pool_records
@@ -217,30 +215,30 @@ def test_quality_report_matches_caption_by_caption_oracle(records, seed, data):
             sample_size = data.draw(st.sampled_from([0, 1, max(count - 1, 0), count, count + 3]))
             kwargs = dict(sample_size=sample_size, seed=data.draw(st.integers(0, 2**64 - 1)))
             try:
-                want = oracle_quality_report(handle, curated, get_table, vocab=vocab,
+                want = oracle_quality_report(handle, curated, tables.__getitem__, vocab=vocab,
                                              lexicon=lexicon, **kwargs)
             except DataError as exc:
                 with pytest.raises(DataError) as got:
-                    build_quality_report(handle, curated, get_table, features, **kwargs)
+                    build_quality_report(handle, curated, tables, features, **kwargs)
                 assert str(got.value) == str(exc)
                 continue
-            row = build_quality_report(handle, curated, get_table, features, **kwargs)
+            row = build_quality_report(handle, curated, tables, features, **kwargs)
             assert _float_bits(row.to_dict()) == _float_bits(want.to_dict())
 
 
 @pytest.mark.parametrize("sample_size", [2000, 100_000])
 def test_quality_report_matches_oracle_on_a_generated_pool(gen_pool, sample_size):
     """Thousands of grounded fractions: a pairwise sum would differ in the last bits."""
-    get_table = make_table_getter(gen_pool)
+    tables = ScoreTables(gen_pool)
     config = MetricConfig(seed=11, sample_size=sample_size)
     features = caption_features(gen_pool, config)
     for spec in [StrategySpec("raw_all"), StrategySpec("syn_best_variant_all"),
                  StrategySpec("concat_top_plus_syn_rest_filtered", p=30,
                               syn_source="syn.blip2.1.50")]:
-        curated = apply_strategy(gen_pool, spec, strategy_tables(gen_pool, spec, get_table))
+        curated = apply_strategy(gen_pool, spec, tables)
         kwargs = dict(sample_size=sample_size, seed=config.seed)
-        row = build_quality_report(gen_pool, curated, get_table, features, **kwargs)
-        want = oracle_quality_report(gen_pool, curated, get_table, vocab=features.vocab,
+        row = build_quality_report(gen_pool, curated, tables, features, **kwargs)
+        want = oracle_quality_report(gen_pool, curated, tables.__getitem__, vocab=features.vocab,
                                      lexicon=features.lexicon, **kwargs)
         assert _float_bits(row.to_dict()) == _float_bits(want.to_dict())
 
@@ -255,12 +253,12 @@ def test_report_empty_strategy_list(small_pool, tmp_path):
 def test_mix_materialize_report_roundtrip(small_pool, tmp_path):
     handle = open_pool(small_pool)
     spec = StrategySpec("raw_top_plus_syn_rest_filtered", p=30, syn_source="blip2")
-    get_table = make_table_getter(handle)
-    curated = apply_strategy(handle, spec, strategy_tables(handle, spec, get_table))
+    tables = ScoreTables(handle)
+    curated = apply_strategy(handle, spec, tables)
     row = build_quality_report(
         handle,
         curated,
-        get_table,
+        tables,
         CaptionFeatures(handle.records().texts, {"dog"}, {"dog"}),
         sample_size=10,
         seed=0,
@@ -432,6 +430,37 @@ def test_cli_gen_refuses_a_source_name_that_cannot_name_a_file(tmp_path, capsys,
     assert "cannot name a file" in err or "not encodable as UTF-8" in err
     assert len(err.splitlines()) == 1, err
     assert not (tmp_path / "pool").exists()
+
+
+def _gen_one_source(tmp_path, name, out="pool"):
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps({"num_records": 3, "seed": 1, "syn_sources": [
+        {"source_name": name, "temperature": 0.75, "diversity_factor": 0.5}]}))
+    return cli_main(["gen", "--config", str(path), "--out", str(tmp_path / out)])
+
+
+def test_cli_gen_refuses_a_source_name_too_long_for_a_file(tmp_path, capsys):
+    capsys.readouterr()
+    assert _gen_one_source(tmp_path, "a" * 300) == 1
+    err = capsys.readouterr().err
+    assert "source name too long" in err and len(err.splitlines()) == 1, err
+    assert not (tmp_path / "pool").exists()
+
+
+@pytest.mark.parametrize("name", ["a" * 216, "\u00e9" * 108])
+def test_cli_gen_accepts_the_longest_source_name(tmp_path, capsys, name):
+    """".syn.{name}.0.75.alpha.scores.f32.{pid}.tmp" takes 39 bytes beside the
+    name with a 7-digit pid, so 216 UTF-8 bytes is the most, and one more is
+    refused."""
+    assert _gen_one_source(tmp_path, name) == 0
+    pool = tmp_path / "pool"
+    label = f"syn.{name}.0.75"
+    assert (pool / f"{label}.alpha.scores.f32").exists()
+    assert cli_main(["score", "--pool", str(pool), "--source", label]) == 0
+    capsys.readouterr()
+    assert _gen_one_source(tmp_path, name + "a", out="longer") == 1
+    assert "source name too long" in capsys.readouterr().err
+    assert not (tmp_path / "longer").exists()
 
 
 @pytest.mark.parametrize("names, requested, label", [
