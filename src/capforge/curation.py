@@ -172,6 +172,12 @@ class CuratedSet:
         return self.entries[:, 0]
 
 
+_CURATED_CHUNK = 16384  # entry lines formatted per join
+_INT = r"-?(?:0|[1-9][0-9]{0,17})"  # JSON's integer grammar, within int64
+_CANONICAL_ENTRIES = re.compile(rf'(?:\{{"id":{_INT},"cap":(?:"raw"|{_INT})\}}\n)*')
+_ENTRY_SYNTAX = str.maketrans(dict.fromkeys('{"id:,cap}\n', " "))
+
+
 def write_curated(curated: CuratedSet, path: str | Path) -> None:
     header = {
         "strategy": curated.spec.name,
@@ -179,35 +185,54 @@ def write_curated(curated: CuratedSet, path: str | Path) -> None:
         "entries": len(curated.entries),
         "spec": curated.spec.to_dict(),
     }
+    raw = '"raw"'  # Python 3.11 f-strings cannot nest their own quote
 
-    def lines() -> Iterator[str]:
-        yield json.dumps(header, ensure_ascii=False, separators=(",", ":"))
-        for rec_id, cap in curated.entries.tolist():
-            obj = {"id": rec_id, "cap": "raw" if cap == RAW_CHOICE else cap}
-            yield json.dumps(obj, separators=(",", ":"))
+    def chunks() -> Iterator[bytes]:
+        yield json.dumps(header, ensure_ascii=False, separators=(",", ":")).encode("utf-8") + b"\n"
+        for start in range(0, len(curated.entries), _CURATED_CHUNK):
+            rows = curated.entries[start : start + _CURATED_CHUNK].tolist()
+            yield "".join(f'{{"id":{rec_id},"cap":{raw if cap == RAW_CHOICE else cap}}}\n'
+                          for rec_id, cap in rows).encode("ascii")
 
-    fileio.write_atomic(path, (line.encode("utf-8") + b"\n" for line in lines()))
+    fileio.write_atomic(path, chunks())
+
+
+def _canonical_entries(body: str) -> np.ndarray | None:
+    """The (n, 2) entries of a body of ``write_curated``'s entry lines, or
+    None if any line is written otherwise."""
+    if not _CANONICAL_ENTRIES.fullmatch(body):
+        return None
+    numbers = body.replace('"raw"', str(RAW_CHOICE)).translate(_ENTRY_SYNTAX)
+    return np.fromstring(numbers, dtype=np.int64, sep=" ").reshape(-1, 2)
 
 
 def read_curated(path: str | Path) -> CuratedSet:
+    """A curated file as ``write_curated`` writes it, or any file whose lines
+    are JSON objects of the same values; anything else raises a FormatError."""
     try:
         with open(path, encoding="utf-8") as fh:
-            lines = [line for line in fh if line.strip()]
-        if not lines:
-            raise DataError(f"{path}: empty curated file")
-        header = json.loads(lines[0])
+            text = fh.read()
+        head, _, body = text.partition("\n")
+        entries = _canonical_entries(body) if head.strip() else None
+        if entries is None:
+            lines = [line for line in text.split("\n") if line.strip()]
+            if not lines:
+                raise DataError(f"{path}: empty curated file")
+            head = lines[0]
+        header = json.loads(head)
         spec = StrategySpec.from_dict(header["spec"])
         check_numbers(CuratedSet, header, "header")
         tau_used = header.get("tau_used")
         if tau_used is not None and not math.isfinite(tau_used):
             raise ValueError(f"tau_used {tau_used!r} is not finite")
-        entries = []
-        for line in lines[1:]:
-            obj = json.loads(line)
-            rec_id, cap = obj["id"], RAW_CHOICE if obj["cap"] == "raw" else obj["cap"]
-            if type(rec_id) is not int or type(cap) is not int:
-                raise ValueError(f"entry {line.strip()} needs an integer id and cap")
-            entries.append((rec_id, cap))
+        if entries is None:
+            entries = []
+            for line in lines[1:]:
+                obj = json.loads(line)
+                rec_id, cap = obj["id"], RAW_CHOICE if obj["cap"] == "raw" else obj["cap"]
+                if type(rec_id) is not int or type(cap) is not int:
+                    raise ValueError(f"entry {line.strip()} needs an integer id and cap")
+                entries.append((rec_id, cap))
         count = header["entries"]
         if type(count) is not int or count != len(entries):
             raise ValueError(f"header counts {count!r} entries, file holds {len(entries)}")

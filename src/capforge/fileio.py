@@ -1,22 +1,17 @@
-"""Binary sidecar formats, CRC32C checksums and atomic file writes.
+"""Binary sidecar formats, checksums and atomic file writes.
 
 Embedding sidecars: magic ``EMB1``, u32 dim, u64 row count, then
 rows*dim little-endian float32 values.  Score sidecars: magic ``SCR1``,
 u64 count, then count little-endian float32 values.
-
-CRC32C (Castagnoli) is implemented here because no binding is available.
-CRC is linear over GF(2), so a 512-byte row's CRC is the XOR of one
-position-table entry per byte: one numpy gather and one XOR-reduce for a
-block of rows.  The row CRCs are then folded in order (slicing-by-N and
-zlib's ``crc32_combine`` are scalar forms of the same idea).
 """
 
 from __future__ import annotations
 
-import functools
+import contextlib
 import json
 import os
 import struct
+import zlib
 from pathlib import Path
 from typing import Iterable
 
@@ -27,79 +22,14 @@ from .errors import FormatError, IntegrityError
 EMB_MAGIC = b"EMB1"
 SCORE_MAGIC = b"SCR1"
 
-_POLY = 0x82F63B78  # reflected Castagnoli polynomial
-_ROW_BYTES = 512  # W: the position table is W x 256 x 4 bytes = 512 KiB
-# Rows gathered at once: 384 KiB of scratch.  128 rows ran no faster and
-# raised the peak RSS of `report` by 2.5 MiB, 64 rows by 0.5 MiB.
-_CHUNK_ROWS = 64
-
-
-def _build_table() -> np.ndarray:
-    tbl = np.empty(256, dtype=np.uint32)
-    for i in range(256):
-        c = i
-        for _ in range(8):
-            c = (c >> 1) ^ (_POLY if c & 1 else 0)
-        tbl[i] = c
-    return tbl
-
-
-_TABLE = _build_table()
-_TABLE_LIST = [int(x) for x in _TABLE]
-
-
-def _update_scalar(reg: int, data: bytes) -> int:
-    tbl = _TABLE_LIST
-    for b in data:
-        reg = tbl[(reg ^ b) & 0xFF] ^ (reg >> 8)
-    return reg
-
-
-@functools.cache
-def _position_table(width: int) -> np.ndarray:
-    """(width, 256) uint32: entry [p, v] is the register (zero init) after a
-    width-byte row whose only nonzero byte is v, at offset p."""
-    tbl = np.empty((width, 256), dtype=np.uint32)
-    tbl[-1] = _TABLE
-    for p in range(width - 2, -1, -1):
-        tbl[p] = _TABLE[tbl[p + 1] & 0xFF] ^ (tbl[p + 1] >> 8)
-    tbl.flags.writeable = False
-    return tbl
-
-
-@functools.cache
-def _shift_tables(width: int) -> list[list[int]]:
-    """Rows 0-3 of the position table as lists.  Advancing a register over
-    ``width`` zero bytes equals XORing it into the first four bytes of a zero
-    row, so it is four lookups here."""
-    return _position_table(width)[:4].tolist()
-
 
 def crc32c(data: bytes | bytearray | memoryview | np.ndarray) -> int:
-    """CRC32C of a byte buffer (init and final xor 0xFFFFFFFF)."""
+    """CRC-32 (zlib's, init and final xor 0xFFFFFFFF) of a byte buffer, or of
+    an array's C-order bytes.  Pool formats 1 and 2 recorded CRC32C; the
+    name stays so that every checksum goes through this one module global."""
     if isinstance(data, np.ndarray):
-        buf = np.ascontiguousarray(data).view(np.uint8).ravel()
-    else:
-        buf = np.frombuffer(data, dtype=np.uint8)
-    rows = buf.size // _ROW_BYTES
-    block = buf[: rows * _ROW_BYTES].reshape(rows, _ROW_BYTES)
-    flat = _position_table(_ROW_BYTES).ravel()
-    offsets = np.arange(_ROW_BYTES) * 256
-    t0, t1, t2, t3 = _shift_tables(_ROW_BYTES)
-    reg = 0xFFFFFFFF
-    for start in range(0, rows, _CHUNK_ROWS):
-        chunk = block[start : start + _CHUNK_ROWS]
-        row_crcs = np.bitwise_xor.reduce(flat.take(chunk + offsets), axis=1)
-        for c in row_crcs.tolist():
-            reg = (
-                t0[reg & 0xFF]
-                ^ t1[(reg >> 8) & 0xFF]
-                ^ t2[(reg >> 16) & 0xFF]
-                ^ t3[reg >> 24]
-                ^ c
-            )
-    reg = _update_scalar(reg, buf[rows * _ROW_BYTES :].tobytes())
-    return reg ^ 0xFFFFFFFF
+        data = np.ascontiguousarray(data)
+    return zlib.crc32(data)
 
 
 def crc32c_hex(data: bytes | bytearray | memoryview | np.ndarray) -> str:
@@ -158,7 +88,8 @@ def write_atomic(path, data: bytes | Iterable[bytes]) -> None:
                 fh.writelines(data)
         os.replace(tmp, path)
     except BaseException as exc:
-        tmp.unlink(missing_ok=True)
+        with contextlib.suppress(OSError):  # so that the error raised names ``path``
+            tmp.unlink(missing_ok=True)
         if isinstance(exc, OSError) and exc.strerror:
             raise OSError(exc.errno, exc.strerror, str(path)) from exc
         raise

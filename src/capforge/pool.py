@@ -32,7 +32,7 @@ import numpy as np
 from . import fileio
 from .errors import DataError, FormatError, IntegrityError
 
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 MANIFEST_NAME = "manifest.json"
 SHARD_MAGIC = b"CAP2"
 MAX_CAPTION_LABELS = 2**15 - 1  # a shard's labels are int16 indexes
@@ -204,6 +204,7 @@ class CaptionTable:
                    ("raw", *(caption_labels[i] for i in used.tolist())))
 
 
+_RETIRED_FORMATS = {1: "JSONL shards", 2: "CRC32C checksums"}
 _COUNT = ("a non-negative integer", lambda v: type(v) is int and v >= 0)
 _NAMES = ("a list of distinct strings",
           lambda v: type(v) is list and {*map(type, v)} <= {str} and len({*v}) == len(v))
@@ -234,7 +235,7 @@ class PoolManifest:
 
     @classmethod
     def from_json(cls, text: str, *, context: str) -> "PoolManifest":
-        """A format-2 manifest whose fields pass ``_MANIFEST_FIELDS``'s tests;
+        """A format-3 manifest whose fields pass ``_MANIFEST_FIELDS``'s tests;
         anything else raises a FormatError in one line."""
         try:
             obj = json.loads(text)
@@ -243,9 +244,10 @@ class PoolManifest:
         if not isinstance(obj, dict) or "format_version" not in obj:
             raise FormatError(f"{context}: manifest missing format_version")
         version = obj["format_version"]
-        if type(version) is int and version == 1:
-            raise FormatError(f"{context}: format_version 1 (JSONL shards) is no longer "
-                              "read; regenerate the pool")
+        if type(version) is int and version in _RETIRED_FORMATS:
+            raise FormatError(f"{context}: format_version {version} "
+                              f"({_RETIRED_FORMATS[version]}) is no longer read; "
+                              "regenerate the pool")
         if type(version) is not int or version != FORMAT_VERSION:
             raise FormatError(
                 f"{context}: unsupported format_version {version!r} (expected {FORMAT_VERSION})")
@@ -352,6 +354,7 @@ def write_pool(
     for source, stream in embeddings.items():
         check_source_name(source)
         check_file_name(shard_embedding_name(max(len(sizes) - 1, 0), source))
+        check_file_name(fileio.temp_name(score_sidecar_name(source), fileio.LONGEST_PID))
         mat = np.asarray(stream, dtype=np.float32)
         if mat.ndim != 2:
             raise DataError(f"source {source}: expected (rows, dim) matrix")
@@ -377,6 +380,10 @@ def write_pool(
     if len(index) > MAX_CAPTION_LABELS:
         raise DataError(f"{len(index)} variant source labels, more than {MAX_CAPTION_LABELS}")
     width = max(map(len, labels), default=0)
+    for r in record_list:
+        if r.prov == -1:
+            raise DataError(f"record {r.id}: prov -1 cannot be stored; a shard reads -1 as no "
+                            "source record")
     try:
         ids = np.array([r.id for r in record_list], np.int64)
         prov = np.array([-1 if r.prov is None else r.prov for r in record_list], np.int64)

@@ -34,6 +34,32 @@ from capforge.textmetrics import sample_subset, tokenize
 RAW = -1
 
 
+CRC32C_POLY = 0x82F63B78  # reflected Castagnoli polynomial: pool formats 1 and 2
+CRC32_POLY = 0xEDB88320  # reflected IEEE polynomial: zlib's CRC-32, pool format 3
+
+
+def _crc_table(poly: int) -> list[int]:
+    table = []
+    for i in range(256):
+        c = i
+        for _ in range(8):
+            c = (c >> 1) ^ (poly if c & 1 else 0)
+        table.append(c)
+    return table
+
+
+_CRC_TABLES = {poly: _crc_table(poly) for poly in (CRC32C_POLY, CRC32_POLY)}
+
+
+def scalar_crc(data: bytes, poly: int) -> int:
+    """Reflected CRC of ``data`` byte by byte (init and final xor 0xFFFFFFFF)."""
+    table = _CRC_TABLES[poly]
+    reg = 0xFFFFFFFF
+    for b in data:
+        reg = table[(reg ^ b) & 0xFF] ^ (reg >> 8)
+    return reg ^ 0xFFFFFFFF
+
+
 def oracle_top(scores: dict[int, float], p: float) -> tuple[set[int], float | None]:
     """Top floor(p*n/100) ids by score, ties to the lower id."""
     n = len(scores)

@@ -1,3 +1,7 @@
+import json
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -21,7 +25,7 @@ from capforge.curation import (
     top_fraction,
     write_curated,
 )
-from capforge.errors import ConfigError, DataError, DomainError
+from capforge.errors import ConfigError, DataError, DomainError, FormatError
 from capforge.pool import CaptionVariant, Record, ScoreTable, open_pool, write_pool
 from capforge.scoring import score_pool
 from helpers import (
@@ -716,23 +720,110 @@ def test_curated_roundtrip(tmp_path):
     assert back.spec.p == spec.p
 
 
+def _json_curated_bytes(curated) -> bytes:
+    """A curated file written one ``json.dumps`` per line."""
+    header = {"strategy": curated.spec.name, "tau_used": curated.tau_used,
+              "entries": len(curated), "spec": curated.spec.to_dict()}
+    lines = [json.dumps(header, ensure_ascii=False, separators=(",", ":"))]
+    lines += [json.dumps({"id": i, "cap": "raw" if c == RAW else c}, separators=(",", ":"))
+              for i, c in curated.entries.tolist()]
+    return "".join(line + "\n" for line in lines).encode("utf-8")
+
+
+def _json_curated_pairs(text: str) -> list[tuple[int, int]]:
+    """The entries ``json.loads`` reads from each non-blank line after the first."""
+    objs = [json.loads(line) for line in text.split("\n") if line.strip()][1:]
+    return sorted({(o["id"], RAW if o["cap"] == "raw" else o["cap"]) for o in objs})
+
+
+_SPECS = [StrategySpec("raw_all"), StrategySpec("raw_top", p=12.5),
+          StrategySpec("raw_top_plus_syn_rest_filtered", p=30, syn_source="bl\u00e9ip\"2")]
+
+
+@given(entries=st.lists(st.tuples(st.integers(-2**63, 2**63 - 1), st.integers(-1, 9)),
+                        max_size=60),
+       spec=st.sampled_from(_SPECS),
+       tau=st.none() | st.floats(allow_nan=False, allow_infinity=False),
+       chunk=st.sampled_from([1, 2, 7, curation._CURATED_CHUNK]))
+@example(entries=[], spec=_SPECS[0], tau=None, chunk=1)
+@settings(max_examples=150, deadline=None)
+def test_curated_files_roundtrip_through_the_canonical_lines(entries, spec, tau, chunk):
+    curated = CuratedSet(entries=entries, spec=spec, tau_used=tau)
+    with pytest.MonkeyPatch.context() as mp, tempfile.TemporaryDirectory() as tmp:
+        mp.setattr(curation, "_CURATED_CHUNK", chunk)
+        path = Path(tmp) / "c.jsonl"
+        write_curated(curated, path)
+        text = path.read_bytes()
+        assert text == _json_curated_bytes(curated)
+        if all(abs(i) < 10**18 for i, _ in entries):  # 19 digits go through json.loads
+            assert curation._canonical_entries(text.decode().partition("\n")[2]) is not None
+        back = read_curated(path)
+    assert pairs(back) == pairs(curated)
+    assert back.tau_used == tau and back.spec == spec
+
+
+_HEADER = '{"strategy":"raw_all","tau_used":null,"entries":%d,"spec":{"name":"raw_all"}}\n'
+
+
+@pytest.mark.parametrize("body, count", [
+    pytest.param('{"id": 5, "cap": "raw"}\n{"id":2,"cap":0}\n', 2, id="spaces"),
+    pytest.param('{"cap":1,"id":3}\n', 1, id="key_order"),
+    pytest.param('{"id":-0,"cap":-0}\n{"id":4,"cap":"raw"}\n', 2, id="minus_zero"),
+    pytest.param('{"id":01,"cap":"raw"}\n', 1, id="leading_zero"),
+    pytest.param('{"id":1,"cap":01}\n', 1, id="cap_leading_zero"),
+    pytest.param('\n{"id":1,"cap":"raw"}\n  \n\n{"id":3,"cap":2}\n\n', 2, id="blank_lines"),
+    pytest.param('{"id":1,"cap":"raw"}', 1, id="no_final_newline"),
+    pytest.param('{"id":1,"cap":"raw"}\r\n{"id":2,"cap":"raw"}\r\n', 2, id="crlf"),
+    pytest.param('{"id":9223372036854775807,"cap":"raw"}\n', 1, id="int64_max"),
+    pytest.param('{"id":-9223372036854775808,"cap":0}\n', 1, id="int64_min"),
+    pytest.param('{"id":9223372036854775808,"cap":"raw"}\n', 1, id="past_int64"),
+    pytest.param('{"id":1,"cap":"raw"}\n{"id":1e2,"cap":"raw"}\n', 2, id="exponent"),
+    pytest.param('{"id":1,"cap":"raw"}\n{"id":2,"cap":"raw"}garbage\n', 2, id="trailing_text"),
+    pytest.param('{"id":1,"cap":"raw"}\n{"id":2,"cap":"RAW"}\n', 2, id="cap_upper"),
+    pytest.param('{"id":1,"cap":"raw","x":0}\n', 1, id="extra_key"),
+    pytest.param('{"id":1,"cap":"raw"}\n', 2, id="count_too_high"),
+])
+def test_non_canonical_curated_files_read_as_json_reads_them(tmp_path, body, count):
+    """Lines other than ``write_curated``'s go through ``json.loads``: a file
+    reads to the entries it reads to, or fails as a FormatError."""
+    path = tmp_path / "c.jsonl"
+    text = _HEADER % count + body
+    path.write_bytes(text.encode())
+    try:
+        expected = _json_curated_pairs(text.replace("\r\n", "\n"))
+        np.array(expected, np.int64)
+        ok = len(expected) == count and all(
+            type(i) is int and type(c) is int for i, c in expected)
+    except (ValueError, TypeError, KeyError, OverflowError):
+        ok = False
+    if ok:
+        assert pairs(read_curated(path)) == expected
+    else:
+        with pytest.raises(FormatError, match="not a curated file"):
+            read_curated(path)
+
+
 def test_write_curated_failing_halfway_keeps_the_old_file(tmp_path, monkeypatch):
     path = tmp_path / "curated.jsonl"
     write_curated(CuratedSet(entries=[(7, RAW)], spec=StrategySpec("raw_all")), path)
     old = path.read_bytes()
-    dumps = curation.json.dumps
-    calls = []
+    write_atomic = curation.fileio.write_atomic
+    written = []
 
-    def dumps_then_fail(obj, **kwargs):
-        calls.append(obj)
-        if len(calls) == 3:
-            raise OSError("disk full")
-        return dumps(obj, **kwargs)
+    def failing_on_the_second_entry_chunk(target, chunks):
+        def passed():
+            for chunk in chunks:
+                if len(written) == 2:  # the header and one chunk of entries
+                    raise OSError("disk full")
+                written.append(chunk)
+                yield chunk
+        write_atomic(target, passed())
 
-    monkeypatch.setattr(curation.json, "dumps", dumps_then_fail)
+    monkeypatch.setattr(curation, "_CURATED_CHUNK", 2)
+    monkeypatch.setattr(curation.fileio, "write_atomic", failing_on_the_second_entry_chunk)
     curated = CuratedSet(entries=[(0, RAW), (2, 1), (5, RAW)], spec=StrategySpec("raw_all"))
     with pytest.raises(OSError, match="disk full"):
         write_curated(curated, path)
-    assert len(calls) == 3
+    assert written[1] == b'{"id":0,"cap":"raw"}\n{"id":2,"cap":1}\n'
     assert path.read_bytes() == old
     assert [p.name for p in tmp_path.iterdir()] == ["curated.jsonl"]

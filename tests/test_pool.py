@@ -421,10 +421,11 @@ def test_write_pool_refuses_a_source_that_cannot_name_a_file(tmp_path, name):
 
 def test_write_pool_refuses_a_source_too_long_for_its_last_shard_file(tmp_path):
     """"shard-00000.{source}.f32" takes 16 bytes beside the source, and a
-    pool of 100,001 shards has a 6-digit last shard."""
+    pool of 100,001 shards has a 6-digit last shard.  (The longest source any
+    pool takes is shorter: see the score sidecar test below.)"""
     image = np.ones((1, 2), np.float32)
-    write_pool(_records(1), {"image": image, "s" * 239: image}, tmp_path / "fits")
-    assert (tmp_path / "fits" / f"shard-00000.{'s' * 239}.f32").exists()
+    write_pool(_records(1), {"image": image, "s" * 231: image}, tmp_path / "fits")
+    assert (tmp_path / "fits" / f"shard-00000.{'s' * 231}.f32").exists()
     with pytest.raises(DataError, match="source name too long: .* takes 256 bytes"):
         write_pool(_records(1), {"image": image, "s" * 240: image}, tmp_path / "pool")
     assert not (tmp_path / "pool").exists()
@@ -434,6 +435,35 @@ def test_write_pool_refuses_a_source_too_long_for_its_last_shard_file(tmp_path):
         write_pool(records, {"image": image, "s" * 239: image}, tmp_path / "pool",
                    records_per_shard=1)
     assert not (tmp_path / "pool").exists()
+
+
+def test_write_pool_refuses_a_source_too_long_for_its_score_sidecar(tmp_path, capsys):
+    """`score` writes "{source}.scores.f32" through ".{name}.{pid}.tmp", 24
+    bytes beside the source with a 7-digit pid: 231 bytes is the most."""
+    image = np.ones((1, 2), np.float32)
+    with pytest.raises(DataError, match=r"source name too long: .*\.9999999\.tmp' takes 256"):
+        write_pool(_records(1), {"image": image, "s" * 232: image}, tmp_path / "pool")
+    assert not (tmp_path / "pool").exists()
+    write_pool(_records(1), {"image": image, "s" * 231: image}, tmp_path / "fits")
+    capsys.readouterr()
+    assert cli_main(["score", "--pool", str(tmp_path / "fits"), "--source", "s" * 231]) == 0
+    assert (tmp_path / "fits" / f"{'s' * 231}.scores.f32").exists()
+
+
+def test_prov_minus_one_is_refused_before_the_directory_is_made(tmp_path):
+    """A shard stores a missing prov as -1, so -1 itself cannot be kept, and
+    materializing a record whose id is -1 fails in one line."""
+    rng = np.random.default_rng(0)
+    write_pool([Record(-1, "r-1"), Record(4, "r4")],
+               {s: unit_rows(rng, 2, 3) for s in ("image", "raw")}, tmp_path / "pool")
+    handle = open_pool(tmp_path / "pool")
+    with pytest.raises(DataError, match="^record 0: prov -1 cannot be stored") as info:
+        materialize(handle, CuratedSet([(-1, -1), (4, -1)], StrategySpec("raw_all")),
+                    tmp_path / "out")
+    assert len(str(info.value).splitlines()) == 1
+    assert not (tmp_path / "out").exists()
+    materialize(handle, CuratedSet([(4, -1)], StrategySpec("raw_all")), tmp_path / "out")
+    assert [r.prov for r in read_records(tmp_path / "out")] == [4]
 
 
 _MANY = [f"s{i}" for i in range(2**15)]
@@ -465,6 +495,8 @@ _MANY = [f"s{i}" for i in range(2**15)]
     pytest.param("checksums", None, "manifest lacks field 'checksums'", id="checksums_missing"),
     pytest.param("format_version", 1, "format_version 1 \\(JSONL shards\\) is no longer read; "
                  "regenerate the pool", id="format_version_1"),
+    pytest.param("format_version", 2, "format_version 2 \\(CRC32C checksums\\) is no longer "
+                 "read; regenerate the pool", id="format_version_2"),
     pytest.param("format_version", 2.0, "unsupported format_version 2.0",
                  id="format_version_float"),
 ])

@@ -36,7 +36,9 @@ from capforge.poolgen import (
 )
 from capforge.scoring import score_pool
 from capforge.textmetrics import tokenize, unique_trigrams
-from helpers import handle_captions, oracle_shard_records, read_records, record_captions
+from helpers import (
+    CRC32C_POLY, handle_captions, oracle_shard_records, read_records, record_captions, scalar_crc,
+)
 
 
 def _dir_bytes(path):
@@ -132,10 +134,13 @@ def test_shards_match_the_record_by_record_oracle(config):
 
 
 def test_readme_pool_checksums_are_pinned(tmp_path):
-    """A 2k-record pool of the README config.  The sidecar checksums are the
-    ones of every earlier generator; the caption shards' are format 2's."""
+    """A 2k-record pool of the README config.  The CRC32C of each file's bytes
+    is the one pool format 2 recorded (the sidecars' are those of every
+    earlier generator), so no byte changed with format 3, whose manifest
+    records zlib's CRC-32 instead."""
     manifest = generate_pool(GenConfig(num_records=2000, seed=7), tmp_path)
-    assert manifest.checksums == {
+    assert {name: f"{scalar_crc((tmp_path / name).read_bytes(), CRC32C_POLY):08x}"
+            for name in manifest.checksums} == {
         "shard-00000.cap": "d8b46358",
         "shard-00000.image.f32": "d38e6713",
         "shard-00000.raw.f32": "ec2ff40f",
@@ -144,6 +149,16 @@ def test_readme_pool_checksums_are_pinned(tmp_path):
         "shard-00001.image.f32": "11374233",
         "shard-00001.raw.f32": "376c84da",
         "shard-00001.syn.blip2.0.75.f32": "61cad4f9",
+    }
+    assert manifest.checksums == {
+        "shard-00000.cap": "26827fa9",
+        "shard-00000.image.f32": "c0ef6969",
+        "shard-00000.raw.f32": "5471b903",
+        "shard-00000.syn.blip2.0.75.f32": "6e4a98c1",
+        "shard-00001.cap": "57267007",
+        "shard-00001.image.f32": "7e430ded",
+        "shard-00001.raw.f32": "46d8f73e",
+        "shard-00001.syn.blip2.0.75.f32": "2bd31143",
     }
 
 
