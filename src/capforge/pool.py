@@ -117,11 +117,11 @@ def encode_shard(columns: ShardColumns) -> bytes:
 
 def decode_shard(
     blob: bytes, *, context: str, num_labels: int
-) -> tuple[np.ndarray, np.ndarray, list[str]]:
-    """(ids, labels, texts) of a caption shard, ``texts`` holding each
-    record's raw caption and then its variants, record by record.  A shard
-    that breaks the layout raises a FormatError or IntegrityError naming
-    ``context``."""
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, bytes]:
+    """(ids, labels, offsets, text) of a caption shard: ``text`` is its UTF-8
+    buffer and ``offsets`` (int64) bound each record's raw caption and then
+    its variants, record by record.  A shard that breaks the layout raises a
+    FormatError or IntegrityError naming ``context``."""
     if len(blob) < 16 or blob[:4] != SHARD_MAGIC:
         raise FormatError(f"{context}: not a CAP2 caption shard")
     width, rows = struct.unpack_from("<IQ", blob, 4)
@@ -147,12 +147,19 @@ def decode_shard(
     if offsets[0] != 0 or offsets[-1] != len(blob) - start or (offsets[1:] < offsets[:-1]).any():
         raise FormatError(f"{context}: caption offsets do not rise from 0 to the "
                           f"{len(blob) - start}-byte text buffer's end")
-    bounds = (offsets + start).tolist()
+    offsets, text = offsets.astype(np.int64), blob[start:]
+    # Each caption is UTF-8 exactly when the whole buffer is and no caption
+    # starts on a continuation byte (0b10xxxxxx), that is inside a character.
     try:
-        texts = [blob[a:b].decode("utf-8") for a, b in zip(bounds, bounds[1:])]
+        text.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise FormatError(f"{context}: a caption is not UTF-8: {exc}") from None
-    return ids, labels, texts
+    firsts = offsets[:-1][offsets[:-1] < len(text)]
+    split = np.flatnonzero((np.frombuffer(text, np.uint8)[firsts] & 0xC0) == 0x80)
+    if split.size:
+        raise FormatError(f"{context}: a caption is not UTF-8: caption {split[0]} starts "
+                          "inside a character")
+    return ids, labels, offsets, text
 
 
 @dataclass(frozen=True)
@@ -161,15 +168,17 @@ class CaptionTable:
 
     Column 0 of ``text_ids`` and ``label_ids`` is the raw caption and
     column 1+p the variant at position p; -1 pads records with fewer
-    variants.  ``text_ids`` index ``texts``, which holds each distinct
-    caption once; ``label_ids`` index ``labels``: "raw", then each variant
-    source label in order of first appearance.
+    variants.  ``text_ids`` number the captions in shard order: caption i is
+    ``text[offsets[i]:offsets[i + 1]]``, UTF-8.  ``label_ids`` index
+    ``labels``: "raw", then each variant source label in order of first
+    appearance.
     """
 
     ids: np.ndarray  # (N,) int64
     text_ids: np.ndarray  # (N, 1+W) int64
     label_ids: np.ndarray  # (N, 1+W) int64
-    texts: tuple[str, ...]
+    offsets: np.ndarray  # (T+1,) int64
+    text: bytearray
     labels: tuple[str, ...]
 
     def __len__(self) -> int:
@@ -177,30 +186,29 @@ class CaptionTable:
 
     @classmethod
     def from_shards(cls, shards: Iterable[tuple], caption_labels: Sequence[str]) -> "CaptionTable":
-        """Concatenate ``decode_shard`` results, interning texts; labels
-        index ``caption_labels``."""
-        text_index: dict[str, int] = {}
-        ids, labels, text_ids = [np.zeros(0, np.int64)], [], [np.zeros(0, np.int64)]
-        for shard_ids, shard_labels, texts in shards:
+        """Concatenate ``decode_shard`` results; labels index ``caption_labels``."""
+        text = bytearray()  # grown shard by shard, so no shard's text is held twice
+        ids, labels, offsets = [np.zeros(0, np.int64)], [], [np.zeros(1, np.int64)]
+        for shard_ids, shard_labels, shard_offsets, shard_text in shards:
             ids.append(shard_ids)
             labels.append(shard_labels)
-            text_ids.append(np.array([text_index.setdefault(t, len(text_index)) for t in texts],
-                                     np.int64))
-        ids = np.concatenate(ids)
+            offsets.append(shard_offsets[1:] + len(text))
+            text += shard_text
+        ids, offsets = np.concatenate(ids), np.concatenate(offsets)
         width = max((part.shape[1] for part in labels), default=0)
         variants = np.concatenate([np.zeros((0, width), np.int16)] + [
             np.pad(part, ((0, 0), (0, width - part.shape[1])), constant_values=-1)
             for part in labels])
         held = np.concatenate((np.ones((len(ids), 1), bool), variants >= 0), axis=1)
-        table_text_ids = np.full(held.shape, -1, np.int64)
-        table_text_ids[held] = np.concatenate(text_ids)  # row by row, as shards store texts
+        text_ids = np.full(held.shape, -1, np.int64)
+        text_ids[held] = np.arange(len(offsets) - 1)  # row by row, as shards store captions
         used, first = np.unique(variants[variants >= 0], return_index=True)
         used = used[np.argsort(first)]
         remap = np.full(len(caption_labels) + 1, -1, np.int64)  # remap[-1]: a pad stays -1
         remap[used] = np.arange(1, used.size + 1)
-        label_ids = np.zeros_like(table_text_ids)
+        label_ids = np.zeros_like(text_ids)
         label_ids[:, 1:] = remap[variants]
-        return cls(ids, table_text_ids, label_ids, tuple(text_index),
+        return cls(ids, text_ids, label_ids, offsets, text,
                    ("raw", *(caption_labels[i] for i in used.tolist())))
 
 
@@ -454,7 +462,7 @@ class PoolHandle:
         self._verified.add(name)
         return value
 
-    def shard_columns(self, k: int) -> tuple[np.ndarray, np.ndarray, list[str]]:
+    def shard_columns(self, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, bytes]:
         """``decode_shard`` of caption shard k."""
         name = shard_caption_name(k)
         return decode_shard(self._read(name, fileio.read_bytes), context=name,
@@ -505,7 +513,8 @@ class PoolHandle:
         text_id = table.text_ids.item(row, col) if 0 <= col < table.text_ids.shape[1] else -1
         if text_id < 0:
             raise self._missing_choice(row, cap)
-        return table.labels[table.label_ids.item(row, col)], table.texts[text_id]
+        text = table.text[table.offsets[text_id] : table.offsets[text_id + 1]].decode("utf-8")
+        return table.labels[table.label_ids.item(row, col)], text
 
     def caption_ids(self, rows: np.ndarray, caps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(label ids, text ids) into ``records()`` of each (row, caption

@@ -417,7 +417,12 @@ def _generate_shard(
 
     # image embeddings: normalized sums of concept directions
     if size:
-        sums = np.add.reduceat(concept_mat[concepts], cstarts, axis=0)
+        # concept by concept, left to right as np.add.reduceat adds, without
+        # gathering every concept's row first
+        sums = concept_mat[concepts[cstarts]]
+        for p in range(1, int(ccounts.max())):
+            more = np.flatnonzero(ccounts > p)
+            sums[more] += concept_mat[concepts[cstarts[more] + p]]
         images = sums / np.linalg.norm(sums, axis=1, keepdims=True)
     else:
         images = np.zeros((0, dim))

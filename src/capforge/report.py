@@ -85,10 +85,12 @@ class SweepResult:
 
 
 def caption_features(handle: PoolHandle, config: MetricConfig) -> CaptionFeatures:
-    """Caption features of the pool's texts under the config's vocabulary
+    """Caption features of the pool's captions under the config's vocabulary
     and lexicon, the packaged ones where it names none."""
+    table = handle.records()
     return CaptionFeatures(
-        handle.records().texts,
+        table.text,
+        table.offsets,
         config.vocab if config.vocab is not None else default_visual_vocab(),
         config.lexicon if config.lexicon is not None else default_noun_lexicon(),
     )

@@ -5,21 +5,19 @@ Tokenization is fixed: NFC-normalize, lowercase, treat every character
 outside [a-z0-9] as a separator.  Nouns are identified against a lexicon
 file rather than a tagger, so all metrics are deterministic.
 
-Every metric reads one ``CaptionFeatures`` object: each distinct caption
-text is tokenized once, on the first sample that needs it, into a word
-count, a grounded fraction and int token ids.  A sample's statistics are
-then gathers over those arrays: an integer word sum, a float sum in sample
-order, and distinct counts of the trigram keys and noun token ids of its
-distinct texts.
+Every metric reads one ``CaptionFeatures`` object over a pool's UTF-8
+caption bytes: each caption is tokenized once, in numpy, on the first
+sample that needs it, into a word count, a grounded fraction and int token
+ids.  A sample's statistics are then gathers over those arrays: an integer
+word sum, a float sum in sample order, and distinct counts of the trigram
+keys and noun token ids of its distinct captions.
 """
 
 from __future__ import annotations
 
 import re
 import unicodedata
-from array import array
 from importlib import resources
-from itertools import islice
 from pathlib import Path
 from typing import Iterable, NamedTuple, Sequence
 
@@ -66,10 +64,13 @@ def _window_starts(lengths: np.ndarray) -> np.ndarray:
 def trigram_keys(tokens: np.ndarray, lengths: np.ndarray, vocab_size: int) -> np.ndarray:
     """One int64 key per window of three consecutive token ids inside each
     text of ``tokens`` (texts concatenated, ``lengths`` tokens each); equal
-    keys mean equal trigrams.  Bigrams are ranked first, so keys stay below
-    windows * vocab_size rather than vocab_size**3."""
+    keys mean equal trigrams.  The key (a*V + b)*V + c fits int64 while
+    V = vocab_size <= 2**21; past that, bigrams are ranked first, so keys
+    stay below windows * V."""
     first = _window_starts(lengths)
-    _, bigram = np.unique(tokens[first] * vocab_size + tokens[first + 1], return_inverse=True)
+    bigram = tokens[first] * vocab_size + tokens[first + 1]
+    if vocab_size > 2**21:
+        _, bigram = np.unique(bigram, return_inverse=True)
     return bigram * vocab_size + tokens[first + 2]
 
 
@@ -80,75 +81,175 @@ class SampleStats(NamedTuple):
     unique_nouns: int
 
 
-class CaptionFeatures:
-    """Features of each text of ``texts``, computed once, on demand.
+_CHUNK_BYTES = 1 << 17  # caption text tokenized per numpy pass; bounds its scratch arrays
+_KEY_CHARS = 12  # token characters packed into one key, in base 37: 37**12 < 2**64
+_LONG_KEY = 37**_KEY_CHARS  # keys from here on number the longer tokens
+_BYTE_MASKS = np.array([(1 << 8 * k) - 1 for k in range(9)], np.uint64)  # the low k bytes
+# a byte's base-37 digit: 1-10 for 0-9, 11-36 for a-z and A-Z, 0 for a separator
+_DIGIT = np.zeros(256, np.uint8)
+_DIGIT[np.frombuffer(b"0123456789abcdefghijklmnopqrstuvwxyz", np.uint8)] = np.arange(1, 37)
+_DIGIT[np.frombuffer(b"ABCDEFGHIJKLMNOPQRSTUVWXYZ", np.uint8)] = np.arange(11, 37)
 
-    Per text: its word count, the fraction of its tokens in ``vocab``, and
+
+def _base37(words: np.ndarray) -> np.ndarray:
+    """The eight base-37 digits in the bytes of each uint64, lowest byte
+    first and most significant, as one number: adjacent lanes merge in
+    three steps, each lane holding what its width can."""
+    words = (words & 0x00FF00FF00FF00FF) * 37 + ((words >> 8) & 0x00FF00FF00FF00FF)
+    words = (words & 0x0000FFFF0000FFFF) * 37**2 + ((words >> 16) & 0x0000FFFF0000FFFF)
+    return (words & 0xFFFFFFFF) * 37**4 + (words >> 32)
+
+
+def _fold(caption: bytes) -> bytes:
+    """A non-ASCII caption as ``tokenize`` reads it: NFC and ``lower()``,
+    then each non-ASCII character a '?'.  After those two steps no
+    non-ASCII character is a token character, so the tokens are the same."""
+    text = unicodedata.normalize("NFC", caption.decode("utf-8", "surrogatepass")).lower()
+    return text.encode("ascii", "replace")
+
+
+class CaptionFeatures:
+    """Features of each caption of a UTF-8 buffer, caption i being
+    ``text[offsets[i]:offsets[i + 1]]``, computed once, on demand.
+
+    Per caption: its word count, the fraction of its tokens in ``vocab``, and
     its token ids, stored in one flat array at an offset.  Token ids number
-    the distinct tokens in order of first appearance; ``is_noun`` flags the
-    ids in ``lexicon``.
+    the distinct tokens as they are first seen; ``strings[i]`` is token i and
+    ``is_noun`` flags the ids in ``lexicon``.
+
+    Captions are tokenized in numpy, about _CHUNK_BYTES of text at a time,
+    exactly as ``tokenize`` would: an ASCII caption's tokens are its maximal
+    runs of [A-Za-z0-9], lowercased, and a non-ASCII caption takes the scalar
+    ``_fold`` first.  Each token gets an exact key (up to _KEY_CHARS
+    characters packed in base 37, a longer token a number from _LONG_KEY on),
+    and only keys not seen before are decoded to strings.
     """
 
-    def __init__(self, texts: Sequence[str], vocab: set[str], lexicon: set[str]):
-        self.texts = texts
+    def __init__(self, text: bytes | bytearray, offsets: np.ndarray, vocab: set[str],
+                 lexicon: set[str]):
         self.vocab = vocab
         self.lexicon = lexicon
-        self.words = np.full(len(texts), -1, np.int64)  # -1: not computed yet
-        self.grounded = np.zeros(len(texts))
-        self.offsets = np.zeros(len(texts), np.int64)
-        self.tokens = np.zeros(0, np.int64)
+        self._text = np.frombuffer(text, np.uint8)
+        self._bounds = np.asarray(offsets, np.int64)
+        count = len(self._bounds) - 1
+        self.words = np.full(count, -1, np.int64)  # -1: not computed yet
+        self.grounded = np.zeros(count)
+        self.offsets = np.zeros(count, np.int64)
+        self.tokens = np.zeros(0, np.int32)
+        self.strings: list[str] = []
         self.is_noun = np.zeros(0, bool)
         self._is_visual = np.zeros(0, bool)
-        self._token_ids: dict[str, int] = {}
+        self._keys = np.zeros(0, np.uint64)  # sorted keys of the tokens seen
+        self._key_ids = np.zeros(0, np.int32)  # the token id of each key
+        self._long_keys: dict[str, int] = {}
 
-    def _fill(self, text_ids: np.ndarray) -> None:
-        """Compute the features of the texts not seen yet."""
-        todo = _distinct(text_ids[self.words[text_ids] < 0])
+    def _fill(self, caption_ids: np.ndarray) -> None:
+        """Compute the features of the captions not seen yet."""
+        todo = _distinct(caption_ids[self.words[caption_ids] < 0])
         if not todo.size:
             return
-        index = self._token_ids
-        seen = len(index)
-        ids, counts = array("q"), array("q")  # 8 bytes an id, where a list takes 36
-        for text_id in todo.tolist():
-            tokens = tokenize(self.texts[text_id])
-            counts.append(len(tokens))
-            ids.extend([index.setdefault(tok, len(index)) for tok in tokens])
-        ids, counts = np.frombuffer(ids, np.int64), np.frombuffer(counts, np.int64)
-        new = list(islice(index, seen, None))
-        self.is_noun = np.append(self.is_noun, np.array([t in self.lexicon for t in new], bool))
-        self._is_visual = np.append(self._is_visual, np.array([t in self.vocab for t in new], bool))
-        ends = np.cumsum(counts)
+        lens = self._bounds[todo + 1] - self._bounds[todo]
+        parts = np.split(todo, np.flatnonzero(np.diff(np.cumsum(lens) // _CHUNK_BYTES)) + 1)
+        ids = [self._fill_chunk(part) for part in parts]
+        self.offsets[todo] = len(self.tokens) + np.cumsum(self.words[todo]) - self.words[todo]
+        self.tokens = np.concatenate((self.tokens, *ids))
+
+    def _fill_chunk(self, captions: np.ndarray) -> np.ndarray:
+        """Word counts and grounded fractions of ``captions``; returns their
+        token ids, concatenated."""
+        lens = self._bounds[captions + 1] - self._bounds[captions]
+        at = np.cumsum(lens) - lens  # where each caption starts in the chunk
+        text = self._text.take(np.repeat(self._bounds[captions] - at, lens) + np.arange(lens.sum()))
+        wide = np.searchsorted(at, np.flatnonzero(text >= 0x80), "right") - 1
+        if wide.size:
+            pieces, done = [], 0
+            for j in np.unique(wide).tolist():
+                end = at[j] + lens[j]
+                pieces += [text[done : at[j]], np.frombuffer(_fold(text[at[j] : end].tobytes()),
+                                                             np.uint8)]
+                done, lens[j] = end, len(pieces[-1])
+            text = np.concatenate((*pieces, text[done:]))
+            at = np.cumsum(lens) - lens
+        digits = _DIGIT.take(text)  # take: about twice as fast as [] here
+        is_token = digits > 0
+        heads, tails = is_token.copy(), is_token.copy()
+        heads[1:] &= ~is_token[:-1]
+        tails[:-1] &= ~is_token[1:]
+        firsts = at[lens > 0]  # a caption start breaks a run
+        lasts = firsts + lens[lens > 0] - 1
+        heads[firsts], tails[lasts] = is_token[firsts], is_token[lasts]
+        starts = np.flatnonzero(heads)
+        sizes = np.flatnonzero(tails) + 1 - starts
+
+        # a token's first _KEY_CHARS digits in base 37, from two 8-byte windows
+        digits = np.concatenate((digits, np.zeros(16, np.uint8)))
+        windows = np.ndarray((len(digits) - 7,), "<u8", digits, strides=(1,))
+        head = windows[starts] & _BYTE_MASKS[np.minimum(sizes, 4)]
+        rest = windows[starts + 4] & _BYTE_MASKS[np.clip(sizes - 4, 0, 8)]
+        keys = _base37(head) * 37**4 + _base37(rest)
+
+        def token(i: int) -> str:
+            return text[starts[i] : starts[i] + sizes[i]].tobytes().lower().decode("ascii")
+
+        for i in np.flatnonzero(sizes > _KEY_CHARS).tolist():
+            keys[i] = _LONG_KEY + self._long_keys.setdefault(token(i), len(self._long_keys))
+        ids = self._token_ids(keys, token)
+
+        ends = np.searchsorted(starts, np.append(at, len(text)))  # each caption's tokens
+        counts = np.diff(ends)
         visual = np.concatenate(([0], np.cumsum(self._is_visual[ids])))
-        self.words[todo] = counts
-        self.grounded[todo] = np.divide(
-            visual[ends] - visual[ends - counts], counts,
-            out=np.zeros(len(counts)), where=counts > 0,
-        )
-        self.offsets[todo] = len(self.tokens) + ends - counts
-        self.tokens = np.concatenate((self.tokens, ids))
+        self.words[captions] = counts
+        self.grounded[captions] = np.divide(visual[ends[1:]] - visual[ends[:-1]], counts,
+                                            out=np.zeros(len(counts)), where=counts > 0)
+        return ids
 
-    def token_ids(self, text_ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Token ids of the texts, concatenated, and each text's length."""
-        self._fill(text_ids)
-        lengths = self.words[text_ids]
-        at = np.repeat(self.offsets[text_ids], lengths) + _positions_in_text(lengths)
-        return self.tokens[at], lengths
+    def _token_ids(self, keys: np.ndarray, token) -> np.ndarray:
+        """Token id of each key; a key not seen before gets the next id, and
+        ``token(i)`` gives the string of key i."""
+        order = np.argsort(keys)  # sorted, the lookups run several times faster
+        keys = keys[order]
+        at = np.searchsorted(self._keys, keys)
+        seen = at < len(self._keys)
+        seen[seen] = self._keys[at[seen]] == keys[seen]
+        if not seen.all():
+            new = np.flatnonzero(~seen & np.concatenate(([True], keys[1:] != keys[:-1])))
+            strings = [token(i) for i in order[new].tolist()]
+            self.is_noun = np.append(self.is_noun, [t in self.lexicon for t in strings])
+            self._is_visual = np.append(self._is_visual, [t in self.vocab for t in strings])
+            new_ids = np.arange(len(self.strings), len(self.strings) + len(new), dtype=np.int32)
+            self.strings += strings
+            self._keys = np.insert(self._keys, at[new], keys[new])
+            self._key_ids = np.insert(self._key_ids, at[new], new_ids)
+            at = np.searchsorted(self._keys, keys)
+        ids = np.empty(len(keys), np.int32)
+        ids[order] = self._key_ids[at]
+        return ids
 
-    def sample_stats(self, text_ids: np.ndarray) -> SampleStats:
-        """Statistics of a caption sample given by text id, in sample order."""
-        text_ids = np.asarray(text_ids, np.int64)
-        tokens, lengths = self.token_ids(_distinct(text_ids))
+    def token_ids(self, caption_ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Token ids (int64) of the captions, concatenated, and each
+        caption's length."""
+        self._fill(caption_ids)
+        lengths = self.words[caption_ids]
+        at = np.repeat(self.offsets[caption_ids], lengths) + _positions_in_text(lengths)
+        return self.tokens[at].astype(np.int64), lengths
+
+    def sample_stats(self, caption_ids: np.ndarray) -> SampleStats:
+        """Statistics of a caption sample given by caption index, in sample order."""
+        caption_ids = np.asarray(caption_ids, np.int64)
+        tokens, lengths = self.token_ids(_distinct(caption_ids))
         return SampleStats(
-            word_sum=int(self.words[text_ids].sum()),
-            ground_sum=ordered_sum(self.grounded[text_ids]),
+            word_sum=int(self.words[caption_ids].sum()),
+            ground_sum=ordered_sum(self.grounded[caption_ids]),
             unique_trigrams=len(_distinct(trigram_keys(tokens, lengths, len(self.is_noun)))),
             unique_nouns=len(_distinct(tokens[self.is_noun[tokens]])),
         )
 
 
 def _caption_stats(captions: Iterable[str], vocab=frozenset(), lexicon=frozenset()) -> SampleStats:
-    texts = tuple(captions)
-    return CaptionFeatures(texts, vocab, lexicon).sample_stats(np.arange(len(texts)))
+    texts = [c.encode("utf-8", "surrogatepass") for c in captions]
+    offsets = np.cumsum([0, *map(len, texts)])
+    return CaptionFeatures(b"".join(texts), offsets, vocab, lexicon).sample_stats(
+        np.arange(len(texts)))
 
 
 def word_count(text: str) -> int:
@@ -181,11 +282,30 @@ def unique_nouns(captions: Iterable[str], noun_lexicon: set[str]) -> int:
 def _partial_fisher_yates(n: int, total: int, seed: int) -> np.ndarray:
     """First n positions of a seeded Fisher-Yates shuffle of range(total)."""
     # one call draws the same stream as one rng.integers(i, total) per i
-    targets = np.random.default_rng(seed).integers(np.arange(n), total).tolist()
-    idx = np.arange(total, dtype=np.int64)
-    for i, j in enumerate(targets):
-        idx[i], idx[j] = idx[j], idx[i]
-    return idx[:n]
+    targets = np.random.default_rng(seed).integers(np.arange(n), total)
+    if not n:
+        return targets
+    # Step i swaps positions i and targets[i] >= i, so position i is final
+    # after it and holds what targets[i] held just before: the original
+    # value if no earlier step targeted it, else what the last such step j
+    # took from position j.  That in turn is what position j held before
+    # step j, found the same way.  Each lookup is a link to an earlier step;
+    # pointer jumping follows the chains to their roots.
+    steps = np.arange(n)
+    keys = targets * n + steps  # by target, then step; exact while total * n < 2**63
+    order = np.argsort(keys)
+    keys, by_target = keys[order], targets[order]
+    same = by_target[1:] == by_target[:-1]
+    last_before = np.full(n, -1)  # the last earlier step with step i's target
+    last_before[order[1:][same]] = order[:-1][same]
+    at = np.searchsorted(keys, steps * n + steps) - 1  # the last step before j to target j
+    source = np.where((at >= 0) & (by_target[at] == steps), order[at], steps)
+    while True:
+        root = source[source]
+        if (root == source).all():
+            break
+        source = root
+    return np.where(last_before >= 0, source[last_before], targets)
 
 
 def sample_subset(curated: CuratedSet, n: int, seed: int) -> CuratedSet:
@@ -193,7 +313,7 @@ def sample_subset(curated: CuratedSet, n: int, seed: int) -> CuratedSet:
     total = len(curated.entries)
     if n > total or n < 0:
         raise DomainError(f"cannot sample {n} of {total} entries")
-    chosen = _partial_fisher_yates(n, total, seed)
+    chosen = np.sort(_partial_fisher_yates(n, total, seed))  # entries stay sorted
     return CuratedSet(
         entries=curated.entries[chosen], spec=curated.spec, tau_used=curated.tau_used
     )
@@ -229,8 +349,9 @@ def diversity_curve(
 
     order = np.random.default_rng(seed).permutation(total)
     _, text_ids = handle.caption_ids(handle.rows(curated.ids()), curated.entries[:, 1])
-    features = CaptionFeatures(handle.records().texts, frozenset(), noun_lexicon)
-    # a distinct text enters the nested samples at its first position in order
+    table = handle.records()
+    features = CaptionFeatures(table.text, table.offsets, frozenset(), noun_lexicon)
+    # a caption enters the nested samples at its first position in order
     distinct, first = np.unique(text_ids[order], return_index=True)
     tokens, lengths = features.token_ids(distinct)
     owner = np.repeat(first, lengths)
@@ -251,23 +372,30 @@ def diversity_curve(
 # vocabulary files
 
 
-def load_token_file(path: str | Path) -> set[str]:
-    """One lowercase token per line; blank lines and # comments ignored."""
-    # read_text turns \r and \r\n into \n, so these are the file's lines
-    lines = fileio.read_text(path).split("\n")
-    tokens = {w for w in map(str.strip, lines) if w and not w.startswith("#")}
+def _parse_tokens(text: str, name: str | Path) -> set[str]:
+    """One lowercase token per line; blank lines and # comments ignored.  A
+    line that is no [a-z0-9]+ token could never match one, so it raises."""
+    tokens = set()
+    for number, line in enumerate(text.split("\n"), 1):
+        word = line.strip()
+        if word and not word.startswith("#"):
+            if not _TOKEN_RE.fullmatch(word):
+                raise DataError(f"{name}: line {number} is not a [a-z0-9]+ token: {word!r}")
+            tokens.add(word)
     if not tokens:
-        raise DataError(f"{path}: no tokens found")
+        raise DataError(f"{name}: no tokens found")
     return tokens
+
+
+def load_token_file(path: str | Path) -> set[str]:
+    """The tokens of a vocabulary or lexicon file (see ``_parse_tokens``)."""
+    # read_text turns \r and \r\n into \n, so these are the file's lines
+    return _parse_tokens(fileio.read_text(path), path)
 
 
 def _load_packaged(name: str) -> set[str]:
     text = resources.files("capforge").joinpath("data", name).read_text(encoding="utf-8")
-    return {
-        line.strip()
-        for line in text.splitlines()
-        if line.strip() and not line.startswith("#")
-    }
+    return _parse_tokens(text, name)
 
 
 def default_visual_vocab() -> set[str]:

@@ -341,10 +341,10 @@ def test_write_pool_writes_the_shard_layout(tmp_path):
     assert json.loads((tmp_path / "manifest.json").read_text())["caption_labels"] == [
         "syn.a.1.00", "syn.b.1.00"]
     assert read_records(tmp_path) == _SHARD_RECORDS
-    ids, labels, texts = decode_shard(_encode(), context="s", num_labels=2)
+    ids, labels, offsets, text = decode_shard(_encode(), context="s", num_labels=2)
     assert ids.tolist() == _SHARD[0]
     assert labels.tolist() == _SHARD[2]
-    assert texts == _SHARD[3]
+    assert [text[a:b].decode() for a, b in zip(offsets, offsets[1:])] == _SHARD[3]
 
 
 _OFFSETS = [0, 2, 4, 6, 8, 10, 12]
@@ -401,6 +401,34 @@ def test_shard_decoder_raises_only_format_or_integrity_errors(cut, flips):
         decode_shard(bytes(blob[:cut]), context="shard-00007.cap", num_labels=2)
     except (FormatError, IntegrityError) as exc:
         assert str(exc).startswith("shard-00007.cap: ")
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    pieces=st.lists(st.one_of(
+        st.text(max_size=3).map(lambda t: t.encode("utf-8")),
+        st.binary(max_size=3),
+        st.sampled_from([b"\xc3", b"\xa9", b"\xe2\x82", b"\xac", b"\xed\xa0\x80", b"\xf4\x90"]),
+    ), max_size=8),
+    data=st.data(),
+)
+def test_shard_utf8_check_accepts_what_a_per_caption_decode_accepts(pieces, data):
+    text = b"".join(pieces)
+    cuts = sorted(data.draw(st.lists(st.integers(0, len(text)), max_size=6)))
+    offsets = [0, *cuts, len(text)]
+    captions = [text[a:b] for a, b in zip(offsets, offsets[1:])]
+    blob = encode_shard(ShardColumns(
+        np.arange(len(captions), dtype=np.int64), np.full(len(captions), -1, np.int64),
+        np.zeros((len(captions), 0), np.int16), np.array(offsets, np.uint64), text))
+    try:
+        for caption in captions:
+            caption.decode("utf-8")
+    except UnicodeDecodeError:
+        with pytest.raises(FormatError, match="^s: a caption is not UTF-8"):
+            decode_shard(blob, context="s", num_labels=0)
+    else:
+        _, _, got, buffer = decode_shard(blob, context="s", num_labels=0)
+        assert (got.tolist(), buffer) == (offsets, text)
 
 
 def test_write_pool_refuses_more_labels_than_a_shard_indexes(tmp_path):

@@ -201,7 +201,8 @@ def test_quality_report_matches_caption_by_caption_oracle(records, seed, data):
         handle = open_pool(path)
         tables = ScoreTables(handle)
         vocab, lexicon = {"dog", "red", "i", "x1"}, {"dog", "caf", "ss", "a"}
-        features = CaptionFeatures(handle.records().texts, vocab, lexicon)
+        table = handle.records()
+        features = CaptionFeatures(table.text, table.offsets, vocab, lexicon)
         choices = [(r.id, cap) for r in pool_records
                    for cap in range(-1, len(r.synthetic_variants))]
         for _ in range(data.draw(st.integers(1, 3))):
@@ -259,7 +260,7 @@ def test_mix_materialize_report_roundtrip(small_pool, tmp_path):
         handle,
         curated,
         tables,
-        CaptionFeatures(handle.records().texts, {"dog"}, {"dog"}),
+        CaptionFeatures(handle.records().text, handle.records().offsets, {"dog"}, {"dog"}),
         sample_size=10,
         seed=0,
     )

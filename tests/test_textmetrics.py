@@ -1,10 +1,14 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from capforge.curation import CuratedSet, StrategySpec
-from capforge.errors import DomainError
+from capforge import textmetrics
+from capforge.cli import cli_main
+from capforge.curation import CuratedSet, StrategySpec, write_curated
+from capforge.errors import DataError, DomainError
 from capforge.textmetrics import (
     _partial_fisher_yates,
     CaptionFeatures,
@@ -107,8 +111,8 @@ def test_trigram_keys_exact_for_token_ids_past_2_21(vocab_size):
 
 
 def test_caption_features_fill_only_the_texts_asked_for():
-    texts = ("a red dog", "dog", "", "red red red red", "a red dog")
-    features = CaptionFeatures(texts, {"red"}, {"dog"})
+    texts = [b"a red dog", b"dog", b"", b"red red red red", b"a red dog"]
+    features = CaptionFeatures(b"".join(texts), np.cumsum([0, *map(len, texts)]), {"red"}, {"dog"})
     stats = features.sample_stats(np.array([1, 1, 2]))
     assert features.words.tolist() == [-1, 1, 0, -1, -1]
     assert stats == (2, 0.0, 0, 1)
@@ -117,6 +121,59 @@ def test_caption_features_fill_only_the_texts_asked_for():
     assert stats.word_sum == 10
     assert stats.ground_sum == 1 / 3 + 1 / 3 + 1.0
     assert (stats.unique_trigrams, stats.unique_nouns) == (2, 1)
+
+
+# caption pieces: arbitrary Unicode, the characters where NFC, lower() or
+# the ASCII fast path could disagree with ``tokenize``, and token runs of the
+# lengths around the 8-byte windows and the 12 characters one key packs
+_PIECES = st.one_of(
+    st.text(max_size=8),
+    st.sampled_from(["A", "Z9", "\0", "\n", " ", "-", "?", "é", "e\u0301", "\u212a", "\u0130",
+                     "ＦＵＬＬ", "ﬁ", "ß", "\u0131", "\U0001f600"]),
+    st.builds(str.__mul__, st.sampled_from("aZ7é"), st.sampled_from([8, 9, 12, 13, 17, 100])),
+    st.text("abyzABYZ0189", min_size=1, max_size=20),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    captions=st.lists(st.lists(_PIECES, max_size=6).map("".join), max_size=25),
+    chunk=st.sampled_from([1, 5, 64, 1 << 17]),
+    data=st.data(),
+)
+def test_caption_features_tokenize_as_tokenize_does(captions, chunk, data):
+    texts = [c.encode("utf-8") for c in captions]
+    vocab, lexicon = {"a", "zzzzzzzzzzzzz", "9999", "k", "i"}, {"aaaaaaaa", "z9", "ss", "fi"}
+    features = CaptionFeatures(b"".join(texts), np.cumsum([0, *map(len, texts)]), vocab, lexicon)
+    # fill a few captions first, so later fills meet tokens seen before
+    first = data.draw(st.lists(st.integers(0, max(len(captions) - 1, 0)), max_size=5))
+    with mock.patch.object(textmetrics, "_CHUNK_BYTES", chunk):
+        features.token_ids(np.array(first if captions else [], np.int64))
+        for i, caption in enumerate(captions):
+            tokens, lengths = features.token_ids(np.array([i]))
+            want = tokenize(caption)
+            assert [features.strings[t] for t in tokens] == want
+            assert lengths.tolist() == [len(want)] == [features.words[i]]
+            grounded = sum(t in vocab for t in want) / len(want) if want else 0.0
+            assert features.grounded[i] == grounded
+            assert [bool(features.is_noun[t]) for t in tokens] == [t in lexicon for t in want]
+    assert len(set(features.strings)) == len(features.strings)
+
+
+@pytest.mark.parametrize("line", ["Dog", "red car", "café", "dog,", "x-ray"])
+def test_token_file_line_no_caption_can_match_exits_2(gen_pool, tmp_path, capsys, line):
+    vocab = tmp_path / "vocab.txt"
+    vocab.write_text(f"# visual words\ndog\n\n{line}\ncat\n", encoding="utf-8")
+    with pytest.raises(DataError, match=f"^{vocab}: line 4 is not a \\[a-z0-9\\]\\+ token"):
+        load_token_file(vocab)
+    curated = tmp_path / "curated.jsonl"
+    write_curated(CuratedSet(entries=[(0, RAW)], spec=StrategySpec("raw_all")), curated)
+    argv = ["metrics", "--pool", str(gen_pool.path), "--curated", str(curated),
+            "--out", str(tmp_path / "metrics.json"), "--vocab", str(vocab)]
+    assert cli_main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and str(vocab) in err and "line 4" in err
+    assert not (tmp_path / "metrics.json").exists()
 
 
 def test_unique_nouns_examples():
@@ -176,6 +233,12 @@ def test_sample_subset_out_of_range():
 def test_partial_fisher_yates_matches_scalar_draws(total, data, seed):
     n = data.draw(st.integers(0, total))
     assert _partial_fisher_yates(n, total, seed).tolist() == scalar_fisher_yates(n, total, seed)
+
+
+@pytest.mark.parametrize("n, total", [(100_000, 100_000), (60_000, 100_000), (1, 100_000)])
+def test_partial_fisher_yates_matches_scalar_draws_at_scale(n, total):
+    """Long chains of steps that target the same positions."""
+    assert _partial_fisher_yates(n, total, 5).tolist() == scalar_fisher_yates(n, total, 5)
 
 
 def test_sample_subset_uniformity_smoke():
