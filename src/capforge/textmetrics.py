@@ -114,13 +114,14 @@ class CaptionFeatures:
 
     Per caption: its word count, the fraction of its tokens in ``vocab``, and
     its token ids, stored in one flat array at an offset.  Token ids number
-    the distinct tokens as they are first seen; ``strings[i]`` is token i and
-    ``is_noun`` flags the ids in ``lexicon``.
+    the distinct tokens as they are first seen; ``is_noun`` flags the ids in
+    ``lexicon``.
 
     Captions are tokenized in numpy, about _CHUNK_BYTES of text at a time,
     exactly as ``tokenize`` would: an ASCII caption's tokens are its maximal
     runs of [A-Za-z0-9], lowercased, and a non-ASCII caption takes the scalar
-    ``_fold`` first.  Each token gets an exact key (up to _KEY_CHARS
+    ``_fold`` first, once per distinct text: a repeat shares the features of
+    its first caption.  Each token gets an exact key (up to _KEY_CHARS
     characters packed in base 37, a longer token a number from _LONG_KEY on),
     and only keys not seen before are decoded to strings.
     """
@@ -136,12 +137,12 @@ class CaptionFeatures:
         self.grounded = np.zeros(count)
         self.offsets = np.zeros(count, np.int64)
         self.tokens = np.zeros(0, np.int32)
-        self.strings: list[str] = []
         self.is_noun = np.zeros(0, bool)
         self._is_visual = np.zeros(0, bool)
         self._keys = np.zeros(0, np.uint64)  # sorted keys of the tokens seen
         self._key_ids = np.zeros(0, np.int32)  # the token id of each key
-        self._long_keys: dict[str, int] = {}
+        self._long_keys: dict[bytes, int] = {}
+        self._wide: dict[bytes, int] = {}  # each non-ASCII text: the first caption holding it
 
     def _fill(self, caption_ids: np.ndarray) -> None:
         """Compute the features of the captions not seen yet."""
@@ -150,25 +151,40 @@ class CaptionFeatures:
             return
         lens = self._bounds[todo + 1] - self._bounds[todo]
         parts = np.split(todo, np.flatnonzero(np.diff(np.cumsum(lens) // _CHUNK_BYTES)) + 1)
-        ids = [self._fill_chunk(part) for part in parts]
+        repeats: list[tuple[int, int]] = []  # (caption, the first caption of its text)
+        ids = [self._fill_chunk(part, repeats) for part in parts]
         self.offsets[todo] = len(self.tokens) + np.cumsum(self.words[todo]) - self.words[todo]
         self.tokens = np.concatenate((self.tokens, *ids))
+        if repeats:
+            repeat, first = np.array(repeats).T
+            for column in (self.words, self.grounded, self.offsets):
+                column[repeat] = column[first]
 
-    def _fill_chunk(self, captions: np.ndarray) -> np.ndarray:
+    def _fill_chunk(self, captions: np.ndarray, repeats: list[tuple[int, int]]) -> np.ndarray:
         """Word counts and grounded fractions of ``captions``; returns their
-        token ids, concatenated."""
+        token ids, concatenated.  A non-ASCII caption whose text was seen
+        before gets no tokens here and is added to ``repeats``."""
         lens = self._bounds[captions + 1] - self._bounds[captions]
         at = np.cumsum(lens) - lens  # where each caption starts in the chunk
         text = self._text.take(np.repeat(self._bounds[captions] - at, lens) + np.arange(lens.sum()))
-        wide = np.searchsorted(at, np.flatnonzero(text >= 0x80), "right") - 1
-        if wide.size:
-            pieces, done = [], 0
-            for j in np.unique(wide).tolist():
-                end = at[j] + lens[j]
-                pieces += [text[done : at[j]], np.frombuffer(_fold(text[at[j] : end].tobytes()),
-                                                             np.uint8)]
-                done, lens[j] = end, len(pieces[-1])
-            text = np.concatenate((*pieces, text[done:]))
+        wide = _distinct(np.searchsorted(at, np.flatnonzero(text >= 0x80), "right") - 1)
+        raw = text.tobytes()
+        if wide.size:  # the non-ASCII captions
+            begins, stops = at[wide].tolist(), (at + lens)[wide].tolist()
+            spans = list(zip(begins, stops, captions[wide].tolist()))
+            seen = self._wide.setdefault
+            # each text's first caption; the repeats of a text share its features
+            owners = [seen(raw[begin:stop], c) for begin, stop, c in spans]
+            folded = [_fold(raw[begin:stop]) if o == c else b""
+                      for (begin, stop, c), o in zip(spans, owners)]
+            repeats += [(c, o) for (_, _, c), o in zip(spans, owners) if o != c]
+            pieces = [b""] * (2 * len(spans) + 1)  # the text between them, then each folded
+            pieces[::2] = [raw[stop:begin]
+                           for stop, begin in zip([0, *stops], [*begins, len(raw)])]
+            pieces[1::2] = folded
+            raw = b"".join(pieces)
+            text = np.frombuffer(raw, np.uint8)
+            lens[wide] = [len(f) for f in folded]
             at = np.cumsum(lens) - lens
         digits = _DIGIT.take(text)  # take: about twice as fast as [] here
         is_token = digits > 0
@@ -187,13 +203,14 @@ class CaptionFeatures:
         head = windows[starts] & _BYTE_MASKS[np.minimum(sizes, 4)]
         rest = windows[starts + 4] & _BYTE_MASKS[np.clip(sizes - 4, 0, 8)]
         keys = _base37(head) * 37**4 + _base37(rest)
-
-        def token(i: int) -> str:
-            return text[starts[i] : starts[i] + sizes[i]].tobytes().lower().decode("ascii")
-
-        for i in np.flatnonzero(sizes > _KEY_CHARS).tolist():
-            keys[i] = _LONG_KEY + self._long_keys.setdefault(token(i), len(self._long_keys))
-        ids = self._token_ids(keys, token)
+        long = np.flatnonzero(sizes > _KEY_CHARS)
+        if long.size:
+            index = self._long_keys
+            keys[long] = _LONG_KEY + np.array(
+                [index.setdefault(raw[start:end].lower(), len(index)) for start, end in
+                 zip(starts[long].tolist(), (starts + sizes)[long].tolist())], np.uint64)
+        ids = self._token_ids(keys, lambda i: raw[starts[i] : starts[i] + sizes[i]].lower()
+                              .decode("ascii"))
 
         ends = np.searchsorted(starts, np.append(at, len(text)))  # each caption's tokens
         counts = np.diff(ends)
@@ -214,10 +231,9 @@ class CaptionFeatures:
         if not seen.all():
             new = np.flatnonzero(~seen & np.concatenate(([True], keys[1:] != keys[:-1])))
             strings = [token(i) for i in order[new].tolist()]
+            new_ids = np.arange(len(self.is_noun), len(self.is_noun) + len(new), dtype=np.int32)
             self.is_noun = np.append(self.is_noun, [t in self.lexicon for t in strings])
             self._is_visual = np.append(self._is_visual, [t in self.vocab for t in strings])
-            new_ids = np.arange(len(self.strings), len(self.strings) + len(new), dtype=np.int32)
-            self.strings += strings
             self._keys = np.insert(self._keys, at[new], keys[new])
             self._key_ids = np.insert(self._key_ids, at[new], new_ids)
             at = np.searchsorted(self._keys, keys)

@@ -128,8 +128,8 @@ def test_caption_features_fill_only_the_texts_asked_for():
 # lengths around the 8-byte windows and the 12 characters one key packs
 _PIECES = st.one_of(
     st.text(max_size=8),
-    st.sampled_from(["A", "Z9", "\0", "\n", " ", "-", "?", "é", "e\u0301", "\u212a", "\u0130",
-                     "ＦＵＬＬ", "ﬁ", "ß", "\u0131", "\U0001f600"]),
+    st.sampled_from(["A", "Z9", "\0", "\n", " ", "-", "?", "é", "e\u0301", "\u0301", "Σ",
+                     "\u212a", "\u0130", "ＦＵＬＬ", "ﬁ", "ß", "\u0131", "\U0001f600"]),
     st.builds(str.__mul__, st.sampled_from("aZ7é"), st.sampled_from([8, 9, 12, 13, 17, 100])),
     st.text("abyzABYZ0189", min_size=1, max_size=20),
 )
@@ -142,22 +142,27 @@ _PIECES = st.one_of(
     data=st.data(),
 )
 def test_caption_features_tokenize_as_tokenize_does(captions, chunk, data):
+    if captions:  # repeats, so non-ASCII texts are met again, in the same chunk or a later one
+        captions += data.draw(st.lists(st.sampled_from(captions), max_size=10))
     texts = [c.encode("utf-8") for c in captions]
     vocab, lexicon = {"a", "zzzzzzzzzzzzz", "9999", "k", "i"}, {"aaaaaaaa", "z9", "ss", "fi"}
     features = CaptionFeatures(b"".join(texts), np.cumsum([0, *map(len, texts)]), vocab, lexicon)
     # fill a few captions first, so later fills meet tokens seen before
     first = data.draw(st.lists(st.integers(0, max(len(captions) - 1, 0)), max_size=5))
+    ids: dict[str, int] = {}
     with mock.patch.object(textmetrics, "_CHUNK_BYTES", chunk):
         features.token_ids(np.array(first if captions else [], np.int64))
         for i, caption in enumerate(captions):
             tokens, lengths = features.token_ids(np.array([i]))
             want = tokenize(caption)
-            assert [features.strings[t] for t in tokens] == want
+            # equal ids exactly where tokenize's strings are equal
+            assert [ids.setdefault(t, n) for t, n in zip(want, tokens.tolist())] == tokens.tolist()
             assert lengths.tolist() == [len(want)] == [features.words[i]]
             grounded = sum(t in vocab for t in want) / len(want) if want else 0.0
             assert features.grounded[i] == grounded
             assert [bool(features.is_noun[t]) for t in tokens] == [t in lexicon for t in want]
-    assert len(set(features.strings)) == len(features.strings)
+            assert [bool(features._is_visual[t]) for t in tokens] == [t in vocab for t in want]
+    assert len(set(ids.values())) == len(ids)
 
 
 @pytest.mark.parametrize("line", ["Dog", "red car", "café", "dog,", "x-ray"])
