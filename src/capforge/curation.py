@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import math
 import re
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from pathlib import Path
 from typing import Callable, Iterator, Mapping, Sequence
@@ -20,7 +20,7 @@ from typing import Callable, Iterator, Mapping, Sequence
 import numpy as np
 
 from . import fileio
-from .errors import ConfigError, DataError, DomainError, FormatError, check_numbers
+from .errors import ConfigError, DataError, DomainError, FormatError, read_fields
 from .pool import RAW_CHOICE, PoolHandle, ScoreTable
 
 # Each strategy is the union of its parts (rank, take, caption).  rank is the
@@ -101,47 +101,16 @@ class StrategySpec:
             self.cluster_params.validate()
 
     def to_dict(self) -> dict:
-        obj: dict = {"name": self.name}
-        if self.p is not None:
-            obj["p"] = self.p
-        if self.syn_source is not None:
-            obj["syn_source"] = self.syn_source
-        if self.in1k_intersect:
-            obj["in1k_intersect"] = True
-        if self.cluster_params is not None:
-            obj["cluster_params"] = asdict(self.cluster_params)
-        return obj
+        """The spec as a JSON object, without the fields at None or False."""
+        return {k: v for k, v in asdict(self).items() if v is not None and v is not False}
 
     @classmethod
     def from_dict(cls, obj: dict) -> "StrategySpec":
-        if not isinstance(obj, dict) or "name" not in obj:
-            raise ConfigError("strategy spec must be an object with a name")
-        unknown = set(obj) - {f.name for f in fields(cls)}
-        if unknown:
-            raise ConfigError(f"unknown strategy field {sorted(unknown)[0]!r}")
-        params = None
-        if obj.get("cluster_params") is not None:
-            cp = obj["cluster_params"]
-            if not isinstance(cp, dict):
-                raise ConfigError("cluster_params must be an object")
-            bad = set(cp) - {f.name for f in fields(ClusterParams)}
-            if bad:
-                raise ConfigError(f"unknown cluster_params field {sorted(bad)[0]!r}")
-            if "k" not in cp:
-                raise ConfigError("cluster_params requires k")
-            check_numbers(ClusterParams, cp, "cluster_params")
-            params = ClusterParams(**{**cp, "tol": float(cp.get("tol", ClusterParams.tol))})
-        in1k_intersect = obj.get("in1k_intersect", False)
-        if not isinstance(in1k_intersect, bool):
-            raise ConfigError(f"in1k_intersect must be true or false, got {in1k_intersect!r}")
-        check_numbers(cls, obj, "strategy")
-        spec = cls(
-            name=str(obj["name"]),
-            p=None if obj.get("p") is None else float(obj["p"]),
-            syn_source=obj.get("syn_source"),
-            in1k_intersect=in1k_intersect,
-            cluster_params=params,
-        )
+        kwargs = read_fields(cls, obj, "strategy")
+        if kwargs.get("cluster_params") is not None:
+            kwargs["cluster_params"] = ClusterParams(
+                **read_fields(ClusterParams, kwargs["cluster_params"], "cluster_params"))
+        spec = cls(**kwargs)
         spec.validate()
         return spec
 
@@ -221,10 +190,10 @@ def read_curated(path: str | Path) -> CuratedSet:
             head = lines[0]
         header = json.loads(head)
         spec = StrategySpec.from_dict(header["spec"])
-        check_numbers(CuratedSet, header, "header")
         tau_used = header.get("tau_used")
-        if tau_used is not None and not math.isfinite(tau_used):
-            raise ValueError(f"tau_used {tau_used!r} is not finite")
+        if tau_used is not None and not (type(tau_used) in (int, float)
+                                         and math.isfinite(tau_used)):
+            raise ValueError(f"tau_used {tau_used!r} is not a finite number")
         if entries is None:
             entries = []
             for line in lines[1:]:

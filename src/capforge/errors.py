@@ -4,7 +4,8 @@ The CLI maps these onto exit codes: usage/config problems exit 1, data and
 file-format problems exit 2.
 """
 
-from dataclasses import fields
+import reprlib
+from dataclasses import MISSING, fields
 
 
 class CapforgeError(Exception):
@@ -31,12 +32,36 @@ class DomainError(CapforgeError):
     """Argument outside the mathematical domain of an operation."""
 
 
-def check_numbers(cls, obj: dict, where: str) -> None:
-    """Raise ConfigError for a value of JSON object `obj` that does not fit
-    a number field of dataclass `cls` (annotated as a string): a bool or a
-    string is no number, and an int is a valid float."""
-    for f in fields(cls):
-        allowed = {"int": {int}, "float": {int, float},
-                   "float | None": {int, float, type(None)}}.get(f.type)
-        if allowed and f.name in obj and type(obj[f.name]) not in allowed:
-            raise ConfigError(f"{where} field {f.name!r} must be {f.type}, got {obj[f.name]!r}")
+# the JSON types a field takes, by annotation; a bool is never a number
+JSON_TYPES = {"int": ({int}, "an integer"), "float": ({int, float}, "a number"),
+              "str": ({str}, "a string"), "bool": ({bool}, "true or false")}
+
+
+def read_fields(cls, obj, kind: str) -> dict:
+    """The fields of dataclass `cls` given by JSON object `obj`, each of a
+    type ``JSON_TYPES`` gives its annotation (or null for ``X | None``), a
+    float field as a float; a field of another annotation is left as given."""
+    if not isinstance(obj, dict):
+        raise ConfigError(f"{kind} must be a JSON object, got {reprlib.repr(obj)}")
+    known = {f.name: f for f in fields(cls)}
+    unknown = set(obj) - set(known)
+    if unknown:
+        raise ConfigError(f"unknown {kind} field {min(unknown)!r}")
+    for f in known.values():
+        if f.name not in obj and f.default is f.default_factory is MISSING:
+            raise ConfigError(f"missing {kind} field {f.name!r}")
+    out = dict(obj)
+    for name, value in obj.items():
+        optional = known[name].type.endswith(" | None")
+        types, what = JSON_TYPES.get(known[name].type.removesuffix(" | None"), (None, ""))
+        if types is None or optional and value is None:
+            continue
+        if type(value) not in types:
+            raise ConfigError(f"{kind} field {name!r} must be {what}{' or null' * optional}, "
+                              f"got {reprlib.repr(value)}")
+        try:
+            out[name] = float(value) if float in types else value
+        except OverflowError:
+            raise ConfigError(f"{kind} field {name!r} is too large for a float, "
+                              f"got {reprlib.repr(value)}") from None
+    return out

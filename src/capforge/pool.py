@@ -266,6 +266,9 @@ class PoolManifest:
             if not ok(obj[key]):
                 raise FormatError(f"{context}: manifest field {key!r} must be {what}, "
                                   f"got {reprlib.repr(obj[key])}")
+        if obj["records_per_shard"] < 1:
+            raise FormatError(f"{context}: manifest field 'records_per_shard' must be >= 1, "
+                              f"got {obj['records_per_shard']}")
         if len(obj["caption_labels"]) > MAX_CAPTION_LABELS:
             raise FormatError(f"{context}: manifest lists {len(obj['caption_labels'])} "
                               f"caption labels, more than {MAX_CAPTION_LABELS}")
@@ -473,6 +476,9 @@ class PoolHandle:
         if self._table is None:
             shards = map(self.shard_columns, range(self.manifest.num_shards))
             table = CaptionTable.from_shards(shards, self.manifest.caption_labels)
+            if len(table) != self.num_records:
+                raise IntegrityError(f"{MANIFEST_NAME}: pool holds {len(table)} records, "
+                                     f"manifest says {self.num_records}")
             self._id_order = np.argsort(table.ids, kind="stable")
             self._table = table
         return self._table

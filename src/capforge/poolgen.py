@@ -34,7 +34,7 @@ from ._words import (
     SYN_TEMPLATES,
     concept_word,
 )
-from .errors import ConfigError, DomainError, check_numbers
+from .errors import ConfigError, DomainError, read_fields
 from .pool import (
     FORMAT_VERSION,
     PoolManifest,
@@ -141,43 +141,13 @@ class GenConfig:
 
 
 def config_from_dict(obj: dict) -> GenConfig:
-    if not isinstance(obj, dict):
-        raise ConfigError("generator config must be a JSON object")
-    unknown = set(obj) - {f.name for f in fields(GenConfig)}
-    if unknown:
-        raise ConfigError(f"unknown config field {sorted(unknown)[0]!r}")
-    for required in ("num_records", "seed"):
-        if required not in obj:
-            raise ConfigError(f"missing config field {required!r}")
-    check_numbers(GenConfig, obj, "config")
-    kwargs = {k: v for k, v in obj.items() if k != "syn_sources"}
-    if "syn_sources" in obj:
-        if not isinstance(obj["syn_sources"], list):
+    kwargs = read_fields(GenConfig, obj, "config")
+    if "syn_sources" in kwargs:
+        if not isinstance(kwargs["syn_sources"], list):
             raise ConfigError("syn_sources must be a list")
-        sources = []
-        for i, entry in enumerate(obj["syn_sources"]):
-            if not isinstance(entry, dict):
-                raise ConfigError(f"syn_sources[{i}] must be an object")
-            names = {f.name for f in fields(SynSource)}
-            bad = set(entry) - names
-            if bad:
-                raise ConfigError(f"unknown syn_sources field {sorted(bad)[0]!r}")
-            missing = names - set(entry)
-            if missing:
-                raise ConfigError(f"syn_sources[{i}] missing {sorted(missing)[0]!r}")
-            check_numbers(SynSource, entry, f"syn_sources[{i}]")
-            sources.append(
-                SynSource(
-                    str(entry["source_name"]),
-                    float(entry["temperature"]),
-                    float(entry["diversity_factor"]),
-                )
-            )
-        kwargs["syn_sources"] = sources
-    try:
-        config = GenConfig(**kwargs)
-    except TypeError as exc:
-        raise ConfigError(f"malformed generator config: {exc}") from exc
+        kwargs["syn_sources"] = [SynSource(**read_fields(SynSource, entry, "syn_sources"))
+                                 for entry in kwargs["syn_sources"]]
+    config = GenConfig(**kwargs)
     config.validate()
     return config
 

@@ -9,8 +9,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DataError, DomainError
-from .pool import PoolHandle, ScoreTable
+from .errors import DataError, DomainError, IntegrityError
+from .pool import MANIFEST_NAME, PoolHandle, ScoreTable
 
 
 def cosine(u: np.ndarray, v: np.ndarray) -> float:
@@ -62,6 +62,9 @@ def score_pool(handle: PoolHandle, text_source: str, *,
         img, txt = handle.shard_embeddings(k, "image"), handle.shard_embeddings(k, text_source)
         parts.append(_cosine_rows(img, txt).astype(np.float32))
     scores = np.concatenate(parts) if parts else np.zeros(0, dtype=np.float32)
+    if scores.size != handle.num_records:
+        raise IntegrityError(f"{MANIFEST_NAME}: pool holds {scores.size} {text_source} embedding "
+                             f"rows, manifest says {handle.num_records} records")
     table = ScoreTable(source=text_source, scores=scores)
     if write_sidecar:
         handle.write_score_table(table)

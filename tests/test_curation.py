@@ -674,6 +674,36 @@ def test_strategy_spec_in1k_intersect_must_be_boolean():
         StrategySpec.from_dict({"name": "raw_all", "in1k_intersect": 1})
 
 
+def test_strategy_spec_reads_integer_numbers_as_floats():
+    spec = StrategySpec.from_dict({"name": "raw_top", "p": 30,
+                                   "cluster_params": {"k": 2, "tol": 0}})
+    assert (type(spec.p), type(spec.cluster_params.tol)) == (float, float)
+    assert spec.to_dict() == {"name": "raw_top", "p": 30.0, "cluster_params": {
+        "k": 2, "max_iters": 100, "tol": 0.0, "seed": 0}}
+    assert json.dumps(spec.to_dict()["p"]) == "30.0"
+
+
+@pytest.mark.parametrize("obj, match", [
+    ({"name": "syn_all", "syn_source": 5}, "^strategy field 'syn_source' must be a string "
+     "or null, got 5$"),
+    ({"name": 5}, "^strategy field 'name' must be a string, got 5$"),
+    ({"name": "raw_top", "p": None}, "^strategy raw_top requires p$"),
+    ({"name": "raw_all", "cluster_params": {"k": None}}, "^cluster_params field 'k' must be "
+     "an integer, got None$"),
+    ({"name": "raw_all", "cluster_params": {"k": 2, "tol": 10**400}}, "^cluster_params "
+     "field 'tol' is too large for a float"),
+])
+def test_strategy_spec_checks_each_field_type(obj, match):
+    with pytest.raises(ConfigError, match=match):
+        StrategySpec.from_dict(obj)
+
+
+def test_apply_strategy_refuses_a_score_table_of_another_size(strategy_pool):
+    tables = _tables(np.zeros(9), np.zeros(10))
+    with pytest.raises(DataError, match="^score table 'raw' has 9 scores for 10 records$"):
+        apply_strategy(strategy_pool, StrategySpec("raw_top", p=30), tables)
+
+
 def test_resolve_syn_source(strategy_pool):
     labels = strategy_pool.manifest.embedding_sources
     assert resolve_syn_source(labels, "syn.blip2.0.75") == "syn.blip2.0.75"

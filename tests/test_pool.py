@@ -504,6 +504,8 @@ _MANY = [f"s{i}" for i in range(2**15)]
                  id="num_shards_bool"),
     pytest.param("records_per_shard", "5", "'records_per_shard' must be a non-negative "
                  "integer, got '5'", id="records_per_shard_string"),
+    pytest.param("records_per_shard", 0, "manifest.json: manifest field 'records_per_shard' "
+                 "must be >= 1, got 0", id="records_per_shard_zero"),
     pytest.param("embedding_dim", -8, "'embedding_dim' must be a non-negative integer, got -8",
                  id="embedding_dim_negative"),
     pytest.param("embedding_sources", "image", "'embedding_sources' must be a list of "

@@ -1,6 +1,7 @@
 import itertools
 import json
 import tempfile
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -17,7 +18,8 @@ from capforge._words import (
     VISUAL_ATTRIBUTES,
     concept_word,
 )
-from capforge.errors import ConfigError, DataError, DomainError
+from capforge.curation import ClusterParams, StrategySpec
+from capforge.errors import JSON_TYPES, ConfigError, DataError, DomainError
 from capforge.cli import cli_main
 from capforge.pool import (
     open_pool,
@@ -345,6 +347,24 @@ def test_config_syn_sources_parsing():
                 ],
             }
         )
+
+
+def test_every_config_and_strategy_field_is_type_checked_by_the_reader():
+    """A field the reader cannot check must be one its caller reads itself."""
+    for cls in (GenConfig, SynSource, StrategySpec, ClusterParams):
+        for f in fields(cls):
+            base = f.type.removesuffix(" | None") if isinstance(f.type, str) else f.type
+            assert base in JSON_TYPES or f.name in ("syn_sources", "cluster_params"), (
+                f"{cls.__name__}.{f.name}: {f.type!r}")
+
+
+def test_config_reads_integer_numbers_as_floats():
+    config = config_from_dict({"num_records": 1, "seed": 0, "zipf_exponent": 2,
+                               "syn_sources": [{"source_name": "b", "temperature": 1,
+                                                "diversity_factor": 1}]})
+    assert type(config.zipf_exponent) is float
+    assert config.syn_sources == [SynSource("b", 1.0, 1.0)]
+    assert type(config.syn_sources[0].temperature) is float
 
 
 def test_config_validation_bounds():

@@ -99,6 +99,25 @@ def corrupt_scores_pool(tmp_path_factory):
 
 
 @pytest.fixture(scope="module")
+def edited_pools(tmp_path_factory):
+    """5-record ``write_pool`` pools: "gap", where record 2 lacks the blip2
+    variant the others hold, and "7" and "3", whose manifests miscount
+    their records under intact checksums."""
+    root = tmp_path_factory.mktemp("edited")
+    rng = np.random.default_rng(0)
+    records = [Record(i, f"raw {i}", [CaptionVariant("blip2", 0.75, f"syn {i}")] * (i != 2))
+               for i in range(5)]
+    embs = {s: unit_rows(rng, 5, 4) for s in ("image", "raw", "syn.blip2.0.75")}
+    for name in ("gap", "7", "3"):
+        write_pool(records, embs, root / name)
+    for count in (7, 3):
+        manifest = json.loads((root / f"{count}" / "manifest.json").read_text())
+        manifest["num_records"] = count
+        (root / f"{count}" / "manifest.json").write_text(json.dumps(manifest))
+    return {name: root / name for name in ("gap", "7", "3")}
+
+
+@pytest.fixture(scope="module")
 def two_captioner_pool(tmp_path_factory):
     path = tmp_path_factory.mktemp("report") / "pool2"
     syn = [SynSource("blip2", 0.75, 0.7), SynSource("coca", 1.0, 0.5)]
@@ -790,6 +809,17 @@ _STRATEGY_FILES = {
     "p_bool": [{"name": "raw_top", "p": True}],
     "cluster_seed_negative": [{"name": "raw_all", "cluster_params": {"k": 2, "seed": -1}}],
     "cluster_tol_nan": [{"name": "raw_all", "cluster_params": {"k": 2, "tol": float("nan")}}],
+    "cluster_k_zero": [{"name": "raw_all", "cluster_params": {"k": 0}}],
+    "cluster_max_iters_zero": [{"name": "raw_all", "cluster_params": {"k": 2, "max_iters": 0}}],
+    "cluster_unknown_field": [{"name": "raw_all", "cluster_params": {"k": 2, "K": 3}}],
+    "cluster_without_k": [{"name": "raw_all", "cluster_params": {"seed": 3}}],
+    "spec_not_an_object": ["raw_all"],
+    "spec_without_name": [{"p": 30}],
+    "spec_unknown_field": [{"name": "raw_all", "P": 30}],
+    "spec_name_number": [{"name": 5}],
+    "spec_syn_source_number": [{"name": "syn_all", "syn_source": 5}],
+    "strategies_not_a_list": {"name": "raw_all"},
+    "p_past_float": [{"name": "raw_top", "p": 10**400}],
 }
 _CURATED_ENTRIES = {
     "curated_unknown_id": {"id": 99999999, "cap": "raw"},
@@ -800,11 +830,35 @@ _CURATED_ENTRIES = {
     "curated_cap_float": {"id": 2, "cap": 0.7},
     "curated_cap_bool": {"id": 2, "cap": True},
 }
+
+
+def _syn_config(**changes) -> dict:
+    """A generator config whose one synthetic source has `changes`."""
+    source = {"source_name": "blip2", "temperature": 0.75, "diversity_factor": 0.7}
+    return {"num_records": 10, "seed": 1, "syn_sources": [{**source, **changes}]}
+
+
 _GEN_CONFIGS = {
     "gen_seed_string": {"num_records": 10, "seed": "x"},
     "gen_records_float": {"num_records": 10.0, "seed": 1},
     "gen_syn_sources_not_a_list": {"num_records": 10, "seed": 1, "syn_sources": 5},
+    "gen_config_not_an_object": [10, 1],
+    "gen_seed_past_uint64": {"num_records": 10, "seed": 2**64},
+    "gen_embedding_dim_one": {"num_records": 10, "seed": 1, "embedding_dim": 1},
+    "gen_records_per_shard_zero": {"num_records": 10, "seed": 1, "records_per_shard": 0},
+    "gen_concept_vocab_one": {"num_records": 10, "seed": 1, "concept_vocab_size": 1},
+    "gen_zipf_exponent_zero": {"num_records": 10, "seed": 1, "zipf_exponent": 0},
+    "gen_syn_source_not_an_object": {"num_records": 10, "seed": 1, "syn_sources": [5]},
+    "gen_syn_source_missing_field": {"num_records": 10, "seed": 1, "syn_sources": [
+        {"source_name": "x", "temperature": 1}]},
+    "gen_source_name_empty": _syn_config(source_name=""),
+    "gen_source_name_number": _syn_config(source_name=7),
+    "gen_temperature_negative": _syn_config(temperature=-1),
+    "gen_diversity_factor_zero": _syn_config(diversity_factor=0),
+    "gen_temperature_past_float": _syn_config(temperature=10**400),
 }
+_MISCOUNTED = [f"manifest_{count}_{command}" for count in (7, 3)
+               for command in ("mix", "report", "score")]
 
 
 @pytest.mark.parametrize(
@@ -816,13 +870,35 @@ _GEN_CONFIGS = {
     + [("shard_line_truncated_mix", 2), ("shard_line_truncated_filter", 2)]
     + [("validate_workers_zero", 1)]
     + [("scores_corrupt_mix", 2), ("scores_corrupt_filter", 2), ("scores_corrupt_metrics", 2)]
-    + [("shard_bad_label_mix", 2), ("curated_truncated", 2), ("curated_count_not_integer", 2)],
+    + [("shard_bad_label_mix", 2), ("curated_truncated", 2), ("curated_count_not_integer", 2)]
+    + [("sweep_scales_not_integers", 1), ("sweep_scale_zero", 1)]
+    + [("syn_all_variant_missing", 2)] + [(name, 2) for name in _MISCOUNTED],
 )
 def test_cli_malformed_input_exits_without_traceback(
     small_pool, two_captioner_pool, truncated_line_pool, corrupt_scores_pool, bad_label_pool,
-    truncated_curated, tmp_path, case, code,
+    truncated_curated, edited_pools, tmp_path, case, code,
 ):
-    if case == "shard_bad_label_mix":
+    if case.startswith("sweep_"):
+        config, strategies = tmp_path / "g.json", tmp_path / "s.json"
+        config.write_text(json.dumps({"num_records": 10, "seed": 1}))
+        strategies.write_text(json.dumps([{"name": "raw_all"}]))
+        scales = "a,b" if case == "sweep_scales_not_integers" else "0,10"
+        args = ["sweep", "--config", str(config), "--scales", scales, "--strategies",
+                str(strategies), "--out-dir", str(tmp_path / "sweep")]
+    elif case == "syn_all_variant_missing":
+        args = ["mix", "--strategy", "syn_all", "--syn-source", "blip2",
+                "--pool", str(edited_pools["gap"]), "--out", str(tmp_path / "c.jsonl")]
+    elif case in _MISCOUNTED:
+        _, count, command = case.split("_")
+        pool = str(edited_pools[count])
+        strategies = tmp_path / "s.json"
+        strategies.write_text(json.dumps([{"name": "raw_all"}]))
+        args = {"mix": ["mix", "--strategy", "raw_all", "--pool", pool,
+                        "--out", str(tmp_path / "c.jsonl")],
+                "report": ["report", "--pool", pool, "--strategies", str(strategies),
+                           "--out-dir", str(tmp_path / "rep")],
+                "score": ["score", "--pool", pool, "--source", "raw"]}[command]
+    elif case == "shard_bad_label_mix":
         args = ["mix", "--strategy", "raw_all", "--pool", str(bad_label_pool),
                 "--out", str(tmp_path / "c.jsonl")]
     elif case == "curated_truncated":

@@ -1,12 +1,14 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from capforge.errors import DataError, DomainError
+from capforge.errors import DataError, DomainError, IntegrityError
 from capforge.pool import CaptionVariant, Record, open_pool, write_pool
 from capforge.scoring import clip_s, cosine, recall_at_1, score_pool
-from helpers import select_best_variant, variant_scores
+from helpers import select_best_variant, unit_rows, variant_scores
 
 finite_floats = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
 
@@ -95,6 +97,24 @@ def test_score_pool_writes_sidecar(tmp_path):
     table = score_pool(handle, "raw")
     assert handle.has_scores("raw")
     assert np.array_equal(handle.read_score_table("raw").scores, table.scores)
+
+
+@pytest.mark.parametrize("count", [7, 3])
+def test_score_pool_refuses_a_manifest_that_miscounts_rows_and_writes_nothing(tmp_path, count):
+    rng = np.random.default_rng(0)
+    write_pool([Record(i, f"r{i}") for i in range(5)],
+               {s: unit_rows(rng, 5, 4) for s in ("image", "raw")}, tmp_path)
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    manifest["num_records"] = count
+    (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+    handle = open_pool(tmp_path)
+    with pytest.raises(IntegrityError, match=f"^manifest.json: pool holds 5 raw embedding "
+                       f"rows, manifest says {count} records$"):
+        score_pool(handle, "raw")
+    assert not handle.has_scores("raw")
+    with pytest.raises(IntegrityError, match=f"^manifest.json: pool holds 5 records, "
+                       f"manifest says {count}$"):
+        handle.records()
 
 
 # ---------------------------------------------------------------------------
