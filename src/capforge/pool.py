@@ -20,7 +20,6 @@ its variants, record by record.
 from __future__ import annotations
 
 import json
-import math
 import reprlib
 import struct
 from dataclasses import asdict, dataclass, field
@@ -269,6 +268,14 @@ class PoolManifest:
         if obj["records_per_shard"] < 1:
             raise FormatError(f"{context}: manifest field 'records_per_shard' must be >= 1, "
                               f"got {obj['records_per_shard']}")
+        shards = -(-obj["num_records"] // obj["records_per_shard"])  # ceil, as in shard_layout
+        if obj["num_shards"] != shards:
+            raise FormatError(f"{context}: manifest field 'num_shards' must be {shards} for "
+                              f"{obj['num_records']} records at {obj['records_per_shard']} per "
+                              f"shard, got {obj['num_shards']}")
+        if "image" not in obj["embedding_sources"]:
+            raise FormatError(f"{context}: manifest field 'embedding_sources' must list "
+                              f"'image', got {reprlib.repr(obj['embedding_sources'])}")
         if len(obj["caption_labels"]) > MAX_CAPTION_LABELS:
             raise FormatError(f"{context}: manifest lists {len(obj['caption_labels'])} "
                               f"caption labels, more than {MAX_CAPTION_LABELS}")
@@ -307,7 +314,7 @@ def shard_layout(num_records: int, records_per_shard: int) -> list[int]:
     """Row count per shard: every shard full except possibly the last."""
     if records_per_shard < 1:
         raise DataError(f"records_per_shard must be >= 1, got {records_per_shard}")
-    num_shards = math.ceil(num_records / records_per_shard)
+    num_shards = -(-num_records // records_per_shard)  # ceil, exact for any int
     sizes = [records_per_shard] * num_shards
     if num_shards:
         sizes[-1] = num_records - records_per_shard * (num_shards - 1)
@@ -444,6 +451,7 @@ class PoolHandle:
     def __init__(self, path: Path, manifest: PoolManifest):
         self.path = path
         self.manifest = manifest
+        self.layout = shard_layout(manifest.num_records, manifest.records_per_shard)
         self._verified: set[str] = set()
         self._table: CaptionTable | None = None
         self._id_order: np.ndarray | None = None
@@ -466,19 +474,21 @@ class PoolHandle:
         return value
 
     def shard_columns(self, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, bytes]:
-        """``decode_shard`` of caption shard k."""
+        """``decode_shard`` of caption shard k, which must hold ``layout[k]``
+        records."""
         name = shard_caption_name(k)
-        return decode_shard(self._read(name, fileio.read_bytes), context=name,
-                            num_labels=len(self.manifest.caption_labels))
+        columns = decode_shard(self._read(name, fileio.read_bytes), context=name,
+                               num_labels=len(self.manifest.caption_labels))
+        if len(columns[0]) != self.layout[k]:
+            raise IntegrityError(f"{name}: {len(columns[0])} records, {MANIFEST_NAME} implies "
+                                 f"{self.layout[k]}")
+        return columns
 
     def records(self) -> CaptionTable:
         """The pool's caption table, built on the first call."""
         if self._table is None:
             shards = map(self.shard_columns, range(self.manifest.num_shards))
             table = CaptionTable.from_shards(shards, self.manifest.caption_labels)
-            if len(table) != self.num_records:
-                raise IntegrityError(f"{MANIFEST_NAME}: pool holds {len(table)} records, "
-                                     f"manifest says {self.num_records}")
             self._id_order = np.argsort(table.ids, kind="stable")
             self._table = table
         return self._table
@@ -545,7 +555,13 @@ class PoolHandle:
         return source in self.manifest.embedding_sources
 
     def shard_embeddings(self, k: int, source: str) -> np.ndarray:
-        return self._read(shard_embedding_name(k, source), fileio.read_embeddings)
+        """Sidecar k of ``source``, which must be (``layout[k]``, embedding_dim)."""
+        name = shard_embedding_name(k, source)
+        mat = self._read(name, fileio.read_embeddings)
+        if mat.shape != (self.layout[k], self.embedding_dim):
+            raise IntegrityError(f"{name}: {mat.shape[0]}x{mat.shape[1]} embeddings, "
+                                 f"{MANIFEST_NAME} implies {self.layout[k]}x{self.embedding_dim}")
+        return mat
 
     def embeddings(self, source: str) -> np.ndarray:
         """Full (num_records, dim) matrix for one source, cached."""
@@ -554,19 +570,8 @@ class PoolHandle:
             return cached
         if source not in self.manifest.embedding_sources:
             raise DataError(f"pool has no embedding source {source!r}")
-        parts = [
-            self.shard_embeddings(k, source) for k in range(self.manifest.num_shards)
-        ]
-        mat = (
-            np.concatenate(parts, axis=0)
-            if parts
-            else np.zeros((0, self.manifest.embedding_dim), dtype=np.float32)
-        )
-        if mat.shape[0] != self.manifest.num_records:
-            raise IntegrityError(
-                f"source {source}: {mat.shape[0]} embedding rows for "
-                f"{self.manifest.num_records} records"
-            )
+        mat = np.concatenate([np.zeros((0, self.embedding_dim), np.float32)] + [
+            self.shard_embeddings(k, source) for k in range(self.manifest.num_shards)])
         self._embeddings[source] = mat
         return mat
 
@@ -623,16 +628,6 @@ def validate_pool(handle: PoolHandle) -> ValidationReport:
     report = ValidationReport()
     manifest = handle.manifest
 
-    expected_sizes = shard_layout(manifest.num_records, manifest.records_per_shard)
-    if manifest.num_shards != len(expected_sizes):
-        report.findings.append(
-            Finding(
-                "shard_count",
-                f"manifest num_shards {manifest.num_shards} != "
-                f"{len(expected_sizes)} implied by num_records/records_per_shard",
-            )
-        )
-
     def good_shards() -> Iterator[tuple]:
         for k in range(manifest.num_shards):
             try:
@@ -642,25 +637,9 @@ def validate_pool(handle: PoolHandle) -> ValidationReport:
                     Finding("shard_error", str(exc), file=shard_caption_name(k))
                 )
                 continue
-            rows = len(columns[0])
-            if k < len(expected_sizes) and rows != expected_sizes[k]:
-                report.findings.append(
-                    Finding(
-                        "shard_count",
-                        f"shard {k} holds {rows} records, expected {expected_sizes[k]}",
-                        file=shard_caption_name(k),
-                    )
-                )
             yield columns
 
     table = CaptionTable.from_shards(good_shards(), manifest.caption_labels)
-    if len(table) != manifest.num_records:
-        report.findings.append(
-            Finding(
-                "shard_count",
-                f"pool holds {len(table)} records, manifest says {manifest.num_records}",
-            )
-        )
 
     values, counts = np.unique(table.ids, return_counts=True)
     report.findings += [Finding("duplicate_id", f"id {rec_id} appears more than once")
@@ -680,7 +659,6 @@ def validate_pool(handle: PoolHandle) -> ValidationReport:
                 f"{label!r}", record_index=row))
 
     for source in manifest.embedding_sources:
-        offset = 0
         for k in range(manifest.num_shards):
             name = shard_embedding_name(k, source)
             try:
@@ -688,41 +666,17 @@ def validate_pool(handle: PoolHandle) -> ValidationReport:
             except (FormatError, IntegrityError, OSError) as exc:
                 report.findings.append(Finding("sidecar_error", str(exc), file=name))
                 continue
-            if mat.shape[1] != manifest.embedding_dim:
-                report.findings.append(
-                    Finding(
-                        "dim_mismatch",
-                        f"{name}: dim {mat.shape[1]} != manifest {manifest.embedding_dim}",
-                        file=name,
-                    )
-                )
             finite = np.isfinite(mat).all(axis=1)
             norms = np.linalg.norm(mat.astype(np.float64), axis=1)
-            for row in np.flatnonzero(~finite):
-                report.findings.append(
-                    Finding(
-                        "nonfinite",
-                        f"source {source}: non-finite entry at row {offset + int(row)}",
-                        record_index=offset + int(row),
-                    )
-                )
-            for row in np.flatnonzero(finite & (norms == 0.0)):
-                report.findings.append(
-                    Finding(
-                        "zero_norm",
-                        f"source {source}: zero-norm embedding at row {offset + int(row)}",
-                        record_index=offset + int(row),
-                    )
-                )
-            offset += mat.shape[0]
-        if offset != manifest.num_records:
-            report.findings.append(
-                Finding(
-                    "shard_count",
-                    f"source {source}: {offset} embedding rows for "
-                    f"{manifest.num_records} records",
-                )
-            )
+            first = k * manifest.records_per_shard  # pool row of the sidecar's row 0
+            for row in np.flatnonzero(~finite).tolist():
+                report.findings.append(Finding(
+                    "nonfinite", f"source {source}: non-finite entry at row {first + row}",
+                    record_index=first + row))
+            for row in np.flatnonzero(finite & (norms == 0.0)).tolist():
+                report.findings.append(Finding(
+                    "zero_norm", f"source {source}: zero-norm embedding at row {first + row}",
+                    record_index=first + row))
     return report
 
 

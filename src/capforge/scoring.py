@@ -9,8 +9,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DataError, DomainError, IntegrityError
-from .pool import MANIFEST_NAME, PoolHandle, ScoreTable
+from .errors import DataError, DomainError
+from .pool import PoolHandle, ScoreTable, shard_embedding_name
 
 
 def cosine(u: np.ndarray, v: np.ndarray) -> float:
@@ -30,17 +30,6 @@ def cosine(u: np.ndarray, v: np.ndarray) -> float:
     return float(np.clip(np.dot(u, v) / (nu * nv), -1.0, 1.0))
 
 
-def _cosine_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Row-wise cosine of two equally shaped float matrices (float64)."""
-    a = a.astype(np.float64)
-    b = b.astype(np.float64)
-    na = np.linalg.norm(a, axis=1)
-    nb = np.linalg.norm(b, axis=1)
-    if (na == 0.0).any() or (nb == 0.0).any():
-        raise DomainError("cosine undefined for zero-norm row")
-    return np.clip(np.einsum("ij,ij->i", a, b) / (na * nb), -1.0, 1.0)
-
-
 def clip_s(cos_score):
     """Reference-free caption compatibility score: 2.5 * max(cos, 0),
     elementwise on an array."""
@@ -51,20 +40,26 @@ def score_pool(handle: PoolHandle, text_source: str, *,
                write_sidecar: bool = True) -> ScoreTable:
     """Cosine between image and one text source for every record.
 
-    Computed shard-by-shard and concatenated in shard order.  Written as a
-    score sidecar unless ``write_sidecar`` is false.
+    Computed shard-by-shard (float64) and concatenated in shard order.
+    Written as a score sidecar unless ``write_sidecar`` is false.  A
+    zero-norm row raises a DomainError naming its sidecar and pool row.
     """
-    for source in ("image", text_source):
+    sources = ("image", text_source)
+    for source in sources:
         if not handle.has_source(source):
             raise DataError(f"pool has no embedding source {source!r}")
     parts = []
     for k in range(handle.manifest.num_shards):
-        img, txt = handle.shard_embeddings(k, "image"), handle.shard_embeddings(k, text_source)
-        parts.append(_cosine_rows(img, txt).astype(np.float32))
+        mats = [handle.shard_embeddings(k, source).astype(np.float64) for source in sources]
+        norms = [np.linalg.norm(mat, axis=1) for mat in mats]
+        for source, norm in zip(sources, norms):
+            if not norm.all():
+                row = k * handle.manifest.records_per_shard + int(np.argmax(norm == 0.0))
+                raise DomainError(f"{shard_embedding_name(k, source)}: zero-norm embedding at "
+                                  f"pool row {row}, cosine undefined")
+        cosines = np.einsum("ij,ij->i", *mats) / (norms[0] * norms[1])
+        parts.append(np.clip(cosines, -1.0, 1.0).astype(np.float32))
     scores = np.concatenate(parts) if parts else np.zeros(0, dtype=np.float32)
-    if scores.size != handle.num_records:
-        raise IntegrityError(f"{MANIFEST_NAME}: pool holds {scores.size} {text_source} embedding "
-                             f"rows, manifest says {handle.num_records} records")
     table = ScoreTable(source=text_source, scores=scores)
     if write_sidecar:
         handle.write_score_table(table)

@@ -17,6 +17,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from capforge import fileio
 from capforge._words import BOILERPLATE_CAPTIONS, FILLER_WORDS, SYN_TEMPLATES, concept_word
 from capforge.curation import KMeansStep, _kmeans_pp_init
 from capforge.errors import DataError
@@ -405,6 +406,33 @@ def oracle_shard_records(config, shard_index: int, size: int) -> list[Record]:
 def unit_rows(rng: np.random.Generator, n: int, dim: int) -> np.ndarray:
     mat = rng.standard_normal((n, dim))
     return (mat / np.linalg.norm(mat, axis=1, keepdims=True)).astype(np.float32)
+
+
+# One sidecar of a 5-record dim-4 pool replaced by a matrix of another shape
+# under a matching checksum: case -> (records_per_shard, file, shape).
+RESHAPED_SIDECARS = {
+    "raw_4_rows": (5, "shard-00000.raw.f32", (4, 4)),
+    "raw_dim_3": (5, "shard-00000.raw.f32", (5, 3)),
+    "image_dim_3": (5, "shard-00000.image.f32", (5, 3)),
+    "second_image_dim_3": (3, "shard-00001.image.f32", (2, 3)),
+}
+
+
+def write_reshaped_pool(out_dir, case: str) -> str:
+    """Write the pool ``RESHAPED_SIDECARS[case]`` describes; returns the file
+    it replaced."""
+    records_per_shard, victim, shape = RESHAPED_SIDECARS[case]
+    rng = np.random.default_rng(0)
+    write_pool([Record(i, f"raw {i}") for i in range(5)],
+               {s: unit_rows(rng, 5, 4) for s in ("image", "raw")}, out_dir,
+               records_per_shard=records_per_shard)
+    blob = fileio.encode_embeddings(unit_rows(rng, *shape))
+    (Path(out_dir) / victim).write_bytes(blob)
+    manifest_path = Path(out_dir) / "manifest.json"
+    manifest = json.loads(manifest_path.read_text())
+    manifest["checksums"][victim] = fileio.crc32c_hex(blob)
+    manifest_path.write_text(json.dumps(manifest))
+    return victim
 
 
 def build_plain_pool(

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from capforge import fileio
 from capforge.cli import cli_main
-from capforge.curation import CuratedSet, StrategySpec
+from capforge.curation import ClusterParams, CuratedSet, StrategySpec, in1k_cluster_mask
 from capforge.errors import DataError, FormatError, IntegrityError
 from capforge.pool import (
     CaptionVariant,
@@ -24,7 +24,8 @@ from capforge.pool import (
 )
 from capforge.scoring import score_pool
 from helpers import (
-    build_plain_pool, handle_captions, read_records, record_captions, unit_rows,
+    RESHAPED_SIDECARS, build_plain_pool, handle_captions, read_records, record_captions,
+    unit_rows, write_reshaped_pool,
 )
 
 
@@ -506,12 +507,17 @@ _MANY = [f"s{i}" for i in range(2**15)]
                  "integer, got '5'", id="records_per_shard_string"),
     pytest.param("records_per_shard", 0, "manifest.json: manifest field 'records_per_shard' "
                  "must be >= 1, got 0", id="records_per_shard_zero"),
+    pytest.param("records_per_shard", 5, "manifest.json: manifest field 'num_shards' must be 1 "
+                 "for 5 records at 5 per shard, got 2", id="num_shards_inconsistent"),
     pytest.param("embedding_dim", -8, "'embedding_dim' must be a non-negative integer, got -8",
                  id="embedding_dim_negative"),
     pytest.param("embedding_sources", "image", "'embedding_sources' must be a list of "
                  "distinct strings, got 'image'", id="embedding_sources_string"),
     pytest.param("embedding_sources", ["image", "image"], "'embedding_sources' must be a list "
                  "of distinct strings", id="embedding_sources_repeated"),
+    pytest.param("embedding_sources", ["raw", "syn.blip2.0.75"], "manifest field "
+                 "'embedding_sources' must list 'image', got \\['raw', 'syn.blip2.0.75'\\]",
+                 id="embedding_sources_without_image"),
     pytest.param("caption_labels", [1], "'caption_labels' must be a list of distinct strings, "
                  "got \\[1\\]", id="caption_labels_number"),
     pytest.param("caption_labels", ["s", "s"], "'caption_labels' must be a list of distinct",
@@ -532,7 +538,7 @@ _MANY = [f"s{i}" for i in range(2**15)]
 ])
 def test_manifest_field_of_the_wrong_type_exits_2_with_one_line(
         tmp_path, capsys, key, value, match):
-    build_plain_pool(tmp_path, 4)
+    build_plain_pool(tmp_path, 5, records_per_shard=3)
     manifest_path = tmp_path / "manifest.json"
     obj = json.loads(manifest_path.read_text())
     if value is None:
@@ -591,7 +597,22 @@ def test_validate_dim_mismatch(tmp_path):
     obj["checksums"][victim] = fileio.crc32c_hex(blob)
     manifest_path.write_text(json.dumps(obj))
     report = validate_pool(open_pool(tmp_path))
-    assert any(f.kind == "dim_mismatch" for f in report.findings)
+    assert [(f.kind, f.file) for f in report.findings] == [("sidecar_error", victim)]
+    assert "5x3 embeddings, manifest.json implies 5x4" in report.findings[0].message
+
+
+@pytest.mark.parametrize("case", sorted(RESHAPED_SIDECARS))
+def test_a_sidecar_of_another_shape_is_one_finding_and_an_error_naming_it(tmp_path, case):
+    victim = write_reshaped_pool(tmp_path, case)
+    source = victim.split(".")[1]
+    report = validate_pool(open_pool(tmp_path))
+    assert [(f.kind, f.file) for f in report.findings] == [("sidecar_error", victim)]
+    with pytest.raises(IntegrityError, match=f"^{victim}: .* embeddings, manifest.json implies "):
+        open_pool(tmp_path).embeddings(source)
+    if source == "image":  # the pool's image sidecar is blamed, not the references
+        with pytest.raises(IntegrityError, match=f"^{victim}: "):
+            in1k_cluster_mask(open_pool(tmp_path), unit_rows(np.random.default_rng(1), 2, 4),
+                              ClusterParams(k=2))
 
 
 def _curated(entries, name="raw_all", p=None):

@@ -29,7 +29,9 @@ from capforge.report import (
 from capforge.scoring import ScoreTables, score_pool
 from capforge.textmetrics import CaptionFeatures
 from capforge.errors import ConfigError
-from helpers import oracle_quality_report, read_records, unit_rows
+from helpers import (
+    RESHAPED_SIDECARS, oracle_quality_report, read_records, unit_rows, write_reshaped_pool,
+)
 
 
 @pytest.fixture(scope="module")
@@ -115,6 +117,16 @@ def edited_pools(tmp_path_factory):
         manifest["num_records"] = count
         (root / f"{count}" / "manifest.json").write_text(json.dumps(manifest))
     return {name: root / name for name in ("gap", "7", "3")}
+
+
+@pytest.fixture(scope="module")
+def reshaped_pools(tmp_path_factory):
+    """A pool per ``RESHAPED_SIDECARS`` case, and "refs.f32": four dim-4 references."""
+    root = tmp_path_factory.mktemp("reshaped")
+    for case in RESHAPED_SIDECARS:
+        write_reshaped_pool(root / case, case)
+    fileio.write_embeddings(root / "refs.f32", unit_rows(np.random.default_rng(1), 4, 4))
+    return {case: root / case for case in [*RESHAPED_SIDECARS, "refs.f32"]}
 
 
 @pytest.fixture(scope="module")
@@ -859,6 +871,10 @@ _GEN_CONFIGS = {
 }
 _MISCOUNTED = [f"manifest_{count}_{command}" for count in (7, 3)
                for command in ("mix", "report", "score")]
+# (pool case, command): a sidecar of another shape than the manifest implies
+_RESHAPED = {f"{case}_{command}": (case, command) for case, command in [
+    ("raw_4_rows", "score"), ("raw_4_rows", "filter"), ("raw_4_rows", "mix"),
+    ("raw_dim_3", "score"), ("second_image_dim_3", "in1k")]}
 
 
 @pytest.mark.parametrize(
@@ -872,11 +888,12 @@ _MISCOUNTED = [f"manifest_{count}_{command}" for count in (7, 3)
     + [("scores_corrupt_mix", 2), ("scores_corrupt_filter", 2), ("scores_corrupt_metrics", 2)]
     + [("shard_bad_label_mix", 2), ("curated_truncated", 2), ("curated_count_not_integer", 2)]
     + [("sweep_scales_not_integers", 1), ("sweep_scale_zero", 1)]
-    + [("syn_all_variant_missing", 2)] + [(name, 2) for name in _MISCOUNTED],
+    + [("syn_all_variant_missing", 2)] + [(name, 2) for name in _MISCOUNTED]
+    + [(name, 2) for name in _RESHAPED],
 )
 def test_cli_malformed_input_exits_without_traceback(
     small_pool, two_captioner_pool, truncated_line_pool, corrupt_scores_pool, bad_label_pool,
-    truncated_curated, edited_pools, tmp_path, case, code,
+    truncated_curated, edited_pools, reshaped_pools, tmp_path, case, code,
 ):
     if case.startswith("sweep_"):
         config, strategies = tmp_path / "g.json", tmp_path / "s.json"
@@ -898,6 +915,16 @@ def test_cli_malformed_input_exits_without_traceback(
                 "report": ["report", "--pool", pool, "--strategies", str(strategies),
                            "--out-dir", str(tmp_path / "rep")],
                 "score": ["score", "--pool", pool, "--source", "raw"]}[command]
+    elif case in _RESHAPED:
+        pool_case, command = _RESHAPED[case]
+        pool, out = str(reshaped_pools[pool_case]), str(tmp_path / "out.jsonl")
+        args = {"score": ["score", "--pool", pool, "--source", "raw"],
+                "filter": ["filter", "--p", "50", "--pool", pool, "--out", out],
+                "mix": ["mix", "--strategy", "raw_top", "--p", "50", "--pool", pool,
+                        "--out", out],
+                "in1k": ["mix", "--strategy", "raw_all", "--in1k-refs",
+                         str(reshaped_pools["refs.f32"]), "--pool", pool, "--out", out],
+                }[command]
     elif case == "shard_bad_label_mix":
         args = ["mix", "--strategy", "raw_all", "--pool", str(bad_label_pool),
                 "--out", str(tmp_path / "c.jsonl")]

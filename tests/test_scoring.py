@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from capforge.cli import cli_main
 from capforge.errors import DataError, DomainError, IntegrityError
 from capforge.pool import CaptionVariant, Record, open_pool, write_pool
 from capforge.scoring import clip_s, cosine, recall_at_1, score_pool
@@ -108,13 +109,31 @@ def test_score_pool_refuses_a_manifest_that_miscounts_rows_and_writes_nothing(tm
     manifest["num_records"] = count
     (tmp_path / "manifest.json").write_text(json.dumps(manifest))
     handle = open_pool(tmp_path)
-    with pytest.raises(IntegrityError, match=f"^manifest.json: pool holds 5 raw embedding "
-                       f"rows, manifest says {count} records$"):
+    with pytest.raises(IntegrityError, match=f"^shard-00000.image.f32: 5x4 embeddings, "
+                       f"manifest.json implies {count}x4$"):
         score_pool(handle, "raw")
     assert not handle.has_scores("raw")
-    with pytest.raises(IntegrityError, match=f"^manifest.json: pool holds 5 records, "
-                       f"manifest says {count}$"):
+    with pytest.raises(IntegrityError, match=f"^shard-00000.cap: 5 records, "
+                       f"manifest.json implies {count}$"):
         handle.records()
+
+
+def test_score_names_the_sidecar_and_pool_row_of_a_zero_norm_row(tmp_path, capsys):
+    rng = np.random.default_rng(0)
+    raw = unit_rows(rng, 5, 4)
+    raw[3] = 0.0
+    write_pool([Record(i, f"r{i}") for i in range(5)],
+               {"image": unit_rows(rng, 5, 4), "raw": raw}, tmp_path, records_per_shard=2)
+    message = "shard-00001.raw.f32: zero-norm embedding at pool row 3, cosine undefined"
+    with pytest.raises(DomainError, match=f"^{message}$"):
+        score_pool(open_pool(tmp_path), "raw")
+    strategies = tmp_path / "s.json"
+    strategies.write_text(json.dumps([{"name": "raw_top", "p": 50}]))
+    for args in (["score", "--pool", str(tmp_path), "--source", "raw"],
+                 ["report", "--pool", str(tmp_path), "--strategies", str(strategies),
+                  "--out-dir", str(tmp_path / "rep")]):
+        assert cli_main(args) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
 
 
 # ---------------------------------------------------------------------------
