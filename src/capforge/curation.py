@@ -532,8 +532,8 @@ def apply_strategy(
             mask, tau = cuts[rank]
             rows = rows & (mask if take == "top" else ~mask)
             if take == "rest >= tau":  # an empty cut has no tau and keeps no rest
-                scores = table(role[caption]).scores
-                rows = rows & (scores >= np.float32(tau)) if tau is not None else rows & False
+                kept = threshold_filter(table(role[caption]), tau) if tau is not None else False
+                rows = rows & kept
         entries.append(np.column_stack((ids[rows], choices[caption][rows])))
     tau_used = next((tau for _, tau in cuts.values()), None)  # the first cut's
     return CuratedSet(entries=np.concatenate(entries), spec=spec, tau_used=tau_used)

@@ -357,7 +357,6 @@ def write_pool(
     out_path: str | Path,
     *,
     records_per_shard: int = 1000,
-    generator_seed: int | None = None,
 ) -> PoolManifest:
     """Write a pool directory from records and per-source (rows, dim)
     matrices; every check runs before the directory is made."""
@@ -432,7 +431,6 @@ def write_pool(
         embedding_dim=dim,
         embedding_sources=list(matrices.keys()),
         caption_labels=list(index),
-        generator_seed=generator_seed,
         checksums=checksums,
     )
     write_manifest(out_dir, manifest)
@@ -555,12 +553,17 @@ class PoolHandle:
         return source in self.manifest.embedding_sources
 
     def shard_embeddings(self, k: int, source: str) -> np.ndarray:
-        """Sidecar k of ``source``, which must be (``layout[k]``, embedding_dim)."""
+        """Sidecar k of ``source``, which must be (``layout[k]``, embedding_dim)
+        and finite."""
         name = shard_embedding_name(k, source)
         mat = self._read(name, fileio.read_embeddings)
         if mat.shape != (self.layout[k], self.embedding_dim):
             raise IntegrityError(f"{name}: {mat.shape[0]}x{mat.shape[1]} embeddings, "
                                  f"{MANIFEST_NAME} implies {self.layout[k]}x{self.embedding_dim}")
+        finite = np.isfinite(mat).all(axis=1)
+        if not finite.all():
+            row = k * self.manifest.records_per_shard + int(np.argmin(finite))
+            raise IntegrityError(f"{name}: non-finite entry at pool row {row}")
         return mat
 
     def embeddings(self, source: str) -> np.ndarray:
@@ -624,9 +627,12 @@ def open_pool(path: str | Path) -> PoolHandle:
 
 
 def validate_pool(handle: PoolHandle) -> ValidationReport:
-    """Check pool invariants; findings are report entries, never raises."""
+    """Check pool invariants; findings are report entries, never raises.  A
+    file that does not read (a bad checksum or shape, or a sidecar entry that
+    is NaN or infinite) is one finding naming it."""
     report = ValidationReport()
     manifest = handle.manifest
+    pool_rows = [np.zeros(0, np.int64)]  # the pool row of each caption table row
 
     def good_shards() -> Iterator[tuple]:
         for k in range(manifest.num_shards):
@@ -637,9 +643,11 @@ def validate_pool(handle: PoolHandle) -> ValidationReport:
                     Finding("shard_error", str(exc), file=shard_caption_name(k))
                 )
                 continue
+            pool_rows.append(k * manifest.records_per_shard + np.arange(handle.layout[k]))
             yield columns
 
     table = CaptionTable.from_shards(good_shards(), manifest.caption_labels)
+    pool_row = np.concatenate(pool_rows)
 
     values, counts = np.unique(table.ids, return_counts=True)
     report.findings += [Finding("duplicate_id", f"id {rec_id} appears more than once")
@@ -648,7 +656,7 @@ def validate_pool(handle: PoolHandle) -> ValidationReport:
     repeated = (variants[:, 1:] == variants[:, :-1]) & (variants[:, 1:] >= 0)
     report.findings += [
         Finding("duplicate_variant", f"record {table.ids[row]}: repeated (source, "
-                "temperature) variant", record_index=row)
+                "temperature) variant", record_index=int(pool_row[row]))
         for row in np.flatnonzero(repeated.any(axis=1)).tolist()
     ]
     for index, label in enumerate(table.labels[1:], 1):
@@ -656,7 +664,7 @@ def validate_pool(handle: PoolHandle) -> ValidationReport:
             row = int(np.argmax((table.label_ids == index).any(axis=1)))
             report.findings.append(Finding(
                 "variant_source", f"record {table.ids[row]}: no embeddings for variant "
-                f"{label!r}", record_index=row))
+                f"{label!r}", record_index=int(pool_row[row])))
 
     for source in manifest.embedding_sources:
         for k in range(manifest.num_shards):
@@ -666,14 +674,8 @@ def validate_pool(handle: PoolHandle) -> ValidationReport:
             except (FormatError, IntegrityError, OSError) as exc:
                 report.findings.append(Finding("sidecar_error", str(exc), file=name))
                 continue
-            finite = np.isfinite(mat).all(axis=1)
-            norms = np.linalg.norm(mat.astype(np.float64), axis=1)
             first = k * manifest.records_per_shard  # pool row of the sidecar's row 0
-            for row in np.flatnonzero(~finite).tolist():
-                report.findings.append(Finding(
-                    "nonfinite", f"source {source}: non-finite entry at row {first + row}",
-                    record_index=first + row))
-            for row in np.flatnonzero(finite & (norms == 0.0)).tolist():
+            for row in np.flatnonzero(~mat.any(axis=1)).tolist():  # exact: entries are finite
                 report.findings.append(Finding(
                     "zero_norm", f"source {source}: zero-norm embedding at row {first + row}",
                     record_index=first + row))
@@ -684,8 +686,6 @@ def materialize(
     handle: PoolHandle,
     curated,
     out_path: str | Path,
-    *,
-    records_per_shard: int | None = None,
 ) -> PoolManifest:
     """Write the training pool a curated selection defines.
 
@@ -710,5 +710,5 @@ def materialize(
         out_records,
         {"image": image, "raw": text},
         out_path,
-        records_per_shard=records_per_shard or handle.manifest.records_per_shard,
+        records_per_shard=handle.manifest.records_per_shard,
     )

@@ -12,7 +12,6 @@ import csv
 import dataclasses
 import io
 import json
-import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -36,21 +35,6 @@ from .textmetrics import (
 DEFAULT_SAMPLE_SIZE = 100_000
 MAX_SWEEP_SCALE = 10_000_000
 
-REPORT_COLUMNS = [
-    "strategy",
-    "entries",
-    "tau_used",
-    "mean_cosine",
-    "mean_clip_s",
-    "mean_word_count",
-    "mean_grounding_ratio",
-    "unique_trigrams",
-    "unique_nouns",
-    "sample_size",
-    "sample_seed",
-]
-
-
 @dataclass
 class QualityReport:
     strategy: str
@@ -66,7 +50,10 @@ class QualityReport:
     sample_seed: int
 
     def to_dict(self) -> dict:
-        return {name: getattr(self, name) for name in REPORT_COLUMNS}
+        return dataclasses.asdict(self)
+
+
+REPORT_COLUMNS = [f.name for f in dataclasses.fields(QualityReport)]
 
 
 @dataclass
@@ -175,18 +162,17 @@ def write_report_files(rows: Sequence[QualityReport], out_dir: str | Path) -> No
     out.mkdir(parents=True, exist_ok=True)
     dicts = [r.to_dict() for r in rows]
     fileio.write_atomic(out / "report.json", (json.dumps(dicts, indent=2) + "\n").encode())
-    lines = [REPORT_COLUMNS] + [[_cell(row[c]) for c in REPORT_COLUMNS] for row in dicts]
+    lines = [REPORT_COLUMNS] + [[_cell(value) for value in row.values()] for row in dicts]
     fileio.write_atomic(out / "report.csv", _csv_bytes(lines))
 
 
 def run_report(
     pool_path: str | Path,
     specs: Sequence[StrategySpec],
-    config: MetricConfig | None = None,
+    config: MetricConfig,
     out_dir: str | Path | None = None,
 ) -> list[QualityReport]:
     """Evaluate strategies on a pool; optionally emit report.json/report.csv."""
-    config = config or MetricConfig()
     handle = open_pool(pool_path)
     rows = report_rows(handle, specs, config)
     if out_dir is not None:
@@ -198,15 +184,15 @@ def run_sweep(
     template: GenConfig,
     scales: Sequence[int],
     specs: Sequence[StrategySpec],
-    config: MetricConfig | None = None,
-    out_dir: str | Path | None = None,
+    config: MetricConfig,
+    out_dir: str | Path,
 ) -> SweepResult:
-    """Generate pools at each scale (shared seed) and evaluate strategies.
+    """Generate pools at each scale (shared seed) under ``out_dir``/pools and
+    evaluate strategies into ``out_dir``/sweep.csv.
 
     Pools share records_per_shard and the seed, so smaller scales are
     prefixes of larger ones and diversity counts are comparable.
     """
-    config = config or MetricConfig()
     if not scales:
         raise ConfigError("sweep requires at least one scale")
     if list(scales) != sorted(set(int(s) for s in scales)):
@@ -219,25 +205,16 @@ def run_sweep(
         )
 
     result = SweepResult()
-    base = Path(out_dir) if out_dir is not None else None
-    scratch = tempfile.TemporaryDirectory() if base is None else None
-    pool_root = base / "pools" if base is not None else Path(scratch.name)
-    try:
-        for scale in scales:
-            cfg = dataclasses.replace(template, num_records=int(scale))
-            pool_dir = pool_root / str(scale)
-            generate_pool(cfg, pool_dir, workers=config.workers)
-            for row in run_report(pool_dir, specs, config):
-                result.rows.append((int(scale), row.strategy, row))
-    finally:
-        if scratch is not None:
-            scratch.cleanup()
+    base = Path(out_dir)
+    for scale in scales:
+        cfg = dataclasses.replace(template, num_records=int(scale))
+        pool_dir = base / "pools" / str(scale)
+        generate_pool(cfg, pool_dir, workers=config.workers)
+        for row in run_report(pool_dir, specs, config):
+            result.rows.append((int(scale), row.strategy, row))
 
-    if base is not None:
-        base.mkdir(parents=True, exist_ok=True)
-        lines = [["pool_scale"] + REPORT_COLUMNS]
-        for scale, _, row in result.rows:
-            d = row.to_dict()
-            lines.append([str(scale)] + [_cell(d[c]) for c in REPORT_COLUMNS])
-        fileio.write_atomic(base / "sweep.csv", _csv_bytes(lines))
+    lines = [["pool_scale"] + REPORT_COLUMNS]
+    for scale, _, row in result.rows:
+        lines.append([str(scale)] + [_cell(value) for value in row.to_dict().values()])
+    fileio.write_atomic(base / "sweep.csv", _csv_bytes(lines))
     return result

@@ -42,7 +42,9 @@ def score_pool(handle: PoolHandle, text_source: str, *,
 
     Computed shard-by-shard (float64) and concatenated in shard order.
     Written as a score sidecar unless ``write_sidecar`` is false.  A
-    zero-norm row raises a DomainError naming its sidecar and pool row.
+    zero-norm row raises a DomainError, and a NaN or infinite entry an
+    IntegrityError (from the sidecar read), naming its sidecar and pool row;
+    either way no sidecar is written.
     """
     sources = ("image", text_source)
     for source in sources:

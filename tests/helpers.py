@@ -426,13 +426,33 @@ def write_reshaped_pool(out_dir, case: str) -> str:
     write_pool([Record(i, f"raw {i}") for i in range(5)],
                {s: unit_rows(rng, 5, 4) for s in ("image", "raw")}, out_dir,
                records_per_shard=records_per_shard)
-    blob = fileio.encode_embeddings(unit_rows(rng, *shape))
-    (Path(out_dir) / victim).write_bytes(blob)
-    manifest_path = Path(out_dir) / "manifest.json"
-    manifest = json.loads(manifest_path.read_text())
-    manifest["checksums"][victim] = fileio.crc32c_hex(blob)
-    manifest_path.write_text(json.dumps(manifest))
+    replace_pool_file(out_dir, victim, fileio.encode_embeddings(unit_rows(rng, *shape)))
     return victim
+
+
+def replace_pool_file(pool_dir, name: str, blob: bytes) -> None:
+    """Replace a pool file by ``blob`` under a matching manifest checksum."""
+    (Path(pool_dir) / name).write_bytes(blob)
+    manifest_path = Path(pool_dir) / "manifest.json"
+    manifest = json.loads(manifest_path.read_text())
+    manifest["checksums"][name] = fileio.crc32c_hex(blob)
+    manifest_path.write_text(json.dumps(manifest))
+
+
+def set_sidecar_entry(pool_dir, name: str, row: int, value: float) -> None:
+    """Set entry 0 of ``row`` in embedding sidecar ``name`` to ``value``,
+    under a matching checksum."""
+    mat = fileio.read_embeddings(Path(pool_dir) / name).copy()
+    mat[row, 0] = value
+    replace_pool_file(pool_dir, name, fileio.encode_embeddings(mat))
+
+
+def write_nan_raw_pool(out_dir) -> None:
+    """A 5-record dim-4 pool whose ``shard-00000.raw.f32`` holds a NaN in row 2."""
+    rng = np.random.default_rng(0)
+    write_pool([Record(i, f"raw {i}") for i in range(5)],
+               {s: unit_rows(rng, 5, 4) for s in ("image", "raw")}, out_dir)
+    set_sidecar_entry(out_dir, "shard-00000.raw.f32", 2, np.nan)
 
 
 def build_plain_pool(

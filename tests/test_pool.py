@@ -25,7 +25,7 @@ from capforge.pool import (
 from capforge.scoring import score_pool
 from helpers import (
     RESHAPED_SIDECARS, build_plain_pool, handle_captions, read_records, record_captions,
-    unit_rows, write_reshaped_pool,
+    unit_rows, write_nan_raw_pool, write_reshaped_pool,
 )
 
 
@@ -573,6 +573,29 @@ def test_malformed_shard_line_is_a_format_error_and_a_finding(tmp_path):
     findings = validate_pool(open_pool(tmp_path)).by_kind("shard_error")
     assert [f.file for f in findings] == ["shard-00001.cap"]
     assert "caption offsets" in findings[0].message
+
+
+@pytest.mark.parametrize("extra, kind", [(("b", 1.0), "duplicate_variant"),
+                                         (("ghost", 0.5), "variant_source")],
+                         ids=["repeated_variant", "variant_without_embeddings"])
+def test_validate_gives_pool_rows_after_a_shard_error(tmp_path, extra, kind):
+    records = [Record(i, f"raw {i}", [CaptionVariant("b", 1.0, f"syn {i}")]) for i in range(10)]
+    records[9].synthetic_variants.append(CaptionVariant(*extra, "extra"))
+    rng = np.random.default_rng(0)
+    write_pool(records, {s: unit_rows(rng, 10, 4) for s in ("image", "raw", "syn.b.1.00")},
+               tmp_path, records_per_shard=4)
+    victim = tmp_path / "shard-00000.cap"
+    _rewrite_shard(tmp_path, victim.name, victim.read_bytes()[:-3])
+    report = validate_pool(open_pool(tmp_path))
+    assert [(f.kind, f.record_index) for f in report.findings] == [("shard_error", None),
+                                                                    (kind, 9)]
+
+
+def test_a_non_finite_sidecar_is_one_finding_naming_it(tmp_path):
+    write_nan_raw_pool(tmp_path)
+    report = validate_pool(open_pool(tmp_path))
+    assert [(f.kind, f.file) for f in report.findings] == [("sidecar_error", "shard-00000.raw.f32")]
+    assert report.findings[0].message == "shard-00000.raw.f32: non-finite entry at pool row 2"
 
 
 def test_validate_zero_norm_row(tmp_path):

@@ -30,7 +30,8 @@ from capforge.scoring import ScoreTables, score_pool
 from capforge.textmetrics import CaptionFeatures
 from capforge.errors import ConfigError
 from helpers import (
-    RESHAPED_SIDECARS, oracle_quality_report, read_records, unit_rows, write_reshaped_pool,
+    RESHAPED_SIDECARS, oracle_quality_report, read_records, set_sidecar_entry, unit_rows,
+    write_nan_raw_pool, write_reshaped_pool,
 )
 
 
@@ -127,6 +128,19 @@ def reshaped_pools(tmp_path_factory):
         write_reshaped_pool(root / case, case)
     fileio.write_embeddings(root / "refs.f32", unit_rows(np.random.default_rng(1), 4, 4))
     return {case: root / case for case in [*RESHAPED_SIDECARS, "refs.f32"]}
+
+
+@pytest.fixture(scope="module")
+def non_finite_pools(tmp_path_factory):
+    """A pool per ``_NON_FINITE`` case, and "refs.f32": four references of the
+    generated pool's dim."""
+    root = tmp_path_factory.mktemp("non_finite")
+    write_nan_raw_pool(root / "raw_nan_score")
+    generate_pool(GenConfig(num_records=40, seed=5, records_per_shard=20), root / "image_inf_in1k")
+    set_sidecar_entry(root / "image_inf_in1k", "shard-00001.image.f32", 5, np.inf)
+    dim = open_pool(root / "image_inf_in1k").embedding_dim
+    fileio.write_embeddings(root / "refs.f32", unit_rows(np.random.default_rng(1), 4, dim))
+    return {case: root / case for case in [*_NON_FINITE, "refs.f32"]}
 
 
 @pytest.fixture(scope="module")
@@ -275,6 +289,13 @@ def test_quality_report_matches_oracle_on_a_generated_pool(gen_pool, sample_size
         assert _float_bits(row.to_dict()) == _float_bits(want.to_dict())
 
 
+def test_report_csv_header_is_the_documented_column_order(small_pool, tmp_path):
+    run_report(small_pool, [], MetricConfig(), out_dir=tmp_path)
+    assert (tmp_path / "report.csv").read_text() == (
+        "strategy,entries,tau_used,mean_cosine,mean_clip_s,mean_word_count,"
+        "mean_grounding_ratio,unique_trigrams,unique_nouns,sample_size,sample_seed\n")
+
+
 def test_report_empty_strategy_list(small_pool, tmp_path):
     run_report(small_pool, [], MetricConfig(), out_dir=tmp_path)
     assert json.loads((tmp_path / "report.json").read_text()) == []
@@ -318,16 +339,16 @@ def test_sweep_single_scale_reduces_to_report(small_pool, tmp_path):
     assert len(csv_lines) == 3
 
 
-def test_sweep_validation():
+def test_sweep_validation(tmp_path):
     template = GenConfig(num_records=1, seed=0)
     with pytest.raises(ConfigError):
-        run_sweep(template, [], [], MetricConfig())
+        run_sweep(template, [], [], MetricConfig(), tmp_path)
     with pytest.raises(ConfigError):
-        run_sweep(template, [100, 100], [], MetricConfig())
+        run_sweep(template, [100, 100], [], MetricConfig(), tmp_path)
     with pytest.raises(ConfigError):
-        run_sweep(template, [200, 100], [], MetricConfig())
+        run_sweep(template, [200, 100], [], MetricConfig(), tmp_path)
     with pytest.raises(ConfigError):
-        run_sweep(template, [10**9], [], MetricConfig())
+        run_sweep(template, [10**9], [], MetricConfig(), tmp_path)
 
 
 # ---------------------------------------------------------------------------
@@ -875,6 +896,11 @@ _MISCOUNTED = [f"manifest_{count}_{command}" for count in (7, 3)
 _RESHAPED = {f"{case}_{command}": (case, command) for case, command in [
     ("raw_4_rows", "score"), ("raw_4_rows", "filter"), ("raw_4_rows", "mix"),
     ("raw_dim_3", "score"), ("second_image_dim_3", "in1k")]}
+# pool case -> the one error line: a sidecar entry that is NaN or infinite
+_NON_FINITE = {
+    "raw_nan_score": "shard-00000.raw.f32: non-finite entry at pool row 2",
+    "image_inf_in1k": "shard-00001.image.f32: non-finite entry at pool row 25",
+}
 
 
 @pytest.mark.parametrize(
@@ -889,11 +915,11 @@ _RESHAPED = {f"{case}_{command}": (case, command) for case, command in [
     + [("shard_bad_label_mix", 2), ("curated_truncated", 2), ("curated_count_not_integer", 2)]
     + [("sweep_scales_not_integers", 1), ("sweep_scale_zero", 1)]
     + [("syn_all_variant_missing", 2)] + [(name, 2) for name in _MISCOUNTED]
-    + [(name, 2) for name in _RESHAPED],
+    + [(name, 2) for name in _RESHAPED] + [(name, 2) for name in _NON_FINITE],
 )
 def test_cli_malformed_input_exits_without_traceback(
     small_pool, two_captioner_pool, truncated_line_pool, corrupt_scores_pool, bad_label_pool,
-    truncated_curated, edited_pools, reshaped_pools, tmp_path, case, code,
+    truncated_curated, edited_pools, reshaped_pools, non_finite_pools, tmp_path, case, code,
 ):
     if case.startswith("sweep_"):
         config, strategies = tmp_path / "g.json", tmp_path / "s.json"
@@ -925,6 +951,13 @@ def test_cli_malformed_input_exits_without_traceback(
                 "in1k": ["mix", "--strategy", "raw_all", "--in1k-refs",
                          str(reshaped_pools["refs.f32"]), "--pool", pool, "--out", out],
                 }[command]
+    elif case in _NON_FINITE:
+        pool = str(non_finite_pools[case])
+        args = {"raw_nan_score": ["score", "--pool", pool, "--source", "raw"],
+                "image_inf_in1k": ["mix", "--strategy", "raw_all", "--in1k-refs",
+                                   str(non_finite_pools["refs.f32"]), "--cluster-k", "4",
+                                   "--pool", pool, "--out", str(tmp_path / "c.jsonl")],
+                }[case]
     elif case == "shard_bad_label_mix":
         args = ["mix", "--strategy", "raw_all", "--pool", str(bad_label_pool),
                 "--out", str(tmp_path / "c.jsonl")]
@@ -992,3 +1025,7 @@ def test_cli_malformed_input_exits_without_traceback(
     assert proc.returncode == code, proc.stderr
     assert "Traceback" not in proc.stderr
     assert len(proc.stderr.strip().splitlines()) == 1, proc.stderr
+    if case in _NON_FINITE:  # the sidecar and pool row are named, and nothing is written
+        assert proc.stderr == f"error: {_NON_FINITE[case]}\n"
+        assert not (non_finite_pools[case] / "raw.scores.f32").exists()
+        assert not (tmp_path / "c.jsonl").exists()
