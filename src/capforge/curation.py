@@ -21,7 +21,7 @@ import numpy as np
 
 from . import fileio
 from .errors import ConfigError, DataError, DomainError, FormatError, read_fields
-from .pool import RAW_CHOICE, PoolHandle, ScoreTable
+from .pool import RAW_CHOICE, PoolHandle, ScoreTable, first_bad_row
 
 # Each strategy is the union of its parts (rank, take, caption).  rank is the
 # score source of a top-p cut ("raw" or "syn"), or None for the whole pool.
@@ -403,12 +403,9 @@ def in1k_cluster_mask(
     refs = np.asarray(reference_embs, dtype=np.float64)
     if refs.ndim != 2 or refs.shape[0] == 0:
         raise DomainError("reference set must be a nonempty (n, dim) matrix")
-    finite = np.isfinite(refs).all(axis=1)
-    bad = ~finite | ~refs.any(axis=1)
-    if bad.any():
-        row = int(np.argmax(bad))
-        problem = "has zero norm" if finite[row] else "is not finite"
-        raise DomainError(f"reference row {row} {problem}")
+    if (bad := first_bad_row(refs)) is not None:
+        problem = "has zero norm" if bad[1] else "is not finite"
+        raise DomainError(f"reference row {bad[0]} {problem}")
     points = handle.embeddings("image").astype(np.float64)
     if refs.shape[1] != points.shape[1]:
         raise DomainError(
@@ -460,9 +457,6 @@ def _best_variants(handle: PoolHandle, table: Callable[[str], ScoreTable]) -> np
     stacked = np.full((width, handle.num_records), -np.inf, dtype=np.float32)
     for label, pos in positions.items():
         rows = np.flatnonzero(pos >= 0)
-        if not handle.has_source(label):
-            rec_id = handle.ids()[rows[0]]
-            raise DataError(f"record {rec_id}: no embeddings for variant {label!r}")
         stacked[pos[rows], rows] = table(label).scores[rows]
     empty = np.isneginf(stacked).all(axis=0)
     if empty.any():

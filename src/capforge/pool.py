@@ -24,7 +24,7 @@ import reprlib
 import struct
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -61,6 +61,24 @@ def check_file_name(name: str, error: type[Exception] = DataError) -> None:
     if size > MAX_FILE_NAME_BYTES:
         raise error(f"source name too long: file name {reprlib.repr(name)} takes {size} "
                     f"bytes, more than {MAX_FILE_NAME_BYTES}")
+
+
+def id_order(ids: np.ndarray, error: type[Exception]) -> np.ndarray:
+    """The permutation that sorts ``ids``; raise ``error`` if an id repeats."""
+    order = np.argsort(ids)
+    ordered = ids[order]
+    repeated = np.flatnonzero(ordered[1:] == ordered[:-1])
+    if repeated.size:
+        raise error(f"id {ordered[repeated[0]]} appears more than once")
+    return order
+
+
+def first_bad_row(mat: np.ndarray) -> tuple[int, bool] | None:
+    """(row, whether it is finite) of the first row of an embedding matrix that
+    holds a NaN or an infinity or is all zeros, which has no cosine; else None."""
+    finite = np.isfinite(mat).all(axis=1)
+    bad = np.flatnonzero(~(finite & mat.any(axis=1)))
+    return (int(bad[0]), bool(finite[bad[0]])) if bad.size else None
 
 
 def shard_caption_name(k: int) -> str:
@@ -119,8 +137,8 @@ def decode_shard(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, bytes]:
     """(ids, labels, offsets, text) of a caption shard: ``text`` is its UTF-8
     buffer and ``offsets`` (int64) bound each record's raw caption and then
-    its variants, record by record.  A shard that breaks the layout raises a
-    FormatError or IntegrityError naming ``context``."""
+    its variants, record by record.  A shard that breaks the layout (or lists
+    a label twice in a row) raises a FormatError or IntegrityError naming it."""
     if len(blob) < 16 or blob[:4] != SHARD_MAGIC:
         raise FormatError(f"{context}: not a CAP2 caption shard")
     width, rows = struct.unpack_from("<IQ", blob, 4)
@@ -138,6 +156,10 @@ def decode_shard(
     gaps = (held[:, 1:] > held[:, :-1]).any(axis=1)
     if gaps.any():
         raise FormatError(f"{context}: row {np.argmax(gaps)} pads before a variant")
+    ordered = np.sort(labels, axis=1)
+    twice = ((ordered[:, 1:] == ordered[:, :-1]) & (ordered[:, 1:] >= 0)).any(axis=1)
+    if twice.any():
+        raise FormatError(f"{context}: row {np.argmax(twice)} lists a variant label twice")
     count = rows + int(held.sum())
     start = head + 8 * (count + 1)
     if len(blob) < start:
@@ -170,10 +192,11 @@ class CaptionTable:
     variants.  ``text_ids`` number the captions in shard order: caption i is
     ``text[offsets[i]:offsets[i + 1]]``, UTF-8.  ``label_ids`` index
     ``labels``: "raw", then each variant source label in order of first
-    appearance.
+    appearance.  Ids are distinct, and ``id_order`` sorts them.
     """
 
     ids: np.ndarray  # (N,) int64
+    id_order: np.ndarray  # (N,) int64: the rows in id order
     text_ids: np.ndarray  # (N, 1+W) int64
     label_ids: np.ndarray  # (N, 1+W) int64
     offsets: np.ndarray  # (T+1,) int64
@@ -185,7 +208,8 @@ class CaptionTable:
 
     @classmethod
     def from_shards(cls, shards: Iterable[tuple], caption_labels: Sequence[str]) -> "CaptionTable":
-        """Concatenate ``decode_shard`` results; labels index ``caption_labels``."""
+        """Concatenate ``decode_shard`` results, whose ids must be distinct;
+        labels index ``caption_labels``."""
         text = bytearray()  # grown shard by shard, so no shard's text is held twice
         ids, labels, offsets = [np.zeros(0, np.int64)], [], [np.zeros(1, np.int64)]
         for shard_ids, shard_labels, shard_offsets, shard_text in shards:
@@ -194,6 +218,7 @@ class CaptionTable:
             offsets.append(shard_offsets[1:] + len(text))
             text += shard_text
         ids, offsets = np.concatenate(ids), np.concatenate(offsets)
+        order = id_order(ids, IntegrityError)
         width = max((part.shape[1] for part in labels), default=0)
         variants = np.concatenate([np.zeros((0, width), np.int16)] + [
             np.pad(part, ((0, 0), (0, width - part.shape[1])), constant_values=-1)
@@ -207,7 +232,7 @@ class CaptionTable:
         remap[used] = np.arange(1, used.size + 1)
         label_ids = np.zeros_like(text_ids)
         label_ids[:, 1:] = remap[variants]
-        return cls(ids, text_ids, label_ids, offsets, text,
+        return cls(ids, order, text_ids, label_ids, offsets, text,
                    ("raw", *(caption_labels[i] for i in used.tolist())))
 
 
@@ -279,6 +304,10 @@ class PoolManifest:
         if len(obj["caption_labels"]) > MAX_CAPTION_LABELS:
             raise FormatError(f"{context}: manifest lists {len(obj['caption_labels'])} "
                               f"caption labels, more than {MAX_CAPTION_LABELS}")
+        lacking = set(obj["caption_labels"]).difference(obj["embedding_sources"])
+        if lacking:
+            raise FormatError(f"{context}: manifest field 'caption_labels' lists "
+                              f"{min(lacking)!r}, which 'embedding_sources' lacks")
         return cls(version, **{key: obj[key] for key in _MANIFEST_FIELDS})
 
 
@@ -294,7 +323,6 @@ class ScoreTable:
 class Finding:
     kind: str
     message: str
-    record_index: int | None = None
     file: str | None = None
 
 
@@ -359,7 +387,7 @@ def write_pool(
     records_per_shard: int = 1000,
 ) -> PoolManifest:
     """Write a pool directory from records and per-source (rows, dim)
-    matrices; every check runs before the directory is made."""
+    matrices; every check, the reads' too, runs before the directory is made."""
     record_list = list(records)
     n = len(record_list)
     if "image" not in embeddings:
@@ -385,9 +413,9 @@ def write_pool(
                     f"source {source}: dimension {mat.shape[1]} != {dim} of other sources"
                 )
             dim = mat.shape[1]
-            if not np.isfinite(mat).all():
-                bad = int(np.flatnonzero(~np.isfinite(mat).all(axis=1))[0])
-                raise DataError(f"source {source}: non-finite entry at row {bad}")
+            if (bad := first_bad_row(mat)) is not None:
+                what = "zero-norm embedding" if bad[1] else "non-finite entry"
+                raise DataError(f"source {source}: {what} at row {bad[0]}")
         matrices[source] = mat
     if dim is None:
         dim = 0
@@ -396,11 +424,16 @@ def write_pool(
                for v in r.synthetic_variants] for r in record_list]
     if len(index) > MAX_CAPTION_LABELS:
         raise DataError(f"{len(index)} variant source labels, more than {MAX_CAPTION_LABELS}")
+    lacking = sorted(index.keys() - matrices.keys())
+    if lacking:
+        raise DataError(f"no embeddings for variant label {lacking[0]!r}")
     width = max(map(len, labels), default=0)
-    for r in record_list:
+    for r, row in zip(record_list, labels):
         if r.prov == -1:
             raise DataError(f"record {r.id}: prov -1 cannot be stored; a shard reads -1 as no "
                             "source record")
+        if len({*row}) < len(row):
+            raise DataError(f"record {r.id} lists a variant label twice")
     try:
         ids = np.array([r.id for r in record_list], np.int64)
         prov = np.array([-1 if r.prov is None else r.prov for r in record_list], np.int64)
@@ -408,6 +441,7 @@ def write_pool(
         texts = [[t.encode("utf-8") for t in record] for record in captions]
     except (OverflowError, UnicodeEncodeError) as exc:
         raise DataError(f"records do not fit a caption shard: {exc}") from None
+    id_order(ids, DataError)
     out_dir = new_pool_dir(out_path)
 
     checksums: dict[str, str] = {}
@@ -452,7 +486,6 @@ class PoolHandle:
         self.layout = shard_layout(manifest.num_records, manifest.records_per_shard)
         self._verified: set[str] = set()
         self._table: CaptionTable | None = None
-        self._id_order: np.ndarray | None = None
         self._embeddings: dict[str, np.ndarray] = {}
 
     @property
@@ -486,9 +519,7 @@ class PoolHandle:
         """The pool's caption table, built on the first call."""
         if self._table is None:
             shards = map(self.shard_columns, range(self.manifest.num_shards))
-            table = CaptionTable.from_shards(shards, self.manifest.caption_labels)
-            self._id_order = np.argsort(table.ids, kind="stable")
-            self._table = table
+            self._table = CaptionTable.from_shards(shards, self.manifest.caption_labels)
         return self._table
 
     # caption-choice index ------------------------------------------------
@@ -498,23 +529,25 @@ class PoolHandle:
         return self.records().ids
 
     def rows(self, ids: Sequence[int] | np.ndarray) -> np.ndarray:
-        """Row of each id; an id held by several records maps to the last."""
+        """Row of each id, by one search of the id order; an unknown id is a DataError."""
         ids = np.asarray(ids, dtype=np.int64)
-        pool_ids = self.ids()
-        unknown = ~np.isin(ids, pool_ids)
+        table = self.records()
+        rows, unknown = ids, np.ones(ids.shape, bool)  # an empty pool holds no id
+        if len(table):
+            pos = np.searchsorted(table.ids, ids, sorter=table.id_order)
+            rows = table.id_order[np.minimum(pos, len(table) - 1)]
+            unknown = table.ids[rows] != ids
         if unknown.any():
             bad = int(ids[np.argmax(unknown)])
             raise DataError(f"curated entry references unknown record id {bad}")
-        pos = np.searchsorted(pool_ids, ids, side="right", sorter=self._id_order)
-        return self._id_order[pos - 1]
+        return rows
 
     def variant_labels(self) -> list[str]:
         """Source label of every variant some record lists."""
         return list(self.records().labels[1:])
 
     def variant_index(self, label: str) -> np.ndarray:
-        """Per-record position of the variant with source `label`, -1 if none;
-        a repeated label keeps its first position."""
+        """Per-record position of the variant with source `label`, -1 if none."""
         table = self.records()
         if label not in table.labels[1:]:
             return np.full(len(table), -1, np.int64)
@@ -549,21 +582,18 @@ class PoolHandle:
             f"which has {int((table.text_ids[row, 1:] >= 0).sum())} variants"
         )
 
-    def has_source(self, source: str) -> bool:
-        return source in self.manifest.embedding_sources
-
     def shard_embeddings(self, k: int, source: str) -> np.ndarray:
         """Sidecar k of ``source``, which must be (``layout[k]``, embedding_dim)
-        and finite."""
+        with no row that is all zeros or holds a NaN or an infinity."""
         name = shard_embedding_name(k, source)
         mat = self._read(name, fileio.read_embeddings)
         if mat.shape != (self.layout[k], self.embedding_dim):
             raise IntegrityError(f"{name}: {mat.shape[0]}x{mat.shape[1]} embeddings, "
                                  f"{MANIFEST_NAME} implies {self.layout[k]}x{self.embedding_dim}")
-        finite = np.isfinite(mat).all(axis=1)
-        if not finite.all():
-            row = k * self.manifest.records_per_shard + int(np.argmin(finite))
-            raise IntegrityError(f"{name}: non-finite entry at pool row {row}")
+        if (bad := first_bad_row(mat)) is not None:
+            what = "zero-norm embedding" if bad[1] else "non-finite entry"
+            row = k * self.manifest.records_per_shard + bad[0]
+            raise IntegrityError(f"{name}: {what} at pool row {row}")
         return mat
 
     def embeddings(self, source: str) -> np.ndarray:
@@ -627,58 +657,27 @@ def open_pool(path: str | Path) -> PoolHandle:
 
 
 def validate_pool(handle: PoolHandle) -> ValidationReport:
-    """Check pool invariants; findings are report entries, never raises.  A
-    file that does not read (a bad checksum or shape, or a sidecar entry that
-    is NaN or infinite) is one finding naming it."""
+    """Read every shard and sidecar once, as the commands do; never raises.
+    Each refusal is one finding, naming the file that does not read (a bad
+    checksum, shape, layout, repeated label or embedding row) or the repeated id."""
     report = ValidationReport()
-    manifest = handle.manifest
-    pool_rows = [np.zeros(0, np.int64)]  # the pool row of each caption table row
 
-    def good_shards() -> Iterator[tuple]:
-        for k in range(manifest.num_shards):
-            try:
-                columns = handle.shard_columns(k)
-            except (FormatError, IntegrityError, OSError) as exc:
-                report.findings.append(
-                    Finding("shard_error", str(exc), file=shard_caption_name(k))
-                )
-                continue
-            pool_rows.append(k * manifest.records_per_shard + np.arange(handle.layout[k]))
-            yield columns
+    def read(kind: str, name: str, read_file, *args):
+        try:
+            return read_file(*args)
+        except (FormatError, IntegrityError, OSError) as exc:
+            report.findings.append(Finding(kind, str(exc), file=name))
 
-    table = CaptionTable.from_shards(good_shards(), manifest.caption_labels)
-    pool_row = np.concatenate(pool_rows)
-
-    values, counts = np.unique(table.ids, return_counts=True)
-    report.findings += [Finding("duplicate_id", f"id {rec_id} appears more than once")
-                        for rec_id in values[counts > 1].tolist()]
-    variants = np.sort(table.label_ids[:, 1:], axis=1)
-    repeated = (variants[:, 1:] == variants[:, :-1]) & (variants[:, 1:] >= 0)
-    report.findings += [
-        Finding("duplicate_variant", f"record {table.ids[row]}: repeated (source, "
-                "temperature) variant", record_index=int(pool_row[row]))
-        for row in np.flatnonzero(repeated.any(axis=1)).tolist()
-    ]
-    for index, label in enumerate(table.labels[1:], 1):
-        if label not in manifest.embedding_sources:
-            row = int(np.argmax((table.label_ids == index).any(axis=1)))
-            report.findings.append(Finding(
-                "variant_source", f"record {table.ids[row]}: no embeddings for variant "
-                f"{label!r}", record_index=int(pool_row[row])))
-
-    for source in manifest.embedding_sources:
-        for k in range(manifest.num_shards):
-            name = shard_embedding_name(k, source)
-            try:
-                mat = handle.shard_embeddings(k, source)
-            except (FormatError, IntegrityError, OSError) as exc:
-                report.findings.append(Finding("sidecar_error", str(exc), file=name))
-                continue
-            first = k * manifest.records_per_shard  # pool row of the sidecar's row 0
-            for row in np.flatnonzero(~mat.any(axis=1)).tolist():  # exact: entries are finite
-                report.findings.append(Finding(
-                    "zero_norm", f"source {source}: zero-norm embedding at row {first + row}",
-                    record_index=first + row))
+    shards = (read("shard_error", shard_caption_name(k), handle.shard_columns, k)
+              for k in range(handle.manifest.num_shards))
+    try:
+        CaptionTable.from_shards(filter(None, shards), handle.manifest.caption_labels)
+    except IntegrityError as exc:  # the shards that read repeat an id
+        report.findings.append(Finding("duplicate_id", str(exc)))
+    for source in handle.manifest.embedding_sources:
+        for k in range(handle.manifest.num_shards):
+            read("sidecar_error", shard_embedding_name(k, source), handle.shard_embeddings,
+                 k, source)
     return report
 
 
@@ -699,8 +698,6 @@ def materialize(
     text_rows: list[np.ndarray] = []
     for new_id, ((rec_id, cap), row) in enumerate(zip(curated.entries.tolist(), rows)):
         source, caption = handle.caption(row, cap)
-        if not handle.has_source(source):
-            raise DataError(f"record {rec_id}: pool has no embeddings for {source!r}")
         out_records.append(Record(id=new_id, raw_caption=caption, prov=rec_id))
         text_rows.append(handle.embeddings(source)[row])
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DataError, DomainError
-from .pool import PoolHandle, ScoreTable, shard_embedding_name
+from .pool import PoolHandle, ScoreTable
 
 
 def cosine(u: np.ndarray, v: np.ndarray) -> float:
@@ -41,24 +41,17 @@ def score_pool(handle: PoolHandle, text_source: str, *,
     """Cosine between image and one text source for every record.
 
     Computed shard-by-shard (float64) and concatenated in shard order.
-    Written as a score sidecar unless ``write_sidecar`` is false.  A
-    zero-norm row raises a DomainError, and a NaN or infinite entry an
-    IntegrityError (from the sidecar read), naming its sidecar and pool row;
-    either way no sidecar is written.
+    Written as a score sidecar unless ``write_sidecar`` is false.  Every
+    cosine is defined: the sidecar reads refuse a row that holds a NaN or an
+    infinity or is all zeros, before any sidecar is written.
     """
-    sources = ("image", text_source)
-    for source in sources:
-        if not handle.has_source(source):
-            raise DataError(f"pool has no embedding source {source!r}")
+    sources = ("image", text_source)  # every manifest lists "image"
+    if text_source not in handle.manifest.embedding_sources:
+        raise DataError(f"pool has no embedding source {text_source!r}")
     parts = []
     for k in range(handle.manifest.num_shards):
         mats = [handle.shard_embeddings(k, source).astype(np.float64) for source in sources]
         norms = [np.linalg.norm(mat, axis=1) for mat in mats]
-        for source, norm in zip(sources, norms):
-            if not norm.all():
-                row = k * handle.manifest.records_per_shard + int(np.argmax(norm == 0.0))
-                raise DomainError(f"{shard_embedding_name(k, source)}: zero-norm embedding at "
-                                  f"pool row {row}, cosine undefined")
         cosines = np.einsum("ij,ij->i", *mats) / (norms[0] * norms[1])
         parts.append(np.clip(cosines, -1.0, 1.0).astype(np.float32))
     scores = np.concatenate(parts) if parts else np.zeros(0, dtype=np.float32)

@@ -21,7 +21,10 @@ from capforge import fileio
 from capforge._words import BOILERPLATE_CAPTIONS, FILLER_WORDS, SYN_TEMPLATES, concept_word
 from capforge.curation import KMeansStep, _kmeans_pp_init
 from capforge.errors import DataError
-from capforge.pool import CaptionVariant, Record, variant_source_label, write_pool
+from capforge.pool import (
+    CaptionVariant, Record, ShardColumns, decode_shard, encode_shard, variant_source_label,
+    write_pool,
+)
 from capforge.poolgen import (
     _captioner_vocab,
     _template_cumulative,
@@ -208,8 +211,6 @@ def variant_scores(handle, record_index: int) -> VariantScores:
     scores = []
     for variant in rec.synthetic_variants:
         label = variant_source_label(variant.source_name, variant.temperature)
-        if not handle.has_source(label):
-            raise DataError(f"record {rec.id}: no embeddings for variant {label!r}")
         scores.append(cosine(image, handle.embeddings(label)[record_index]))
     return VariantScores(record_id=rec.id, scores=scores)
 
@@ -437,6 +438,90 @@ def replace_pool_file(pool_dir, name: str, blob: bytes) -> None:
     manifest = json.loads(manifest_path.read_text())
     manifest["checksums"][name] = fileio.crc32c_hex(blob)
     manifest_path.write_text(json.dumps(manifest))
+
+
+def break_pool(pool_dir, violation: str, k: int, row: int, what) -> None:
+    """Rewrite one file of a valid pool as an encoder would write it, under a
+    matching checksum, to break one pool invariant at ``row`` of shard ``k``:
+    "id" gives the record id ``what``; "label" lists its second variant label
+    in place of its first; "source" drops caption label ``what`` and its
+    sidecars from the manifest; "zero" zeroes the row of sidecar source
+    ``what``, and "nan" or "inf" sets its entry 0 to NaN or -infinity."""
+    pool_dir = Path(pool_dir)
+    shard = f"shard-{k:05d}.cap"
+    if violation in ("id", "label"):
+        ids, labels, offsets, text = decode_shard(
+            (pool_dir / shard).read_bytes(), context=shard, num_labels=2**15 - 1)
+        if violation == "id":
+            ids[row] = what
+        else:
+            labels[row, 0] = labels[row, 1]
+        replace_pool_file(pool_dir, shard, encode_shard(
+            ShardColumns(ids, np.full(len(ids), -1), labels, offsets, text)))
+    elif violation == "source":
+        manifest = json.loads((pool_dir / "manifest.json").read_text())
+        manifest["embedding_sources"].remove(what)
+        for name in [name for name in manifest["checksums"] if f".{what}." in name]:
+            del manifest["checksums"][name]
+            (pool_dir / name).unlink()
+        (pool_dir / "manifest.json").write_text(json.dumps(manifest))
+    else:
+        name = f"shard-{k:05d}.{what}.f32"
+        mat = fileio.read_embeddings(pool_dir / name).copy()
+        mat[row, slice(None) if violation == "zero" else 0] = {
+            "zero": 0.0, "nan": np.nan, "inf": -np.inf}[violation]
+        replace_pool_file(pool_dir, name, fileio.encode_embeddings(mat))
+
+
+class BrokenPool(NamedTuple):
+    violation: str  # and `what`: as ``break_pool`` takes them
+    what: object
+    file: str  # the file it rewrites
+    read_error: str  # what reading that file raises
+    write_error: str  # the DataError of ``write_pool`` on the same record
+
+
+# A 5-record dim-4 pool at two records a shard, every record listing variants
+# "syn.a.1.00" and "syn.b.1.00", with pool row 3 (row 1 of shard 1) broken.
+BROKEN_POOLS = {
+    "repeated_id": BrokenPool("id", 1, "shard-00001.cap", "id 1 appears more than once",
+                              "id 1 appears more than once"),
+    "repeated_label": BrokenPool("label", None, "shard-00001.cap",
+                                 "shard-00001.cap: row 1 lists a variant label twice",
+                                 "record 3 lists a variant label twice"),
+    "label_without_embeddings": BrokenPool(
+        "source", "syn.b.1.00", "manifest.json",
+        "manifest.json: manifest field 'caption_labels' lists 'syn.b.1.00', which "
+        "'embedding_sources' lacks", "no embeddings for variant label 'syn.b.1.00'"),
+    "zero_row": BrokenPool("zero", "raw", "shard-00001.raw.f32",
+                           "shard-00001.raw.f32: zero-norm embedding at pool row 3",
+                           "source raw: zero-norm embedding at row 3"),
+}
+
+
+def broken_pool_inputs(case: str | None):
+    """(records, embeddings) for ``write_pool``: valid for case None, else
+    breaking ``BROKEN_POOLS[case]``'s invariant in record 3."""
+    rng = np.random.default_rng(0)
+    records = [Record(i, f"raw {i}", [CaptionVariant("a", 1.0, f"a {i}"),
+                                      CaptionVariant("b", 1.0, f"b {i}")]) for i in range(5)]
+    embeddings = {s: unit_rows(rng, 5, 4) for s in ("image", "raw", "syn.a.1.00", "syn.b.1.00")}
+    if case == "repeated_id":
+        records[3].id = 1
+    elif case == "repeated_label":
+        records[3].synthetic_variants[0] = CaptionVariant("b", 1.0, "b again")
+    elif case == "label_without_embeddings":
+        del embeddings["syn.b.1.00"]
+    elif case == "zero_row":
+        embeddings["raw"][3] = 0.0
+    return records, embeddings
+
+
+def write_broken_pool(out_dir, case: str) -> None:
+    """The valid pool of ``broken_pool_inputs``, then ``BROKEN_POOLS[case]``'s
+    rewrite."""
+    write_pool(*broken_pool_inputs(None), out_dir, records_per_shard=2)
+    break_pool(out_dir, BROKEN_POOLS[case].violation, 1, 1, BROKEN_POOLS[case].what)
 
 
 def set_sidecar_entry(pool_dir, name: str, row: int, value: float) -> None:

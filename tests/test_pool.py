@@ -1,4 +1,5 @@
 import json
+import re
 import tempfile
 
 import numpy as np
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 from capforge import fileio
 from capforge.cli import cli_main
 from capforge.curation import ClusterParams, CuratedSet, StrategySpec, in1k_cluster_mask
-from capforge.errors import DataError, FormatError, IntegrityError
+from capforge.errors import CapforgeError, DataError, FormatError, IntegrityError
 from capforge.pool import (
     CaptionVariant,
     Record,
@@ -24,8 +25,9 @@ from capforge.pool import (
 )
 from capforge.scoring import score_pool
 from helpers import (
-    RESHAPED_SIDECARS, build_plain_pool, handle_captions, read_records, record_captions,
-    unit_rows, write_nan_raw_pool, write_reshaped_pool,
+    BROKEN_POOLS, RESHAPED_SIDECARS, break_pool, broken_pool_inputs, build_plain_pool,
+    handle_captions, read_records, record_captions, unit_rows, write_broken_pool,
+    write_nan_raw_pool, write_reshaped_pool,
 )
 
 
@@ -47,13 +49,17 @@ def test_empty_pool(tmp_path):
     handle = open_pool(tmp_path)
     assert handle.num_records == 0
     assert validate_pool(handle).ok
+    assert handle.rows([]).tolist() == []
+    with pytest.raises(DataError, match="^curated entry references unknown record id 3$"):
+        handle.rows([3])
 
 
 def test_ceiling_division_sharding(tmp_path):
     rng = np.random.default_rng(0)
     write_pool(
         _records(3),
-        {"image": unit_rows(rng, 3, 4), "raw": unit_rows(rng, 3, 4)},
+        {"image": unit_rows(rng, 3, 4), "raw": unit_rows(rng, 3, 4),
+         "syn.blip2.0.75": unit_rows(rng, 3, 4)},
         tmp_path,
         records_per_shard=2,
     )
@@ -213,11 +219,11 @@ def test_write_pool_requires_image(tmp_path):
 
 
 def test_write_pool_refuses_a_non_empty_directory(tmp_path):
-    image = {"image": np.ones((3, 4), dtype=np.float32)}
+    image = {s: np.ones((3, 4), dtype=np.float32) for s in ("image", "syn.blip2.0.75")}
     write_pool(_records(3), image, tmp_path / "pool")
     before = sorted(p.name for p in (tmp_path / "pool").iterdir())
     with pytest.raises(DataError, match="not empty"):
-        write_pool(_records(2), {"image": image["image"][:2]}, tmp_path / "pool")
+        write_pool(_records(2), {s: m[:2] for s, m in image.items()}, tmp_path / "pool")
     assert sorted(p.name for p in (tmp_path / "pool").iterdir()) == before
     (tmp_path / "empty").mkdir()
     write_pool(_records(3), image, tmp_path / "empty")  # an empty directory is fine
@@ -228,40 +234,38 @@ def test_validate_clean(tmp_path):
     assert validate_pool(open_pool(tmp_path)).ok
 
 
-def test_validate_duplicate_id(tmp_path):
-    rng = np.random.default_rng(0)
-    records = _records(6, variants=())  # no variant lacking embeddings
-    records[4].id = records[1].id  # one duplicated id
-    write_pool(
-        records,
-        {"image": unit_rows(rng, 6, 4), "raw": unit_rows(rng, 6, 4)},
-        tmp_path,
-    )
-    report = validate_pool(open_pool(tmp_path))
-    assert len(report.by_kind("duplicate_id")) == 1
-    assert len(report.findings) == 1
+def test_validate_duplicate_id(tmp_path, capsys):
+    """A 5-record pool whose shard-00001.cap repeats id 1 is one finding
+    naming the id, and `mix --strategy raw_all` refuses it rather than
+    keeping 4 of its 5 records."""
+    write_broken_pool(tmp_path / "pool", "repeated_id")
+    report = validate_pool(open_pool(tmp_path / "pool"))
+    assert [(f.kind, f.file, f.message) for f in report.findings] == [
+        ("duplicate_id", None, "id 1 appears more than once")]
+    with pytest.raises(IntegrityError, match="^id 1 appears more than once$"):
+        open_pool(tmp_path / "pool").records()
+    capsys.readouterr()
+    assert cli_main(["mix", "--strategy", "raw_all", "--pool", str(tmp_path / "pool"),
+                     "--out", str(tmp_path / "c.jsonl")]) == 2
+    assert capsys.readouterr().err == "error: id 1 appears more than once\n"
+    assert not (tmp_path / "c.jsonl").exists()
 
 
-def test_validate_reports_repeated_variant_and_index_keeps_first_position(tmp_path):
-    records = [
-        Record(id=10, raw_caption="a", synthetic_variants=[
-            CaptionVariant("blip2", 0.75, "b0"), CaptionVariant("coca", 1.0, "c0")]),
-        Record(id=11, raw_caption="b", synthetic_variants=[
-            CaptionVariant("coca", 1.0, "c1"), CaptionVariant("blip2", 0.75, "b1"),
-            CaptionVariant("blip2", 0.75, "b1 again")]),
-        Record(id=12, raw_caption="c", synthetic_variants=[CaptionVariant("coca", 1.0, "c2")]),
-    ]
-    rng = np.random.default_rng(0)
-    embs = {s: unit_rows(rng, 3, 4) for s in ("image", "raw", "syn.blip2.0.75", "syn.coca.1.00")}
-    write_pool(records, embs, tmp_path)
-    handle = open_pool(tmp_path)
-    report = validate_pool(handle)
-    assert [(f.kind, f.record_index) for f in report.findings] == [("duplicate_variant", 1)]
-    assert "record 11" in report.findings[0].message
-    assert handle.variant_index("syn.blip2.0.75").tolist() == [0, 1, -1]
-    assert handle.variant_index("syn.coca.1.00").tolist() == [1, 0, 0]
-    assert handle.variant_index("syn.ghost.0.50").tolist() == [-1, -1, -1]
-    assert handle.caption(1, 2) == ("syn.blip2.0.75", "b1 again")
+def test_validate_reports_a_variant_label_listed_twice_as_its_shard(tmp_path, capsys):
+    """Pool row 3 lists "syn.b.1.00" twice: the shard read refuses it, so
+    `syn_all` cannot silently take the first of the two variants."""
+    write_broken_pool(tmp_path / "pool", "repeated_label")
+    message = "shard-00001.cap: row 1 lists a variant label twice"
+    report = validate_pool(open_pool(tmp_path / "pool"))
+    assert [(f.kind, f.file, f.message) for f in report.findings] == [
+        ("shard_error", "shard-00001.cap", message)]
+    with pytest.raises(FormatError, match=f"^{message}$"):
+        open_pool(tmp_path / "pool").variant_index("syn.b.1.00")
+    capsys.readouterr()
+    assert cli_main(["mix", "--strategy", "syn_all", "--syn-source", "syn.b.1.00", "--pool",
+                     str(tmp_path / "pool"), "--out", str(tmp_path / "c.jsonl")]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "c.jsonl").exists()
 
 
 _SOURCES = [("blip2", 0.75), ("coca", 1.0), ("ghost", 0.5)]
@@ -274,9 +278,11 @@ _CAPTIONS = st.text(st.sampled_from(["a", " ", "\x85", "\u2028", '"', "\\", "é"
         st.tuples(
             st.integers(-(2**63), 2**63 - 1),
             _CAPTIONS,
-            st.lists(st.tuples(st.sampled_from(_SOURCES), _CAPTIONS), max_size=3),
+            st.lists(st.tuples(st.sampled_from(_SOURCES), _CAPTIONS), max_size=3,
+                     unique_by=lambda variant: variant[0]),
         ),
         max_size=30,
+        unique_by=lambda record: record[0],
     ),
     records_per_shard=st.integers(1, 7),
 )
@@ -287,7 +293,8 @@ def test_caption_table_reads_every_record(pool, records_per_shard):
         for rec_id, raw, variants in pool
     ]
     with tempfile.TemporaryDirectory() as path:
-        write_pool(records, {"image": np.ones((len(records), 2), np.float32)}, path,
+        sources = ["image", *(f"syn.{src}.{temp:.2f}" for src, temp in _SOURCES)]
+        write_pool(records, {s: np.ones((len(records), 2), np.float32) for s in sources}, path,
                    records_per_shard=records_per_shard)
         handle = open_pool(path)
         assert len(handle.records()) == len(records)
@@ -336,8 +343,11 @@ def _encode(ids=_SHARD[0], prov=_SHARD[1], labels=_SHARD[2], texts=_SHARD[3], of
         np.array(offsets, np.uint64), b"".join(data)))
 
 
+_SHARD_EMBEDDINGS = {s: np.ones((3, 2), np.float32) for s in ("image", "syn.a.1.00", "syn.b.1.00")}
+
+
 def test_write_pool_writes_the_shard_layout(tmp_path):
-    write_pool(_SHARD_RECORDS, {"image": np.ones((3, 2), np.float32)}, tmp_path)
+    write_pool(_SHARD_RECORDS, _SHARD_EMBEDDINGS, tmp_path)
     assert (tmp_path / "shard-00000.cap").read_bytes() == _encode()
     assert json.loads((tmp_path / "manifest.json").read_text())["caption_labels"] == [
         "syn.a.1.00", "syn.b.1.00"]
@@ -370,6 +380,8 @@ _OFFSETS = [0, 2, 4, 6, 8, 10, 12]
                  r"label -2 outside \[-1, 2\)", id="label_below_minus_one"),
     pytest.param(lambda: _encode(labels=[[0, 1], [-1, 1], [-1, -1]]), FormatError,
                  "row 1 pads before a variant", id="pad_before_a_variant"),
+    pytest.param(lambda: _encode(labels=[[1, 1], [1, -1], [-1, -1]]), FormatError,
+                 "row 0 lists a variant label twice", id="label_twice_in_a_row"),
     pytest.param(lambda: _encode(texts=["r5", "a5", b"\xff5", "r6", "b6", "r7"]), FormatError,
                  "a caption is not UTF-8", id="invalid_utf8"),
     pytest.param(lambda: _encode(texts=["r5", "a5", b"\xc3", b"\xa95", "b6", "r7"]), FormatError,
@@ -379,7 +391,7 @@ def test_shard_decoder_check_is_an_error_and_a_finding(tmp_path, edit, error, ma
     blob = edit()
     with pytest.raises(error, match=f"^shard-00000.cap: {match}"):
         decode_shard(blob, context="shard-00000.cap", num_labels=2)
-    write_pool(_SHARD_RECORDS, {"image": np.ones((3, 2), np.float32)}, tmp_path)
+    write_pool(_SHARD_RECORDS, _SHARD_EMBEDDINGS, tmp_path)
     _rewrite_shard(tmp_path, "shard-00000.cap", blob)
     with pytest.raises(error, match=match):
         open_pool(tmp_path).records()
@@ -453,10 +465,11 @@ def test_write_pool_refuses_a_source_too_long_for_its_last_shard_file(tmp_path):
     pool of 100,001 shards has a 6-digit last shard.  (The longest source any
     pool takes is shorter: see the score sidecar test below.)"""
     image = np.ones((1, 2), np.float32)
-    write_pool(_records(1), {"image": image, "s" * 231: image}, tmp_path / "fits")
+    blip2 = {"syn.blip2.0.75": image}
+    write_pool(_records(1), {"image": image, **blip2, "s" * 231: image}, tmp_path / "fits")
     assert (tmp_path / "fits" / f"shard-00000.{'s' * 231}.f32").exists()
     with pytest.raises(DataError, match="source name too long: .* takes 256 bytes"):
-        write_pool(_records(1), {"image": image, "s" * 240: image}, tmp_path / "pool")
+        write_pool(_records(1), {"image": image, **blip2, "s" * 240: image}, tmp_path / "pool")
     assert not (tmp_path / "pool").exists()
     records = [Record(i, "r") for i in range(100_001)]
     image = np.ones((100_001, 2), np.float32)
@@ -470,10 +483,11 @@ def test_write_pool_refuses_a_source_too_long_for_its_score_sidecar(tmp_path, ca
     """`score` writes "{source}.scores.f32" through ".{name}.{pid}.tmp", 24
     bytes beside the source with a 7-digit pid: 231 bytes is the most."""
     image = np.ones((1, 2), np.float32)
+    blip2 = {"syn.blip2.0.75": image}
     with pytest.raises(DataError, match=r"source name too long: .*\.9999999\.tmp' takes 256"):
-        write_pool(_records(1), {"image": image, "s" * 232: image}, tmp_path / "pool")
+        write_pool(_records(1), {"image": image, **blip2, "s" * 232: image}, tmp_path / "pool")
     assert not (tmp_path / "pool").exists()
-    write_pool(_records(1), {"image": image, "s" * 231: image}, tmp_path / "fits")
+    write_pool(_records(1), {"image": image, **blip2, "s" * 231: image}, tmp_path / "fits")
     capsys.readouterr()
     assert cli_main(["score", "--pool", str(tmp_path / "fits"), "--source", "s" * 231]) == 0
     assert (tmp_path / "fits" / f"{'s' * 231}.scores.f32").exists()
@@ -554,14 +568,17 @@ def test_manifest_field_of_the_wrong_type_exits_2_with_one_line(
     assert len(err.splitlines()) == 1, err
 
 
-def test_validate_reports_variant_source_without_embeddings(tmp_path):
-    rng = np.random.default_rng(0)
-    records = _records(4, variants=(("blip2", 0.75), ("ghost", 1.0)))
-    embs = {s: unit_rows(rng, 4, 4) for s in ("image", "raw", "syn.blip2.0.75")}
-    write_pool(records, embs, tmp_path)
-    report = validate_pool(open_pool(tmp_path))
-    assert [(f.kind, f.record_index) for f in report.findings] == [("variant_source", 0)]
-    assert "syn.ghost.1.00" in report.findings[0].message
+def test_validate_reports_variant_source_without_embeddings(tmp_path, capsys):
+    """A manifest whose caption label "syn.b.1.00" has no embeddings opens
+    nowhere, so `validate` exits 2 with the one line naming the label."""
+    write_broken_pool(tmp_path, "label_without_embeddings")
+    message = BROKEN_POOLS["label_without_embeddings"].read_error
+    with pytest.raises(FormatError, match=f"/{re.escape(message)}$"):
+        open_pool(tmp_path)
+    capsys.readouterr()
+    assert cli_main(["validate", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.endswith(f"{message}\n"), err
 
 
 def test_malformed_shard_line_is_a_format_error_and_a_finding(tmp_path):
@@ -575,20 +592,24 @@ def test_malformed_shard_line_is_a_format_error_and_a_finding(tmp_path):
     assert "caption offsets" in findings[0].message
 
 
-@pytest.mark.parametrize("extra, kind", [(("b", 1.0), "duplicate_variant"),
-                                         (("ghost", 0.5), "variant_source")],
-                         ids=["repeated_variant", "variant_without_embeddings"])
-def test_validate_gives_pool_rows_after_a_shard_error(tmp_path, extra, kind):
+def test_validate_reports_a_repeated_id_after_a_skipped_shard(tmp_path):
+    """The ids of the shards that read are checked once a shard is skipped:
+    shard-00002.cap's ids become 5, held in shard-00001.cap too, and 2, held
+    only in the unread shard-00000.cap, so only 5 is reported."""
     records = [Record(i, f"raw {i}", [CaptionVariant("b", 1.0, f"syn {i}")]) for i in range(10)]
-    records[9].synthetic_variants.append(CaptionVariant(*extra, "extra"))
     rng = np.random.default_rng(0)
     write_pool(records, {s: unit_rows(rng, 10, 4) for s in ("image", "raw", "syn.b.1.00")},
                tmp_path, records_per_shard=4)
     victim = tmp_path / "shard-00000.cap"
     _rewrite_shard(tmp_path, victim.name, victim.read_bytes()[:-3])
+    _, labels, offsets, text = decode_shard((tmp_path / "shard-00002.cap").read_bytes(),
+                                            context="shard-00002.cap", num_labels=1)
+    _rewrite_shard(tmp_path, "shard-00002.cap", encode_shard(ShardColumns(
+        np.array([5, 2]), np.full(2, -1), labels, offsets, text)))
     report = validate_pool(open_pool(tmp_path))
-    assert [(f.kind, f.record_index) for f in report.findings] == [("shard_error", None),
-                                                                    (kind, 9)]
+    assert [(f.kind, f.file) for f in report.findings] == [("shard_error", "shard-00000.cap"),
+                                                           ("duplicate_id", None)]
+    assert report.findings[1].message == "id 5 appears more than once"
 
 
 def test_a_non_finite_sidecar_is_one_finding_naming_it(tmp_path):
@@ -599,14 +620,16 @@ def test_a_non_finite_sidecar_is_one_finding_naming_it(tmp_path):
 
 
 def test_validate_zero_norm_row(tmp_path):
-    rng = np.random.default_rng(0)
-    image = unit_rows(rng, 10, 4)
-    image[7] = 0.0
-    write_pool(_records(10), {"image": image, "raw": unit_rows(rng, 10, 4)}, tmp_path)
+    """An all-zero sidecar row is refused at the read, like a NaN: one
+    finding naming the sidecar and the pool row."""
+    write_broken_pool(tmp_path, "zero_row")
     report = validate_pool(open_pool(tmp_path))
-    findings = report.by_kind("zero_norm")
-    assert len(findings) == 1
-    assert findings[0].record_index == 7
+    assert [(f.kind, f.file, f.message) for f in report.findings] == [
+        ("sidecar_error", "shard-00001.raw.f32",
+         "shard-00001.raw.f32: zero-norm embedding at pool row 3")]
+    with pytest.raises(IntegrityError, match="^shard-00001.raw.f32: zero-norm embedding at "
+                       "pool row 3$"):
+        open_pool(tmp_path).embeddings("raw")
 
 
 def test_validate_dim_mismatch(tmp_path):
@@ -711,3 +734,98 @@ def test_score_sidecar_roundtrip(tmp_path):
     assert handle.has_scores("raw")
     back = handle.read_score_table("raw")
     assert np.array_equal(back.scores, table.scores)
+
+
+# ---------------------------------------------------------------------------
+# pool invariants: write_pool refuses each, and so does every read
+
+
+@pytest.mark.parametrize("case", sorted(BROKEN_POOLS))
+def test_write_pool_refuses_a_pool_breaking_an_invariant(tmp_path, case):
+    with pytest.raises(DataError, match=f"^{re.escape(BROKEN_POOLS[case].write_error)}$"):
+        write_pool(*broken_pool_inputs(case), tmp_path / "pool", records_per_shard=2)
+    assert not (tmp_path / "pool").exists()
+
+
+# case -> the commands that read the file it rewrites (`validate` too where
+# the pool does not open; else its one finding is checked above)
+_READERS = {
+    "repeated_id": ("filter", "mix", "metrics", "report"),
+    "repeated_label": ("filter", "mix", "metrics", "report"),
+    "label_without_embeddings": ("score", "filter", "mix", "metrics", "report", "validate"),
+    "zero_row": ("score", "filter", "mix", "metrics", "report"),
+}
+
+
+@pytest.mark.parametrize("case, command", [
+    (case, command) for case, commands in _READERS.items() for command in commands])
+def test_a_pool_breaking_an_invariant_exits_2_with_one_line_from_every_reader(
+        tmp_path, capsys, case, command):
+    pool, out = tmp_path / "pool", tmp_path / "out"
+    write_broken_pool(pool, case)
+    strategy = "raw_top" if case == "zero_row" else "raw_all"  # raw_all reads no sidecar
+    (tmp_path / "s.json").write_text(json.dumps([{"name": strategy, "p": 50}]))
+    (tmp_path / "c.jsonl").write_text("".join(json.dumps(obj) + "\n" for obj in [
+        {"strategy": "raw_all", "tau_used": None, "entries": 2, "spec": {"name": "raw_all"}},
+        {"id": 0, "cap": "raw"}, {"id": 4, "cap": 1}]))
+    args = {
+        "score": ["--source", "raw"],
+        "filter": ["--p", "50", "--out", str(out)],
+        "mix": ["--strategy", strategy, "--p", "50", "--out", str(out)],
+        "metrics": ["--curated", str(tmp_path / "c.jsonl"), "--out", str(out)],
+        "report": ["--strategies", str(tmp_path / "s.json"), "--out-dir", str(out)],
+    }
+    capsys.readouterr()
+    if command == "validate":
+        assert cli_main(["validate", str(pool)]) == 2
+    else:
+        assert cli_main([command, "--pool", str(pool), *args[command]]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.endswith(f"{BROKEN_POOLS[case].read_error}\n"), err
+    assert len(err.splitlines()) == 1, err
+    assert not out.exists() and not (pool / "raw.scores.f32").exists()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    ids=st.lists(st.integers(-20, 20), min_size=2, max_size=9, unique=True),
+    records_per_shard=st.integers(1, 4),
+    violation=st.sampled_from([None, "id", "label", "source", "zero", "nan", "inf"]),
+    data=st.data(),
+)
+def test_validate_passes_exactly_when_the_reads_pass(ids, records_per_shard, violation, data):
+    """At most one invariant broken by rewriting one file of a valid pool:
+    ``validate_pool`` is ok exactly when ``records()`` and every source's
+    ``embeddings()`` read (a manifest that does not open fails both)."""
+    records = [Record(rec_id, f"raw {rec_id}", [CaptionVariant("a", 1.0, "a"),
+                                                CaptionVariant("b", 1.0, "b")])
+               for rec_id in ids]
+    sources = ["image", "raw", "syn.a.1.00", "syn.b.1.00"]
+    row = data.draw(st.integers(0, len(ids) - 1))
+    what = data.draw({"id": st.sampled_from([i for i in ids if i != ids[row]]),
+                      "label": st.none(), "source": st.sampled_from(sources[2:])}
+                     .get(violation, st.sampled_from(sources)))
+    rng = np.random.default_rng(0)
+    with tempfile.TemporaryDirectory() as path:
+        write_pool(records, {s: unit_rows(rng, len(ids), 3) for s in sources}, path,
+                   records_per_shard=records_per_shard)
+        if violation is not None:
+            break_pool(path, violation, *divmod(row, records_per_shard), what)
+
+        def reads_pass() -> bool:
+            try:
+                handle = open_pool(path)
+                handle.records()
+                for source in handle.manifest.embedding_sources:
+                    handle.embeddings(source)
+            except CapforgeError:
+                return False
+            return True
+
+        def validate_passes() -> bool:
+            try:
+                return validate_pool(open_pool(path)).ok
+            except CapforgeError:
+                return False
+
+        assert validate_passes() == reads_pass() == (violation is None)

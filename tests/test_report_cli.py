@@ -30,8 +30,8 @@ from capforge.scoring import ScoreTables, score_pool
 from capforge.textmetrics import CaptionFeatures
 from capforge.errors import ConfigError
 from helpers import (
-    RESHAPED_SIDECARS, oracle_quality_report, read_records, set_sidecar_entry, unit_rows,
-    write_nan_raw_pool, write_reshaped_pool,
+    BROKEN_POOLS, RESHAPED_SIDECARS, oracle_quality_report, read_records, set_sidecar_entry,
+    unit_rows, write_broken_pool, write_nan_raw_pool, write_reshaped_pool,
 )
 
 
@@ -144,6 +144,15 @@ def non_finite_pools(tmp_path_factory):
 
 
 @pytest.fixture(scope="module")
+def broken_pools(tmp_path_factory):
+    """A pool per ``BROKEN_POOLS`` case."""
+    root = tmp_path_factory.mktemp("broken")
+    for case in BROKEN_POOLS:
+        write_broken_pool(root / case, case)
+    return {case: root / case for case in BROKEN_POOLS}
+
+
+@pytest.fixture(scope="module")
 def two_captioner_pool(tmp_path_factory):
     path = tmp_path_factory.mktemp("report") / "pool2"
     syn = [SynSource("blip2", 0.75, 0.7), SynSource("coca", 1.0, 0.5)]
@@ -224,7 +233,7 @@ def _float_bits(row: dict) -> dict:
 @given(
     records=st.lists(
         st.tuples(_CAPTION, st.lists(st.tuples(st.sampled_from(_VARIANTS), _CAPTION),
-                                     max_size=2)),
+                                     max_size=2, unique_by=lambda variant: variant[0])),
         min_size=1, max_size=16,
     ),
     seed=st.integers(0, 2**32),
@@ -896,6 +905,10 @@ _MISCOUNTED = [f"manifest_{count}_{command}" for count in (7, 3)
 _RESHAPED = {f"{case}_{command}": (case, command) for case, command in [
     ("raw_4_rows", "score"), ("raw_4_rows", "filter"), ("raw_4_rows", "mix"),
     ("raw_dim_3", "score"), ("second_image_dim_3", "in1k")]}
+# (pool case, command) of ``BROKEN_POOLS``: a pool that breaks an invariant
+_BROKEN = {f"{case}_{command}": (case, command) for case, command in [
+    ("repeated_id", "mix"), ("repeated_label", "syn_all"), ("label_without_embeddings", "score"),
+    ("zero_row", "filter")]}
 # pool case -> the one error line: a sidecar entry that is NaN or infinite
 _NON_FINITE = {
     "raw_nan_score": "shard-00000.raw.f32: non-finite entry at pool row 2",
@@ -915,11 +928,13 @@ _NON_FINITE = {
     + [("shard_bad_label_mix", 2), ("curated_truncated", 2), ("curated_count_not_integer", 2)]
     + [("sweep_scales_not_integers", 1), ("sweep_scale_zero", 1)]
     + [("syn_all_variant_missing", 2)] + [(name, 2) for name in _MISCOUNTED]
-    + [(name, 2) for name in _RESHAPED] + [(name, 2) for name in _NON_FINITE],
+    + [(name, 2) for name in _RESHAPED] + [(name, 2) for name in _NON_FINITE]
+    + [(name, 2) for name in _BROKEN],
 )
 def test_cli_malformed_input_exits_without_traceback(
     small_pool, two_captioner_pool, truncated_line_pool, corrupt_scores_pool, bad_label_pool,
-    truncated_curated, edited_pools, reshaped_pools, non_finite_pools, tmp_path, case, code,
+    truncated_curated, edited_pools, reshaped_pools, non_finite_pools, broken_pools, tmp_path,
+    case, code,
 ):
     if case.startswith("sweep_"):
         config, strategies = tmp_path / "g.json", tmp_path / "s.json"
@@ -958,6 +973,15 @@ def test_cli_malformed_input_exits_without_traceback(
                                    str(non_finite_pools["refs.f32"]), "--cluster-k", "4",
                                    "--pool", pool, "--out", str(tmp_path / "c.jsonl")],
                 }[case]
+    elif case in _BROKEN:
+        pool_case, command = _BROKEN[case]
+        pool, out = str(broken_pools[pool_case]), str(tmp_path / "c.jsonl")
+        args = {"mix": ["mix", "--strategy", "raw_all", "--pool", pool, "--out", out],
+                "syn_all": ["mix", "--strategy", "syn_all", "--syn-source", "syn.b.1.00",
+                            "--pool", pool, "--out", out],
+                "score": ["score", "--pool", pool, "--source", "raw"],
+                "filter": ["filter", "--p", "50", "--pool", pool, "--out", out],
+                }[command]
     elif case == "shard_bad_label_mix":
         args = ["mix", "--strategy", "raw_all", "--pool", str(bad_label_pool),
                 "--out", str(tmp_path / "c.jsonl")]
@@ -1028,4 +1052,8 @@ def test_cli_malformed_input_exits_without_traceback(
     if case in _NON_FINITE:  # the sidecar and pool row are named, and nothing is written
         assert proc.stderr == f"error: {_NON_FINITE[case]}\n"
         assert not (non_finite_pools[case] / "raw.scores.f32").exists()
+        assert not (tmp_path / "c.jsonl").exists()
+    if case in _BROKEN:  # the read's one line, and nothing is written
+        assert proc.stderr.endswith(f"{BROKEN_POOLS[_BROKEN[case][0]].read_error}\n"), proc.stderr
+        assert not (broken_pools[_BROKEN[case][0]] / "raw.scores.f32").exists()
         assert not (tmp_path / "c.jsonl").exists()

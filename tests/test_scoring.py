@@ -9,7 +9,7 @@ from capforge.cli import cli_main
 from capforge.errors import DataError, DomainError, IntegrityError
 from capforge.pool import CaptionVariant, Record, open_pool, write_pool
 from capforge.scoring import clip_s, cosine, recall_at_1, score_pool
-from helpers import select_best_variant, unit_rows, variant_scores
+from helpers import select_best_variant, unit_rows, variant_scores, write_broken_pool
 
 finite_floats = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
 
@@ -119,13 +119,9 @@ def test_score_pool_refuses_a_manifest_that_miscounts_rows_and_writes_nothing(tm
 
 
 def test_score_names_the_sidecar_and_pool_row_of_a_zero_norm_row(tmp_path, capsys):
-    rng = np.random.default_rng(0)
-    raw = unit_rows(rng, 5, 4)
-    raw[3] = 0.0
-    write_pool([Record(i, f"r{i}") for i in range(5)],
-               {"image": unit_rows(rng, 5, 4), "raw": raw}, tmp_path, records_per_shard=2)
-    message = "shard-00001.raw.f32: zero-norm embedding at pool row 3, cosine undefined"
-    with pytest.raises(DomainError, match=f"^{message}$"):
+    write_broken_pool(tmp_path, "zero_row")  # pool row 3 of "raw" is all zeros
+    message = "shard-00001.raw.f32: zero-norm embedding at pool row 3"
+    with pytest.raises(IntegrityError, match=f"^{message}$"):
         score_pool(open_pool(tmp_path), "raw")
     strategies = tmp_path / "s.json"
     strategies.write_text(json.dumps([{"name": "raw_top", "p": 50}]))
