@@ -25,10 +25,8 @@ from .errors import (
 )
 from .pool import (
     CaptionTable,
-    CaptionVariant,
     PoolHandle,
     PoolManifest,
-    Record,
     ScoreTable,
     materialize,
     open_pool,
@@ -39,7 +37,6 @@ from .poolgen import GenConfig, SynSource, attach_alignment, embed_concept, gene
 from .report import MetricConfig, QualityReport, SweepResult, run_report, run_sweep
 from .scoring import clip_s, cosine, recall_at_1, score_pool
 from .textmetrics import (
-    diversity_curve,
     grounding_ratio,
     sample_subset,
     tokenize,

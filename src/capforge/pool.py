@@ -93,26 +93,9 @@ def score_sidecar_name(name: str) -> str:
     return f"{name}.scores.f32"
 
 
-@dataclass(frozen=True)
-class CaptionVariant:
-    source_name: str
-    temperature: float
-    text: str
-
-
-@dataclass
-class Record:
-    """One image-text sample plus its generated caption variants, as
-    ``write_pool`` takes it (a shard keeps each variant's source label)."""
-
-    id: int
-    raw_caption: str
-    synthetic_variants: list[CaptionVariant] = field(default_factory=list)
-    prov: int | None = None  # source record id in materialized pools; -1 reads as None
-
-
 class ShardColumns(NamedTuple):
-    """One caption shard's columns as ``write_shard`` stores them."""
+    """Caption columns as a shard stores them: one shard's for ``write_shard``,
+    a whole pool's for ``write_pool``."""
 
     ids: np.ndarray  # (N,) int64
     prov: np.ndarray  # (N,) int64, -1 for none
@@ -132,13 +115,48 @@ def encode_shard(columns: ShardColumns) -> bytes:
     ))
 
 
+def check_captions(labels: np.ndarray, offsets: np.ndarray, text: bytes, *, context: str,
+                   num_labels: int, error: type[Exception]) -> None:
+    """Raise ``error`` naming ``context`` unless caption columns hold a shard's
+    rules: labels in [-1, ``num_labels``), -1 only after a row's variants and
+    no label twice in a row; offsets that rise from 0 to the end of ``text``
+    over each row's raw caption and variants; UTF-8 text in which no caption
+    starts inside a character."""
+    bad = labels[(labels < -1) | (labels >= num_labels)]
+    if bad.size:
+        raise error(f"{context}: label {bad[0]} outside [-1, {num_labels})")
+    held = labels >= 0
+    gaps = (held[:, 1:] > held[:, :-1]).any(axis=1)
+    if gaps.any():
+        raise error(f"{context}: row {np.argmax(gaps)} pads before a variant")
+    ordered = np.sort(labels, axis=1)
+    twice = ((ordered[:, 1:] == ordered[:, :-1]) & (ordered[:, 1:] >= 0)).any(axis=1)
+    if twice.any():
+        raise error(f"{context}: row {np.argmax(twice)} lists a variant label twice")
+    if (len(offsets) != len(labels) + held.sum() + 1 or offsets[0] != 0
+            or offsets[-1] != len(text) or (offsets[1:] < offsets[:-1]).any()):
+        raise error(f"{context}: caption offsets do not rise from 0 to the "
+                    f"{len(text)}-byte text buffer's end")
+    # Each caption is UTF-8 exactly when the whole buffer is and no caption
+    # starts on a continuation byte (0b10xxxxxx), that is inside a character.
+    try:
+        text.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise error(f"{context}: a caption is not UTF-8: {exc}") from None
+    firsts = offsets[:-1][offsets[:-1] < len(text)]
+    split = np.flatnonzero((np.frombuffer(text, np.uint8)[firsts] & 0xC0) == 0x80)
+    if split.size:
+        raise error(f"{context}: a caption is not UTF-8: caption {split[0]} starts "
+                    "inside a character")
+
+
 def decode_shard(
     blob: bytes, *, context: str, num_labels: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, bytes]:
     """(ids, labels, offsets, text) of a caption shard: ``text`` is its UTF-8
     buffer and ``offsets`` (int64) bound each record's raw caption and then
-    its variants, record by record.  A shard that breaks the layout (or lists
-    a label twice in a row) raises a FormatError or IntegrityError naming it."""
+    its variants, record by record.  A shard that breaks the layout or
+    ``check_captions`` raises a FormatError or IntegrityError naming it."""
     if len(blob) < 16 or blob[:4] != SHARD_MAGIC:
         raise FormatError(f"{context}: not a CAP2 caption shard")
     width, rows = struct.unpack_from("<IQ", blob, 4)
@@ -149,38 +167,14 @@ def decode_shard(
     ids = np.frombuffer(blob, "<i8", rows, 16).astype(np.int64)
     labels = np.frombuffer(blob, "<i2", rows * width, 16 + 16 * rows).reshape(rows, width)
     labels = labels.astype(np.int16)
-    bad = labels[(labels < -1) | (labels >= num_labels)]
-    if bad.size:
-        raise FormatError(f"{context}: label {bad[0]} outside [-1, {num_labels})")
-    held = labels >= 0
-    gaps = (held[:, 1:] > held[:, :-1]).any(axis=1)
-    if gaps.any():
-        raise FormatError(f"{context}: row {np.argmax(gaps)} pads before a variant")
-    ordered = np.sort(labels, axis=1)
-    twice = ((ordered[:, 1:] == ordered[:, :-1]) & (ordered[:, 1:] >= 0)).any(axis=1)
-    if twice.any():
-        raise FormatError(f"{context}: row {np.argmax(twice)} lists a variant label twice")
-    count = rows + int(held.sum())
+    count = rows + int((labels >= 0).sum())
     start = head + 8 * (count + 1)
     if len(blob) < start:
         raise IntegrityError(f"{context}: {len(blob)} bytes, its header implies at least {start}")
-    offsets = np.frombuffer(blob, "<u8", count + 1, head)
-    if offsets[0] != 0 or offsets[-1] != len(blob) - start or (offsets[1:] < offsets[:-1]).any():
-        raise FormatError(f"{context}: caption offsets do not rise from 0 to the "
-                          f"{len(blob) - start}-byte text buffer's end")
-    offsets, text = offsets.astype(np.int64), blob[start:]
-    # Each caption is UTF-8 exactly when the whole buffer is and no caption
-    # starts on a continuation byte (0b10xxxxxx), that is inside a character.
-    try:
-        text.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise FormatError(f"{context}: a caption is not UTF-8: {exc}") from None
-    firsts = offsets[:-1][offsets[:-1] < len(text)]
-    split = np.flatnonzero((np.frombuffer(text, np.uint8)[firsts] & 0xC0) == 0x80)
-    if split.size:
-        raise FormatError(f"{context}: a caption is not UTF-8: caption {split[0]} starts "
-                          "inside a character")
-    return ids, labels, offsets, text
+    offsets, text = np.frombuffer(blob, "<u8", count + 1, head), blob[start:]
+    check_captions(labels, offsets, text, context=context, num_labels=num_labels,
+                   error=FormatError)
+    return ids, labels, offsets.astype(np.int64), text
 
 
 @dataclass(frozen=True)
@@ -380,19 +374,36 @@ def new_pool_dir(out_path: str | Path) -> Path:
 
 
 def write_pool(
-    records: Iterable[Record],
+    columns: ShardColumns,
+    caption_labels: Sequence[str],
     embeddings: Mapping[str, np.ndarray],
     out_path: str | Path,
     *,
     records_per_shard: int = 1000,
 ) -> PoolManifest:
-    """Write a pool directory from records and per-source (rows, dim)
-    matrices; every check, the reads' too, runs before the directory is made."""
-    record_list = list(records)
-    n = len(record_list)
-    if "image" not in embeddings:
-        raise DataError('embedding source "image" is required')
+    """Write a pool directory from the caption columns of all its records,
+    whose labels index ``caption_labels``, and per-source (rows, dim)
+    matrices.  Shard k holds rows ``k * records_per_shard`` onward: a slice
+    of each column, its offsets re-based to 0, at the pool's variant width.
+    The reads' checks (``check_captions``, ``id_order``, ``first_bad_row``,
+    the manifest's field rules) all run before the directory is made."""
+    ids, prov, labels, offsets = map(np.asarray, columns[:4])
+    for name, col, ndim in zip(ShardColumns._fields, (ids, prov, labels, offsets), (1, 1, 2, 1)):
+        if col.dtype.kind not in "iu" or col.ndim != ndim:
+            raise DataError(f"column {name} must be {ndim}-d integers, got {col.dtype} of "
+                            f"shape {col.shape}")
+    if (ids.astype(np.int64) != ids).any() or (prov.astype(np.int64) != prov).any():
+        raise DataError("columns ids and prov must fit int64")
+    if not len(ids) == len(prov) == len(labels):
+        raise DataError(f"columns ids, prov and labels must hold one row per record, got "
+                        f"{len(ids)}, {len(prov)} and {len(labels)} rows")
+    if not isinstance(text := columns.text, bytes):
+        raise DataError(f"column text must be bytes, got {type(text).__name__}")
+    n = len(ids)
     sizes = shard_layout(n, records_per_shard)
+    check_captions(labels, offsets, text, context="captions",
+                   num_labels=len(caption_labels), error=DataError)
+    id_order(ids, DataError)
 
     matrices: dict[str, np.ndarray] = {}
     dim: int | None = None
@@ -417,56 +428,23 @@ def write_pool(
                 what = "zero-norm embedding" if bad[1] else "non-finite entry"
                 raise DataError(f"source {source}: {what} at row {bad[0]}")
         matrices[source] = mat
-    if dim is None:
-        dim = 0
-    index: dict[str, int] = {}
-    labels = [[index.setdefault(variant_source_label(v.source_name, v.temperature), len(index))
-               for v in r.synthetic_variants] for r in record_list]
-    if len(index) > MAX_CAPTION_LABELS:
-        raise DataError(f"{len(index)} variant source labels, more than {MAX_CAPTION_LABELS}")
-    lacking = sorted(index.keys() - matrices.keys())
-    if lacking:
-        raise DataError(f"no embeddings for variant label {lacking[0]!r}")
-    width = max(map(len, labels), default=0)
-    for r, row in zip(record_list, labels):
-        if r.prov == -1:
-            raise DataError(f"record {r.id}: prov -1 cannot be stored; a shard reads -1 as no "
-                            "source record")
-        if len({*row}) < len(row):
-            raise DataError(f"record {r.id} lists a variant label twice")
+    manifest = PoolManifest(FORMAT_VERSION, n, len(sizes), records_per_shard, dim or 0,
+                            list(matrices), list(caption_labels))
     try:
-        ids = np.array([r.id for r in record_list], np.int64)
-        prov = np.array([-1 if r.prov is None else r.prov for r in record_list], np.int64)
-        captions = [[r.raw_caption, *(v.text for v in r.synthetic_variants)] for r in record_list]
-        texts = [[t.encode("utf-8") for t in record] for record in captions]
-    except (OverflowError, UnicodeEncodeError) as exc:
-        raise DataError(f"records do not fit a caption shard: {exc}") from None
-    id_order(ids, DataError)
+        PoolManifest.from_json(manifest.to_json(), context=MANIFEST_NAME)
+    except FormatError as exc:
+        raise DataError(str(exc)) from None
     out_dir = new_pool_dir(out_path)
 
-    checksums: dict[str, str] = {}
-    offset = 0
+    # record r's captions start at caption first[r]
+    first = np.concatenate(([0], np.cumsum(1 + (labels >= 0).sum(axis=1))))
     for k, size in enumerate(sizes):
-        rows = slice(offset, offset + size)
-        captions = [t for record in texts[rows] for t in record]
-        columns = ShardColumns(
-            ids[rows], prov[rows],
-            np.array([row + [-1] * (width - len(row)) for row in labels[rows]], np.int16),
-            np.cumsum([0, *map(len, captions)]), b"".join(captions))
-        shard_embs = {s: m[rows] for s, m in matrices.items()}
-        checksums.update(write_shard(out_dir, k, columns, shard_embs))
-        offset += size
-
-    manifest = PoolManifest(
-        format_version=FORMAT_VERSION,
-        num_records=n,
-        num_shards=len(sizes),
-        records_per_shard=records_per_shard,
-        embedding_dim=dim,
-        embedding_sources=list(matrices.keys()),
-        caption_labels=list(index),
-        checksums=checksums,
-    )
+        rows = slice(k * records_per_shard, k * records_per_shard + size)
+        bounds = offsets[first[rows.start] : first[rows.stop] + 1]
+        shard = ShardColumns(ids[rows], prov[rows], labels[rows], bounds - bounds[0],
+                             text[bounds[0] : bounds[-1]])
+        manifest.checksums |= write_shard(out_dir, k, shard,
+                                          {s: m[rows] for s, m in matrices.items()})
     write_manifest(out_dir, manifest)
     return manifest
 
@@ -681,31 +659,46 @@ def validate_pool(handle: PoolHandle) -> ValidationReport:
     return report
 
 
+def _join_ranges(buffer, starts: np.ndarray, ends: np.ndarray) -> bytes:
+    """``buffer[starts[i]:ends[i]]`` for every i, joined; gathered 2**16
+    ranges at a time, so no index array spans the whole result."""
+    data, lengths, parts = np.frombuffer(buffer, np.uint8), ends - starts, []
+    for at in range(0, len(starts), 2**16):
+        size = lengths[at : at + 2**16]
+        index = np.repeat(starts[at : at + 2**16] - np.cumsum(size) + size, size)
+        parts.append(data[index + np.arange(len(index))].tobytes())
+    return b"".join(parts)
+
+
 def materialize(
     handle: PoolHandle,
     curated,
     out_path: str | Path,
 ) -> PoolManifest:
-    """Write the training pool a curated selection defines.
+    """Write the training pool a curated selection defines, by gathering
+    columns.
 
     Each curated entry becomes one output record: the chosen caption is
     written as the raw caption, its text embedding as source "raw", and the
-    source record id is kept in the ``prov`` field.  New ids are sequential
-    so duplicated records (concatenation strategies) stay distinct.
+    source record id is kept in the ``prov`` column.  New ids are sequential
+    so duplicated records (concatenation strategies) stay distinct.  A shard
+    reads prov -1 as none, so a source id of -1 is refused.
     """
-    rows = handle.rows(curated.ids()).tolist()
-    out_records: list[Record] = []
-    text_rows: list[np.ndarray] = []
-    for new_id, ((rec_id, cap), row) in enumerate(zip(curated.entries.tolist(), rows)):
-        source, caption = handle.caption(row, cap)
-        out_records.append(Record(id=new_id, raw_caption=caption, prov=rec_id))
-        text_rows.append(handle.embeddings(source)[row])
-
+    prov = curated.ids()
+    rows = handle.rows(prov)
+    label_ids, text_ids = handle.caption_ids(rows, curated.entries[:, 1])
+    if (bad := np.flatnonzero(prov == -1)).size:
+        raise DataError(f"record {bad[0]}: prov -1 cannot be stored; a shard reads -1 as no "
+                        "source record")
+    table = handle.records()
+    starts, ends = table.offsets[text_ids], table.offsets[text_ids + 1]
     image = handle.embeddings("image")[rows]
-    text = np.stack(text_rows) if text_rows else np.zeros_like(image)
-    return write_pool(
-        out_records,
-        {"image": image, "raw": text},
-        out_path,
-        records_per_shard=handle.manifest.records_per_shard,
-    )
+    text = np.empty_like(image)
+    for label in np.unique(label_ids).tolist():
+        at = label_ids == label
+        text[at] = handle.embeddings(table.labels[label])[rows[at]]
+    columns = ShardColumns(np.arange(len(rows)), prov, np.zeros((len(rows), 0), np.int16),
+                           np.concatenate(([0], np.cumsum(ends - starts))),
+                           _join_ranges(table.text, starts, ends))
+    return write_pool(columns, [], {"image": image, "raw": text}, out_path,
+                      records_per_shard=handle.manifest.records_per_shard)

@@ -1,5 +1,5 @@
 """Caption-quality statistics: token counts, grounding ratio, n-gram
-diversity, subset sampling, and diversity scaling curves.
+diversity and subset sampling.
 
 Tokenization is fixed: NFC-normalize, lowercase, treat every character
 outside [a-z0-9] as a separator.  Nouns are identified against a lexicon
@@ -19,14 +19,13 @@ import re
 import unicodedata
 from importlib import resources
 from pathlib import Path
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
 from . import fileio
 from .curation import CuratedSet
 from .errors import DataError, DomainError
-from .pool import PoolHandle
 
 _TOKEN_RE = re.compile(r"[a-z0-9]+")
 
@@ -333,55 +332,6 @@ def sample_subset(curated: CuratedSet, n: int, seed: int) -> CuratedSet:
     return CuratedSet(
         entries=curated.entries[chosen], spec=curated.spec, tau_used=curated.tau_used
     )
-
-
-class DiversityPoint(NamedTuple):
-    subset_size: int
-    unique_trigrams: int
-    unique_nouns: int
-
-
-def diversity_curve(
-    handle: PoolHandle,
-    curated: CuratedSet,
-    sizes: Sequence[int],
-    seed: int,
-    noun_lexicon: set[str],
-) -> list[DiversityPoint]:
-    """Diversity counts over nested random subsets of the curated captions.
-
-    One seeded shuffle defines the sample order; each requested size is a
-    prefix of it, so counts are nondecreasing in size by construction.
-    """
-    total = len(curated.entries)
-    if not sizes:
-        return []
-    if list(sizes) != sorted(set(int(s) for s in sizes)):
-        raise DomainError("sizes must be strictly increasing")
-    if sizes[0] < 0 or sizes[-1] > total:
-        raise DomainError(f"sizes must lie in [0, {total}]")
-    if not noun_lexicon:
-        raise DomainError("diversity_curve requires a nonempty lexicon")
-
-    order = np.random.default_rng(seed).permutation(total)
-    _, text_ids = handle.caption_ids(handle.rows(curated.ids()), curated.entries[:, 1])
-    table = handle.records()
-    features = CaptionFeatures(table.text, table.offsets, frozenset(), noun_lexicon)
-    # a caption enters the nested samples at its first position in order
-    distinct, first = np.unique(text_ids[order], return_index=True)
-    tokens, lengths = features.token_ids(distinct)
-    owner = np.repeat(first, lengths)
-    keys = trigram_keys(tokens, lengths, len(features.is_noun))
-    key_owner = owner[_window_starts(lengths)]
-    noun = features.is_noun[tokens]
-    return [
-        DiversityPoint(
-            int(size),
-            len(_distinct(keys[key_owner < size])),
-            len(_distinct(tokens[noun & (owner < size)])),
-        )
-        for size in sizes
-    ]
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import math
 import struct
+from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
 from typing import NamedTuple
@@ -22,8 +23,7 @@ from capforge._words import BOILERPLATE_CAPTIONS, FILLER_WORDS, SYN_TEMPLATES, c
 from capforge.curation import KMeansStep, _kmeans_pp_init
 from capforge.errors import DataError
 from capforge.pool import (
-    CaptionVariant, Record, ShardColumns, decode_shard, encode_shard, variant_source_label,
-    write_pool,
+    ShardColumns, decode_shard, encode_shard, variant_source_label, write_pool,
 )
 from capforge.poolgen import (
     _captioner_vocab,
@@ -131,6 +131,65 @@ def oracle_strategy(
     if in1k is not None:
         entries = {(i, c) for i, c in entries if i in in1k}
     return entries
+
+
+@dataclass(frozen=True)
+class CaptionVariant:
+    source_name: str
+    temperature: float
+    text: str
+
+
+@dataclass
+class Record:
+    """One image-text sample plus its generated caption variants, as
+    ``record_columns`` takes it (a shard keeps each variant's source label)."""
+
+    id: int
+    raw_caption: str
+    synthetic_variants: list[CaptionVariant] = field(default_factory=list)
+    prov: int | None = None  # source record id in materialized pools; -1 reads as None
+
+
+def record_columns(records) -> tuple[ShardColumns, list[str]]:
+    """The caption columns of ``records`` and the labels they index, built
+    record by record: each variant's source label numbered in order of first
+    appearance, every row padded with -1 to the most variants any record
+    has, and each caption encoded as UTF-8 on its own."""
+    index: dict[str, int] = {}
+    labels = [[index.setdefault(variant_source_label(v.source_name, v.temperature), len(index))
+               for v in r.synthetic_variants] for r in records]
+    width = max(map(len, labels), default=0)
+    texts = [text.encode("utf-8") for r in records
+             for text in [r.raw_caption, *(v.text for v in r.synthetic_variants)]]
+    columns = ShardColumns(
+        np.array([r.id for r in records], np.int64),
+        np.array([-1 if r.prov is None else r.prov for r in records], np.int64),
+        np.array([row + [-1] * (width - len(row)) for row in labels], np.int64).reshape(
+            len(records), width),
+        np.cumsum([0, *map(len, texts)]), b"".join(texts))
+    return columns, list(index)
+
+
+def write_records(records, embeddings, out_path, **options):
+    """``write_pool`` of ``record_columns(records)``."""
+    return write_pool(*record_columns(records), embeddings, out_path, **options)
+
+
+def materialize_by_records(handle, curated, out_path):
+    """``materialize`` entry by entry: one ``Record`` per curated entry from
+    ``handle.caption``, one embedding row copied for each, then
+    ``write_records``."""
+    rows = handle.rows(curated.ids()).tolist()
+    records, text_rows = [], []
+    for new_id, ((rec_id, cap), row) in enumerate(zip(curated.entries.tolist(), rows)):
+        source, caption = handle.caption(row, cap)
+        records.append(Record(id=new_id, raw_caption=caption, prov=rec_id))
+        text_rows.append(handle.embeddings(source)[row])
+    image = handle.embeddings("image")[rows]
+    text = np.stack(text_rows) if text_rows else np.zeros_like(image)
+    return write_records(records, {"image": image, "raw": text}, out_path,
+                         records_per_shard=handle.manifest.records_per_shard)
 
 
 def _variant(label: str, text: str) -> CaptionVariant:
@@ -424,9 +483,9 @@ def write_reshaped_pool(out_dir, case: str) -> str:
     it replaced."""
     records_per_shard, victim, shape = RESHAPED_SIDECARS[case]
     rng = np.random.default_rng(0)
-    write_pool([Record(i, f"raw {i}") for i in range(5)],
-               {s: unit_rows(rng, 5, 4) for s in ("image", "raw")}, out_dir,
-               records_per_shard=records_per_shard)
+    write_records([Record(i, f"raw {i}") for i in range(5)],
+                  {s: unit_rows(rng, 5, 4) for s in ("image", "raw")}, out_dir,
+                  records_per_shard=records_per_shard)
     replace_pool_file(out_dir, victim, fileio.encode_embeddings(unit_rows(rng, *shape)))
     return victim
 
@@ -478,7 +537,7 @@ class BrokenPool(NamedTuple):
     what: object
     file: str  # the file it rewrites
     read_error: str  # what reading that file raises
-    write_error: str  # the DataError of ``write_pool`` on the same record
+    write_error: str  # the DataError of ``write_records`` on the same record
 
 
 # A 5-record dim-4 pool at two records a shard, every record listing variants
@@ -488,11 +547,12 @@ BROKEN_POOLS = {
                               "id 1 appears more than once"),
     "repeated_label": BrokenPool("label", None, "shard-00001.cap",
                                  "shard-00001.cap: row 1 lists a variant label twice",
-                                 "record 3 lists a variant label twice"),
+                                 "captions: row 3 lists a variant label twice"),
     "label_without_embeddings": BrokenPool(
         "source", "syn.b.1.00", "manifest.json",
         "manifest.json: manifest field 'caption_labels' lists 'syn.b.1.00', which "
-        "'embedding_sources' lacks", "no embeddings for variant label 'syn.b.1.00'"),
+        "'embedding_sources' lacks", "manifest.json: manifest field 'caption_labels' lists "
+        "'syn.b.1.00', which 'embedding_sources' lacks"),
     "zero_row": BrokenPool("zero", "raw", "shard-00001.raw.f32",
                            "shard-00001.raw.f32: zero-norm embedding at pool row 3",
                            "source raw: zero-norm embedding at row 3"),
@@ -500,7 +560,7 @@ BROKEN_POOLS = {
 
 
 def broken_pool_inputs(case: str | None):
-    """(records, embeddings) for ``write_pool``: valid for case None, else
+    """(records, embeddings) for ``write_records``: valid for case None, else
     breaking ``BROKEN_POOLS[case]``'s invariant in record 3."""
     rng = np.random.default_rng(0)
     records = [Record(i, f"raw {i}", [CaptionVariant("a", 1.0, f"a {i}"),
@@ -520,7 +580,7 @@ def broken_pool_inputs(case: str | None):
 def write_broken_pool(out_dir, case: str) -> None:
     """The valid pool of ``broken_pool_inputs``, then ``BROKEN_POOLS[case]``'s
     rewrite."""
-    write_pool(*broken_pool_inputs(None), out_dir, records_per_shard=2)
+    write_records(*broken_pool_inputs(None), out_dir, records_per_shard=2)
     break_pool(out_dir, BROKEN_POOLS[case].violation, 1, 1, BROKEN_POOLS[case].what)
 
 
@@ -535,8 +595,8 @@ def set_sidecar_entry(pool_dir, name: str, row: int, value: float) -> None:
 def write_nan_raw_pool(out_dir) -> None:
     """A 5-record dim-4 pool whose ``shard-00000.raw.f32`` holds a NaN in row 2."""
     rng = np.random.default_rng(0)
-    write_pool([Record(i, f"raw {i}") for i in range(5)],
-               {s: unit_rows(rng, 5, 4) for s in ("image", "raw")}, out_dir)
+    write_records([Record(i, f"raw {i}") for i in range(5)],
+                  {s: unit_rows(rng, 5, 4) for s in ("image", "raw")}, out_dir)
     set_sidecar_entry(out_dir, "shard-00000.raw.f32", 2, np.nan)
 
 
@@ -565,7 +625,4 @@ def build_plain_pool(
     embeddings = {"image": unit_rows(rng, n, dim), "raw": unit_rows(rng, n, dim)}
     for src, temp in variants:
         embeddings[f"syn.{src}.{temp:.2f}"] = unit_rows(rng, n, dim)
-    manifest = write_pool(
-        records, embeddings, out_dir, records_per_shard=records_per_shard
-    )
-    return manifest
+    return write_records(records, embeddings, out_dir, records_per_shard=records_per_shard)

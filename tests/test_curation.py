@@ -26,11 +26,11 @@ from capforge.curation import (
     write_curated,
 )
 from capforge.errors import ConfigError, DataError, DomainError, FormatError
-from capforge.pool import CaptionVariant, Record, ScoreTable, open_pool, write_pool
+from capforge.pool import ScoreTable, open_pool
 from capforge.scoring import score_pool
 from helpers import (
-    RAW, build_plain_pool, oracle_kmeans_trace, oracle_strategy, oracle_top, pairs,
-    select_best_variant, unit_rows,
+    RAW, CaptionVariant, Record, build_plain_pool, oracle_kmeans_trace, oracle_strategy,
+    oracle_top, pairs, select_best_variant, unit_rows, write_records,
 )
 
 
@@ -279,10 +279,8 @@ def _two_cluster_pool(tmp_path, n_a=30, n_b=20, dim=6, seed=0):
     b[:, 1] = 1.0
     pts = np.concatenate([a, b]) + 0.05 * rng.standard_normal((n_a + n_b, dim))
     pts /= np.linalg.norm(pts, axis=1, keepdims=True)
-    from capforge.pool import Record, write_pool
-
     records = [Record(id=i, raw_caption=f"r{i}") for i in range(n_a + n_b)]
-    write_pool(
+    write_records(
         records,
         {"image": pts.astype(np.float32), "raw": pts.astype(np.float32)},
         tmp_path,
@@ -471,7 +469,7 @@ def _mixed_order_pool(path, override=None):
         records[i].synthetic_variants = variants
     embeddings = {"image": unit_rows(rng, n, dim), "raw": unit_rows(rng, n, dim),
                   "syn.blip2.0.75": blip2, "syn.coca.1.00": coca}
-    write_pool(records, embeddings, path, records_per_shard=16)
+    write_records(records, embeddings, path, records_per_shard=16)
     handle = open_pool(path)
     tables = {label: score_pool(handle, label, write_sidecar=False)
               for label in ("syn.blip2.0.75", "syn.coca.1.00")}
@@ -588,7 +586,7 @@ def test_syn_best_variant_all_needs_no_table_of_a_source_no_record_lists(tmp_pat
                       synthetic_variants=[CaptionVariant("blip2", 0.75, f"b {i}")])
                for i in range(6)]
     sources = ("image", "raw", "syn.blip2.0.75", "syn.spare.1.00")
-    write_pool(records, {s: unit_rows(rng, 6, 4) for s in sources}, tmp_path / "pool")
+    write_records(records, {s: unit_rows(rng, 6, 4) for s in sources}, tmp_path / "pool")
     handle = open_pool(tmp_path / "pool")
     tables = {"syn.blip2.0.75": _table(np.linspace(0, 0.5, 6), "syn.blip2.0.75")}
     curated = apply_strategy(handle, StrategySpec("syn_best_variant_all"), tables)
@@ -599,7 +597,7 @@ def test_syn_best_variant_all_needs_a_variant_source(tmp_path):
     path = tmp_path / "pool"
     rng = np.random.default_rng(3)
     records = [Record(id=i, raw_caption=f"raw {i}") for i in range(4)]
-    write_pool(records, {s: unit_rows(rng, 4, 4) for s in ("image", "raw")}, path)
+    write_records(records, {s: unit_rows(rng, 4, 4) for s in ("image", "raw")}, path)
     with pytest.raises(DataError, match="pool has no synthetic caption sources"):
         apply_strategy(open_pool(path), StrategySpec("syn_best_variant_all"), {})
 

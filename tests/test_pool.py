@@ -1,6 +1,8 @@
+import hashlib
 import json
 import re
 import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,12 +11,13 @@ from hypothesis import strategies as st
 
 from capforge import fileio
 from capforge.cli import cli_main
-from capforge.curation import ClusterParams, CuratedSet, StrategySpec, in1k_cluster_mask
+from capforge.curation import (
+    ClusterParams, CuratedSet, StrategySpec, apply_strategy, in1k_cluster_mask,
+)
 from capforge.errors import CapforgeError, DataError, FormatError, IntegrityError
 from capforge.pool import (
-    CaptionVariant,
-    Record,
     ShardColumns,
+    check_captions,
     decode_shard,
     encode_shard,
     materialize,
@@ -23,11 +26,12 @@ from capforge.pool import (
     validate_pool,
     write_pool,
 )
-from capforge.scoring import score_pool
+from capforge.scoring import ScoreTables, score_pool
 from helpers import (
-    BROKEN_POOLS, RESHAPED_SIDECARS, break_pool, broken_pool_inputs, build_plain_pool,
-    handle_captions, read_records, record_captions, unit_rows, write_broken_pool,
-    write_nan_raw_pool, write_reshaped_pool,
+    BROKEN_POOLS, RESHAPED_SIDECARS, CaptionVariant, Record, break_pool, broken_pool_inputs,
+    build_plain_pool, handle_captions, materialize_by_records, read_records, record_captions,
+    replace_pool_file, unit_rows, write_broken_pool, write_nan_raw_pool, write_records,
+    write_reshaped_pool,
 )
 
 
@@ -43,7 +47,7 @@ def _records(n, variants=(("blip2", 0.75),)):
 
 
 def test_empty_pool(tmp_path):
-    manifest = write_pool([], {"image": np.zeros((0, 4), dtype=np.float32)}, tmp_path)
+    manifest = write_records([], {"image": np.zeros((0, 4), dtype=np.float32)}, tmp_path)
     assert manifest.num_records == 0
     assert manifest.num_shards == 0
     handle = open_pool(tmp_path)
@@ -56,7 +60,7 @@ def test_empty_pool(tmp_path):
 
 def test_ceiling_division_sharding(tmp_path):
     rng = np.random.default_rng(0)
-    write_pool(
+    write_records(
         _records(3),
         {"image": unit_rows(rng, 3, 4), "raw": unit_rows(rng, 3, 4),
          "syn.blip2.0.75": unit_rows(rng, 3, 4)},
@@ -85,7 +89,7 @@ def test_roundtrip_bit_exact(tmp_path):
         "syn.blip2.0.75": unit_rows(rng, 100, 6),
         "syn.coca.1.50": unit_rows(rng, 100, 6),
     }
-    write_pool(records, embs, tmp_path, records_per_shard=30)
+    write_records(records, embs, tmp_path, records_per_shard=30)
     handle = open_pool(tmp_path)
     assert read_records(tmp_path) == records
     assert handle_captions(handle) == record_captions(records)
@@ -100,7 +104,7 @@ def test_line_separators_inside_captions_round_trip(tmp_path):
     records[2].synthetic_variants[0] = CaptionVariant("blip2", 0.75, "line\u2028sep\u2029par")
     rng = np.random.default_rng(0)
     embs = {s: unit_rows(rng, 3, 4) for s in ("image", "raw", "syn.blip2.0.75")}
-    write_pool(records, embs, tmp_path)
+    write_records(records, embs, tmp_path)
     handle = open_pool(tmp_path)
     assert read_records(tmp_path) == records
     assert handle_captions(handle) == record_captions(records)
@@ -199,7 +203,7 @@ def test_each_pool_file_is_checksummed_on_its_first_read_only(tmp_path, monkeypa
 def test_write_pool_length_mismatch(tmp_path):
     rng = np.random.default_rng(0)
     with pytest.raises(DataError, match="vectors for"):
-        write_pool(
+        write_records(
             _records(3),
             {"image": unit_rows(rng, 2, 4), "raw": unit_rows(rng, 3, 4)},
             tmp_path,
@@ -210,23 +214,23 @@ def test_write_pool_nonfinite(tmp_path):
     mat = np.ones((3, 4), dtype=np.float32)
     mat[1, 2] = np.nan
     with pytest.raises(DataError, match="non-finite"):
-        write_pool(_records(3), {"image": mat}, tmp_path)
+        write_records(_records(3), {"image": mat}, tmp_path)
 
 
 def test_write_pool_requires_image(tmp_path):
     with pytest.raises(DataError, match="image"):
-        write_pool(_records(1), {"raw": np.ones((1, 4), dtype=np.float32)}, tmp_path)
+        write_records(_records(1), {"raw": np.ones((1, 4), dtype=np.float32)}, tmp_path)
 
 
 def test_write_pool_refuses_a_non_empty_directory(tmp_path):
     image = {s: np.ones((3, 4), dtype=np.float32) for s in ("image", "syn.blip2.0.75")}
-    write_pool(_records(3), image, tmp_path / "pool")
+    write_records(_records(3), image, tmp_path / "pool")
     before = sorted(p.name for p in (tmp_path / "pool").iterdir())
     with pytest.raises(DataError, match="not empty"):
-        write_pool(_records(2), {s: m[:2] for s, m in image.items()}, tmp_path / "pool")
+        write_records(_records(2), {s: m[:2] for s, m in image.items()}, tmp_path / "pool")
     assert sorted(p.name for p in (tmp_path / "pool").iterdir()) == before
     (tmp_path / "empty").mkdir()
-    write_pool(_records(3), image, tmp_path / "empty")  # an empty directory is fine
+    write_records(_records(3), image, tmp_path / "empty")  # an empty directory is fine
 
 
 def test_validate_clean(tmp_path):
@@ -294,8 +298,8 @@ def test_caption_table_reads_every_record(pool, records_per_shard):
     ]
     with tempfile.TemporaryDirectory() as path:
         sources = ["image", *(f"syn.{src}.{temp:.2f}" for src, temp in _SOURCES)]
-        write_pool(records, {s: np.ones((len(records), 2), np.float32) for s in sources}, path,
-                   records_per_shard=records_per_shard)
+        write_records(records, {s: np.ones((len(records), 2), np.float32) for s in sources}, path,
+                      records_per_shard=records_per_shard)
         handle = open_pool(path)
         assert len(handle.records()) == len(records)
         expected = record_captions(records)
@@ -313,15 +317,6 @@ def test_caption_table_reads_every_record(pool, records_per_shard):
                 assert handle.variant_index(label)[row] == want
         first_seen = [label for _, captions in expected for label, _ in captions[1:]]
         assert handle.variant_labels() == list(dict.fromkeys(first_seen))
-
-
-def _rewrite_shard(pool_dir, name, blob):
-    """Replace a pool file and its manifest checksum."""
-    (pool_dir / name).write_bytes(blob)
-    manifest_path = pool_dir / "manifest.json"
-    obj = json.loads(manifest_path.read_text())
-    obj["checksums"][name] = fileio.crc32c_hex(blob)
-    manifest_path.write_text(json.dumps(obj))
 
 
 # three records with two, one and no variants: (ids, prov, labels, texts)
@@ -347,7 +342,7 @@ _SHARD_EMBEDDINGS = {s: np.ones((3, 2), np.float32) for s in ("image", "syn.a.1.
 
 
 def test_write_pool_writes_the_shard_layout(tmp_path):
-    write_pool(_SHARD_RECORDS, _SHARD_EMBEDDINGS, tmp_path)
+    write_records(_SHARD_RECORDS, _SHARD_EMBEDDINGS, tmp_path)
     assert (tmp_path / "shard-00000.cap").read_bytes() == _encode()
     assert json.loads((tmp_path / "manifest.json").read_text())["caption_labels"] == [
         "syn.a.1.00", "syn.b.1.00"]
@@ -391,8 +386,8 @@ def test_shard_decoder_check_is_an_error_and_a_finding(tmp_path, edit, error, ma
     blob = edit()
     with pytest.raises(error, match=f"^shard-00000.cap: {match}"):
         decode_shard(blob, context="shard-00000.cap", num_labels=2)
-    write_pool(_SHARD_RECORDS, _SHARD_EMBEDDINGS, tmp_path)
-    _rewrite_shard(tmp_path, "shard-00000.cap", blob)
+    write_records(_SHARD_RECORDS, _SHARD_EMBEDDINGS, tmp_path)
+    replace_pool_file(tmp_path, "shard-00000.cap", blob)
     with pytest.raises(error, match=match):
         open_pool(tmp_path).records()
     findings = validate_pool(open_pool(tmp_path)).by_kind("shard_error")
@@ -446,9 +441,9 @@ def test_shard_utf8_check_accepts_what_a_per_caption_decode_accepts(pieces, data
 
 def test_write_pool_refuses_more_labels_than_a_shard_indexes(tmp_path):
     many = [CaptionVariant(f"s{i}", 1.0, "") for i in range(2**15)]
-    with pytest.raises(DataError, match="32768 variant source labels, more than 32767"):
-        write_pool([Record(0, "r", many)], {"image": np.ones((1, 2), np.float32)},
-                   tmp_path / "pool")
+    with pytest.raises(DataError, match="lists 32768 caption labels, more than 32767$"):
+        write_records([Record(0, "r", many)], {"image": np.ones((1, 2), np.float32)},
+                      tmp_path / "pool")
     assert not (tmp_path / "pool").exists()
 
 
@@ -456,7 +451,7 @@ def test_write_pool_refuses_more_labels_than_a_shard_indexes(tmp_path):
 def test_write_pool_refuses_a_source_that_cannot_name_a_file(tmp_path, name):
     image = np.ones((1, 2), np.float32)
     with pytest.raises(DataError, match="source name"):
-        write_pool(_records(1), {"image": image, name: image}, tmp_path / "pool")
+        write_records(_records(1), {"image": image, name: image}, tmp_path / "pool")
     assert not (tmp_path / "pool").exists()
 
 
@@ -466,16 +461,16 @@ def test_write_pool_refuses_a_source_too_long_for_its_last_shard_file(tmp_path):
     pool takes is shorter: see the score sidecar test below.)"""
     image = np.ones((1, 2), np.float32)
     blip2 = {"syn.blip2.0.75": image}
-    write_pool(_records(1), {"image": image, **blip2, "s" * 231: image}, tmp_path / "fits")
+    write_records(_records(1), {"image": image, **blip2, "s" * 231: image}, tmp_path / "fits")
     assert (tmp_path / "fits" / f"shard-00000.{'s' * 231}.f32").exists()
     with pytest.raises(DataError, match="source name too long: .* takes 256 bytes"):
-        write_pool(_records(1), {"image": image, **blip2, "s" * 240: image}, tmp_path / "pool")
+        write_records(_records(1), {"image": image, **blip2, "s" * 240: image}, tmp_path / "pool")
     assert not (tmp_path / "pool").exists()
     records = [Record(i, "r") for i in range(100_001)]
     image = np.ones((100_001, 2), np.float32)
     with pytest.raises(DataError, match="source name too long: .* takes 256 bytes"):
-        write_pool(records, {"image": image, "s" * 239: image}, tmp_path / "pool",
-                   records_per_shard=1)
+        write_records(records, {"image": image, "s" * 239: image}, tmp_path / "pool",
+                      records_per_shard=1)
     assert not (tmp_path / "pool").exists()
 
 
@@ -485,20 +480,199 @@ def test_write_pool_refuses_a_source_too_long_for_its_score_sidecar(tmp_path, ca
     image = np.ones((1, 2), np.float32)
     blip2 = {"syn.blip2.0.75": image}
     with pytest.raises(DataError, match=r"source name too long: .*\.9999999\.tmp' takes 256"):
-        write_pool(_records(1), {"image": image, **blip2, "s" * 232: image}, tmp_path / "pool")
+        write_records(_records(1), {"image": image, **blip2, "s" * 232: image}, tmp_path / "pool")
     assert not (tmp_path / "pool").exists()
-    write_pool(_records(1), {"image": image, **blip2, "s" * 231: image}, tmp_path / "fits")
+    write_records(_records(1), {"image": image, **blip2, "s" * 231: image}, tmp_path / "fits")
     capsys.readouterr()
     assert cli_main(["score", "--pool", str(tmp_path / "fits"), "--source", "s" * 231]) == 0
     assert (tmp_path / "fits" / f"{'s' * 231}.scores.f32").exists()
+
+
+# two records without variants, and the edit that makes one column unfit
+_COLUMNS = ShardColumns(np.array([1, 2]), np.array([-1, 3]), np.zeros((2, 0), np.int64),
+                        np.array([0, 1, 2]), b"ab")
+
+
+@pytest.mark.parametrize("edit, match", [
+    pytest.param({"ids": np.array([1.7, 2.2])}, "column ids must be 1-d integers, got float64",
+                 id="float_ids"),
+    pytest.param({"prov": np.array([-1.0, 3.9])}, "column prov must be 1-d integers, got float64",
+                 id="float_prov"),
+    pytest.param({"labels": np.zeros((2, 0))}, "column labels must be 2-d integers, got float64",
+                 id="float_labels"),
+    pytest.param({"offsets": np.array([0.0, 1.0, 2.0])}, "column offsets must be 1-d integers",
+                 id="float_offsets"),
+    pytest.param({"ids": np.array([[1, 2]])}, r"column ids must be 1-d integers, got int64 of "
+                 r"shape \(1, 2\)", id="ids_2d"),
+    pytest.param({"labels": np.array([0, 0])}, "column labels must be 2-d integers",
+                 id="labels_1d"),
+    pytest.param({"ids": [1, "2"]}, "column ids must be 1-d integers, got <U21",
+                 id="string_ids"),
+    pytest.param({"ids": np.array([1, 2**63], np.uint64)},
+                 "columns ids and prov must fit int64", id="ids_past_int64"),
+    pytest.param({"prov": np.array([-1])}, "columns ids, prov and labels must hold one row per "
+                 "record, got 2, 1 and 2 rows", id="prov_short"),
+    pytest.param({"labels": np.zeros((3, 0), np.int64)}, "columns ids, prov and labels must "
+                 "hold one row per record, got 2, 2 and 3 rows", id="labels_long"),
+    pytest.param({"offsets": np.array([0, 2])}, "captions: caption offsets do not rise from "
+                 "0 to the 2-byte text buffer's end", id="offsets_short"),
+    pytest.param({"text": "ab"}, "column text must be bytes, got str", id="str_text"),
+    pytest.param({"text": bytearray(b"ab")}, "column text must be bytes, got bytearray",
+                 id="bytearray_text"),
+])
+def test_write_pool_refuses_columns_it_would_cast_lossily(tmp_path, edit, match):
+    """A column numpy would cast to its shard type with a loss (a float id
+    truncated, an id past int64 wrapped) or of the wrong shape or length is
+    one DataError, before the directory is made."""
+    image = {"image": unit_rows(np.random.default_rng(0), 2, 4)}
+    with pytest.raises(DataError, match=f"^{match}") as info:
+        write_pool(_COLUMNS._replace(**edit), [], image, tmp_path / "pool")
+    assert len(str(info.value).splitlines()) == 1
+    assert not (tmp_path / "pool").exists()
+    write_pool(_COLUMNS, [], image, tmp_path / "pool")
+    assert [(r.id, r.prov) for r in read_records(tmp_path / "pool")] == [(1, None), (2, 3)]
+
+
+def _file_digests(pool_dir):
+    return {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in Path(pool_dir).iterdir()}
+
+
+@pytest.mark.parametrize("mix", ["concat", "empty"])
+def test_materialize_writes_the_files_the_record_path_writes(tmp_path, mix):
+    """Gathered columns give every file, byte for byte, that one Record per
+    curated entry gave, on a two-captioner pool with non-ASCII and empty
+    captions, for a mix that repeats ids and for an empty one."""
+    texts = ["café Ünal", "", "东京 🚀 night", "plain words", "naïve – test", "x"]
+    sources = [("blip2", 0.75), ("coca", 1.0)]
+    records = [Record(3 * i + 1, texts[i % 6], [
+        CaptionVariant(src, temp, texts[(i + k + 1) % 6] * (i % 3))
+        for k, (src, temp) in enumerate(sources[:: 1 if i % 4 else -1])]) for i in range(40)]
+    rng = np.random.default_rng(5)
+    write_records(records, {s: unit_rows(rng, 40, 4) for s in (
+        "image", "raw", "syn.blip2.0.75", "syn.coca.1.00")}, tmp_path / "pool",
+        records_per_shard=7)
+    handle = open_pool(tmp_path / "pool")
+    if mix == "empty":
+        curated = CuratedSet([], StrategySpec("raw_all"))
+    else:
+        spec = StrategySpec("concat_top_plus_syn_rest_filtered", p=40, syn_source="blip2")
+        curated = apply_strategy(handle, spec, ScoreTables(handle))
+        ids = curated.ids().tolist()
+        assert len(set(ids)) < len(ids)
+    materialize(handle, curated, tmp_path / "out")
+    materialize_by_records(handle, curated, tmp_path / "oracle")
+    assert _file_digests(tmp_path / "out") == _file_digests(tmp_path / "oracle")
+    assert validate_pool(open_pool(tmp_path / "out")).ok
+
+
+_TEXT = st.text(st.sampled_from(["a", " ", "é", "东", "🚀"]), max_size=4)
+_LABELS = [f"syn.s{i}.1.00" for i in range(4)]
+
+
+def _break_columns(violation, labels, offsets, text, data):
+    """Break one ``check_captions`` rule in place where the columns allow it;
+    returns whether it did."""
+    counts = (labels >= 0).sum(axis=1)
+    if violation == "label":
+        rows = np.flatnonzero(counts)
+        if rows.size:
+            labels[data.draw(st.sampled_from(rows.tolist())), 0] = data.draw(
+                st.sampled_from([4, 100, -2]))
+        return bool(rows.size)
+    if violation == "pad":
+        rows = np.flatnonzero((counts > 0) & (counts < labels.shape[1]))
+        if rows.size:
+            row = data.draw(st.sampled_from(rows.tolist()))
+            labels[row] = np.roll(labels[row], 1)
+        return bool(rows.size)
+    if violation == "twice":
+        rows = np.flatnonzero(counts > 1)
+        if rows.size:
+            row = data.draw(st.sampled_from(rows.tolist()))
+            labels[row, 1] = labels[row, 0]
+        return bool(rows.size)
+    if violation == "falling":
+        if len(offsets) > 2:
+            offsets[data.draw(st.integers(1, len(offsets) - 2))] = offsets[-1] + 1
+        return len(offsets) > 2
+    if violation == "split":  # a caption boundary moved inside a character
+        inside = np.flatnonzero((np.frombuffer(text, np.uint8) & 0xC0) == 0x80)
+        for i in range(1, len(offsets) - 1):
+            near = inside[(inside >= offsets[i - 1]) & (inside <= offsets[i + 1])]
+            if near.size:
+                offsets[i] = near[0]
+                return True
+    return False
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    records=st.lists(st.tuples(_TEXT, st.lists(st.tuples(st.integers(0, 3), _TEXT), max_size=3,
+                                               unique_by=lambda variant: variant[0])),
+                     max_size=12),
+    extra_width=st.integers(0, 2),
+    records_per_shard=st.integers(1, 5),
+    violation=st.sampled_from([None, "label", "pad", "twice", "falling", "split"]),
+    data=st.data(),
+)
+def test_write_pool_stores_slices_of_its_columns_and_refuses_what_the_check_refuses(
+        records, extra_width, records_per_shard, violation, data):
+    """Every shard holds its rows' slice of each column, offsets re-based to
+    0, at the pool's width; with at most one ``check_captions`` rule broken,
+    ``write_pool`` raises exactly when the check does, with its message, and
+    leaves no directory."""
+    n = len(records)
+    ids = np.array(data.draw(st.lists(st.integers(-50, 50), min_size=n, max_size=n, unique=True)),
+                   np.int64)
+    prov = np.array(data.draw(st.lists(st.integers(-1, 50), min_size=n, max_size=n)), np.int64)
+    width = max((len(variants) for _, variants in records), default=0) + extra_width
+    labels = np.full((n, width), -1, np.int64)
+    captions = []
+    for row, (raw, variants) in enumerate(records):
+        labels[row, : len(variants)] = [label for label, _ in variants]
+        captions += [raw.encode(), *(text.encode() for _, text in variants)]
+    offsets, text = np.cumsum([0, *map(len, captions)]), b"".join(captions)
+    broken = _break_columns(violation, labels, offsets, text, data)
+    try:
+        check_captions(labels, offsets, text, context="captions", num_labels=4, error=DataError)
+        refusal = None
+    except DataError as exc:
+        refusal = str(exc)
+    assert (refusal is not None) == broken
+    columns = ShardColumns(ids, prov, labels, offsets, text)
+    embeddings = {s: np.ones((n, 2), np.float32) for s in ["image", *_LABELS]}
+    with tempfile.TemporaryDirectory() as root:
+        path = Path(root) / "pool"
+        if refusal is not None:
+            with pytest.raises(DataError, match=f"^{re.escape(refusal)}$"):
+                write_pool(columns, _LABELS, embeddings, path, records_per_shard=records_per_shard)
+            assert not path.exists()
+            return
+        write_pool(columns, _LABELS, embeddings, path, records_per_shard=records_per_shard)
+        handle = open_pool(path)
+        table = handle.records()
+        assert table.ids.tolist() == ids.tolist()
+        assert handle_captions(handle) == [
+            (int(ids[row]), [("raw", raw), *((_LABELS[label], t) for label, t in variants)])
+            for row, (raw, variants) in enumerate(records)]
+        assert [r.prov for r in read_records(path)] == [None if p == -1 else p for p in prov]
+        first = np.cumsum([0, *(1 + len(variants) for _, variants in records)])
+        for k in range(handle.manifest.num_shards):
+            a, b = k * records_per_shard, min(n, (k + 1) * records_per_shard)
+            got_ids, got_labels, got_offsets, got_text = handle.shard_columns(k)
+            bounds = offsets[first[a] : first[b] + 1]
+            assert got_ids.tolist() == ids[a:b].tolist()
+            assert got_labels.dtype == np.int16 and got_labels.tolist() == labels[a:b].tolist()
+            assert got_offsets.tolist() == (bounds - bounds[0]).tolist()
+            assert got_text == text[bounds[0] : bounds[-1]]
 
 
 def test_prov_minus_one_is_refused_before_the_directory_is_made(tmp_path):
     """A shard stores a missing prov as -1, so -1 itself cannot be kept, and
     materializing a record whose id is -1 fails in one line."""
     rng = np.random.default_rng(0)
-    write_pool([Record(-1, "r-1"), Record(4, "r4")],
-               {s: unit_rows(rng, 2, 3) for s in ("image", "raw")}, tmp_path / "pool")
+    write_records([Record(-1, "r-1"), Record(4, "r4")],
+                  {s: unit_rows(rng, 2, 3) for s in ("image", "raw")}, tmp_path / "pool")
     handle = open_pool(tmp_path / "pool")
     with pytest.raises(DataError, match="^record 0: prov -1 cannot be stored") as info:
         materialize(handle, CuratedSet([(-1, -1), (4, -1)], StrategySpec("raw_all")),
@@ -584,7 +758,7 @@ def test_validate_reports_variant_source_without_embeddings(tmp_path, capsys):
 def test_malformed_shard_line_is_a_format_error_and_a_finding(tmp_path):
     build_plain_pool(tmp_path, 10, records_per_shard=4)
     victim = tmp_path / "shard-00001.cap"
-    _rewrite_shard(tmp_path, victim.name, victim.read_bytes()[:-7])  # a record cut short
+    replace_pool_file(tmp_path, victim.name, victim.read_bytes()[:-7])  # a record cut short
     with pytest.raises(FormatError, match="shard-00001.cap: caption offsets"):
         open_pool(tmp_path).records()
     findings = validate_pool(open_pool(tmp_path)).by_kind("shard_error")
@@ -598,13 +772,13 @@ def test_validate_reports_a_repeated_id_after_a_skipped_shard(tmp_path):
     only in the unread shard-00000.cap, so only 5 is reported."""
     records = [Record(i, f"raw {i}", [CaptionVariant("b", 1.0, f"syn {i}")]) for i in range(10)]
     rng = np.random.default_rng(0)
-    write_pool(records, {s: unit_rows(rng, 10, 4) for s in ("image", "raw", "syn.b.1.00")},
-               tmp_path, records_per_shard=4)
+    write_records(records, {s: unit_rows(rng, 10, 4) for s in ("image", "raw", "syn.b.1.00")},
+                  tmp_path, records_per_shard=4)
     victim = tmp_path / "shard-00000.cap"
-    _rewrite_shard(tmp_path, victim.name, victim.read_bytes()[:-3])
+    replace_pool_file(tmp_path, victim.name, victim.read_bytes()[:-3])
     _, labels, offsets, text = decode_shard((tmp_path / "shard-00002.cap").read_bytes(),
                                             context="shard-00002.cap", num_labels=1)
-    _rewrite_shard(tmp_path, "shard-00002.cap", encode_shard(ShardColumns(
+    replace_pool_file(tmp_path, "shard-00002.cap", encode_shard(ShardColumns(
         np.array([5, 2]), np.full(2, -1), labels, offsets, text)))
     report = validate_pool(open_pool(tmp_path))
     assert [(f.kind, f.file) for f in report.findings] == [("shard_error", "shard-00000.cap"),
@@ -636,12 +810,7 @@ def test_validate_dim_mismatch(tmp_path):
     build_plain_pool(tmp_path, 5, dim=4, records_per_shard=10)
     # rewrite one sidecar at a different dimension, fixing its checksum
     victim = "shard-00000.raw.f32"
-    blob = fileio.encode_embeddings(np.ones((5, 3), dtype=np.float32))
-    (tmp_path / victim).write_bytes(blob)
-    manifest_path = tmp_path / "manifest.json"
-    obj = json.loads(manifest_path.read_text())
-    obj["checksums"][victim] = fileio.crc32c_hex(blob)
-    manifest_path.write_text(json.dumps(obj))
+    replace_pool_file(tmp_path, victim, fileio.encode_embeddings(np.ones((5, 3), np.float32)))
     report = validate_pool(open_pool(tmp_path))
     assert [(f.kind, f.file) for f in report.findings] == [("sidecar_error", victim)]
     assert "5x3 embeddings, manifest.json implies 5x4" in report.findings[0].message
@@ -743,7 +912,7 @@ def test_score_sidecar_roundtrip(tmp_path):
 @pytest.mark.parametrize("case", sorted(BROKEN_POOLS))
 def test_write_pool_refuses_a_pool_breaking_an_invariant(tmp_path, case):
     with pytest.raises(DataError, match=f"^{re.escape(BROKEN_POOLS[case].write_error)}$"):
-        write_pool(*broken_pool_inputs(case), tmp_path / "pool", records_per_shard=2)
+        write_records(*broken_pool_inputs(case), tmp_path / "pool", records_per_shard=2)
     assert not (tmp_path / "pool").exists()
 
 
@@ -807,8 +976,8 @@ def test_validate_passes_exactly_when_the_reads_pass(ids, records_per_shard, vio
                      .get(violation, st.sampled_from(sources)))
     rng = np.random.default_rng(0)
     with tempfile.TemporaryDirectory() as path:
-        write_pool(records, {s: unit_rows(rng, len(ids), 3) for s in sources}, path,
-                   records_per_shard=records_per_shard)
+        write_records(records, {s: unit_rows(rng, len(ids), 3) for s in sources}, path,
+                      records_per_shard=records_per_shard)
         if violation is not None:
             break_pool(path, violation, *divmod(row, records_per_shard), what)
 

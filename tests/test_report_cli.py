@@ -16,7 +16,7 @@ from capforge import fileio
 from capforge.cli import cli_main
 from capforge.curation import CuratedSet, StrategySpec, apply_strategy, read_curated
 from capforge.errors import DataError
-from capforge.pool import CaptionVariant, Record, materialize, open_pool, write_pool
+from capforge.pool import materialize, open_pool
 from capforge.poolgen import GenConfig, SynSource, generate_pool
 from capforge.report import (
     MetricConfig,
@@ -30,8 +30,9 @@ from capforge.scoring import ScoreTables, score_pool
 from capforge.textmetrics import CaptionFeatures
 from capforge.errors import ConfigError
 from helpers import (
-    BROKEN_POOLS, RESHAPED_SIDECARS, oracle_quality_report, read_records, set_sidecar_entry,
-    unit_rows, write_broken_pool, write_nan_raw_pool, write_reshaped_pool,
+    BROKEN_POOLS, RESHAPED_SIDECARS, CaptionVariant, Record, oracle_quality_report,
+    read_records, replace_pool_file, set_sidecar_entry, unit_rows, write_broken_pool,
+    write_nan_raw_pool, write_records, write_reshaped_pool,
 )
 
 
@@ -42,23 +43,13 @@ def small_pool(tmp_path_factory):
     return path
 
 
-def _edit_shard(path, shard: str, edit) -> None:
-    """Replace a shard's bytes by `edit(bytes)`, fixing its checksum."""
-    victim = path / shard
-    blob = edit(victim.read_bytes())
-    victim.write_bytes(blob)
-    manifest = json.loads((path / "manifest.json").read_text())
-    manifest["checksums"][victim.name] = fileio.crc32c_hex(blob)
-    (path / "manifest.json").write_text(json.dumps(manifest))
-
-
 @pytest.fixture(scope="module")
 def truncated_line_pool(tmp_path_factory):
     """Pool whose second shard has its last record cut short, under a matching
     checksum."""
     path = tmp_path_factory.mktemp("report") / "pool3"
     generate_pool(GenConfig(num_records=40, seed=5, records_per_shard=20), path)
-    _edit_shard(path, "shard-00001.cap", lambda blob: blob[:-7])
+    replace_pool_file(path, "shard-00001.cap", (path / "shard-00001.cap").read_bytes()[:-7])
     return path
 
 
@@ -69,8 +60,9 @@ def bad_label_pool(tmp_path_factory):
     path = tmp_path_factory.mktemp("report") / "pool5"
     generate_pool(GenConfig(num_records=40, seed=5, records_per_shard=20), path)
     labels_at = 16 + 16 * 20  # after the header and the ids and prov columns
-    _edit_shard(path, "shard-00000.cap",
-                lambda blob: blob[:labels_at] + b"\x07\x00" + blob[labels_at + 2 :])
+    blob = (path / "shard-00000.cap").read_bytes()
+    replace_pool_file(path, "shard-00000.cap",
+                      blob[:labels_at] + b"\x07\x00" + blob[labels_at + 2 :])
     return path
 
 
@@ -112,7 +104,7 @@ def edited_pools(tmp_path_factory):
                for i in range(5)]
     embs = {s: unit_rows(rng, 5, 4) for s in ("image", "raw", "syn.blip2.0.75")}
     for name in ("gap", "7", "3"):
-        write_pool(records, embs, root / name)
+        write_records(records, embs, root / name)
     for count in (7, 3):
         manifest = json.loads((root / f"{count}" / "manifest.json").read_text())
         manifest["num_records"] = count
@@ -250,8 +242,8 @@ def test_quality_report_matches_caption_by_caption_oracle(records, seed, data):
     rng = np.random.default_rng(seed)
     labels = ["image", "raw", "syn.blip2.0.75", "syn.coca.1.00"]
     with tempfile.TemporaryDirectory() as path:
-        write_pool(pool_records, {s: unit_rows(rng, len(records), 4) for s in labels}, path,
-                   records_per_shard=5)
+        write_records(pool_records, {s: unit_rows(rng, len(records), 4) for s in labels}, path,
+                      records_per_shard=5)
         handle = open_pool(path)
         tables = ScoreTables(handle)
         vocab, lexicon = {"dog", "red", "i", "x1"}, {"dog", "caf", "ss", "a"}
@@ -548,7 +540,7 @@ def test_cli_filter_and_mix_break_ties_by_id(tmp_path):
     pool = tmp_path / "pool"
     records = [Record(id=90 - 10 * row, raw_caption=f"r{row}") for row in range(10)]
     same = np.tile(np.eye(4, dtype=np.float32)[0], (10, 1))
-    write_pool(records, {"image": same, "raw": same}, pool, records_per_shard=4)
+    write_records(records, {"image": same, "raw": same}, pool, records_per_shard=4)
     ids_out, mix_out = tmp_path / "ids.jsonl", tmp_path / "c.jsonl"
     assert cli_main(["filter", "--pool", str(pool), "--p", "30", "--out", str(ids_out)]) == 0
     assert cli_main(["mix", "--strategy", "raw_top", "--p", "30", "--pool", str(pool),

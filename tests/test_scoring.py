@@ -7,9 +7,12 @@ from hypothesis import strategies as st
 
 from capforge.cli import cli_main
 from capforge.errors import DataError, DomainError, IntegrityError
-from capforge.pool import CaptionVariant, Record, open_pool, write_pool
+from capforge.pool import open_pool
 from capforge.scoring import clip_s, cosine, recall_at_1, score_pool
-from helpers import select_best_variant, unit_rows, variant_scores, write_broken_pool
+from helpers import (
+    CaptionVariant, Record, select_best_variant, unit_rows, variant_scores, write_broken_pool,
+    write_records,
+)
 
 finite_floats = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
 
@@ -76,7 +79,7 @@ def test_score_pool_matches_generator_alphas(gen_pool):
 
 def test_score_pool_single_identical_record(tmp_path):
     vec = np.array([[0.6, 0.8]], dtype=np.float32)
-    write_pool(
+    write_records(
         [Record(id=0, raw_caption="x")],
         {"image": vec, "raw": vec.copy()},
         tmp_path,
@@ -103,8 +106,8 @@ def test_score_pool_writes_sidecar(tmp_path):
 @pytest.mark.parametrize("count", [7, 3])
 def test_score_pool_refuses_a_manifest_that_miscounts_rows_and_writes_nothing(tmp_path, count):
     rng = np.random.default_rng(0)
-    write_pool([Record(i, f"r{i}") for i in range(5)],
-               {s: unit_rows(rng, 5, 4) for s in ("image", "raw")}, tmp_path)
+    write_records([Record(i, f"r{i}") for i in range(5)],
+                  {s: unit_rows(rng, 5, 4) for s in ("image", "raw")}, tmp_path)
     manifest = json.loads((tmp_path / "manifest.json").read_text())
     manifest["num_records"] = count
     (tmp_path / "manifest.json").write_text(json.dumps(manifest))
@@ -161,7 +164,7 @@ def _variant_pool(tmp_path, cosines_per_record):
             )
         )
     embeddings = {"image": image, "raw": image.copy(), **sources}
-    write_pool(records, embeddings, tmp_path)
+    write_records(records, embeddings, tmp_path)
     return open_pool(tmp_path)
 
 
@@ -191,7 +194,7 @@ def test_select_best_variant_ignores_lower_appended(tmp_path):
 
 def test_select_best_variant_requires_variants(tmp_path):
     vec = np.ones((1, 4), dtype=np.float32)
-    write_pool([Record(id=0, raw_caption="x")], {"image": vec}, tmp_path / "p")
+    write_records([Record(id=0, raw_caption="x")], {"image": vec}, tmp_path / "p")
     with pytest.raises(DataError):
         select_best_variant(open_pool(tmp_path / "p"), 0)
 

@@ -14,7 +14,6 @@ from capforge.textmetrics import (
     CaptionFeatures,
     default_noun_lexicon,
     default_visual_vocab,
-    diversity_curve,
     grounding_ratio,
     load_token_file,
     sample_subset,
@@ -24,6 +23,8 @@ from capforge.textmetrics import (
     unique_trigrams,
     word_count,
 )
+from capforge.report import MetricConfig, build_quality_report, caption_features
+from capforge.scoring import ScoreTables
 from helpers import RAW, oracle_trigrams, pairs, read_records, scalar_fisher_yates
 
 
@@ -258,7 +259,7 @@ def test_sample_subset_uniformity_smoke():
 
 
 # ---------------------------------------------------------------------------
-# diversity curves
+# diversity over report samples: each sample is a prefix of one seeded shuffle
 
 
 def _entry_caption(handle, entry):
@@ -272,44 +273,54 @@ def test_entry_caption_resolution(gen_pool):
     assert _entry_caption(gen_pool, (rec.id, 1)) == rec.synthetic_variants[1].text
 
 
-def test_diversity_curve_full_size_matches_whole_set(gen_pool):
+def _sample_rows(handle, curated, sizes, seed):
+    """``report``'s row for each sample size, one features object shared."""
+    features = caption_features(handle, MetricConfig())
+    tables = ScoreTables(handle)
+    return [build_quality_report(handle, curated, tables, features, sample_size=size, seed=seed)
+            for size in sizes]
+
+
+def test_report_full_sample_matches_the_whole_set(gen_pool):
     lexicon = default_noun_lexicon()
     entries = [(i, RAW) for i in gen_pool.ids()[:400].tolist()]
     curated = CuratedSet(entries=entries, spec=StrategySpec("raw_all"))
-    points = diversity_curve(gen_pool, curated, [400], seed=0, noun_lexicon=lexicon)
+    [row] = _sample_rows(gen_pool, curated, [400], seed=0)
     captions = [_entry_caption(gen_pool, e) for e in curated.entries]
-    assert points[0].unique_trigrams == unique_trigrams(captions)
-    assert points[0].unique_nouns == unique_nouns(captions, lexicon)
+    assert row.unique_trigrams == unique_trigrams(captions)
+    assert row.unique_nouns == unique_nouns(captions, lexicon)
 
 
-def test_diversity_curve_prefixes_match_bruteforce(gen_pool):
+def test_report_samples_are_prefixes_of_one_shuffle(gen_pool):
     lexicon = default_noun_lexicon()
     ids = gen_pool.ids()[:900].tolist()
     entries = [(i, RAW) for i in ids[:600]] + [(i, i % 2) for i in ids[300:]]
     curated = CuratedSet(entries=entries, spec=StrategySpec("raw_top_plus_syn_rest"))
     sizes = [0, 1, 37, 600, len(curated)]
-    points = diversity_curve(gen_pool, curated, sizes, seed=4, noun_lexicon=lexicon)
-    order = np.random.default_rng(4).permutation(len(curated))
+    order = scalar_fisher_yates(len(curated), len(curated), 4)
     captions = [_entry_caption(gen_pool, curated.entries[i]) for i in order]
-    for point, size in zip(points, sizes):
+    for row, size in zip(_sample_rows(gen_pool, curated, sizes, seed=4), sizes):
         prefix = captions[:size]
-        assert point == (size, oracle_trigrams(prefix, tokenize),
-                         len({t for c in prefix for t in tokenize(c) if t in lexicon}))
+        assert (row.sample_size, row.unique_trigrams, row.unique_nouns) == (
+            size, oracle_trigrams(prefix, tokenize),
+            len({t for c in prefix for t in tokenize(c) if t in lexicon}))
 
 
-def test_diversity_curve_nested_and_monotone(gen_pool):
-    lexicon = default_noun_lexicon()
+def test_report_sample_counts_never_decrease_as_it_grows(gen_pool):
     entries = [(i, RAW) for i in gen_pool.ids().tolist()]
     curated = CuratedSet(entries=entries, spec=StrategySpec("raw_all"))
     sizes = [100, 500, 1000, 3000]
-    points = diversity_curve(gen_pool, curated, sizes, seed=1, noun_lexicon=lexicon)
-    assert [p.subset_size for p in points] == sizes
-    for a, b in zip(points, points[1:]):
+    samples = [pairs(sample_subset(curated, size, seed=1)) for size in sizes]
+    for small, large in zip(samples, samples[1:]):
+        assert set(small) < set(large)
+    rows = _sample_rows(gen_pool, curated, sizes, seed=1)
+    assert [row.sample_size for row in rows] == sizes
+    for a, b in zip(rows, rows[1:]):
         assert b.unique_trigrams >= a.unique_trigrams
         assert b.unique_nouns >= a.unique_nouns
 
 
-def test_diversity_curve_syn_below_raw_at_every_size(tmp_path):
+def test_report_syn_sample_stays_below_raw_at_every_size(tmp_path):
     from capforge.pool import open_pool
     from capforge.poolgen import GenConfig, SynSource, generate_pool
 
@@ -321,7 +332,6 @@ def test_diversity_curve_syn_below_raw_at_every_size(tmp_path):
     )
     generate_pool(config, tmp_path)
     handle = open_pool(tmp_path)
-    lexicon = default_noun_lexicon()
     raw = CuratedSet(
         entries=[(i, RAW) for i in handle.ids().tolist()], spec=StrategySpec("raw_all")
     )
@@ -330,24 +340,11 @@ def test_diversity_curve_syn_below_raw_at_every_size(tmp_path):
         spec=StrategySpec("syn_all", syn_source="blip2"),
     )
     sizes = [100, 400, 1000, 2500, 4000]
-    raw_pts = diversity_curve(handle, raw, sizes, seed=2, noun_lexicon=lexicon)
-    syn_pts = diversity_curve(handle, syn, sizes, seed=2, noun_lexicon=lexicon)
-    for rp, sp in zip(raw_pts, syn_pts):
-        assert sp.unique_trigrams < rp.unique_trigrams, rp.subset_size
-        assert sp.unique_nouns < rp.unique_nouns, rp.subset_size
-
-
-def test_diversity_curve_validation(gen_pool):
-    curated = CuratedSet(
-        entries=[(i, RAW) for i in gen_pool.ids()[:10].tolist()],
-        spec=StrategySpec("raw_all"),
-    )
-    lexicon = {"dog"}
-    with pytest.raises(DomainError):
-        diversity_curve(gen_pool, curated, [5, 5], seed=0, noun_lexicon=lexicon)
-    with pytest.raises(DomainError):
-        diversity_curve(gen_pool, curated, [4, 11], seed=0, noun_lexicon=lexicon)
-    assert diversity_curve(gen_pool, curated, [], seed=0, noun_lexicon=lexicon) == []
+    raw_rows = _sample_rows(handle, raw, sizes, seed=2)
+    syn_rows = _sample_rows(handle, syn, sizes, seed=2)
+    for rr, sr in zip(raw_rows, syn_rows):
+        assert sr.unique_trigrams < rr.unique_trigrams, rr.sample_size
+        assert sr.unique_nouns < rr.unique_nouns, rr.sample_size
 
 
 # ---------------------------------------------------------------------------
