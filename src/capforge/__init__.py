@@ -5,6 +5,13 @@ embeddings, plus a deterministic synthetic pool generator that makes every
 procedure verifiable at desk scale.
 """
 
+import os
+
+# One OpenBLAS thread unless the caller chose otherwise.  k-means' GEMMs gain
+# no wall time from a second thread, which spins beside each call and while
+# idle; this takes effect only if numpy is not yet loaded.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from .curation import (
     ClusterParams,
     CuratedSet,

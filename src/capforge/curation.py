@@ -305,8 +305,19 @@ def _assign(
     return nearest, dists
 
 
-def _kmeans_pp_init(points: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
-    n = points.shape[0]
+def _kmeans_pp_init(
+    points: np.ndarray, sq_norms: np.ndarray, k: int, rng: np.random.Generator
+) -> np.ndarray:
+    """k-means++ seeding: each next centre is drawn with probability
+    proportional to its squared distance from the nearest centre so far.
+
+    The distances ``d2`` are those of the exact form ``sum((x - c)^2)``.  A
+    new centre ``c`` first bounds them by one GEMV, ``|x|^2 - 2 x.c + |c|^2``;
+    only points where that bound, less ``_assign``'s rounding slack, is not
+    above ``d2`` take the exact form, since elsewhere it cannot lower ``d2``.
+    """
+    n, dim = points.shape
+    slack = (4 * dim + 16) * np.finfo(np.float64).eps
     first = int(rng.integers(n))
     centers = [points[first].copy()]
     d2 = ((points - centers[0]) ** 2).sum(axis=1)
@@ -316,9 +327,34 @@ def _kmeans_pp_init(points: np.ndarray, k: int, rng: np.random.Generator) -> np.
             idx = int(rng.choice(n, p=d2 / total))
         else:
             idx = int(rng.integers(n))
-        centers.append(points[idx].copy())
-        d2 = np.minimum(d2, ((points - centers[-1]) ** 2).sum(axis=1))
+        c = points[idx].copy()
+        centers.append(c)
+        c_sq = float(c @ c)
+        approx = points @ c
+        approx *= -2
+        approx += sq_norms
+        approx += c_sq
+        # "not above" rather than "below", so a NaN bound takes the exact form
+        sel = np.flatnonzero(~(approx - slack * (sq_norms + c_sq) > d2))
+        d2[sel] = np.minimum(d2[sel], ((points[sel] - c) ** 2).sum(axis=1))
     return np.stack(centers)
+
+
+_SUM_COLS = 16  # columns per bincount in the Lloyd update
+
+
+def _cluster_sums(points: np.ndarray, assignments: np.ndarray, k: int) -> np.ndarray:
+    """Per-cluster sums of the points, as ``np.add.at(sums, assignments,
+    points)`` gives them: ``bincount`` adds each bin's weights in point
+    order too, so the sums agree bit for bit."""
+    n, dim = points.shape
+    sums = np.empty((k, dim))
+    for d0 in range(0, dim, _SUM_COLS):
+        m = min(_SUM_COLS, dim - d0)
+        keys = (assignments[:, None] * m + np.arange(m)).ravel()
+        block = np.bincount(keys, weights=points[:, d0 : d0 + m].ravel(), minlength=k * m)
+        sums[:, d0 : d0 + m] = block.reshape(k, m)
+    return sums
 
 
 def kmeans_trace(points: np.ndarray, params: ClusterParams) -> Iterator[KMeansStep]:
@@ -333,7 +369,9 @@ def kmeans_trace(points: np.ndarray, params: ClusterParams) -> Iterator[KMeansSt
     in the exact per-centroid form every point whose two nearest centroids
     lie within float64 rounding of each other (see ``_assign``).  So every
     step's assignments, centroids and SSE equal those of the per-centroid
-    form bit for bit, and ties go to the lower centroid index.
+    form bit for bit, and ties go to the lower centroid index.  The k-means++
+    init bounds distances by one GEMV per centre the same way, and the update
+    sums each cluster in point order, as ``np.add.at`` would.
     """
     params.validate()
     points = np.asarray(points, dtype=np.float64)
@@ -346,8 +384,8 @@ def kmeans_trace(points: np.ndarray, params: ClusterParams) -> Iterator[KMeansSt
     if params.k > n:
         raise DomainError(f"k={params.k} exceeds number of points {n}")
     rng = np.random.default_rng(params.seed)
-    centroids = _kmeans_pp_init(points, params.k, rng)
     sq_norms = (points * points).sum(axis=1)
+    centroids = _kmeans_pp_init(points, sq_norms, params.k, rng)
 
     prev_sse: float | None = None
     for iteration in range(params.max_iters):
@@ -359,8 +397,7 @@ def kmeans_trace(points: np.ndarray, params: ClusterParams) -> Iterator[KMeansSt
         prev_sse = sse
 
         counts = np.bincount(assignments, minlength=params.k)
-        sums = np.zeros_like(centroids)
-        np.add.at(sums, assignments, points)
+        sums = _cluster_sums(points, assignments, params.k)
         nonempty = counts > 0
         centroids[nonempty] = sums[nonempty] / counts[nonempty, None]
         empty = np.flatnonzero(~nonempty)

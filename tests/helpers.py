@@ -20,7 +20,7 @@ import numpy as np
 
 from capforge import fileio
 from capforge._words import BOILERPLATE_CAPTIONS, FILLER_WORDS, SYN_TEMPLATES, concept_word
-from capforge.curation import KMeansStep, _kmeans_pp_init
+from capforge.curation import KMeansStep
 from capforge.errors import DataError
 from capforge.pool import (
     ShardColumns, decode_shard, encode_shard, variant_source_label, write_pool,
@@ -295,16 +295,34 @@ def scalar_fisher_yates(n: int, total: int, seed: int) -> list[int]:
     return idx[:n]
 
 
+def oracle_kmeans_pp_init(points: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
+    """k-means++ seeding with one exact distance pass per centre, drawing
+    from the generator in the order ``kmeans_trace``'s init must."""
+    n = points.shape[0]
+    centers = [points[int(rng.integers(n))].copy()]
+    d2 = ((points - centers[0]) ** 2).sum(axis=1)
+    for _ in range(1, k):
+        total = d2.sum()
+        if total > 0:
+            idx = int(rng.choice(n, p=d2 / total))
+        else:
+            idx = int(rng.integers(n))
+        centers.append(points[idx].copy())
+        d2 = np.minimum(d2, ((points - centers[-1]) ** 2).sum(axis=1))
+    return np.stack(centers)
+
+
 def oracle_kmeans_trace(points: np.ndarray, params):
     """Lloyd iterations with one exact distance column per centroid.
 
     The per-centroid form ``kmeans_trace`` must match bit for bit, with the
-    same update, empty-cluster re-seeding and stopping rule.  Only the
-    k-means++ init is the library's own.
+    same init draws, update, empty-cluster re-seeding and stopping rule.
+    The init is ``oracle_kmeans_pp_init`` and the update ``np.add.at``, so no
+    step shares the library's code.
     """
     points = np.asarray(points, dtype=np.float64)
     n = points.shape[0]
-    centroids = _kmeans_pp_init(points, params.k, np.random.default_rng(params.seed))
+    centroids = oracle_kmeans_pp_init(points, params.k, np.random.default_rng(params.seed))
 
     def assign():
         dists = np.empty((n, params.k))

@@ -224,7 +224,10 @@ def _kmeans_instances(draw):
 @settings(max_examples=150, deadline=None)
 @given(_kmeans_instances())
 def test_kmeans_trace_equals_per_centroid_oracle_bit_for_bit(instance):
-    points, params = instance
+    _assert_same_trace(*instance)
+
+
+def _assert_same_trace(points, params):
     got = list(kmeans_trace(points, params))
     want = list(oracle_kmeans_trace(points, params))
     assert len(got) == len(want)
@@ -234,6 +237,21 @@ def test_kmeans_trace_equals_per_centroid_oracle_bit_for_bit(instance):
         assert np.array_equal(a.assignments, b.assignments)
         assert a.assignments.dtype == b.assignments.dtype
         assert a.sse == b.sse
+
+
+def test_kmeans_trace_equals_oracle_over_several_blocks():
+    # 4,000 points at k = 40 take two GEMM blocks in _assign, and 20 columns
+    # take two bincount blocks (16 + 4) in the update
+    points = np.random.default_rng(5).standard_normal((4000, 20))
+    _assert_same_trace(points, ClusterParams(k=40, seed=3, tol=0.0, max_iters=4))
+
+
+def test_kmeans_trace_equals_oracle_when_init_runs_out_of_distance():
+    # three distinct rows and k = 6: once all three are centres every d2 is 0,
+    # so the rest of the init draws with rng.integers
+    rng = np.random.default_rng(8)
+    points = rng.standard_normal((3, 7))[rng.integers(0, 3, 500)]
+    _assert_same_trace(points, ClusterParams(k=6, seed=1, tol=0.0, max_iters=3))
 
 
 def test_assign_duplicated_centroids_tie_to_lower_index_through_repair(monkeypatch):

@@ -707,6 +707,54 @@ def test_cli_in1k_mix(tmp_path):
     assert len(curated) <= 150
 
 
+def _subprocess_env() -> dict:
+    """This process's environment with capforge's source on PYTHONPATH and
+    OPENBLAS_NUM_THREADS unset (importing capforge here set it)."""
+    src = str(Path(capforge.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    return env
+
+
+def _run_with_openblas_threads(threads, *args):
+    """Run ``python *args`` with OPENBLAS_NUM_THREADS set to ``threads``, or
+    unset when it is None; returns the finished process."""
+    env = _subprocess_env()
+    if threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = threads
+    proc = subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    return proc
+
+
+@pytest.mark.parametrize("threads, want", [(None, "1"), ("2", "2")])
+def test_importing_capforge_defaults_openblas_to_one_thread(threads, want):
+    proc = _run_with_openblas_threads(
+        threads, "-c", "import capforge, os; print(os.environ['OPENBLAS_NUM_THREADS'])")
+    assert proc.stdout == f"{want}\n"
+
+
+def test_in1k_report_bytes_do_not_depend_on_openblas_threads(tmp_path):
+    pool = tmp_path / "pool"
+    assert cli_main(["gen", "--config", _write_config(tmp_path), "--out", str(pool)]) == 0
+    refs = tmp_path / "refs.emb"
+    fileio.write_embeddings(refs, open_pool(pool).embeddings("image")[[0, 9, 30]])
+    strategies = tmp_path / "strategies.json"
+    strategies.write_text(json.dumps([
+        {"name": "raw_top", "p": 50, "in1k_intersect": True,
+         "cluster_params": {"k": 24, "max_iters": 10, "seed": 4}}]))
+    outputs = []
+    for threads in (None, "2"):
+        out = tmp_path / f"r{threads}"
+        _run_with_openblas_threads(
+            threads, "-m", "capforge.cli", "report", "--pool", str(pool),
+            "--strategies", str(strategies), "--in1k-refs", str(refs), "--out-dir", str(out))
+        outputs.append([(out / name).read_bytes() for name in ("report.json", "report.csv")])
+    assert outputs[0] == outputs[1]
+    assert json.loads(outputs[0][0])[0]["entries"] > 0
+
+
 def test_cli_mix_and_report_share_the_cluster_k_default_on_a_small_pool(tmp_path):
     """Without --cluster-k or cluster_params, both commands cluster a 40-record
     pool into 40 clusters (the default 64 clamped), and keep the same records."""
@@ -1033,11 +1081,8 @@ def test_cli_malformed_input_exits_without_traceback(
             path.write_text("not json\n")
         args = ["metrics", "--pool", str(small_pool), "--curated", str(path),
                 "--out", str(tmp_path / "m.json")]
-    src = str(Path(capforge.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
     proc = subprocess.run([sys.executable, "-m", "capforge.cli", *args],
-                          capture_output=True, text=True, env=env)
+                          capture_output=True, text=True, env=_subprocess_env())
     assert proc.returncode == code, proc.stderr
     assert "Traceback" not in proc.stderr
     assert len(proc.stderr.strip().splitlines()) == 1, proc.stderr
