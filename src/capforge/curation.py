@@ -240,7 +240,7 @@ def top_fraction(
 
 def threshold_filter(scores: ScoreTable, tau: float) -> np.ndarray:
     """Inclusive threshold: keep every record with score >= tau."""
-    return scores.scores >= np.float32(tau)
+    return scores.scores >= np.float64(tau)
 
 
 # ---------------------------------------------------------------------------

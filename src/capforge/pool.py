@@ -177,25 +177,35 @@ def decode_shard(
     return ids, labels, offsets.astype(np.int64), text
 
 
+def caption_starts(labels: np.ndarray) -> np.ndarray:
+    """(N+1,) int64: record r's captions are numbered from ``starts[r]`` on,
+    its raw caption and then each variant its (N, W) ``labels`` hold, as
+    shards store them; ``starts[N]`` counts every caption."""
+    starts = np.zeros(len(labels) + 1, np.int64)
+    np.cumsum(1 + (labels >= 0).sum(axis=1), out=starts[1:])
+    return starts
+
+
 @dataclass(frozen=True)
 class CaptionTable:
     """A pool's captions as columns, one row per record in pool order.
 
-    Column 0 of ``text_ids`` and ``label_ids`` is the raw caption and
-    column 1+p the variant at position p; -1 pads records with fewer
-    variants.  ``text_ids`` number the captions in shard order: caption i is
-    ``text[offsets[i]:offsets[i + 1]]``, UTF-8.  ``label_ids`` index
-    ``labels``: "raw", then each variant source label in order of first
-    appearance.  Ids are distinct, and ``id_order`` sorts them.
+    ``labels`` are the shards' variant labels, padded with -1 to the widest
+    shard: label j is embedding source ``sources[1 + j]``, and ``sources[0]``
+    is "raw", the source of every raw caption.  Captions are numbered in
+    shard order: record r's raw caption is caption ``starts[r]`` and its
+    variant p caption ``starts[r] + 1 + p``, and caption i is
+    ``text[offsets[i]:offsets[i + 1]]``, UTF-8.  Ids are distinct, and
+    ``id_order`` sorts them.
     """
 
     ids: np.ndarray  # (N,) int64
     id_order: np.ndarray  # (N,) int64: the rows in id order
-    text_ids: np.ndarray  # (N, 1+W) int64
-    label_ids: np.ndarray  # (N, 1+W) int64
+    labels: np.ndarray  # (N, W) int16 into sources[1:], -1 pads
+    starts: np.ndarray  # (N+1,) int64, caption_starts(labels)
     offsets: np.ndarray  # (T+1,) int64
     text: bytearray
-    labels: tuple[str, ...]
+    sources: tuple[str, ...]  # "raw", then the manifest's caption labels
 
     def __len__(self) -> int:
         return len(self.ids)
@@ -214,20 +224,11 @@ class CaptionTable:
         ids, offsets = np.concatenate(ids), np.concatenate(offsets)
         order = id_order(ids, IntegrityError)
         width = max((part.shape[1] for part in labels), default=0)
-        variants = np.concatenate([np.zeros((0, width), np.int16)] + [
+        labels = np.concatenate([np.zeros((0, width), np.int16)] + [
             np.pad(part, ((0, 0), (0, width - part.shape[1])), constant_values=-1)
             for part in labels])
-        held = np.concatenate((np.ones((len(ids), 1), bool), variants >= 0), axis=1)
-        text_ids = np.full(held.shape, -1, np.int64)
-        text_ids[held] = np.arange(len(offsets) - 1)  # row by row, as shards store captions
-        used, first = np.unique(variants[variants >= 0], return_index=True)
-        used = used[np.argsort(first)]
-        remap = np.full(len(caption_labels) + 1, -1, np.int64)  # remap[-1]: a pad stays -1
-        remap[used] = np.arange(1, used.size + 1)
-        label_ids = np.zeros_like(text_ids)
-        label_ids[:, 1:] = remap[variants]
-        return cls(ids, order, text_ids, label_ids, offsets, text,
-                   ("raw", *(caption_labels[i] for i in used.tolist())))
+        return cls(ids, order, labels, caption_starts(labels), offsets, text,
+                   ("raw", *caption_labels))
 
 
 _RETIRED_FORMATS = {1: "JSONL shards", 2: "CRC32C checksums"}
@@ -298,6 +299,9 @@ class PoolManifest:
         if len(obj["caption_labels"]) > MAX_CAPTION_LABELS:
             raise FormatError(f"{context}: manifest lists {len(obj['caption_labels'])} "
                               f"caption labels, more than {MAX_CAPTION_LABELS}")
+        if "raw" in obj["caption_labels"]:
+            raise FormatError(f"{context}: manifest field 'caption_labels' lists 'raw', which "
+                              "names the raw captions' source")
         lacking = set(obj["caption_labels"]).difference(obj["embedding_sources"])
         if lacking:
             raise FormatError(f"{context}: manifest field 'caption_labels' lists "
@@ -436,11 +440,10 @@ def write_pool(
         raise DataError(str(exc)) from None
     out_dir = new_pool_dir(out_path)
 
-    # record r's captions start at caption first[r]
-    first = np.concatenate(([0], np.cumsum(1 + (labels >= 0).sum(axis=1))))
+    starts = caption_starts(labels)
     for k, size in enumerate(sizes):
         rows = slice(k * records_per_shard, k * records_per_shard + size)
-        bounds = offsets[first[rows.start] : first[rows.stop] + 1]
+        bounds = offsets[starts[rows.start] : starts[rows.stop] + 1]
         shard = ShardColumns(ids[rows], prov[rows], labels[rows], bounds - bounds[0],
                              text[bounds[0] : bounds[-1]])
         manifest.checksums |= write_shard(out_dir, k, shard,
@@ -453,9 +456,11 @@ class PoolHandle:
     """Read-only view of a pool directory.
 
     The records are read once, shard by shard, into a ``CaptionTable``
-    (``records()``).  Curated (id, caption choice) entries resolve to rows
-    and texts through it: ``ids``, ``rows``, ``variant_labels``,
-    ``variant_index`` and ``caption`` all read the table.
+    (``records()``).  Curated (id, caption choice) entries resolve to rows,
+    sources and texts through it: ``ids``, ``rows``, ``variant_labels``,
+    ``variant_index``, ``caption_ids`` and ``caption`` all read the table.
+    Embeddings are not cached: each ``embeddings`` call reads the source's
+    sidecars again.
     """
 
     def __init__(self, path: Path, manifest: PoolManifest):
@@ -464,7 +469,6 @@ class PoolHandle:
         self.layout = shard_layout(manifest.num_records, manifest.records_per_shard)
         self._verified: set[str] = set()
         self._table: CaptionTable | None = None
-        self._embeddings: dict[str, np.ndarray] = {}
 
     @property
     def num_records(self) -> int:
@@ -521,44 +525,41 @@ class PoolHandle:
         return rows
 
     def variant_labels(self) -> list[str]:
-        """Source label of every variant some record lists."""
-        return list(self.records().labels[1:])
+        """Source label of every variant some record lists, by first appearance."""
+        table = self.records()
+        used, first = np.unique(table.labels[table.labels >= 0], return_index=True)
+        return [table.sources[1 + j] for j in used[np.argsort(first)].tolist()]
 
     def variant_index(self, label: str) -> np.ndarray:
         """Per-record position of the variant with source `label`, -1 if none."""
         table = self.records()
-        if label not in table.labels[1:]:
-            return np.full(len(table), -1, np.int64)
-        match = table.label_ids[:, 1:] == table.labels.index(label)
-        return np.where(match.any(axis=1), match.argmax(axis=1), -1)
+        index = np.full(len(table), -1, np.int64)
+        if label in table.sources[1:]:  # a label is listed at most once per record
+            rows, positions = np.nonzero(table.labels == table.sources.index(label) - 1)
+            index[rows] = positions
+        return index
 
     def caption(self, row: int, cap: int) -> tuple[str, str]:
         """(embedding source label, text) of caption choice `cap` at `row`."""
-        table, col = self.records(), cap + 1
-        text_id = table.text_ids.item(row, col) if 0 <= col < table.text_ids.shape[1] else -1
-        if text_id < 0:
-            raise self._missing_choice(row, cap)
-        text = table.text[table.offsets[text_id] : table.offsets[text_id + 1]].decode("utf-8")
-        return table.labels[table.label_ids.item(row, col)], text
+        table = self.records()
+        (source,), (i,) = self.caption_ids(np.array([row]), np.array([cap]))
+        return table.sources[source], table.text[table.offsets[i] : table.offsets[i + 1]].decode()
 
     def caption_ids(self, rows: np.ndarray, caps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(label ids, text ids) into ``records()`` of each (row, caption
-        choice); the first choice its record lacks raises as ``caption``."""
-        table, cols = self.records(), np.asarray(caps, np.int64) + 1
-        held = (cols >= 0) & (cols < table.text_ids.shape[1])
-        cols = np.where(held, cols, 0)
-        text_ids = np.where(held, table.text_ids[rows, cols], -1)
-        if (text_ids < 0).any():
-            bad = int(np.argmax(text_ids < 0))
-            raise self._missing_choice(int(rows[bad]), int(caps[bad]))
-        return table.label_ids[rows, cols], text_ids
-
-    def _missing_choice(self, row: int, cap: int) -> DataError:
-        table = self.records()
-        return DataError(
-            f"curated entry references variant {cap} of record {table.ids[row]} "
-            f"which has {int((table.text_ids[row, 1:] >= 0).sum())} variants"
-        )
+        """(indexes into ``records().sources``, caption numbers) of each (row,
+        caption choice); the first choice its record lacks is a DataError."""
+        table, rows, caps = self.records(), np.asarray(rows, np.int64), np.asarray(caps, np.int64)
+        width = table.labels.shape[1]
+        labels = np.full(caps.shape, -1, np.int16)
+        if width:  # gather at every entry, then mask: a gather at the variants alone is slower
+            variant = (caps >= 0) & (caps < width)
+            labels = np.where(variant, table.labels[rows, np.where(variant, caps, 0)], -1)
+        held = (caps == RAW_CHOICE) | (labels >= 0)
+        if not held.all():
+            row, cap = rows[~held][0], caps[~held][0]
+            raise DataError(f"curated entry references variant {cap} of record "
+                            f"{table.ids[row]} which has {(table.labels[row] >= 0).sum()} variants")
+        return labels + 1, table.starts[rows] + 1 + caps
 
     def shard_embeddings(self, k: int, source: str) -> np.ndarray:
         """Sidecar k of ``source``, which must be (``layout[k]``, embedding_dim)
@@ -575,16 +576,11 @@ class PoolHandle:
         return mat
 
     def embeddings(self, source: str) -> np.ndarray:
-        """Full (num_records, dim) matrix for one source, cached."""
-        cached = self._embeddings.get(source)
-        if cached is not None:
-            return cached
+        """Full (num_records, dim) matrix for one source, read anew on each call."""
         if source not in self.manifest.embedding_sources:
             raise DataError(f"pool has no embedding source {source!r}")
-        mat = np.concatenate([np.zeros((0, self.embedding_dim), np.float32)] + [
+        return np.concatenate([np.zeros((0, self.embedding_dim), np.float32)] + [
             self.shard_embeddings(k, source) for k in range(self.manifest.num_shards)])
-        self._embeddings[source] = mat
-        return mat
 
     # score sidecars -------------------------------------------------------
 
@@ -686,17 +682,17 @@ def materialize(
     """
     prov = curated.ids()
     rows = handle.rows(prov)
-    label_ids, text_ids = handle.caption_ids(rows, curated.entries[:, 1])
+    sources, captions = handle.caption_ids(rows, curated.entries[:, 1])
     if (bad := np.flatnonzero(prov == -1)).size:
         raise DataError(f"record {bad[0]}: prov -1 cannot be stored; a shard reads -1 as no "
                         "source record")
     table = handle.records()
-    starts, ends = table.offsets[text_ids], table.offsets[text_ids + 1]
+    starts, ends = table.offsets[captions], table.offsets[captions + 1]
     image = handle.embeddings("image")[rows]
     text = np.empty_like(image)
-    for label in np.unique(label_ids).tolist():
-        at = label_ids == label
-        text[at] = handle.embeddings(table.labels[label])[rows[at]]
+    for source in np.unique(sources).tolist():
+        at = sources == source
+        text[at] = handle.embeddings(table.sources[source])[rows[at]]
     columns = ShardColumns(np.arange(len(rows)), prov, np.zeros((len(rows), 0), np.int16),
                            np.concatenate(([0], np.cumsum(ends - starts))),
                            _join_ranges(table.text, starts, ends))

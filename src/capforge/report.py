@@ -94,20 +94,20 @@ def build_quality_report(
 ) -> QualityReport:
     """One report row for a curated set; sums run in entry order."""
     rows = handle.rows(curated.ids())
-    label_ids, _ = handle.caption_ids(rows, curated.entries[:, 1])
+    sources, _ = handle.caption_ids(rows, curated.entries[:, 1])
     scores = np.empty(len(rows))
-    labels, first = np.unique(label_ids, return_index=True)
-    for label in labels[np.argsort(first)].tolist():
-        at = label_ids == label
-        scores[at] = score_tables[handle.records().labels[label]].scores[rows[at]]
+    used, first = np.unique(sources, return_index=True)
+    for source in used[np.argsort(first)].tolist():
+        at = sources == source
+        scores[at] = score_tables[handle.records().sources[source]].scores[rows[at]]
     count = len(curated.entries)
     mean_cos = ordered_sum(scores) / count if count else 0.0
     mean_clip = ordered_sum(clip_s(scores)) / count if count else 0.0
 
     n_sample = min(sample_size, count)
     sample = sample_subset(curated, n_sample, seed)
-    _, text_ids = handle.caption_ids(handle.rows(sample.ids()), sample.entries[:, 1])
-    stats = features.sample_stats(text_ids)
+    _, captions = handle.caption_ids(handle.rows(sample.ids()), sample.entries[:, 1])
+    stats = features.sample_stats(captions)
     return QualityReport(
         strategy=curated.spec.name,
         entries=count,

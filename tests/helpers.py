@@ -179,13 +179,15 @@ def write_records(records, embeddings, out_path, **options):
 def materialize_by_records(handle, curated, out_path):
     """``materialize`` entry by entry: one ``Record`` per curated entry from
     ``handle.caption``, one embedding row copied for each, then
-    ``write_records``."""
+    ``write_records``.  Each source's matrix is read once."""
     rows = handle.rows(curated.ids()).tolist()
-    records, text_rows = [], []
+    records, text_rows, matrices = [], [], {}
     for new_id, ((rec_id, cap), row) in enumerate(zip(curated.entries.tolist(), rows)):
         source, caption = handle.caption(row, cap)
         records.append(Record(id=new_id, raw_caption=caption, prov=rec_id))
-        text_rows.append(handle.embeddings(source)[row])
+        if source not in matrices:
+            matrices[source] = handle.embeddings(source)
+        text_rows.append(matrices[source][row])
     image = handle.embeddings("image")[rows]
     text = np.stack(text_rows) if text_rows else np.zeros_like(image)
     return write_records(records, {"image": image, "raw": text}, out_path,
@@ -250,7 +252,7 @@ def handle_captions(handle) -> list[tuple[int, list[tuple[str, str]]]]:
     return [
         (int(table.ids[row]), [
             handle.caption(row, cap)
-            for cap in range(-1, int((table.text_ids[row] >= 0).sum()) - 1)
+            for cap in range(-1, int((table.labels[row] >= 0).sum()))
         ])
         for row in range(len(table))
     ]
@@ -522,8 +524,9 @@ def break_pool(pool_dir, violation: str, k: int, row: int, what) -> None:
     matching checksum, to break one pool invariant at ``row`` of shard ``k``:
     "id" gives the record id ``what``; "label" lists its second variant label
     in place of its first; "source" drops caption label ``what`` and its
-    sidecars from the manifest; "zero" zeroes the row of sidecar source
-    ``what``, and "nan" or "inf" sets its entry 0 to NaN or -infinity."""
+    sidecars from the manifest; "raw" renames caption label ``what`` to
+    "raw" in the manifest; "zero" zeroes the row of sidecar source ``what``,
+    and "nan" or "inf" sets its entry 0 to NaN or -infinity."""
     pool_dir = Path(pool_dir)
     shard = f"shard-{k:05d}.cap"
     if violation in ("id", "label"):
@@ -542,6 +545,11 @@ def break_pool(pool_dir, violation: str, k: int, row: int, what) -> None:
             del manifest["checksums"][name]
             (pool_dir / name).unlink()
         (pool_dir / "manifest.json").write_text(json.dumps(manifest))
+    elif violation == "raw":
+        manifest = json.loads((pool_dir / "manifest.json").read_text())
+        labels = manifest["caption_labels"]
+        labels[labels.index(what)] = "raw"
+        (pool_dir / "manifest.json").write_text(json.dumps(manifest))
     else:
         name = f"shard-{k:05d}.{what}.f32"
         mat = fileio.read_embeddings(pool_dir / name).copy()
@@ -555,7 +563,7 @@ class BrokenPool(NamedTuple):
     what: object
     file: str  # the file it rewrites
     read_error: str  # what reading that file raises
-    write_error: str  # the DataError of ``write_records`` on the same record
+    write_error: str  # the DataError of ``write_pool`` on the same record
 
 
 # A 5-record dim-4 pool at two records a shard, every record listing variants
@@ -571,6 +579,11 @@ BROKEN_POOLS = {
         "manifest.json: manifest field 'caption_labels' lists 'syn.b.1.00', which "
         "'embedding_sources' lacks", "manifest.json: manifest field 'caption_labels' lists "
         "'syn.b.1.00', which 'embedding_sources' lacks"),
+    "raw_label": BrokenPool(
+        "raw", "syn.b.1.00", "manifest.json",
+        "manifest.json: manifest field 'caption_labels' lists 'raw', which names the raw "
+        "captions' source", "manifest.json: manifest field 'caption_labels' lists 'raw', "
+        "which names the raw captions' source"),
     "zero_row": BrokenPool("zero", "raw", "shard-00001.raw.f32",
                            "shard-00001.raw.f32: zero-norm embedding at pool row 3",
                            "source raw: zero-norm embedding at row 3"),
@@ -578,8 +591,9 @@ BROKEN_POOLS = {
 
 
 def broken_pool_inputs(case: str | None):
-    """(records, embeddings) for ``write_records``: valid for case None, else
-    breaking ``BROKEN_POOLS[case]``'s invariant in record 3."""
+    """(columns, caption labels, embeddings) for ``write_pool``: valid for
+    case None, else breaking ``BROKEN_POOLS[case]``'s invariant in record 3,
+    or for "raw_label" in the caption labels."""
     rng = np.random.default_rng(0)
     records = [Record(i, f"raw {i}", [CaptionVariant("a", 1.0, f"a {i}"),
                                       CaptionVariant("b", 1.0, f"b {i}")]) for i in range(5)]
@@ -592,13 +606,16 @@ def broken_pool_inputs(case: str | None):
         del embeddings["syn.b.1.00"]
     elif case == "zero_row":
         embeddings["raw"][3] = 0.0
-    return records, embeddings
+    columns, labels = record_columns(records)
+    if case == "raw_label":
+        labels[labels.index("syn.b.1.00")] = "raw"
+    return columns, labels, embeddings
 
 
 def write_broken_pool(out_dir, case: str) -> None:
     """The valid pool of ``broken_pool_inputs``, then ``BROKEN_POOLS[case]``'s
     rewrite."""
-    write_records(*broken_pool_inputs(None), out_dir, records_per_shard=2)
+    write_pool(*broken_pool_inputs(None), out_dir, records_per_shard=2)
     break_pool(out_dir, BROKEN_POOLS[case].violation, 1, 1, BROKEN_POOLS[case].what)
 
 

@@ -1,5 +1,6 @@
 import json
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -119,6 +120,20 @@ def test_threshold_filter_inclusive():
     scores = _table([0.1, 0.28, 0.5])
     mask = threshold_filter(scores, 0.28)
     assert set(np.flatnonzero(mask).tolist()) == {1, 2}
+
+
+def test_threshold_filter_compares_tau_exactly():
+    """tau is not rounded to float32: a score one float64 step below tau is
+    dropped, and a tau past float32's range keeps nothing without a warning."""
+    score = np.float32(0.2)
+    scores = _table([score])
+    assert threshold_filter(scores, float(score)).tolist() == [True]
+    assert threshold_filter(scores, float(np.nextafter(np.float64(score), 1.0))).tolist() == [False]
+    assert threshold_filter(scores, float(np.nextafter(np.float64(score), 0.0))).tolist() == [True]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert threshold_filter(scores, 1e300).tolist() == [False]
+        assert threshold_filter(scores, -1e300).tolist() == [True]
 
 
 def test_threshold_superset_of_top_fraction():

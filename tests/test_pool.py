@@ -30,8 +30,8 @@ from capforge.scoring import ScoreTables, score_pool
 from helpers import (
     BROKEN_POOLS, RESHAPED_SIDECARS, CaptionVariant, Record, break_pool, broken_pool_inputs,
     build_plain_pool, handle_captions, materialize_by_records, read_records, record_captions,
-    replace_pool_file, unit_rows, write_broken_pool, write_nan_raw_pool, write_records,
-    write_reshaped_pool,
+    record_columns, replace_pool_file, unit_rows, write_broken_pool, write_nan_raw_pool,
+    write_records, write_reshaped_pool,
 )
 
 
@@ -301,15 +301,22 @@ def test_caption_table_reads_every_record(pool, records_per_shard):
         write_records(records, {s: np.ones((len(records), 2), np.float32) for s in sources}, path,
                       records_per_shard=records_per_shard)
         handle = open_pool(path)
-        assert len(handle.records()) == len(records)
+        table = handle.records()
+        assert len(table) == len(records)
         expected = record_captions(records)
         for row, (rec_id, captions) in enumerate(expected):
             assert handle.ids()[row] == rec_id
             for cap, caption in enumerate(captions, -1):
                 assert handle.caption(row, cap) == caption
-            for cap in (len(captions) - 1, -2):
-                with pytest.raises(DataError, match=f"variant {cap} of record {rec_id} "):
+            # -2, and every variant position from the record's own count to the
+            # pool's width W inclusive
+            for cap in [-2, *range(len(captions) - 1, table.labels.shape[1] + 1)]:
+                message = (f"^curated entry references variant {cap} of record {rec_id} "
+                           f"which has {len(captions) - 1} variants$")
+                with pytest.raises(DataError, match=message):
                     handle.caption(row, cap)
+                with pytest.raises(DataError, match=message):
+                    handle.caption_ids(np.array([row]), np.array([cap]))
             labels = [label for label, _ in captions[1:]]
             for src, temp in _SOURCES:
                 label = f"syn.{src}.{temp:.2f}"
@@ -317,6 +324,33 @@ def test_caption_table_reads_every_record(pool, records_per_shard):
                 assert handle.variant_index(label)[row] == want
         first_seen = [label for _, captions in expected for label, _ in captions[1:]]
         assert handle.variant_labels() == list(dict.fromkeys(first_seen))
+        # one call over every (row, cap) pair: captions numbered in shard order
+        rows = np.array([row for row, (_, captions) in enumerate(expected) for _ in captions],
+                        np.int64)
+        caps = np.array([cap for _, captions in expected for cap in range(-1, len(captions) - 1)],
+                        np.int64)
+        source_ids, numbers = handle.caption_ids(rows, caps)
+        assert numbers.tolist() == list(range(len(rows)))
+        assert [(table.sources[source], table.text[table.offsets[i] : table.offsets[i + 1]]
+                 .decode()) for source, i in zip(source_ids.tolist(), numbers.tolist())] == [
+            handle.caption(row, cap) for row, cap in zip(rows.tolist(), caps.tolist())]
+
+
+def test_a_caption_label_no_record_lists_has_no_variants(tmp_path):
+    """The manifest lists "syn.a.1.00" but no record carries a variant
+    (W = 0): every record's position is -1, and no variant is listed."""
+    columns, _ = record_columns([Record(i, f"raw {i}") for i in range(3)])
+    rng = np.random.default_rng(0)
+    write_pool(columns, ["syn.a.1.00"], {s: unit_rows(rng, 3, 4) for s in ("image", "syn.a.1.00")},
+               tmp_path / "pool")
+    handle = open_pool(tmp_path / "pool")
+    assert handle.records().labels.shape == (3, 0)
+    assert handle.variant_index("syn.a.1.00").tolist() == [-1, -1, -1]
+    assert handle.variant_index("raw").tolist() == [-1, -1, -1]
+    assert handle.variant_labels() == []
+    with pytest.raises(DataError, match="^curated entry references variant 0 of record 2 "
+                                        "which has 0 variants$"):
+        handle.caption_ids(np.array([0, 2]), np.array([-1, 0]))
 
 
 # three records with two, one and no variants: (ids, prov, labels, texts)
@@ -912,7 +946,7 @@ def test_score_sidecar_roundtrip(tmp_path):
 @pytest.mark.parametrize("case", sorted(BROKEN_POOLS))
 def test_write_pool_refuses_a_pool_breaking_an_invariant(tmp_path, case):
     with pytest.raises(DataError, match=f"^{re.escape(BROKEN_POOLS[case].write_error)}$"):
-        write_records(*broken_pool_inputs(case), tmp_path / "pool", records_per_shard=2)
+        write_pool(*broken_pool_inputs(case), tmp_path / "pool", records_per_shard=2)
     assert not (tmp_path / "pool").exists()
 
 
@@ -922,6 +956,7 @@ _READERS = {
     "repeated_id": ("filter", "mix", "metrics", "report"),
     "repeated_label": ("filter", "mix", "metrics", "report"),
     "label_without_embeddings": ("score", "filter", "mix", "metrics", "report", "validate"),
+    "raw_label": ("score", "filter", "mix", "metrics", "report", "validate"),
     "zero_row": ("score", "filter", "mix", "metrics", "report"),
 }
 
@@ -959,7 +994,7 @@ def test_a_pool_breaking_an_invariant_exits_2_with_one_line_from_every_reader(
 @given(
     ids=st.lists(st.integers(-20, 20), min_size=2, max_size=9, unique=True),
     records_per_shard=st.integers(1, 4),
-    violation=st.sampled_from([None, "id", "label", "source", "zero", "nan", "inf"]),
+    violation=st.sampled_from([None, "id", "label", "source", "raw", "zero", "nan", "inf"]),
     data=st.data(),
 )
 def test_validate_passes_exactly_when_the_reads_pass(ids, records_per_shard, violation, data):
@@ -972,7 +1007,8 @@ def test_validate_passes_exactly_when_the_reads_pass(ids, records_per_shard, vio
     sources = ["image", "raw", "syn.a.1.00", "syn.b.1.00"]
     row = data.draw(st.integers(0, len(ids) - 1))
     what = data.draw({"id": st.sampled_from([i for i in ids if i != ids[row]]),
-                      "label": st.none(), "source": st.sampled_from(sources[2:])}
+                      "label": st.none(), "source": st.sampled_from(sources[2:]),
+                      "raw": st.sampled_from(sources[2:])}
                      .get(violation, st.sampled_from(sources)))
     rng = np.random.default_rng(0)
     with tempfile.TemporaryDirectory() as path:

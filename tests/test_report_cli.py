@@ -564,6 +564,25 @@ def test_cli_filter_threshold(tmp_path):
     assert header["count"] == len(lines) - 1
 
 
+def test_cli_filter_tau_is_inclusive_in_exact_arithmetic(small_pool, tmp_path, capsys):
+    """At tau one float64 step above a pool score, `filter --tau` keeps only
+    the records scoring above it, though tau rounds to that score in float32;
+    a tau past float32's range writes nothing to stderr."""
+    scores = ScoreTables(open_pool(small_pool))["raw"].scores
+    score = np.sort(scores)[len(scores) // 2]
+    tau = float(np.nextafter(np.float64(score), 1.0))
+    out = tmp_path / "f.jsonl"
+    for value, kept in ((tau, scores > score), (1e300, np.zeros_like(scores, bool))):
+        capsys.readouterr()
+        assert cli_main(["filter", "--pool", str(small_pool), "--tau", repr(value),
+                         "--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        lines = [json.loads(line) for line in out.read_text().splitlines()]
+        assert lines[0]["tau"] == value and lines[0]["count"] == int(kept.sum())
+        ids = open_pool(small_pool).ids()
+        assert [line["id"] for line in lines[1:]] == ids[kept].tolist()
+
+
 def test_cli_usage_errors():
     assert cli_main(["frobnicate"]) == 1
     assert cli_main([]) == 1
