@@ -34,7 +34,6 @@ from .pool import (
     CaptionTable,
     PoolHandle,
     PoolManifest,
-    ScoreTable,
     materialize,
     open_pool,
     validate_pool,
@@ -42,7 +41,7 @@ from .pool import (
 )
 from .poolgen import GenConfig, SynSource, attach_alignment, embed_concept, generate_pool
 from .report import MetricConfig, QualityReport, SweepResult, run_report, run_sweep
-from .scoring import clip_s, cosine, recall_at_1, score_pool
+from .scoring import ScoreTable, clip_s, cosine, recall_at_1, score_pool
 from .textmetrics import (
     grounding_ratio,
     sample_subset,

@@ -30,7 +30,7 @@ from .curation import (
     write_curated,
 )
 from .errors import CapforgeError, ConfigError
-from .pool import open_pool, validate_pool
+from .pool import open_pool, score_sidecar_name, validate_pool
 from .poolgen import generate_pool, load_config
 from .report import (
     DEFAULT_SAMPLE_SIZE,
@@ -123,6 +123,7 @@ def _cmd_score(args) -> int:
     handle = open_pool(args.pool)
     label = _resolve_source(handle, args.source)
     table = score_pool(handle, label)
+    fileio.write_scores(handle.path / score_sidecar_name(label), table.scores)
     mean = float(np.mean(table.scores.astype(np.float64))) if table.scores.size else 0.0
     print(f"scored {table.scores.size} records for {label}: mean cosine {mean:.6f}")
     return 0

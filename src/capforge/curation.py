@@ -21,7 +21,8 @@ import numpy as np
 
 from . import fileio
 from .errors import ConfigError, DataError, DomainError, FormatError, read_fields
-from .pool import RAW_CHOICE, PoolHandle, ScoreTable, first_bad_row
+from .pool import RAW_CHOICE, PoolHandle, first_bad_row
+from .scoring import ScoreTable
 
 # Each strategy is the union of its parts (rank, take, caption).  rank is the
 # score source of a top-p cut ("raw" or "syn"), or None for the whole pool.
@@ -227,8 +228,6 @@ def top_fraction(
         raise DomainError(f"p must lie in (0, 100], got {p}")
     values = scores.scores
     n = values.size
-    if n == 0:
-        raise DomainError("top_fraction on empty score table")
     k = Fraction(str(p)) * n // 100  # exact: p*n/100.0 can round across an integer
     mask = np.zeros(n, dtype=bool)
     if k == 0:

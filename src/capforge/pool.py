@@ -310,14 +310,6 @@ class PoolManifest:
 
 
 @dataclass
-class ScoreTable:
-    """Per-record alignment scores for one caption source."""
-
-    source: str
-    scores: np.ndarray  # float32, global record order
-
-
-@dataclass
 class Finding:
     kind: str
     message: str
@@ -453,7 +445,8 @@ def write_pool(
 
 
 class PoolHandle:
-    """Read-only view of a pool directory.
+    """Read-only view of a pool directory: it reads the manifest's files and
+    writes none (score sidecars are ``scoring``'s).
 
     The records are read once, shard by shard, into a ``CaptionTable``
     (``records()``).  Curated (id, caption choice) entries resolve to rows,
@@ -581,31 +574,6 @@ class PoolHandle:
             raise DataError(f"pool has no embedding source {source!r}")
         return np.concatenate([np.zeros((0, self.embedding_dim), np.float32)] + [
             self.shard_embeddings(k, source) for k in range(self.manifest.num_shards)])
-
-    # score sidecars -------------------------------------------------------
-
-    def score_path(self, name: str) -> Path:
-        return self.path / score_sidecar_name(name)
-
-    def has_scores(self, name: str) -> bool:
-        return self.score_path(name).exists()
-
-    def read_score_table(self, name: str) -> ScoreTable:
-        path = self.score_path(name)
-        scores = fileio.read_scores(path, context=path.name)
-        if scores.size != self.manifest.num_records:
-            raise IntegrityError(
-                f"{path.name}: {scores.size} scores for {self.manifest.num_records} records"
-            )
-        bad = np.flatnonzero(~(np.abs(scores) <= 1.0))  # scores are cosines; NaN too
-        if bad.size:
-            raise IntegrityError(f"{path.name}: row {bad[0]} holds {scores[bad[0]]}, not a cosine")
-        return ScoreTable(source=name, scores=scores)
-
-    def write_score_table(self, table: ScoreTable) -> Path:
-        path = self.score_path(table.source)
-        fileio.write_scores(path, table.scores)
-        return path
 
 
 def open_pool(path: str | Path) -> PoolHandle:

@@ -21,9 +21,9 @@ import numpy as np
 from . import fileio
 from .curation import ClusterParams, CuratedSet, StrategySpec, curate
 from .errors import ConfigError
-from .pool import PoolHandle, ScoreTable, open_pool
+from .pool import PoolHandle, open_pool
 from .poolgen import GenConfig, generate_pool
-from .scoring import ScoreTables, clip_s
+from .scoring import ScoreTable, ScoreTables, clip_s
 from .textmetrics import (
     CaptionFeatures,
     default_noun_lexicon,
@@ -94,7 +94,7 @@ def build_quality_report(
 ) -> QualityReport:
     """One report row for a curated set; sums run in entry order."""
     rows = handle.rows(curated.ids())
-    sources, _ = handle.caption_ids(rows, curated.entries[:, 1])
+    sources, captions = handle.caption_ids(rows, curated.entries[:, 1])
     scores = np.empty(len(rows))
     used, first = np.unique(sources, return_index=True)
     for source in used[np.argsort(first)].tolist():
@@ -105,9 +105,7 @@ def build_quality_report(
     mean_clip = ordered_sum(clip_s(scores)) / count if count else 0.0
 
     n_sample = min(sample_size, count)
-    sample = sample_subset(curated, n_sample, seed)
-    _, captions = handle.caption_ids(handle.rows(sample.ids()), sample.entries[:, 1])
-    stats = features.sample_stats(captions)
+    stats = features.sample_stats(captions[sample_subset(count, n_sample, seed)])
     return QualityReport(
         strategy=curated.spec.name,
         entries=count,

@@ -1,16 +1,31 @@
 """Alignment scoring: cosine similarity, CLIP-S, per-source pool scores
 and retrieval Recall@1.
 
+Score sidecars are derived files beside a pool, outside its checksums:
+``score`` writes them (``gen`` its ground-truth ``.alpha`` ones), and
+``ScoreTables`` alone reads them.
+
 All reductions over float32 embeddings accumulate in float64; ties resolve
 to the lowest index throughout.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
-from .errors import DataError, DomainError
-from .pool import PoolHandle, ScoreTable
+from . import fileio
+from .errors import DataError, DomainError, IntegrityError
+from .pool import PoolHandle, score_sidecar_name
+
+
+@dataclass
+class ScoreTable:
+    """Per-record alignment scores for one caption source."""
+
+    source: str
+    scores: np.ndarray  # float32, global record order
 
 
 def cosine(u: np.ndarray, v: np.ndarray) -> float:
@@ -36,14 +51,13 @@ def clip_s(cos_score):
     return 2.5 * np.maximum(cos_score, 0.0)
 
 
-def score_pool(handle: PoolHandle, text_source: str, *,
-               write_sidecar: bool = True) -> ScoreTable:
-    """Cosine between image and one text source for every record.
+def score_pool(handle: PoolHandle, text_source: str) -> ScoreTable:
+    """Cosine between image and one text source for every record; writes
+    nothing.
 
     Computed shard-by-shard (float64) and concatenated in shard order.
-    Written as a score sidecar unless ``write_sidecar`` is false.  Every
-    cosine is defined: the sidecar reads refuse a row that holds a NaN or an
-    infinity or is all zeros, before any sidecar is written.
+    Every cosine is defined: the embedding reads refuse a row that holds a
+    NaN or an infinity or is all zeros.
     """
     sources = ("image", text_source)  # every manifest lists "image"
     if text_source not in handle.manifest.embedding_sources:
@@ -55,25 +69,33 @@ def score_pool(handle: PoolHandle, text_source: str, *,
         cosines = np.einsum("ij,ij->i", *mats) / (norms[0] * norms[1])
         parts.append(np.clip(cosines, -1.0, 1.0).astype(np.float32))
     scores = np.concatenate(parts) if parts else np.zeros(0, dtype=np.float32)
-    table = ScoreTable(source=text_source, scores=scores)
-    if write_sidecar:
-        handle.write_score_table(table)
-    return table
+    return ScoreTable(source=text_source, scores=scores)
 
 
 class ScoreTables(dict):
     """A pool's score tables by source label, each loaded on first use: read
-    from its sidecar where the pool has one, else computed (not written)."""
+    from its score sidecar where the pool has one, else computed by
+    ``score_pool`` (not written).  The one reader of score sidecars: a
+    sidecar must hold one score per record, each a cosine in [-1, 1]."""
 
     def __init__(self, handle: PoolHandle):
         super().__init__()
         self.handle = handle
 
     def __missing__(self, label: str) -> ScoreTable:
-        if self.handle.has_scores(label):
-            table = self.handle.read_score_table(label)
+        path = self.handle.path / score_sidecar_name(label)
+        if path.exists():
+            scores = fileio.read_scores(path, context=path.name)
+            if scores.size != self.handle.num_records:
+                raise IntegrityError(
+                    f"{path.name}: {scores.size} scores for {self.handle.num_records} records")
+            bad = np.flatnonzero(~(np.abs(scores) <= 1.0))  # scores are cosines; NaN too
+            if bad.size:
+                raise IntegrityError(
+                    f"{path.name}: row {bad[0]} holds {scores[bad[0]]}, not a cosine")
+            table = ScoreTable(source=label, scores=scores)
         else:
-            table = score_pool(self.handle, label, write_sidecar=False)
+            table = score_pool(self.handle, label)
         self[label] = table
         return table
 

@@ -24,7 +24,6 @@ from typing import Iterable, NamedTuple
 import numpy as np
 
 from . import fileio
-from .curation import CuratedSet
 from .errors import DataError, DomainError
 
 _TOKEN_RE = re.compile(r"[a-z0-9]+")
@@ -323,15 +322,11 @@ def _partial_fisher_yates(n: int, total: int, seed: int) -> np.ndarray:
     return np.where(last_before >= 0, source[last_before], targets)
 
 
-def sample_subset(curated: CuratedSet, n: int, seed: int) -> CuratedSet:
-    """Uniform sample of n entries without replacement, re-sorted."""
-    total = len(curated.entries)
+def sample_subset(total: int, n: int, seed: int) -> np.ndarray:
+    """Uniform sample of n of ``total`` positions without replacement, sorted."""
     if n > total or n < 0:
         raise DomainError(f"cannot sample {n} of {total} entries")
-    chosen = np.sort(_partial_fisher_yates(n, total, seed))  # entries stay sorted
-    return CuratedSet(
-        entries=curated.entries[chosen], spec=curated.spec, tau_used=curated.tau_used
-    )
+    return np.sort(_partial_fisher_yates(n, total, seed))
 
 
 # ---------------------------------------------------------------------------

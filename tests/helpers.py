@@ -380,13 +380,13 @@ def oracle_quality_report(handle, curated, get_table, *, vocab, lexicon, sample_
     count = len(curated.entries)
 
     n_sample = min(sample_size, count)
-    sample = sample_subset(curated, n_sample, seed)
+    sample = curated.entries[sample_subset(count, n_sample, seed)]
     word_sum = 0
     ground_sum = 0.0
     trigrams: set[tuple[str, str, str]] = set()
     nouns: set[str] = set()
-    rows = handle.rows(sample.ids()).tolist()
-    for row, cap in zip(rows, sample.entries[:, 1].tolist()):
+    rows = handle.rows(sample[:, 0]).tolist()
+    for row, cap in zip(rows, sample[:, 1].tolist()):
         tokens = tokenize(handle.caption(row, cap)[1])
         word_sum += len(tokens)
         if tokens:

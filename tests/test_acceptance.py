@@ -23,10 +23,10 @@ from capforge.curation import (
     threshold_filter,
     top_fraction,
 )
-from capforge.pool import ScoreTable, materialize, open_pool, validate_pool
+from capforge.pool import materialize, open_pool, validate_pool
 from capforge.poolgen import GenConfig, SynSource, generate_pool
 from capforge.report import MetricConfig, run_report, run_sweep
-from capforge.scoring import recall_at_1, score_pool
+from capforge.scoring import ScoreTable, ScoreTables, recall_at_1, score_pool
 from capforge.textmetrics import tokenize, unique_trigrams
 from helpers import (
     RAW, build_plain_pool, oracle_strategy, oracle_top, oracle_trigrams, pairs,
@@ -153,15 +153,15 @@ def test_criterion_04_generator_calibration(calibrated):
     with criterion(4, "1e5-pool mean cosines within 0.005; per-record alpha to 1e-6"):
         start = time.perf_counter()
         handle = open_pool(calibrated["path"])
-        raw = score_pool(handle, "raw", write_sidecar=False)
-        syn = score_pool(handle, "syn.blip2.0.75", write_sidecar=False)
+        raw = score_pool(handle, "raw")
+        syn = score_pool(handle, "syn.blip2.0.75")
         score_seconds = time.perf_counter() - start
         raw_mean = float(np.mean(raw.scores.astype(np.float64)))
         syn_mean = float(np.mean(syn.scores.astype(np.float64)))
         assert abs(raw_mean - 0.208) < 0.005, raw_mean
         assert abs(syn_mean - 0.251) < 0.005, syn_mean
-        raw_alpha = handle.read_score_table("raw.alpha").scores
-        syn_alpha = handle.read_score_table("syn.blip2.0.75.alpha").scores
+        raw_alpha = ScoreTables(handle)["raw.alpha"].scores
+        syn_alpha = ScoreTables(handle)["syn.blip2.0.75.alpha"].scores
         assert float(np.abs(raw.scores - raw_alpha).max()) < 1e-6
         assert float(np.abs(syn.scores - syn_alpha).max()) < 1e-6
         total = calibrated["gen_seconds"] + score_seconds
@@ -330,8 +330,8 @@ def test_criterion_10_roundtrip_validation(tmp_path):
         assert validate_pool(handle).ok
         spec = StrategySpec("raw_top_plus_syn_rest_filtered", p=30, syn_source="blip2")
         tables = {
-            "raw": score_pool(handle, "raw", write_sidecar=False),
-            "syn.blip2.0.75": score_pool(handle, "syn.blip2.0.75", write_sidecar=False),
+            "raw": score_pool(handle, "raw"),
+            "syn.blip2.0.75": score_pool(handle, "syn.blip2.0.75"),
         }
         curated = apply_strategy(handle, spec, tables)
         out_dir = tmp_path / "materialized"

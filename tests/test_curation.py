@@ -27,8 +27,8 @@ from capforge.curation import (
     write_curated,
 )
 from capforge.errors import ConfigError, DataError, DomainError, FormatError
-from capforge.pool import ScoreTable, open_pool
-from capforge.scoring import score_pool
+from capforge.pool import open_pool
+from capforge.scoring import ScoreTable, score_pool
 from helpers import (
     RAW, CaptionVariant, Record, build_plain_pool, oracle_kmeans_trace, oracle_strategy,
     oracle_top, pairs, select_best_variant, unit_rows, write_records,
@@ -75,8 +75,8 @@ def test_top_fraction_domain_checks():
         top_fraction(_table([0.1]), 0, np.arange(1))
     with pytest.raises(DomainError):
         top_fraction(_table([0.1]), 101, np.arange(1))
-    with pytest.raises(DomainError):
-        top_fraction(_table([]), 50, np.arange(0))
+    mask, tau = top_fraction(_table([]), 50, np.arange(0))  # floor(50 * 0 / 100) = 0
+    assert (mask.dtype, mask.shape, tau) == (np.dtype(bool), (0,), None)
 
 
 @given(
@@ -504,7 +504,7 @@ def _mixed_order_pool(path, override=None):
                   "syn.blip2.0.75": blip2, "syn.coca.1.00": coca}
     write_records(records, embeddings, path, records_per_shard=16)
     handle = open_pool(path)
-    tables = {label: score_pool(handle, label, write_sidecar=False)
+    tables = {label: score_pool(handle, label)
               for label in ("syn.blip2.0.75", "syn.coca.1.00")}
     return handle, tables
 

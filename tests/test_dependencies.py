@@ -24,3 +24,31 @@ def test_numpy_is_the_only_runtime_dependency():
             outside += [f"{path.name}: {name}" for name in names
                         if name.split(".")[0] not in ALLOWED]
     assert outside == []
+
+
+# module: the package modules it may import, or (with "not") may not import
+LAYERS = {
+    "pool": ("only", {"errors", "fileio"}),
+    "textmetrics": ("only", {"errors", "fileio"}),
+    "scoring": ("not", {"curation", "report", "textmetrics"}),
+}
+
+
+def _relative_imports(path: Path) -> set[str]:
+    """The package modules a module imports by relative import."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            names |= {node.module} if node.module else {a.name for a in node.names}
+    return names
+
+
+def test_modules_import_only_the_layers_below_them():
+    package = Path(capforge.__file__).parent
+    broken = {}
+    for module, (rule, names) in LAYERS.items():
+        imported = _relative_imports(package / f"{module}.py")
+        wrong = imported - names if rule == "only" else imported & names
+        if wrong:
+            broken[module] = sorted(wrong)
+    assert broken == {}

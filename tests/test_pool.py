@@ -195,7 +195,7 @@ def test_each_pool_file_is_checksummed_on_its_first_read_only(tmp_path, monkeypa
     handle = open_pool(tmp_path)
     for _ in range(2):
         handle.records()
-        score_pool(handle, "raw", write_sidecar=False)
+        score_pool(handle, "raw")
     read = [crc for name, crc in manifest.checksums.items() if "blip2" not in name]
     assert checked() == sorted(read)
 
@@ -928,15 +928,23 @@ def test_materialize_dangling_reference(tmp_path):
 
 
 def test_score_sidecar_roundtrip(tmp_path):
+    """``score`` writes the sidecar that ``ScoreTables`` reads back."""
     build_plain_pool(tmp_path, 8)
-    handle = open_pool(tmp_path)
-    from capforge.pool import ScoreTable
+    table = score_pool(open_pool(tmp_path), "raw")
+    assert cli_main(["score", "--pool", str(tmp_path), "--source", "raw"]) == 0
+    sidecar = tmp_path / "raw.scores.f32"
+    assert sidecar.read_bytes() == fileio.encode_scores(table.scores)
+    back = ScoreTables(open_pool(tmp_path))["raw"]
+    assert (back.source, back.scores.tolist()) == ("raw", table.scores.tolist())
 
-    table = ScoreTable("raw", np.linspace(-1, 1, 8, dtype=np.float32))
-    handle.write_score_table(table)
-    assert handle.has_scores("raw")
-    back = handle.read_score_table("raw")
-    assert np.array_equal(back.scores, table.scores)
+
+def test_score_pool_writes_no_file(tmp_path):
+    build_plain_pool(tmp_path, 8)
+    before = sorted(tmp_path.iterdir())
+    handle = open_pool(tmp_path)
+    for label in ("raw", "image"):
+        assert score_pool(handle, label).scores.size == 8
+    assert sorted(tmp_path.iterdir()) == before
 
 
 # ---------------------------------------------------------------------------

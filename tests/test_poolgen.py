@@ -36,7 +36,7 @@ from capforge.poolgen import (
     generate_pool,
     load_config,
 )
-from capforge.scoring import score_pool
+from capforge.scoring import ScoreTables, score_pool
 from capforge.textmetrics import tokenize, unique_trigrams
 from helpers import (
     CRC32C_POLY, handle_captions, oracle_shard_records, read_records, record_captions, scalar_crc,
@@ -172,7 +172,7 @@ def test_different_seed_changes_pool(tmp_path):
 
 def test_regenerating_into_a_scored_pool_is_refused(tmp_path):
     generate_pool(GenConfig(num_records=60, seed=1, records_per_shard=20), tmp_path)
-    score_pool(open_pool(tmp_path), "raw")
+    assert cli_main(["score", "--pool", str(tmp_path), "--source", "raw"]) == 0
     before = _dir_bytes(tmp_path)
     # a smaller pool with another seed would leave raw.scores.f32 and shard-00002 stale
     with pytest.raises(DataError, match="not empty"):
@@ -182,15 +182,14 @@ def test_regenerating_into_a_scored_pool_is_refused(tmp_path):
 
 def test_generated_pool_validates_and_has_truth_sidecars(gen_pool):
     assert validate_pool(gen_pool).ok
-    assert gen_pool.has_scores("raw.alpha")
-    assert gen_pool.has_scores("syn.blip2.0.75.alpha")
-    assert gen_pool.has_scores("syn.blip2.1.50.alpha")
+    for source in ("raw", "syn.blip2.0.75", "syn.blip2.1.50"):
+        assert (gen_pool.path / f"{source}.alpha.scores.f32").is_file()
 
 
 def test_cosine_equals_drawn_alpha(gen_pool):
     for source in ("raw", "syn.blip2.0.75", "syn.blip2.1.50"):
-        table = score_pool(gen_pool, source, write_sidecar=False)
-        alphas = gen_pool.read_score_table(f"{source}.alpha").scores
+        table = score_pool(gen_pool, source)
+        alphas = ScoreTables(gen_pool)[f"{source}.alpha"].scores
         assert np.abs(table.scores - alphas).max() < 1e-6
 
 
@@ -200,8 +199,8 @@ def test_alignment_mean_calibration(tmp_path):
     config = GenConfig(num_records=20_000, seed=5, records_per_shard=5000)
     generate_pool(config, tmp_path)
     handle = open_pool(tmp_path)
-    raw = score_pool(handle, "raw", write_sidecar=False).scores
-    syn = score_pool(handle, "syn.blip2.0.75", write_sidecar=False).scores
+    raw = score_pool(handle, "raw").scores
+    syn = score_pool(handle, "syn.blip2.0.75").scores
     assert abs(float(np.mean(raw.astype(np.float64))) - 0.208) < 0.01
     assert abs(float(np.mean(syn.astype(np.float64))) - 0.251) < 0.01
 

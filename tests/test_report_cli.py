@@ -14,7 +14,9 @@ from hypothesis import strategies as st
 import capforge
 from capforge import fileio
 from capforge.cli import cli_main
-from capforge.curation import CuratedSet, StrategySpec, apply_strategy, read_curated
+from capforge.curation import (
+    STRATEGY_NAMES, CuratedSet, StrategySpec, apply_strategy, read_curated,
+)
 from capforge.errors import DataError
 from capforge.pool import materialize, open_pool
 from capforge.poolgen import GenConfig, SynSource, generate_pool
@@ -85,7 +87,7 @@ def corrupt_scores_pool(tmp_path_factory):
     """Pool whose raw score sidecar holds ten 3.4e38 scores (rows 22-31)."""
     path = tmp_path_factory.mktemp("report") / "pool4"
     generate_pool(GenConfig(num_records=60, seed=5, records_per_shard=30), path)
-    score_pool(open_pool(path), "raw")
+    assert cli_main(["score", "--pool", str(path), "--source", "raw"]) == 0
     sidecar = path / "raw.scores.f32"
     blob = bytearray(sidecar.read_bytes())
     blob[100:140] = b"\x7f" * 40
@@ -164,7 +166,7 @@ def _specs():
 def test_report_mean_cosine_matches_score_table(small_pool):
     rows = run_report(small_pool, [StrategySpec("raw_all")], MetricConfig(seed=0))
     handle = open_pool(small_pool)
-    scores = score_pool(handle, "raw", write_sidecar=False).scores
+    scores = score_pool(handle, "raw").scores
     assert rows[0].mean_cosine == pytest.approx(
         float(np.mean(scores.astype(np.float64))), abs=1e-12
     )
@@ -369,6 +371,29 @@ def test_cli_gen_then_validate(tmp_path):
     pool = str(tmp_path / "pool")
     assert cli_main(["gen", "--config", config, "--out", pool]) == 0
     assert cli_main(["validate", pool]) == 0
+
+
+def test_every_strategy_on_an_empty_pool_keeps_no_entry(tmp_path):
+    """A top-p cut of 0 records keeps floor(p * 0 / 100) = 0 of them."""
+    pool = str(tmp_path / "pool")
+    assert cli_main(["gen", "--config", _write_config(tmp_path, n=0), "--out", pool]) == 0
+    assert cli_main(["score", "--pool", pool, "--source", "raw"]) == 0
+    for name in STRATEGY_NAMES:
+        out = tmp_path / f"{name}.jsonl"
+        assert cli_main(["mix", "--pool", pool, "--strategy", name, "--p", "30",
+                         "--syn-source", "blip2", "--out", str(out)]) == 0
+        assert len(read_curated(out)) == 0
+    assert cli_main(["filter", "--pool", pool, "--p", "30", "--out",
+                     str(tmp_path / "ids.jsonl")]) == 0
+    assert json.loads((tmp_path / "ids.jsonl").read_text())["count"] == 0
+    strategies = tmp_path / "strategies.json"
+    strategies.write_text(json.dumps([{"name": name, "p": 30, "syn_source": "blip2"}
+                                      for name in STRATEGY_NAMES]))
+    assert cli_main(["report", "--pool", pool, "--strategies", str(strategies),
+                     "--out-dir", str(tmp_path / "rep")]) == 0
+    rows = json.loads((tmp_path / "rep" / "report.json").read_text())
+    assert [(row["strategy"], row["entries"]) for row in rows] == [
+        (name, 0) for name in STRATEGY_NAMES]
 
 
 def test_cli_validate_corrupt_pool(tmp_path):

@@ -1,17 +1,19 @@
 import json
+import re
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from capforge import fileio
 from capforge.cli import cli_main
 from capforge.errors import DataError, DomainError, IntegrityError
 from capforge.pool import open_pool
-from capforge.scoring import clip_s, cosine, recall_at_1, score_pool
+from capforge.scoring import ScoreTables, clip_s, cosine, recall_at_1, score_pool
 from helpers import (
-    CaptionVariant, Record, select_best_variant, unit_rows, variant_scores, write_broken_pool,
-    write_records,
+    CaptionVariant, Record, build_plain_pool, select_best_variant, unit_rows, variant_scores,
+    write_broken_pool, write_records,
 )
 
 finite_floats = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
@@ -72,8 +74,8 @@ def test_clip_s_monotone(a, b):
 
 
 def test_score_pool_matches_generator_alphas(gen_pool):
-    table = score_pool(gen_pool, "raw", write_sidecar=False)
-    truth = gen_pool.read_score_table("raw.alpha").scores
+    table = score_pool(gen_pool, "raw")
+    truth = ScoreTables(gen_pool)["raw.alpha"].scores
     assert np.abs(table.scores - truth).max() < 1e-6
 
 
@@ -84,23 +86,26 @@ def test_score_pool_single_identical_record(tmp_path):
         {"image": vec, "raw": vec.copy()},
         tmp_path,
     )
-    table = score_pool(open_pool(tmp_path), "raw", write_sidecar=False)
+    table = score_pool(open_pool(tmp_path), "raw")
     assert table.scores.tolist() == [1.0]
 
 
 def test_score_pool_missing_source(gen_pool):
     with pytest.raises(DataError):
-        score_pool(gen_pool, "syn.nonexistent.0.10", write_sidecar=False)
+        score_pool(gen_pool, "syn.nonexistent.0.10")
 
 
-def test_score_pool_writes_sidecar(tmp_path):
-    from capforge.poolgen import GenConfig, generate_pool
-
-    generate_pool(GenConfig(num_records=50, seed=1, records_per_shard=25), tmp_path)
-    handle = open_pool(tmp_path)
-    table = score_pool(handle, "raw")
-    assert handle.has_scores("raw")
-    assert np.array_equal(handle.read_score_table("raw").scores, table.scores)
+@pytest.mark.parametrize("scores, message", [
+    ([0.5] * 7, "7 scores for 8 records"),
+    ([0.5, 0.5, 1.5] + [0.5] * 5, "row 2 holds 1.5, not a cosine"),
+    ([0.5, np.nan] + [0.5] * 6, "row 1 holds nan, not a cosine"),
+])
+def test_score_tables_refuse_a_sidecar_that_miscounts_or_holds_no_cosine(
+        tmp_path, scores, message):
+    build_plain_pool(tmp_path, 8)
+    fileio.write_scores(tmp_path / "raw.scores.f32", np.array(scores, np.float32))
+    with pytest.raises(IntegrityError, match=f"^raw.scores.f32: {re.escape(message)}$"):
+        ScoreTables(open_pool(tmp_path))["raw"]
 
 
 @pytest.mark.parametrize("count", [7, 3])
@@ -115,7 +120,8 @@ def test_score_pool_refuses_a_manifest_that_miscounts_rows_and_writes_nothing(tm
     with pytest.raises(IntegrityError, match=f"^shard-00000.image.f32: 5x4 embeddings, "
                        f"manifest.json implies {count}x4$"):
         score_pool(handle, "raw")
-    assert not handle.has_scores("raw")
+    assert cli_main(["score", "--pool", str(tmp_path), "--source", "raw"]) == 2
+    assert not (tmp_path / "raw.scores.f32").exists()
     with pytest.raises(IntegrityError, match=f"^shard-00000.cap: 5 records, "
                        f"manifest.json implies {count}$"):
         handle.records()

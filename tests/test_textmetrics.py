@@ -25,7 +25,7 @@ from capforge.textmetrics import (
 )
 from capforge.report import MetricConfig, build_quality_report, caption_features
 from capforge.scoring import ScoreTables
-from helpers import RAW, oracle_trigrams, pairs, read_records, scalar_fisher_yates
+from helpers import RAW, oracle_trigrams, read_records, scalar_fisher_yates
 
 
 def test_tokenize_paper_caption():
@@ -205,33 +205,30 @@ def test_metrics_order_independent():
 # sampling
 
 
-def _curated(n):
-    return CuratedSet(
-        entries=[(i, RAW) for i in range(n)], spec=StrategySpec("raw_all")
-    )
-
-
 def test_sample_subset_full_is_identity():
-    c = _curated(20)
-    assert pairs(sample_subset(c, 20, seed=3)) == pairs(c)
+    assert sample_subset(20, 20, seed=3).tolist() == list(range(20))
 
 
 def test_sample_subset_empty():
-    assert pairs(sample_subset(_curated(5), 0, seed=0)) == []
+    assert sample_subset(5, 0, seed=0).tolist() == []
+    assert sample_subset(0, 0, seed=0).tolist() == []
 
 
 def test_sample_subset_deterministic_and_sorted():
-    c = _curated(50)
-    a = sample_subset(c, 10, seed=7)
-    b = sample_subset(c, 10, seed=7)
-    assert pairs(a) == pairs(b)
-    assert pairs(a) == sorted(pairs(a))
-    assert pairs(sample_subset(c, 10, seed=8)) != pairs(a)
+    a = sample_subset(50, 10, seed=7).tolist()
+    assert a == sample_subset(50, 10, seed=7).tolist()
+    assert a == sorted(set(a))
+    assert sample_subset(50, 10, seed=8).tolist() != a
+
+
+def test_sample_subset_is_the_sorted_prefix_of_one_shuffle():
+    assert sample_subset(50, 10, seed=7).tolist() == sorted(scalar_fisher_yates(10, 50, 7))
 
 
 def test_sample_subset_out_of_range():
-    with pytest.raises(DomainError):
-        sample_subset(_curated(3), 4, seed=0)
+    for n in (4, -1):
+        with pytest.raises(DomainError, match=f"^cannot sample {n} of 3 entries$"):
+            sample_subset(3, n, seed=0)
 
 
 @given(st.integers(0, 3000), st.data(), st.integers(0, 2**32))
@@ -249,11 +246,9 @@ def test_partial_fisher_yates_matches_scalar_draws_at_scale(n, total):
 
 def test_sample_subset_uniformity_smoke():
     # every entry should appear at roughly the expected frequency
-    c = _curated(10)
     counts = np.zeros(10)
     for seed in range(300):
-        for i, _ in pairs(sample_subset(c, 5, seed=seed)):
-            counts[i] += 1
+        counts[sample_subset(10, 5, seed=seed)] += 1
     assert counts.min() > 0.5 * 150
     assert counts.max() < 1.5 * 150
 
@@ -310,9 +305,9 @@ def test_report_sample_counts_never_decrease_as_it_grows(gen_pool):
     entries = [(i, RAW) for i in gen_pool.ids().tolist()]
     curated = CuratedSet(entries=entries, spec=StrategySpec("raw_all"))
     sizes = [100, 500, 1000, 3000]
-    samples = [pairs(sample_subset(curated, size, seed=1)) for size in sizes]
+    samples = [set(sample_subset(len(curated), size, seed=1).tolist()) for size in sizes]
     for small, large in zip(samples, samples[1:]):
-        assert set(small) < set(large)
+        assert small < large
     rows = _sample_rows(gen_pool, curated, sizes, seed=1)
     assert [row.sample_size for row in rows] == sizes
     for a, b in zip(rows, rows[1:]):
