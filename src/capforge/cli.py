@@ -23,7 +23,7 @@ from .curation import (
     ClusterParams,
     StrategySpec,
     STRATEGY_NAMES,
-    curate,
+    apply_strategy,
     resolve_syn_source,
     threshold_filter,
     top_fraction,
@@ -186,7 +186,7 @@ def _cmd_mix(args) -> int:
         cluster_params=cluster_params,
     )
     refs = None if args.in1k_refs is None else fileio.read_embeddings(args.in1k_refs)
-    curated = curate(handle, spec, ScoreTables(handle), refs, args.seed or 0, {})
+    curated = apply_strategy(handle, spec, ScoreTables(handle), refs, seed=args.seed or 0)
     write_curated(curated, args.out)
     tau = "none" if curated.tau_used is None else f"{curated.tau_used:.6f}"
     print(f"{spec.name}: {len(curated)} entries (tau_used {tau}) -> {args.out}")

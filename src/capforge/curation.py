@@ -346,13 +346,13 @@ def _cluster_sums(points: np.ndarray, assignments: np.ndarray, k: int) -> np.nda
     """Per-cluster sums of the points, as ``np.add.at(sums, assignments,
     points)`` gives them: ``bincount`` adds each bin's weights in point
     order too, so the sums agree bit for bit."""
-    n, dim = points.shape
+    dim = points.shape[1]
     sums = np.empty((k, dim))
+    keys = assignments[:, None] * _SUM_COLS + np.arange(_SUM_COLS)  # every block's bins
     for d0 in range(0, dim, _SUM_COLS):
         m = min(_SUM_COLS, dim - d0)
-        keys = (assignments[:, None] * m + np.arange(m)).ravel()
-        block = np.bincount(keys, weights=points[:, d0 : d0 + m].ravel(), minlength=k * m)
-        sums[:, d0 : d0 + m] = block.reshape(k, m)
+        block = np.bincount(keys[:, :m].ravel(), points[:, d0 : d0 + m].ravel(), k * _SUM_COLS)
+        sums[:, d0 : d0 + m] = block.reshape(k, _SUM_COLS)[:, :m]
     return sums
 
 
@@ -434,7 +434,8 @@ def in1k_cluster_mask(
     Pool image embeddings are clustered with k-means; each reference picks
     its nearest centroid under cosine distance (ties to the lower index) and
     the mask keeps all records assigned to the union of picked centroids.
-    A reference row that is not finite or is all zeros is a DomainError.
+    A reference row that is not finite or is all zeros is a DomainError;
+    after those checks, a pool without records gives an empty mask.
     """
     refs = np.asarray(reference_embs, dtype=np.float64)
     if refs.ndim != 2 or refs.shape[0] == 0:
@@ -447,6 +448,8 @@ def in1k_cluster_mask(
         raise DomainError(
             f"reference dim {refs.shape[1]} != pool dim {points.shape[1]}"
         )
+    if not len(points):  # an empty pool keeps no record
+        return np.zeros(0, dtype=bool)
     centroids, assignments = kmeans(points, params)
     sims = _safe_unit_rows(refs) @ _safe_unit_rows(centroids).T
     nearest = np.argmax(sims, axis=1)  # cosine distance argmin, lowest index wins
@@ -504,7 +507,10 @@ def apply_strategy(
     handle: PoolHandle,
     spec: StrategySpec,
     score_tables: Mapping[str, ScoreTable],
-    in1k_mask: np.ndarray | None = None,
+    in1k_refs: np.ndarray | None = None,
+    *,
+    seed: int = 0,
+    masks: dict[ClusterParams, np.ndarray] | None = None,
 ) -> CuratedSet:
     """Materialize a strategy spec into a curated (id, caption) selection.
 
@@ -513,11 +519,25 @@ def apply_strategy(
     loads only the tables the spec needs.  A label the mapping lacks, or a
     table whose size is not the pool's, is a DataError.
 
-    With ``in1k_intersect``, ``in1k_mask`` (a bool mask over pool rows)
-    limits every part to the rows it keeps.
+    With ``in1k_intersect``, every part is limited to the rows that
+    ``in1k_cluster_mask`` keeps for ``in1k_refs`` (a ConfigError if None),
+    clustered under the spec's ``cluster_params``, or else ``default_k``
+    clusters seeded by ``seed``.  ``masks`` caches one mask per params
+    across calls.
     """
     spec.validate()
     n = handle.num_records
+    scope = np.ones(n, dtype=bool)
+    if spec.in1k_intersect:  # clustered before the caption table is built
+        if in1k_refs is None:
+            raise ConfigError(
+                f"strategy {spec.name}: in1k_intersect requires reference embeddings"
+            )
+        params = spec.cluster_params or ClusterParams(k=ClusterParams.default_k(n), seed=seed)
+        masks = {} if masks is None else masks
+        if params not in masks:
+            masks[params] = in1k_cluster_mask(handle, in1k_refs, params)
+        scope = masks[params]
     ids = handle.ids()
     role = {"raw": "raw"}  # the score source behind each role
     if _uses_syn(spec.name):
@@ -534,13 +554,6 @@ def apply_strategy(
                 f"score table {label!r} has {found.scores.size} scores for {n} records"
             )
         return found
-
-    scope = np.ones(n, dtype=bool)
-    if spec.in1k_intersect:
-        if not (isinstance(in1k_mask, np.ndarray) and in1k_mask.dtype == bool
-                and in1k_mask.shape == (n,)):
-            raise DataError(f"strategy {spec.name} requires an in1k mask of {n} bools")
-        scope = in1k_mask
 
     choices = {"raw": np.full(n, RAW_CHOICE, dtype=np.int64)}
     if "syn" in role:
@@ -567,33 +580,3 @@ def apply_strategy(
         entries.append(np.column_stack((ids[rows], choices[caption][rows])))
     tau_used = next((tau for _, tau in cuts.values()), None)  # the first cut's
     return CuratedSet(entries=np.concatenate(entries), spec=spec, tau_used=tau_used)
-
-
-def curate(
-    handle: PoolHandle,
-    spec: StrategySpec,
-    score_tables: Mapping[str, ScoreTable],
-    in1k_refs: np.ndarray | None,
-    seed: int,
-    masks: dict[ClusterParams, np.ndarray],
-) -> CuratedSet:
-    """Validate a spec and apply it, with the in1k mask it asks for.
-
-    The mask clusters under the spec's ``cluster_params``, or else
-    ``default_k`` clusters seeded by ``seed``.  ``masks`` caches one mask
-    per params across the specs of a command.
-    """
-    spec.validate()
-    mask = None
-    if spec.in1k_intersect:
-        if in1k_refs is None:
-            raise ConfigError(
-                f"strategy {spec.name}: in1k_intersect requires reference embeddings"
-            )
-        params = spec.cluster_params or ClusterParams(
-            k=ClusterParams.default_k(handle.num_records), seed=seed
-        )
-        if params not in masks:
-            masks[params] = in1k_cluster_mask(handle, in1k_refs, params)
-        mask = masks[params]
-    return apply_strategy(handle, spec, score_tables, mask)

@@ -451,16 +451,15 @@ class PoolHandle:
     The records are read once, shard by shard, into a ``CaptionTable``
     (``records()``).  Curated (id, caption choice) entries resolve to rows,
     sources and texts through it: ``ids``, ``rows``, ``variant_labels``,
-    ``variant_index``, ``caption_ids`` and ``caption`` all read the table.
-    Embeddings are not cached: each ``embeddings`` call reads the source's
-    sidecars again.
+    ``variant_index`` and ``caption_ids`` all read the table.  Embeddings are
+    not cached: each ``embeddings`` call reads the source's sidecars again.
+    Every read of a pool file checks its manifest checksum.
     """
 
     def __init__(self, path: Path, manifest: PoolManifest):
         self.path = path
         self.manifest = manifest
         self.layout = shard_layout(manifest.num_records, manifest.records_per_shard)
-        self._verified: set[str] = set()
         self._table: CaptionTable | None = None
 
     @property
@@ -472,12 +471,8 @@ class PoolHandle:
         return self.manifest.embedding_dim
 
     def _read(self, name: str, read):
-        """``read`` a pool file; only the handle's first read of it checks the
-        manifest checksum, as pools are immutable."""
-        checksum = None if name in self._verified else self.manifest.checksums[name]
-        value = read(self.path / name, context=name, checksum=checksum)
-        self._verified.add(name)
-        return value
+        """``read`` a pool file, checking its manifest checksum."""
+        return read(self.path / name, context=name, checksum=self.manifest.checksums[name])
 
     def shard_columns(self, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, bytes]:
         """``decode_shard`` of caption shard k, which must hold ``layout[k]``
@@ -531,12 +526,6 @@ class PoolHandle:
             rows, positions = np.nonzero(table.labels == table.sources.index(label) - 1)
             index[rows] = positions
         return index
-
-    def caption(self, row: int, cap: int) -> tuple[str, str]:
-        """(embedding source label, text) of caption choice `cap` at `row`."""
-        table = self.records()
-        (source,), (i,) = self.caption_ids(np.array([row]), np.array([cap]))
-        return table.sources[source], table.text[table.offsets[i] : table.offsets[i + 1]].decode()
 
     def caption_ids(self, rows: np.ndarray, caps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(indexes into ``records().sources``, caption numbers) of each (row,

@@ -19,7 +19,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from . import fileio
-from .curation import ClusterParams, CuratedSet, StrategySpec, curate
+from .curation import ClusterParams, CuratedSet, StrategySpec, apply_strategy
 from .errors import ConfigError
 from .pool import PoolHandle, open_pool
 from .poolgen import GenConfig, generate_pool
@@ -129,7 +129,8 @@ def report_rows(
     features = None
     rows = []
     for spec in specs:
-        curated = curate(handle, spec, tables, config.in1k_refs, config.seed, masks)
+        curated = apply_strategy(handle, spec, tables, config.in1k_refs, seed=config.seed,
+                                 masks=masks)
         if features is None:  # here, so no caption table is held through k-means
             features = caption_features(handle, config)
         rows.append(

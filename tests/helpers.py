@@ -178,13 +178,14 @@ def write_records(records, embeddings, out_path, **options):
 
 def materialize_by_records(handle, curated, out_path):
     """``materialize`` entry by entry: one ``Record`` per curated entry from
-    ``handle.caption``, one embedding row copied for each, then
+    ``entry_captions``, one embedding row copied for each, then
     ``write_records``.  Each source's matrix is read once."""
-    rows = handle.rows(curated.ids()).tolist()
-    records, text_rows, matrices = [], [], {}
-    for new_id, ((rec_id, cap), row) in enumerate(zip(curated.entries.tolist(), rows)):
-        source, caption = handle.caption(row, cap)
+    records, text_rows, rows, matrices = [], [], [], {}
+    entries = curated.entries.tolist()
+    for new_id, ((rec_id, _), (row, source, caption)) in enumerate(
+            zip(entries, entry_captions(handle.path, entries))):
         records.append(Record(id=new_id, raw_caption=caption, prov=rec_id))
+        rows.append(row)
         if source not in matrices:
             matrices[source] = handle.embeddings(source)
         text_rows.append(matrices[source][row])
@@ -246,16 +247,40 @@ def record_captions(records) -> list[tuple[int, list[tuple[str, str]]]]:
     ]
 
 
+def entry_captions(pool_dir, entries) -> list[tuple[int, str, str]]:
+    """(pool row, source label, text) of each curated (id, caption choice)
+    entry, looked up one at a time in ``read_records``.  The first unknown
+    id, else the first choice its record lacks, is the DataError that
+    ``PoolHandle`` raises for it."""
+    records = read_records(pool_dir)
+    row_of = {r.id: row for row, r in enumerate(records)}
+    for rec_id, _ in entries:
+        if rec_id not in row_of:
+            raise DataError(f"curated entry references unknown record id {rec_id}")
+    found = []
+    for rec_id, cap in entries:
+        row = row_of[rec_id]
+        [(_, captions)] = record_captions([records[row]])
+        if not -1 <= cap < len(captions) - 1:
+            raise DataError(f"curated entry references variant {cap} of record {rec_id} "
+                            f"which has {len(captions) - 1} variants")
+        found.append((row, *captions[cap + 1]))
+    return found
+
+
 def handle_captions(handle) -> list[tuple[int, list[tuple[str, str]]]]:
-    """``record_captions`` as a pool handle's caption table reads them."""
+    """``record_captions`` as a pool handle's caption table reads them: one
+    ``caption_ids`` call over every caption choice its records hold."""
     table = handle.records()
-    return [
-        (int(table.ids[row]), [
-            handle.caption(row, cap)
-            for cap in range(-1, int((table.labels[row] >= 0).sum()))
-        ])
-        for row in range(len(table))
-    ]
+    held = [(row, cap) for row in range(len(table))
+            for cap in range(-1, int((table.labels[row] >= 0).sum()))]
+    rows, caps = np.array(held, np.int64).reshape(-1, 2).T
+    sources, numbers = handle.caption_ids(rows, caps)
+    captions: list[list[tuple[str, str]]] = [[] for _ in range(len(table))]
+    for row, source, i in zip(rows.tolist(), sources.tolist(), numbers.tolist()):
+        text = table.text[table.offsets[i] : table.offsets[i + 1]].decode()
+        captions[row].append((table.sources[source], text))
+    return list(zip(table.ids.tolist(), captions))
 
 
 class VariantScores(NamedTuple):
@@ -371,9 +396,7 @@ def oracle_quality_report(handle, curated, get_table, *, vocab, lexicon, sample_
     sums added left to right, trigrams and nouns collected in sets."""
     cos_sum = 0.0
     clip_sum = 0.0
-    rows = handle.rows(curated.ids()).tolist()
-    for row, cap in zip(rows, curated.entries[:, 1].tolist()):
-        label, _ = handle.caption(row, cap)
+    for row, label, _ in entry_captions(handle.path, curated.entries.tolist()):
         score = float(get_table(label).scores[row])
         cos_sum += score
         clip_sum += 2.5 * max(score, 0.0)
@@ -385,9 +408,8 @@ def oracle_quality_report(handle, curated, get_table, *, vocab, lexicon, sample_
     ground_sum = 0.0
     trigrams: set[tuple[str, str, str]] = set()
     nouns: set[str] = set()
-    rows = handle.rows(sample[:, 0]).tolist()
-    for row, cap in zip(rows, sample[:, 1].tolist()):
-        tokens = tokenize(handle.caption(row, cap)[1])
+    for _, _, caption in entry_captions(handle.path, sample.tolist()):
+        tokens = tokenize(caption)
         word_sum += len(tokens)
         if tokens:
             ground_sum += sum(1 for t in tokens if t in vocab) / len(tokens)

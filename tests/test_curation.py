@@ -16,7 +16,6 @@ from capforge.curation import (
     STRATEGIES,
     STRATEGY_NAMES,
     apply_strategy,
-    curate,
     in1k_cluster_mask,
     kmeans,
     kmeans_trace,
@@ -429,10 +428,11 @@ def test_unfiltered_mix_covers_pool(strategy_pool):
     assert not top_ids & rest_ids
 
 
-def test_all_strategies_match_enumeration_oracle(strategy_pool):
+def test_all_strategies_match_enumeration_oracle(strategy_pool, monkeypatch):
     rng = np.random.default_rng(12)
     ids = list(range(10))
     var_of = {i: VAR_IDX for i in ids}
+    refs = strategy_pool.embeddings("image")[:2]
     for trial in range(30):
         # heavy ties to stress tie-breaking
         raw = rng.choice([0.1, 0.2, 0.2, 0.5, 0.5, 0.9], size=10)
@@ -440,7 +440,8 @@ def test_all_strategies_match_enumeration_oracle(strategy_pool):
         tables = _tables(raw, syn)
         p = float(rng.choice([10, 25, 30, 50, 100]))
         mask_ids = set(rng.choice(10, size=6, replace=False).tolist())
-        in1k = np.isin(np.arange(10), sorted(mask_ids))
+        in1k, masks = np.isin(np.arange(10), sorted(mask_ids)), {}
+        monkeypatch.setattr(curation, "in1k_cluster_mask", lambda handle, refs, params: in1k)
         for name in STRATEGY_NAMES:
             if name == "syn_best_variant_all":
                 continue
@@ -458,7 +459,7 @@ def test_all_strategies_match_enumeration_oracle(strategy_pool):
             spec_i = StrategySpec(
                 name=name, p=p, syn_source=SYN_LABEL, in1k_intersect=True
             )
-            got_i = apply_strategy(strategy_pool, spec_i, tables, in1k)
+            got_i = apply_strategy(strategy_pool, spec_i, tables, refs, seed=7, masks=masks)
             assert set(pairs(got_i)) == {
                 (i, c) for i, c in want if i in mask_ids
             }, (name, trial)
@@ -553,20 +554,9 @@ def test_strategy_missing_table_raises(strategy_pool):
 
 def test_strategy_requires_in1k_mask(strategy_pool):
     spec = StrategySpec("raw_all", in1k_intersect=True)
-    with pytest.raises(DataError, match="in1k"):
+    with pytest.raises(ConfigError, match="^strategy raw_all: in1k_intersect requires reference "
+                                          "embeddings$"):
         apply_strategy(strategy_pool, spec, {})
-
-
-@pytest.mark.parametrize("mask", [
-    np.ones(9, dtype=bool),  # wrong length
-    np.ones((10, 1), dtype=bool),  # not 1-d
-    np.ones(10, dtype=np.int64),  # not bool
-    [True] * 10,  # not an array
-])
-def test_strategy_rejects_malformed_in1k_mask(strategy_pool, mask):
-    spec = StrategySpec("raw_all", in1k_intersect=True)
-    with pytest.raises(DataError, match="in1k mask of 10 bools"):
-        apply_strategy(strategy_pool, spec, {}, mask)
 
 
 class _RecordingTables(dict):
@@ -635,7 +625,7 @@ def test_syn_best_variant_all_needs_a_variant_source(tmp_path):
         apply_strategy(open_pool(path), StrategySpec("syn_best_variant_all"), {})
 
 
-def test_curate_clusters_once_per_params(strategy_pool, monkeypatch):
+def test_apply_strategy_clusters_once_per_params(strategy_pool, monkeypatch):
     calls = []
 
     def counted(handle, refs, params):
@@ -650,16 +640,18 @@ def test_curate_clusters_once_per_params(strategy_pool, monkeypatch):
              StrategySpec("raw_top", p=50, in1k_intersect=True),
              StrategySpec("raw_top", p=50)]
     tables, masks = {"raw": _table(np.linspace(0, 0.9, 10))}, {}
-    got = [pairs(curate(strategy_pool, spec, tables, refs, 7, masks)) for spec in specs]
+    got = [pairs(apply_strategy(strategy_pool, spec, tables, refs, seed=7, masks=masks))
+           for spec in specs]
     assert calls == [ClusterParams(k=10, seed=7), explicit]
     assert list(masks) == calls
     assert got[0] == got[1] == [(i, RAW) for i in range(0, 10, 2)]
     assert got[2] == [(i, RAW) for i in (6, 8)]
     assert got[3] == [(i, RAW) for i in range(5, 10)]
     with pytest.raises(ConfigError, match="requires reference embeddings"):
-        curate(strategy_pool, specs[0], tables, None, 7, {})
+        apply_strategy(strategy_pool, specs[0], tables, None, seed=7, masks={})
     with pytest.raises(ConfigError, match="requires p"):
-        curate(strategy_pool, StrategySpec("raw_top", in1k_intersect=True), tables, refs, 7, {})
+        apply_strategy(strategy_pool, StrategySpec("raw_top", in1k_intersect=True), tables, refs,
+                       seed=7, masks={})
     assert len(calls) == 2
 
 

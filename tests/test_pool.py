@@ -171,7 +171,7 @@ def test_missing_pool_file_is_an_integrity_error(tmp_path):
         open_pool(tmp_path).records()
 
 
-def test_each_pool_file_is_checksummed_on_its_first_read_only(tmp_path, monkeypatch):
+def test_each_read_of_a_pool_file_is_checksummed(tmp_path, monkeypatch):
     manifest = build_plain_pool(tmp_path, 10, records_per_shard=4)
     crcs = []
     crc32c = fileio.crc32c
@@ -191,13 +191,16 @@ def test_each_pool_file_is_checksummed_on_its_first_read_only(tmp_path, monkeypa
     assert validate_pool(handle).ok
     assert checked() == sorted(manifest.checksums.values())
 
-    # files no call reads (the blip2 sidecars) are never checked
+    # the shards are read once, into the caption table; each score_pool reads
+    # the image and raw sidecars again; no call reads the blip2 sidecars
     handle = open_pool(tmp_path)
     for _ in range(2):
         handle.records()
         score_pool(handle, "raw")
-    read = [crc for name, crc in manifest.checksums.items() if "blip2" not in name]
-    assert checked() == sorted(read)
+    shards = [crc for name, crc in manifest.checksums.items() if name.endswith(".cap")]
+    sidecars = [crc for name, crc in manifest.checksums.items()
+                if name.endswith((".image.f32", ".raw.f32"))]
+    assert checked() == sorted(shards + 2 * sidecars)
 
 
 def test_write_pool_length_mismatch(tmp_path):
@@ -306,15 +309,11 @@ def test_caption_table_reads_every_record(pool, records_per_shard):
         expected = record_captions(records)
         for row, (rec_id, captions) in enumerate(expected):
             assert handle.ids()[row] == rec_id
-            for cap, caption in enumerate(captions, -1):
-                assert handle.caption(row, cap) == caption
             # -2, and every variant position from the record's own count to the
             # pool's width W inclusive
             for cap in [-2, *range(len(captions) - 1, table.labels.shape[1] + 1)]:
                 message = (f"^curated entry references variant {cap} of record {rec_id} "
                            f"which has {len(captions) - 1} variants$")
-                with pytest.raises(DataError, match=message):
-                    handle.caption(row, cap)
                 with pytest.raises(DataError, match=message):
                     handle.caption_ids(np.array([row]), np.array([cap]))
             labels = [label for label, _ in captions[1:]]
@@ -333,7 +332,7 @@ def test_caption_table_reads_every_record(pool, records_per_shard):
         assert numbers.tolist() == list(range(len(rows)))
         assert [(table.sources[source], table.text[table.offsets[i] : table.offsets[i + 1]]
                  .decode()) for source, i in zip(source_ids.tolist(), numbers.tolist())] == [
-            handle.caption(row, cap) for row, cap in zip(rows.tolist(), caps.tolist())]
+            caption for _, captions in expected for caption in captions]
 
 
 def test_a_caption_label_no_record_lists_has_no_variants(tmp_path):

@@ -373,27 +373,39 @@ def test_cli_gen_then_validate(tmp_path):
     assert cli_main(["validate", pool]) == 0
 
 
-def test_every_strategy_on_an_empty_pool_keeps_no_entry(tmp_path):
-    """A top-p cut of 0 records keeps floor(p * 0 / 100) = 0 of them."""
+def test_every_strategy_on_an_empty_pool_keeps_no_entry(tmp_path, capsys):
+    """A top-p cut of 0 records keeps floor(p * 0 / 100) = 0 of them, and an
+    in1k mask over 0 records keeps none; the references are still checked."""
     pool = str(tmp_path / "pool")
     assert cli_main(["gen", "--config", _write_config(tmp_path, n=0), "--out", pool]) == 0
     assert cli_main(["score", "--pool", pool, "--source", "raw"]) == 0
+    refs = tmp_path / "refs.f32"
+    fileio.write_embeddings(refs, np.ones((2, open_pool(pool).embedding_dim), np.float32))
+    in1k = ["--in1k-refs", str(refs)]
     for name in STRATEGY_NAMES:
-        out = tmp_path / f"{name}.jsonl"
-        assert cli_main(["mix", "--pool", pool, "--strategy", name, "--p", "30",
-                         "--syn-source", "blip2", "--out", str(out)]) == 0
-        assert len(read_curated(out)) == 0
+        for extra in ([], in1k):
+            out = tmp_path / f"{name}.jsonl"
+            assert cli_main(["mix", "--pool", pool, "--strategy", name, "--p", "30",
+                             "--syn-source", "blip2", "--out", str(out), *extra]) == 0
+            assert len(read_curated(out)) == 0
     assert cli_main(["filter", "--pool", pool, "--p", "30", "--out",
                      str(tmp_path / "ids.jsonl")]) == 0
     assert json.loads((tmp_path / "ids.jsonl").read_text())["count"] == 0
     strategies = tmp_path / "strategies.json"
-    strategies.write_text(json.dumps([{"name": name, "p": 30, "syn_source": "blip2"}
-                                      for name in STRATEGY_NAMES]))
+    strategies.write_text(json.dumps([
+        {"name": name, "p": 30, "syn_source": "blip2", "in1k_intersect": intersect}
+        for intersect in (False, True) for name in STRATEGY_NAMES]))
     assert cli_main(["report", "--pool", pool, "--strategies", str(strategies),
-                     "--out-dir", str(tmp_path / "rep")]) == 0
+                     "--out-dir", str(tmp_path / "rep"), *in1k]) == 0
     rows = json.loads((tmp_path / "rep" / "report.json").read_text())
     assert [(row["strategy"], row["entries"]) for row in rows] == [
-        (name, 0) for name in STRATEGY_NAMES]
+        (name, 0) for _ in range(2) for name in STRATEGY_NAMES]
+    capsys.readouterr()
+    fileio.write_embeddings(refs, np.zeros((2, open_pool(pool).embedding_dim), np.float32))
+    assert cli_main(["mix", "--pool", pool, "--strategy", "raw_all", "--out",
+                     str(tmp_path / "z.jsonl"), *in1k]) == 2
+    assert capsys.readouterr().err == "error: reference row 0 has zero norm\n"
+    assert not (tmp_path / "z.jsonl").exists()
 
 
 def test_cli_validate_corrupt_pool(tmp_path):

@@ -23,9 +23,10 @@ from capforge.textmetrics import (
     unique_trigrams,
     word_count,
 )
+from capforge.pool import variant_source_label
 from capforge.report import MetricConfig, build_quality_report, caption_features
 from capforge.scoring import ScoreTables
-from helpers import RAW, oracle_trigrams, read_records, scalar_fisher_yates
+from helpers import RAW, entry_captions, oracle_trigrams, read_records, scalar_fisher_yates
 
 
 def test_tokenize_paper_caption():
@@ -257,15 +258,19 @@ def test_sample_subset_uniformity_smoke():
 # diversity over report samples: each sample is a prefix of one seeded shuffle
 
 
-def _entry_caption(handle, entry):
-    rec_id, cap = entry
-    return handle.caption(int(handle.rows([rec_id])[0]), cap)[1]
+def _entry_texts(handle, entries):
+    return [text for _, _, text in entry_captions(handle.path, entries.tolist())]
 
 
 def test_entry_caption_resolution(gen_pool):
     rec = read_records(gen_pool.path)[3]
-    assert _entry_caption(gen_pool, (rec.id, RAW)) == rec.raw_caption
-    assert _entry_caption(gen_pool, (rec.id, 1)) == rec.synthetic_variants[1].text
+    table = gen_pool.records()
+    sources, numbers = gen_pool.caption_ids(gen_pool.rows([rec.id, rec.id]), np.array([RAW, 1]))
+    variant = rec.synthetic_variants[1]
+    assert [table.sources[s] for s in sources.tolist()] == [
+        "raw", variant_source_label(variant.source_name, variant.temperature)]
+    assert [table.text[table.offsets[i] : table.offsets[i + 1]].decode()
+            for i in numbers.tolist()] == [rec.raw_caption, variant.text]
 
 
 def _sample_rows(handle, curated, sizes, seed):
@@ -281,7 +286,7 @@ def test_report_full_sample_matches_the_whole_set(gen_pool):
     entries = [(i, RAW) for i in gen_pool.ids()[:400].tolist()]
     curated = CuratedSet(entries=entries, spec=StrategySpec("raw_all"))
     [row] = _sample_rows(gen_pool, curated, [400], seed=0)
-    captions = [_entry_caption(gen_pool, e) for e in curated.entries]
+    captions = _entry_texts(gen_pool, curated.entries)
     assert row.unique_trigrams == unique_trigrams(captions)
     assert row.unique_nouns == unique_nouns(captions, lexicon)
 
@@ -293,7 +298,7 @@ def test_report_samples_are_prefixes_of_one_shuffle(gen_pool):
     curated = CuratedSet(entries=entries, spec=StrategySpec("raw_top_plus_syn_rest"))
     sizes = [0, 1, 37, 600, len(curated)]
     order = scalar_fisher_yates(len(curated), len(curated), 4)
-    captions = [_entry_caption(gen_pool, curated.entries[i]) for i in order]
+    captions = _entry_texts(gen_pool, curated.entries[order])
     for row, size in zip(_sample_rows(gen_pool, curated, sizes, seed=4), sizes):
         prefix = captions[:size]
         assert (row.sample_size, row.unique_trigrams, row.unique_nouns) == (
