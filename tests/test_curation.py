@@ -559,6 +559,20 @@ def test_strategy_requires_in1k_mask(strategy_pool):
         apply_strategy(strategy_pool, spec, {})
 
 
+@pytest.mark.parametrize("refs, problem", [
+    (np.ones((2, 3)), "reference dim 3 != pool dim 8"),  # wrong width
+    (np.ones(8), r"reference set must be a nonempty \(n, dim\) matrix"),  # not 2-d
+    (np.ones((2, 2, 8)), r"reference set must be a nonempty \(n, dim\) matrix"),  # 3-d
+    (np.ones((0, 8)), r"reference set must be a nonempty \(n, dim\) matrix"),  # no rows
+    (np.vstack([np.ones(8), np.zeros(8)]), "reference row 1 has zero norm"),
+])
+def test_strategy_rejects_malformed_in1k_refs(strategy_pool, refs, problem):
+    spec, masks = StrategySpec("raw_all", in1k_intersect=True), {}
+    with pytest.raises(DomainError, match=f"^{problem}$"):
+        apply_strategy(strategy_pool, spec, {}, refs, seed=7, masks=masks)
+    assert masks == {}  # a refused reference set caches no mask
+
+
 class _RecordingTables(dict):
     """Score tables that log every label read from them."""
 
