@@ -39,16 +39,9 @@ from .pool import (
     validate_pool,
     write_pool,
 )
-from .poolgen import GenConfig, SynSource, attach_alignment, embed_concept, generate_pool
+from .poolgen import GenConfig, SynSource, embed_concept, generate_pool
 from .report import MetricConfig, QualityReport, SweepResult, run_report, run_sweep
-from .scoring import ScoreTable, clip_s, cosine, recall_at_1, score_pool
-from .textmetrics import (
-    grounding_ratio,
-    sample_subset,
-    tokenize,
-    unique_nouns,
-    unique_trigrams,
-    word_count,
-)
+from .scoring import ScoreTable, clip_s, recall_at_1, score_pool
+from .textmetrics import sample_subset, tokenize, unique_trigrams
 
 __version__ = "0.1.0"

@@ -1,5 +1,6 @@
-"""Word banks for the synthetic pool generator (the shipped vocab files in
-``data/`` list tokens drawn from them).
+"""Word banks for the synthetic pool generator.  The shipped visual
+vocabulary (``data/visual_vocab.txt``) is the concept words plus attribute
+words (colours, materials, shapes) that no generated caption uses.
 
 Four disjoint token families:
 
@@ -68,15 +69,6 @@ CONCEPT_WORDS = [
     "raccoon", "skunk", "hamster", "mushroom", "cactus", "fern", "moss", "vine",
     "bamboo", "palm", "willow", "oak", "pine", "maple", "tulip", "rose",
     "daisy", "sunflower", "orchid", "lily",
-]
-
-# attribute words that count as visual for the grounding ratio but are not
-# used as generator concepts
-VISUAL_ATTRIBUTES = [
-    "red", "blue", "green", "yellow", "black", "white", "brown", "pink",
-    "purple", "gray", "golden", "silver", "wooden", "metal", "plastic",
-    "striped", "spotted", "shiny", "bright", "dark", "colorful", "round",
-    "square", "tall", "tiny", "huge", "fluffy", "furry", "transparent",
 ]
 
 FILLER_WORDS = [

@@ -93,7 +93,6 @@ def _metric_config(args) -> MetricConfig:
         seed=seed,
         vocab=vocab,
         lexicon=lexicon,
-        workers=args.workers,
         in1k_refs=refs,
     )
 
@@ -176,7 +175,7 @@ def _cmd_mix(args) -> int:
             k=ClusterParams.default_k(handle.num_records) if k is None else k,
             max_iters=args.cluster_iters,
             tol=args.cluster_tol,
-            seed=args.cluster_seed if args.cluster_seed is not None else (args.seed or 0),
+            seed=args.seed or 0,
         )
     spec = StrategySpec(
         name=args.strategy,
@@ -229,7 +228,8 @@ def _cmd_sweep(args) -> int:
         raise ConfigError(f"--scales must be comma-separated integers: {exc}") from exc
     specs = _load_strategy_file(args.strategies)
     config = _metric_config(args)
-    result = run_sweep(template, scales, specs, config, out_dir=args.out_dir)
+    result = run_sweep(template, scales, specs, config, out_dir=args.out_dir,
+                       workers=args.workers)
     print(f"sweep: {len(result.rows)} rows -> {args.out_dir}/sweep.csv")
     return 0
 
@@ -285,9 +285,8 @@ def build_parser() -> _Parser:
     p.add_argument("--cluster-iters", dest="cluster_iters", type=int,
                    default=ClusterParams.max_iters)
     p.add_argument("--cluster-tol", dest="cluster_tol", type=float, default=ClusterParams.tol)
-    p.add_argument("--cluster-seed", dest="cluster_seed", type=int, default=None)
     p.add_argument("--out", required=True, help="output curated JSONL")
-    add_common(p)
+    add_common(p, seed_help="k-means seed with --in1k-refs (default 0)")
     p.set_defaults(func=_cmd_mix)
 
     p = sub.add_parser("metrics", help="quality metrics for a curated set")

@@ -191,6 +191,9 @@ def read_curated(path: str | Path) -> CuratedSet:
             head = lines[0]
         header = json.loads(head)
         spec = StrategySpec.from_dict(header["spec"])
+        if header["strategy"] != spec.name:
+            raise ValueError(f"header strategy {header['strategy']!r} is not its spec's name "
+                             f"{spec.name!r}")
         tau_used = header.get("tau_used")
         if tau_used is not None and not (type(tau_used) in (int, float)
                                          and math.isfinite(tau_used)):
@@ -206,7 +209,10 @@ def read_curated(path: str | Path) -> CuratedSet:
         count = header["entries"]
         if type(count) is not int or count != len(entries):
             raise ValueError(f"header counts {count!r} entries, file holds {len(entries)}")
-        return CuratedSet(entries=entries, spec=spec, tau_used=tau_used)
+        curated = CuratedSet(entries=entries, spec=spec, tau_used=tau_used)
+        if len(curated) != count:
+            raise ValueError(f"{count - len(curated)} entry line(s) repeat an earlier one")
+        return curated
     except (ValueError, KeyError, TypeError, OverflowError, ConfigError) as exc:
         raise FormatError(f"{path}: not a curated file: {exc}") from None
 

@@ -23,16 +23,14 @@ EMB_MAGIC = b"EMB1"
 SCORE_MAGIC = b"SCR1"
 
 
-def crc32c(data: bytes | bytearray | memoryview | np.ndarray) -> int:
-    """CRC-32 (zlib's, init and final xor 0xFFFFFFFF) of a byte buffer, or of
-    an array's C-order bytes.  Pool formats 1 and 2 recorded CRC32C; the
-    name stays so that every checksum goes through this one module global."""
-    if isinstance(data, np.ndarray):
-        data = np.ascontiguousarray(data)
+def crc32c(data: bytes | bytearray | memoryview) -> int:
+    """CRC-32 (zlib's, init and final xor 0xFFFFFFFF) of a byte buffer.
+    Pool formats 1 and 2 recorded CRC32C; the name stays so that every
+    checksum goes through this one module global."""
     return zlib.crc32(data)
 
 
-def crc32c_hex(data: bytes | bytearray | memoryview | np.ndarray) -> str:
+def crc32c_hex(data: bytes | bytearray | memoryview) -> str:
     return f"{crc32c(data):08x}"
 
 

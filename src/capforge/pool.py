@@ -324,9 +324,6 @@ class ValidationReport:
     def ok(self) -> bool:
         return not self.findings
 
-    def by_kind(self, kind: str) -> list[Finding]:
-        return [f for f in self.findings if f.kind == kind]
-
 
 def shard_layout(num_records: int, records_per_shard: int) -> list[int]:
     """Row count per shard: every shard full except possibly the last."""

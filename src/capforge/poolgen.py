@@ -51,7 +51,6 @@ from .pool import (
 # spawn-key domains for stream separation
 _DOMAIN_SHARD = 1
 _DOMAIN_CONCEPT = 2
-_DOMAIN_NOISE = 3
 
 # base sizes the per-source diversity factor scales
 _CAPTIONER_BASE_VOCAB = 160
@@ -208,22 +207,10 @@ def _orthogonal_unit(noise: np.ndarray, unit: np.ndarray) -> np.ndarray:
     return perp / norm
 
 
-def attach_alignment(e_img: np.ndarray, alpha: float, noise_seed: int) -> np.ndarray:
-    """Unit text embedding with cosine(e_img, result) == alpha (to 1e-6)."""
-    if abs(alpha) > 1:
-        raise DomainError(f"alpha must lie in [-1, 1], got {alpha}")
-    e = np.asarray(e_img, dtype=np.float64)
-    norm = np.linalg.norm(e)
-    if abs(norm - 1.0) > 1e-3:
-        raise DomainError(f"e_img must be unit norm, got norm {norm:.6f}")
-    unit = e / norm
-    g = _generator(int(noise_seed), _DOMAIN_NOISE)
-    n_hat = _orthogonal_unit(g.standard_normal(unit.size), unit)
-    return alpha * unit + np.sqrt(max(0.0, 1.0 - alpha * alpha)) * n_hat
-
-
 def _attach_batch(images: np.ndarray, alphas: np.ndarray, noise: np.ndarray) -> np.ndarray:
-    """Vectorized attach_alignment over rows (float64 in, float64 out)."""
+    """Unit text rows whose cosine with each image row equals its alpha (to
+    1e-6): ``alpha * image + sqrt(1 - alpha^2) * n``, with ``n`` the unit
+    part of the noise row orthogonal to the image (float64 in and out)."""
     units = images / np.linalg.norm(images, axis=1, keepdims=True)
     dots = np.einsum("ij,ij->i", noise, units)
     perp = noise - dots[:, None] * units
@@ -385,17 +372,14 @@ def _generate_shard(
         noise = rng.standard_normal((size, dim))
         syn_draws[src.label] = (t_idx, alphas, noise)
 
-    # image embeddings: normalized sums of concept directions
-    if size:
-        # concept by concept, left to right as np.add.reduceat adds, without
-        # gathering every concept's row first
-        sums = concept_mat[concepts[cstarts]]
-        for p in range(1, int(ccounts.max())):
-            more = np.flatnonzero(ccounts > p)
-            sums[more] += concept_mat[concepts[cstarts[more] + p]]
-        images = sums / np.linalg.norm(sums, axis=1, keepdims=True)
-    else:
-        images = np.zeros((0, dim))
+    # image embeddings: normalized sums of concept directions, added concept
+    # by concept, left to right as np.add.reduceat adds, without gathering
+    # every concept's row first (``shard_layout`` yields no empty shard)
+    sums = concept_mat[concepts[cstarts]]
+    for p in range(1, int(ccounts.max())):
+        more = np.flatnonzero(ccounts > p)
+        sums[more] += concept_mat[concepts[cstarts[more] + p]]
+    images = sums / np.linalg.norm(sums, axis=1, keepdims=True)
 
     embeddings = {"image": images.astype(np.float32)}
     embeddings["raw"] = _attach_batch(images, raw_alphas, raw_noise).astype(np.float32)
@@ -464,7 +448,7 @@ def generate_pool(config: GenConfig, out_path: str | Path, *, workers: int = 1) 
             _concept_direction(config.seed, config.embedding_dim, c)
             for c in range(config.concept_vocab_size)
         ]
-    ) if config.concept_vocab_size else np.zeros((0, config.embedding_dim))
+    )
     zipf_cum = _zipf_cumulative(config.concept_vocab_size, config.zipf_exponent)
     text = _Text.build(config)
 

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import fileio
 from .curation import ClusterParams, CuratedSet, StrategySpec, apply_strategy
-from .errors import ConfigError
+from .errors import ConfigError, DomainError
 from .pool import PoolHandle, open_pool
 from .poolgen import GenConfig, generate_pool
 from .scoring import ScoreTable, ScoreTables, clip_s
@@ -62,7 +62,6 @@ class MetricConfig:
     seed: int = 0
     vocab: set[str] | None = None
     lexicon: set[str] | None = None
-    workers: int = 1
     in1k_refs: np.ndarray | None = None
 
 
@@ -73,7 +72,11 @@ class SweepResult:
 
 def caption_features(handle: PoolHandle, config: MetricConfig) -> CaptionFeatures:
     """Caption features of the pool's captions under the config's vocabulary
-    and lexicon, the packaged ones where it names none."""
+    and lexicon, the packaged ones where it names none; an empty one raises."""
+    if config.vocab is not None and not config.vocab:
+        raise DomainError("grounding ratio requires a nonempty vocabulary")
+    if config.lexicon is not None and not config.lexicon:
+        raise DomainError("unique nouns require a nonempty lexicon")
     table = handle.records()
     return CaptionFeatures(
         table.text,
@@ -185,12 +188,15 @@ def run_sweep(
     specs: Sequence[StrategySpec],
     config: MetricConfig,
     out_dir: str | Path,
+    *,
+    workers: int = 1,
 ) -> SweepResult:
     """Generate pools at each scale (shared seed) under ``out_dir``/pools and
     evaluate strategies into ``out_dir``/sweep.csv.
 
     Pools share records_per_shard and the seed, so smaller scales are
-    prefixes of larger ones and diversity counts are comparable.
+    prefixes of larger ones and diversity counts are comparable.  ``workers``
+    threads generate each pool; no output depends on it.
     """
     if not scales:
         raise ConfigError("sweep requires at least one scale")
@@ -208,7 +214,7 @@ def run_sweep(
     for scale in scales:
         cfg = dataclasses.replace(template, num_records=int(scale))
         pool_dir = base / "pools" / str(scale)
-        generate_pool(cfg, pool_dir, workers=config.workers)
+        generate_pool(cfg, pool_dir, workers=workers)
         for row in run_report(pool_dir, specs, config):
             result.rows.append((int(scale), row.strategy, row))
 

@@ -1,5 +1,5 @@
-"""Alignment scoring: cosine similarity, CLIP-S, per-source pool scores
-and retrieval Recall@1.
+"""Alignment scoring: per-source pool cosines, their score-sidecar reader,
+CLIP-S and retrieval Recall@1.
 
 Score sidecars are derived files beside a pool, outside its checksums:
 ``score`` writes them (``gen`` its ground-truth ``.alpha`` ones), and
@@ -26,23 +26,6 @@ class ScoreTable:
 
     source: str
     scores: np.ndarray  # float32, global record order
-
-
-def cosine(u: np.ndarray, v: np.ndarray) -> float:
-    """Cosine similarity, float64 accumulation, clamped to [-1, 1]."""
-    u = np.asarray(u, dtype=np.float64)
-    v = np.asarray(v, dtype=np.float64)
-    if u.shape != v.shape or u.ndim != 1:
-        raise DomainError(f"dimension mismatch: {u.shape} vs {v.shape}")
-    # Scaling by a power of two is exact: the result is unchanged wherever no
-    # square underflowed or overflowed, and now none can (tiny or huge entries).
-    u = np.ldexp(u, -np.frexp(np.abs(u).max(initial=0.0))[1])
-    v = np.ldexp(v, -np.frexp(np.abs(v).max(initial=0.0))[1])
-    nu = np.linalg.norm(u)
-    nv = np.linalg.norm(v)
-    if nu == 0.0 or nv == 0.0:
-        raise DomainError("cosine undefined for zero-norm input")
-    return float(np.clip(np.dot(u, v) / (nu * nv), -1.0, 1.0))
 
 
 def clip_s(cos_score):

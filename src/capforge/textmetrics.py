@@ -266,27 +266,9 @@ def _caption_stats(captions: Iterable[str], vocab=frozenset(), lexicon=frozenset
         np.arange(len(texts)))
 
 
-def word_count(text: str) -> int:
-    return _caption_stats([text]).word_sum
-
-
-def grounding_ratio(text: str, vocab: set[str]) -> float:
-    """Fraction of tokens that name a visual concept; 0 for empty captions."""
-    if not vocab:
-        raise DomainError("grounding ratio requires a nonempty vocabulary")
-    return _caption_stats([text], vocab=vocab).ground_sum
-
-
 def unique_trigrams(captions: Iterable[str]) -> int:
     """Distinct consecutive 3-token windows across all captions."""
     return _caption_stats(captions).unique_trigrams
-
-
-def unique_nouns(captions: Iterable[str], noun_lexicon: set[str]) -> int:
-    """Distinct lexicon tokens appearing across all captions."""
-    if not noun_lexicon:
-        raise DomainError("unique_nouns requires a nonempty lexicon")
-    return _caption_stats(captions, lexicon=noun_lexicon).unique_nouns
 
 
 # ---------------------------------------------------------------------------

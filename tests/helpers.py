@@ -2,8 +2,9 @@
 
 The oracles deliberately avoid the library's code paths: selection uses a
 plain stable sort over (score desc, id asc), strategies are enumerated
-with Python sets, and shards are decoded field by field with ``struct``
-into objects, so agreement with the fast implementations is meaningful.
+with Python sets, shards are decoded field by field with ``struct`` into
+objects and embedding sidecars with ``struct`` and ``np.frombuffer``, so
+agreement with the fast implementations is meaningful.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import numpy as np
 from capforge import fileio
 from capforge._words import BOILERPLATE_CAPTIONS, FILLER_WORDS, SYN_TEMPLATES, concept_word
 from capforge.curation import KMeansStep
-from capforge.errors import DataError
+from capforge.errors import DataError, DomainError
 from capforge.pool import (
     ShardColumns, decode_shard, encode_shard, variant_source_label, write_pool,
 )
@@ -32,7 +33,6 @@ from capforge.poolgen import (
     shard_rng,
 )
 from capforge.report import QualityReport
-from capforge.scoring import cosine
 from capforge.textmetrics import sample_subset, tokenize
 
 RAW = -1
@@ -62,6 +62,23 @@ def scalar_crc(data: bytes, poly: int) -> int:
     for b in data:
         reg = table[(reg ^ b) & 0xFF] ^ (reg >> 8)
     return reg ^ 0xFFFFFFFF
+
+
+def cosine(u: np.ndarray, v: np.ndarray) -> float:
+    """Cosine similarity, float64 accumulation, clamped to [-1, 1]."""
+    u = np.asarray(u, dtype=np.float64)
+    v = np.asarray(v, dtype=np.float64)
+    if u.shape != v.shape or u.ndim != 1:
+        raise DomainError(f"dimension mismatch: {u.shape} vs {v.shape}")
+    # Scaling by a power of two is exact: the result is unchanged wherever no
+    # square underflowed or overflowed, and now none can (tiny or huge entries).
+    u = np.ldexp(u, -np.frexp(np.abs(u).max(initial=0.0))[1])
+    v = np.ldexp(v, -np.frexp(np.abs(v).max(initial=0.0))[1])
+    nu = np.linalg.norm(u)
+    nv = np.linalg.norm(v)
+    if nu == 0.0 or nv == 0.0:
+        raise DomainError("cosine undefined for zero-norm input")
+    return float(np.clip(np.dot(u, v) / (nu * nv), -1.0, 1.0))
 
 
 def oracle_top(scores: dict[int, float], p: float) -> tuple[set[int], float | None]:
@@ -179,7 +196,8 @@ def write_records(records, embeddings, out_path, **options):
 def materialize_by_records(handle, curated, out_path):
     """``materialize`` entry by entry: one ``Record`` per curated entry from
     ``entry_captions``, one embedding row copied for each, then
-    ``write_records``.  Each source's matrix is read once."""
+    ``write_records``.  Each source's matrix is read once, by
+    ``read_sidecar_rows``."""
     records, text_rows, rows, matrices = [], [], [], {}
     entries = curated.entries.tolist()
     for new_id, ((rec_id, _), (row, source, caption)) in enumerate(
@@ -187,9 +205,9 @@ def materialize_by_records(handle, curated, out_path):
         records.append(Record(id=new_id, raw_caption=caption, prov=rec_id))
         rows.append(row)
         if source not in matrices:
-            matrices[source] = handle.embeddings(source)
+            matrices[source] = read_sidecar_rows(handle.path, source)
         text_rows.append(matrices[source][row])
-    image = handle.embeddings("image")[rows]
+    image = read_sidecar_rows(handle.path, "image")[rows]
     text = np.stack(text_rows) if text_rows else np.zeros_like(image)
     return write_records(records, {"image": image, "raw": text}, out_path,
                          records_per_shard=handle.manifest.records_per_shard)
@@ -201,9 +219,25 @@ def _variant(label: str, text: str) -> CaptionVariant:
     return CaptionVariant(name, float(f"{whole}.{frac}"), text)
 
 
+def read_sidecar_rows(pool_dir, source: str) -> np.ndarray:
+    """Every embedding row of one source, in pool order: each
+    ``shard-NNNNN.{source}.f32`` unpacked here, its header (magic, dim, row
+    count) with ``struct`` and its float32 payload with ``np.frombuffer``."""
+    pool_dir = Path(pool_dir)
+    manifest = json.loads((pool_dir / "manifest.json").read_text(encoding="utf-8"))
+    parts = [np.zeros((0, manifest["embedding_dim"]), np.float32)]
+    for k in range(manifest["num_shards"]):
+        blob = (pool_dir / f"shard-{k:05d}.{source}.f32").read_bytes()
+        assert blob[:4] == b"EMB1"
+        dim, rows = struct.unpack_from("<IQ", blob, 4)
+        assert len(blob) == 16 + 4 * rows * dim
+        parts.append(np.frombuffer(blob, "<f4", offset=16).reshape(rows, dim))
+    return np.concatenate(parts)
+
+
 def read_records(pool_dir) -> list[Record]:
-    """Every record of a format-2 pool, each shard unpacked with ``struct``
-    one column at a time, as objects.  A variant's name and temperature are
+    """Every record of a pool, each shard unpacked with ``struct`` one column
+    at a time, as objects.  A variant's name and temperature are
     read back from its label, so a temperature keeps two decimals."""
     pool_dir = Path(pool_dir)
     manifest = json.loads((pool_dir / "manifest.json").read_text(encoding="utf-8"))
@@ -293,11 +327,11 @@ def variant_scores(handle, record_index: int) -> VariantScores:
     rec = read_records(handle.path)[record_index]
     if not rec.synthetic_variants:
         raise DataError(f"record {rec.id} has no synthetic variants")
-    image = handle.embeddings("image")[record_index]
+    image = read_sidecar_rows(handle.path, "image")[record_index]
     scores = []
     for variant in rec.synthetic_variants:
         label = variant_source_label(variant.source_name, variant.temperature)
-        scores.append(cosine(image, handle.embeddings(label)[record_index]))
+        scores.append(cosine(image, read_sidecar_rows(handle.path, label)[record_index]))
     return VariantScores(record_id=rec.id, scores=scores)
 
 

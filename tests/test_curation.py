@@ -845,6 +845,8 @@ _HEADER = '{"strategy":"raw_all","tau_used":null,"entries":%d,"spec":{"name":"ra
     pytest.param('{"id":1,"cap":"raw"}\n{"id":2,"cap":"RAW"}\n', 2, id="cap_upper"),
     pytest.param('{"id":1,"cap":"raw","x":0}\n', 1, id="extra_key"),
     pytest.param('{"id":1,"cap":"raw"}\n', 2, id="count_too_high"),
+    pytest.param('{"id":1,"cap":"raw"}\n{"id":1,"cap":"raw"}\n', 2, id="repeated_line"),
+    pytest.param('{"id":3,"cap":0}\n{"id": 3, "cap": 0}\n', 2, id="repeated_entry"),
 ])
 def test_non_canonical_curated_files_read_as_json_reads_them(tmp_path, body, count):
     """Lines other than ``write_curated``'s go through ``json.loads``: a file

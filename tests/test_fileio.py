@@ -35,15 +35,12 @@ def test_crc32c_matches_scalar_oracle(n, seed):
     cols=st.integers(1, 300),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_crc32c_accepts_arrays(rows, cols, seed):
-    """An array, a strided view of it or a buffer has the CRC of its C-order bytes."""
+def test_crc32c_accepts_byte_buffers(rows, cols, seed):
+    """A bytearray or a memoryview has the CRC of its bytes."""
     mat = np.random.default_rng(seed).standard_normal((rows, cols)).astype(np.float32)
-    for view in (mat, mat[:, ::2], mat[::3], mat.T, np.asfortranarray(mat), mat[:, 1:]):
-        assert fileio.crc32c(view) == fileio.crc32c(view.tobytes())
     blob = mat.tobytes()
     expected = fileio.crc32c(blob)
     assert fileio.crc32c(bytearray(blob)) == fileio.crc32c(memoryview(blob)) == expected
-    assert fileio.crc32c(np.frombuffer(blob, np.uint8)) == expected
 
 
 def test_crc32c_scratch_memory_is_bounded():
@@ -51,7 +48,7 @@ def test_crc32c_scratch_memory_is_bounded():
     tracemalloc.start()
     try:
         fileio.crc32c(buf)
-        fileio.crc32c(np.frombuffer(buf, np.float32))
+        fileio.crc32c(memoryview(buf)[1:])
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

@@ -423,7 +423,7 @@ def test_shard_decoder_check_is_an_error_and_a_finding(tmp_path, edit, error, ma
     replace_pool_file(tmp_path, "shard-00000.cap", blob)
     with pytest.raises(error, match=match):
         open_pool(tmp_path).records()
-    findings = validate_pool(open_pool(tmp_path)).by_kind("shard_error")
+    findings = [f for f in validate_pool(open_pool(tmp_path)).findings if f.kind == "shard_error"]
     assert [f.file for f in findings] == ["shard-00000.cap"]
     assert match.replace("\\", "") in findings[0].message
 
@@ -794,7 +794,7 @@ def test_malformed_shard_line_is_a_format_error_and_a_finding(tmp_path):
     replace_pool_file(tmp_path, victim.name, victim.read_bytes()[:-7])  # a record cut short
     with pytest.raises(FormatError, match="shard-00001.cap: caption offsets"):
         open_pool(tmp_path).records()
-    findings = validate_pool(open_pool(tmp_path)).by_kind("shard_error")
+    findings = [f for f in validate_pool(open_pool(tmp_path)).findings if f.kind == "shard_error"]
     assert [f.file for f in findings] == ["shard-00001.cap"]
     assert "caption offsets" in findings[0].message
 

@@ -15,7 +15,6 @@ from capforge._words import (
     CONCEPT_WORDS,
     FILLER_WORDS,
     GLUE_WORDS,
-    VISUAL_ATTRIBUTES,
     concept_word,
 )
 from capforge.curation import ClusterParams, StrategySpec
@@ -30,14 +29,14 @@ from capforge.pool import (
 from capforge.poolgen import (
     GenConfig,
     SynSource,
-    attach_alignment,
+    _attach_batch,
     config_from_dict,
     embed_concept,
     generate_pool,
     load_config,
 )
 from capforge.scoring import ScoreTables, score_pool
-from capforge.textmetrics import tokenize, unique_trigrams
+from capforge.textmetrics import default_visual_vocab, tokenize, unique_trigrams
 from helpers import (
     CRC32C_POLY, handle_captions, oracle_shard_records, read_records, record_captions, scalar_crc,
 )
@@ -54,7 +53,7 @@ def test_word_banks_disjoint():
     boiler = set(itertools.chain.from_iterable(c.split() for c in BOILERPLATE_CAPTIONS))
     assert not glue & fillers
     assert not glue & concepts
-    assert not glue & set(VISUAL_ATTRIBUTES)
+    assert not glue & default_visual_vocab()
     assert not glue & boiler
     assert not fillers & concepts
     assert len(BOILERPLATE_CAPTIONS) == 8
@@ -244,7 +243,7 @@ def test_variant_labels_unique_per_record(gen_pool):
 
 
 # ---------------------------------------------------------------------------
-# embed_concept / attach_alignment
+# embed_concept / _attach_batch
 
 
 def test_embed_concept_set_semantics():
@@ -275,38 +274,44 @@ def test_embed_concept_disjoint_sets_nearly_orthogonal():
     assert worst < 0.5
 
 
-def test_attach_alignment_extremes():
+def _attach(e: np.ndarray, alpha: float, noise_seed: int) -> np.ndarray:
+    """``_attach_batch`` of one image row under seeded Gaussian noise."""
+    noise = np.random.default_rng(noise_seed).standard_normal((1, e.size))
+    return _attach_batch(e[None], np.array([alpha]), noise)[0]
+
+
+def test_attach_batch_extremes():
     e = embed_concept([5], 32, seed=1)
-    same = attach_alignment(e, 1.0, noise_seed=4)
+    same = _attach(e, 1.0, noise_seed=4)
     assert np.allclose(same, e, atol=1e-9)
-    ortho = attach_alignment(e, 0.0, noise_seed=4)
+    ortho = _attach(e, 0.0, noise_seed=4)
     assert abs(float(e @ ortho)) < 1e-6
     assert abs(np.linalg.norm(ortho) - 1.0) < 1e-9
 
 
-def test_attach_alignment_mid_range_value():
+def test_attach_batch_mid_range_value():
     # a typical raw top-30% similarity cutoff
     e = embed_concept([1, 2, 3], 48, seed=2)
-    t = attach_alignment(e, 0.243, noise_seed=77)
+    t = _attach(e, 0.243, noise_seed=77)
     assert abs(float(e @ t) - 0.243) < 1e-6
 
 
-def test_attach_alignment_domain_errors():
+def test_attach_batch_deterministic_in_its_noise():
     e = embed_concept([5], 8, seed=0)
-    with pytest.raises(DomainError):
-        attach_alignment(e, 1.5, noise_seed=0)
-    with pytest.raises(DomainError):
-        attach_alignment(np.zeros(8), 0.5, noise_seed=0)
+    assert np.array_equal(_attach(e, 0.3, noise_seed=5), _attach(e, 0.3, noise_seed=5))
+    assert not np.allclose(_attach(e, 0.3, noise_seed=5), _attach(e, 0.3, noise_seed=6))
 
 
-def test_attach_alignment_deterministic_in_noise_seed():
-    e = embed_concept([5], 8, seed=0)
-    assert np.array_equal(
-        attach_alignment(e, 0.3, noise_seed=5), attach_alignment(e, 0.3, noise_seed=5)
-    )
-    assert not np.allclose(
-        attach_alignment(e, 0.3, noise_seed=5), attach_alignment(e, 0.3, noise_seed=6)
-    )
+@pytest.mark.parametrize("alpha", [0.0, 0.243, -0.6, 0.999])
+def test_attach_batch_noise_parallel_to_the_image(alpha):
+    """A noise row equal to its image row, or to its negation, has no part
+    orthogonal to it; a fixed orthogonal direction takes its place."""
+    images = np.stack([embed_concept([c], 16, seed=3) for c in (1, 2, 7)])
+    noise = np.stack([images[0], -images[1], np.random.default_rng(0).standard_normal(16)])
+    texts = _attach_batch(images, np.full(3, alpha), noise)
+    assert np.abs(np.linalg.norm(texts, axis=1) - 1.0).max() < 1e-6
+    assert np.abs(np.einsum("ij,ij->i", images, texts) - alpha).max() < 1e-6
+    assert np.isfinite(texts).all()
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,8 @@
 import csv
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
 import tempfile
@@ -13,9 +15,9 @@ from hypothesis import strategies as st
 
 import capforge
 from capforge import fileio
-from capforge.cli import cli_main
+from capforge.cli import build_parser, cli_main
 from capforge.curation import (
-    STRATEGY_NAMES, CuratedSet, StrategySpec, apply_strategy, read_curated,
+    STRATEGY_NAMES, ClusterParams, CuratedSet, StrategySpec, apply_strategy, read_curated,
 )
 from capforge.errors import DataError
 from capforge.pool import materialize, open_pool
@@ -32,7 +34,7 @@ from capforge.scoring import ScoreTables, score_pool
 from capforge.textmetrics import CaptionFeatures
 from capforge.errors import ConfigError
 from helpers import (
-    BROKEN_POOLS, RESHAPED_SIDECARS, CaptionVariant, Record, oracle_quality_report,
+    BROKEN_POOLS, RESHAPED_SIDECARS, CaptionVariant, Record, oracle_quality_report, pairs,
     read_records, replace_pool_file, set_sidecar_entry, unit_rows, write_broken_pool,
     write_nan_raw_pool, write_records, write_reshaped_pool,
 )
@@ -364,6 +366,26 @@ def _write_config(tmp_path, n=300, seed=17, rps=100):
         json.dumps({"num_records": n, "seed": seed, "records_per_shard": rps})
     )
     return str(path)
+
+
+def _readme_commands() -> list[str]:
+    """Each ``capforge`` command line in the README's bash blocks, with its
+    backslash continuations joined."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    lines = "".join(re.findall(r"^```bash\n(.*?)^```", readme, re.M | re.S))
+    return [line.strip() for line in lines.replace("\\\n", " ").split("\n")
+            if line.strip().startswith("capforge ")]
+
+
+def test_readme_commands_parse():
+    """Every command the README shows parses, so an option it uses cannot go
+    unnoticed."""
+    commands = _readme_commands()
+    assert {shlex.split(c)[1] for c in commands} >= {
+        "gen", "validate", "score", "mix", "metrics", "report", "sweep"}
+    parser = build_parser()
+    for command in commands:
+        assert parser.parse_args(shlex.split(command)[1:]).func is not None, command
 
 
 def test_cli_gen_then_validate(tmp_path):
@@ -831,6 +853,33 @@ def test_cli_mix_and_report_share_the_cluster_k_default_on_a_small_pool(tmp_path
     assert row["entries"] == len(read_curated(out)) == 3
 
 
+def test_cli_mix_seeds_its_clustering_with_seed(tmp_path, capsys):
+    """``mix --seed S`` seeds the k-means of its in1k intersection, as
+    ``cluster_params`` seed S does in a spec; ``--cluster-seed`` is no option."""
+    pool = tmp_path / "pool"
+    assert cli_main(["gen", "--config", _write_config(tmp_path, n=40, rps=20),
+                     "--out", str(pool)]) == 0
+    refs = tmp_path / "refs.emb"
+    fileio.write_embeddings(refs, open_pool(pool).embeddings("image")[[0, 9, 30]])
+    args = ["mix", "--pool", str(pool), "--strategy", "raw_all", "--in1k-refs", str(refs),
+            "--cluster-k", "5"]
+    handle = open_pool(pool)
+    for seed in (0, 3):
+        out = tmp_path / f"c{seed}.jsonl"
+        assert cli_main(args + ["--seed", str(seed), "--out", str(out)]) == 0
+        spec = StrategySpec("raw_all", in1k_intersect=True,
+                            cluster_params=ClusterParams(k=5, seed=seed))
+        expected = apply_strategy(handle, spec, ScoreTables(handle),
+                                  fileio.read_embeddings(refs))
+        curated = read_curated(out)
+        assert curated.spec == spec
+        assert pairs(curated) == pairs(expected)
+    capsys.readouterr()
+    assert cli_main(args + ["--cluster-seed", "1", "--out", str(tmp_path / "x.jsonl")]) == 1
+    assert "unrecognized arguments: --cluster-seed 1" in capsys.readouterr().err
+    assert not (tmp_path / "x.jsonl").exists()
+
+
 @pytest.mark.parametrize("command, value, problem", [
     ("mix", np.nan, "reference row 0 is not finite"),
     ("mix", 0.0, "reference row 0 has zero norm"),
@@ -913,6 +962,37 @@ def test_cli_metrics_rejects_a_tau_used_that_is_no_finite_number(
     assert cli_main(["metrics", "--pool", str(small_pool), "--curated", str(curated),
                      "--out", str(out)]) == 2
     assert "not a curated file" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("edit, problem", [
+    ("repeat", "1 entry line(s) repeat an earlier one"),
+    ("strategy", "header strategy 'syn_all' is not its spec's name 'raw_top'"),
+])
+def test_cli_metrics_rejects_a_repeated_entry_or_another_strategy_name(
+    tmp_path, capsys, edit, problem
+):
+    """A header counting 91 entries over 90 lines and one repeat, or naming a
+    strategy its spec does not, is no curated file ``mix`` wrote."""
+    pool = str(tmp_path / "pool")
+    assert cli_main(["gen", "--config", _write_config(tmp_path, seed=7), "--out", pool]) == 0
+    curated = tmp_path / "c.jsonl"
+    assert cli_main(["mix", "--pool", pool, "--strategy", "raw_top", "--p", "30",
+                     "--out", str(curated)]) == 0
+    head, *lines = curated.read_text().splitlines(keepends=True)
+    assert len(lines) == 90
+    if edit == "repeat":
+        edited = head.replace('"entries":90', '"entries":91')
+        lines.insert(40, lines[39])
+    else:
+        edited = head.replace('"strategy":"raw_top"', '"strategy":"syn_all"')
+    assert edited != head
+    curated.write_text(edited + "".join(lines))
+    out = tmp_path / "m.json"
+    capsys.readouterr()
+    assert cli_main(["metrics", "--pool", pool, "--curated", str(curated),
+                     "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {curated}: not a curated file: {problem}\n"
     assert not out.exists()
 
 

@@ -10,10 +10,10 @@ from capforge import fileio
 from capforge.cli import cli_main
 from capforge.errors import DataError, DomainError, IntegrityError
 from capforge.pool import open_pool
-from capforge.scoring import ScoreTables, clip_s, cosine, recall_at_1, score_pool
+from capforge.scoring import ScoreTables, clip_s, recall_at_1, score_pool
 from helpers import (
-    CaptionVariant, Record, build_plain_pool, select_best_variant, unit_rows, variant_scores,
-    write_broken_pool, write_records,
+    CaptionVariant, Record, build_plain_pool, cosine, select_best_variant, unit_rows,
+    variant_scores, write_broken_pool, write_records,
 )
 
 finite_floats = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)

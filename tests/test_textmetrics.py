@@ -10,18 +10,16 @@ from capforge.cli import cli_main
 from capforge.curation import CuratedSet, StrategySpec, write_curated
 from capforge.errors import DataError, DomainError
 from capforge.textmetrics import (
+    _caption_stats,
     _partial_fisher_yates,
     CaptionFeatures,
     default_noun_lexicon,
     default_visual_vocab,
-    grounding_ratio,
     load_token_file,
     sample_subset,
     tokenize,
     trigram_keys,
-    unique_nouns,
     unique_trigrams,
-    word_count,
 )
 from capforge.pool import variant_source_label
 from capforge.report import MetricConfig, build_quality_report, caption_features
@@ -54,18 +52,32 @@ def test_tokenize_idempotent_on_own_output(text):
     assert tokenize(" ".join(tokens)) == tokens
 
 
+def _grounding_ratio(text: str, vocab: set[str]) -> float:
+    """Fraction of ``tokenize``'s tokens in ``vocab``; 0 for no tokens."""
+    tokens = tokenize(text)
+    return sum(t in vocab for t in tokens) / len(tokens) if tokens else 0.0
+
+
+def _unique_nouns(captions: list[str], lexicon: set[str]) -> int:
+    """Distinct ``tokenize`` tokens of the captions that are in ``lexicon``."""
+    return len({t for c in captions for t in tokenize(c) if t in lexicon})
+
+
 def test_word_count_examples():
-    assert word_count("") == 0
-    assert word_count("a white button with the word more info") == 8
-    assert word_count("single") == 1
+    for text, words in [("", 0), ("a white button with the word more info", 8), ("single", 1)]:
+        assert _caption_stats([text]).word_sum == len(tokenize(text)) == words
 
 
 def test_grounding_ratio_examples():
-    assert grounding_ratio("a red dog runs", {"dog", "red"}) == pytest.approx(0.5)
-    assert grounding_ratio("dog red", {"dog", "red"}) == 1.0
-    assert grounding_ratio("", {"dog"}) == 0.0
-    with pytest.raises(DomainError):
-        grounding_ratio("x", set())
+    for text, ratio in [("a red dog runs", 0.5), ("dog red", 1.0), ("", 0.0)]:
+        got = _caption_stats([text], vocab={"dog", "red"}).ground_sum
+        assert got == _grounding_ratio(text, {"dog", "red"}) == ratio
+
+
+@pytest.mark.parametrize("field", ["vocab", "lexicon"])
+def test_caption_features_refuse_an_empty_vocabulary_or_lexicon(gen_pool, field):
+    with pytest.raises(DomainError, match="nonempty"):
+        caption_features(gen_pool, MetricConfig(**{field: set()}))
 
 
 def test_unique_trigrams_examples():
@@ -185,11 +197,9 @@ def test_token_file_line_no_caption_can_match_exits_2(gen_pool, tmp_path, capsys
 
 def test_unique_nouns_examples():
     lex = {"dog", "cat"}
-    assert unique_nouns(["dog cat dog"], lex) == 2
-    assert unique_nouns(["xyz"], lex) == 0
-    assert unique_nouns(["dog here", "there cat"], lex) == 2
-    with pytest.raises(DomainError):
-        unique_nouns(["x"], set())
+    for captions, nouns in [(["dog cat dog"], 2), (["xyz"], 0), (["dog here", "there cat"], 2)]:
+        assert _caption_stats(captions, lexicon=lex).unique_nouns == _unique_nouns(
+            captions, lex) == nouns
 
 
 def test_metrics_order_independent():
@@ -199,7 +209,8 @@ def test_metrics_order_independent():
     lex = set(words[:7])
     shuffled = list(reversed(captions))
     assert unique_trigrams(captions) == unique_trigrams(shuffled)
-    assert unique_nouns(captions, lex) == unique_nouns(shuffled, lex)
+    assert _caption_stats(captions, lexicon=lex).unique_nouns == _caption_stats(
+        shuffled, lexicon=lex).unique_nouns
 
 
 # ---------------------------------------------------------------------------
@@ -288,7 +299,7 @@ def test_report_full_sample_matches_the_whole_set(gen_pool):
     [row] = _sample_rows(gen_pool, curated, [400], seed=0)
     captions = _entry_texts(gen_pool, curated.entries)
     assert row.unique_trigrams == unique_trigrams(captions)
-    assert row.unique_nouns == unique_nouns(captions, lexicon)
+    assert row.unique_nouns == _unique_nouns(captions, lexicon)
 
 
 def test_report_samples_are_prefixes_of_one_shuffle(gen_pool):
