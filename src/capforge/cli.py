@@ -330,7 +330,6 @@ def cli_main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
-        parser.print_usage(sys.stderr)
         return 1
     if getattr(args, "func", None) is None:
         parser.print_usage(sys.stderr)

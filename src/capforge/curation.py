@@ -121,7 +121,11 @@ class CuratedSet:
     """Sorted, duplicate-free (record id, caption choice) selection.
 
     ``entries`` may be given as any sequence of pairs; it is kept as an
-    (n, 2) int64 array ordered by id, then caption choice.
+    (n, 2) int64 array ordered by id, then caption choice (the array given,
+    if it is one already so ordered and distinct).  Pairs that come in runs
+    ordered that way, as ``apply_strategy``'s parts do, take at most one
+    stable sort by id; only where an id's choices then decrease are they
+    sorted by both.
     """
 
     entries: np.ndarray
@@ -130,10 +134,14 @@ class CuratedSet:
 
     def __post_init__(self):
         pairs = np.asarray(self.entries, dtype=np.int64).reshape(-1, 2)
-        pairs = pairs[np.lexsort((pairs[:, 1], pairs[:, 0]))]
+        if (pairs[1:, 0] < pairs[:-1, 0]).any():
+            pairs = pairs[np.argsort(pairs[:, 0], kind="stable")]
+        same_id = pairs[1:, 0] == pairs[:-1, 0]  # the lexsort below keeps the ids in place
+        if (pairs[1:, 1][same_id] < pairs[:-1, 1][same_id]).any():
+            pairs = pairs[np.lexsort((pairs[:, 1], pairs[:, 0]))]
         repeated = np.zeros(len(pairs), dtype=bool)
-        repeated[1:] = (pairs[1:] == pairs[:-1]).all(axis=1)
-        self.entries = pairs[~repeated]
+        repeated[1:] = same_id & (pairs[1:, 1] == pairs[:-1, 1])
+        self.entries = pairs[~repeated] if repeated.any() else pairs
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -176,6 +184,14 @@ def _canonical_entries(body: str) -> np.ndarray | None:
     return np.fromstring(numbers, dtype=np.int64, sep=" ").reshape(-1, 2)
 
 
+def _field(obj: dict, name: str, where: str):
+    """``obj[name]``; a missing key is a ValueError naming it and ``where``."""
+    try:
+        return obj[name]
+    except KeyError:
+        raise ValueError(f"{where} lacks field {name!r}") from None
+
+
 def read_curated(path: str | Path) -> CuratedSet:
     """A curated file as ``write_curated`` writes it, or any file whose lines
     are JSON objects of the same values; anything else raises a FormatError."""
@@ -185,14 +201,16 @@ def read_curated(path: str | Path) -> CuratedSet:
         head, _, body = text.partition("\n")
         entries = _canonical_entries(body) if head.strip() else None
         if entries is None:
-            lines = [line for line in text.split("\n") if line.strip()]
+            lines = [(number, line) for number, line in enumerate(text.split("\n"), 1)
+                     if line.strip()]
             if not lines:
                 raise DataError(f"{path}: empty curated file")
-            head = lines[0]
+            head = lines[0][1]
         header = json.loads(head)
-        spec = StrategySpec.from_dict(header["spec"])
-        if header["strategy"] != spec.name:
-            raise ValueError(f"header strategy {header['strategy']!r} is not its spec's name "
+        spec = StrategySpec.from_dict(_field(header, "spec", "header"))
+        strategy = _field(header, "strategy", "header")
+        if strategy != spec.name:
+            raise ValueError(f"header strategy {strategy!r} is not its spec's name "
                              f"{spec.name!r}")
         tau_used = header.get("tau_used")
         if tau_used is not None and not (type(tau_used) in (int, float)
@@ -200,20 +218,22 @@ def read_curated(path: str | Path) -> CuratedSet:
             raise ValueError(f"tau_used {tau_used!r} is not a finite number")
         if entries is None:
             entries = []
-            for line in lines[1:]:
+            for number, line in lines[1:]:
                 obj = json.loads(line)
-                rec_id, cap = obj["id"], RAW_CHOICE if obj["cap"] == "raw" else obj["cap"]
+                where = f"line {number}"
+                rec_id, cap = _field(obj, "id", where), _field(obj, "cap", where)
+                cap = RAW_CHOICE if cap == "raw" else cap
                 if type(rec_id) is not int or type(cap) is not int:
                     raise ValueError(f"entry {line.strip()} needs an integer id and cap")
                 entries.append((rec_id, cap))
-        count = header["entries"]
+        count = _field(header, "entries", "header")
         if type(count) is not int or count != len(entries):
             raise ValueError(f"header counts {count!r} entries, file holds {len(entries)}")
         curated = CuratedSet(entries=entries, spec=spec, tau_used=tau_used)
         if len(curated) != count:
             raise ValueError(f"{count - len(curated)} entry line(s) repeat an earlier one")
         return curated
-    except (ValueError, KeyError, TypeError, OverflowError, ConfigError) as exc:
+    except (ValueError, TypeError, OverflowError, ConfigError) as exc:
         raise FormatError(f"{path}: not a curated file: {exc}") from None
 
 
@@ -226,9 +246,9 @@ def top_fraction(
 ) -> tuple[np.ndarray, float | None]:
     """Keep exactly floor(p*N/100) highest-scoring records.
 
-    Ties break toward the lower of the records' ``ids``.  Returns the bool
-    mask and tau, the minimum selected score (None when the selection is
-    empty).
+    Ties break toward the lower of the records' ``ids``, and a NaN score
+    ranks below every number.  Returns the bool mask and tau, the minimum
+    selected score (None when the selection is empty).
     """
     if not 0 < p <= 100:
         raise DomainError(f"p must lie in (0, 100], got {p}")
@@ -238,9 +258,17 @@ def top_fraction(
     mask = np.zeros(n, dtype=bool)
     if k == 0:
         return mask, None
-    chosen = np.lexsort((ids, -values.astype(np.float64)))[:k]
-    mask[chosen] = True
-    return mask, float(values[chosen[-1]])
+    negated = -values  # a partition, like a sort, puts NaN last
+    cut = np.partition(negated, k - 1)[k - 1]  # the k-th highest score, negated
+    if cut == cut:
+        mask[negated < cut] = True
+        tied = np.flatnonzero(negated == cut)
+    else:  # fewer than k scores are numbers: NaN scores fill the cut
+        mask[~np.isnan(negated)] = True
+        tied = np.flatnonzero(np.isnan(negated))
+    kept = tied[np.argsort(ids[tied], kind="stable")[: k - int(mask.sum())]]
+    mask[kept] = True
+    return mask, float(values[kept[-1]])
 
 
 def threshold_filter(scores: ScoreTable, tau: float) -> np.ndarray:

@@ -82,6 +82,8 @@ class SampleStats(NamedTuple):
 _CHUNK_BYTES = 1 << 17  # caption text tokenized per numpy pass; bounds its scratch arrays
 _KEY_CHARS = 12  # token characters packed into one key, in base 37: 37**12 < 2**64
 _LONG_KEY = 37**_KEY_CHARS  # keys from here on number the longer tokens
+_HASH_MULTIPLIER = 0x9E3779B97F4A7C15  # 2**64 over the golden ratio: Fibonacci hashing
+_NO_KEY = np.uint64(2**64 - 1)  # an empty hash slot's key, above every token key
 _BYTE_MASKS = np.array([(1 << 8 * k) - 1 for k in range(9)], np.uint64)  # the low k bytes
 # a byte's base-37 digit: 1-10 for 0-9, 11-36 for a-z and A-Z, 0 for a separator
 _DIGIT = np.zeros(256, np.uint8)
@@ -121,7 +123,8 @@ class CaptionFeatures:
     ``_fold`` first, once per distinct text: a repeat shares the features of
     its first caption.  Each token gets an exact key (up to _KEY_CHARS
     characters packed in base 37, a longer token a number from _LONG_KEY on),
-    and only keys not seen before are decoded to strings.
+    looked up in a hash table of the keys seen; only keys not seen before are
+    decoded to strings.
     """
 
     def __init__(self, text: bytes | bytearray, offsets: np.ndarray, vocab: set[str],
@@ -139,6 +142,7 @@ class CaptionFeatures:
         self._is_visual = np.zeros(0, bool)
         self._keys = np.zeros(0, np.uint64)  # sorted keys of the tokens seen
         self._key_ids = np.zeros(0, np.int32)  # the token id of each key
+        self._hash_table()
         self._long_keys: dict[bytes, int] = {}
         self._wide: dict[bytes, int] = {}  # each non-ASCII text: the first caption holding it
 
@@ -218,9 +222,37 @@ class CaptionFeatures:
                                             out=np.zeros(len(counts)), where=counts > 0)
         return ids
 
+    def _hash_table(self) -> None:
+        """Index the keys seen in a table of at least four slots per key, each
+        slot holding the key hashed to it (one of them, if several are) and
+        its token id, or ``_NO_KEY``."""
+        size = 1 << (4 * len(self._keys)).bit_length()
+        owner = np.full(size, -1, np.intp)  # -1 picks the appended empty slot
+        owner[self._slots(self._keys, size)] = np.arange(len(self._keys))
+        self._slot_keys = np.append(self._keys, _NO_KEY)[owner]
+        self._slot_ids = np.append(self._key_ids, np.int32(0))[owner]
+
+    @staticmethod
+    def _slots(keys: np.ndarray, size: int) -> np.ndarray:
+        """Each key's slot in a hash table of ``size`` (a power of two) slots:
+        the top bits of the key times ``_HASH_MULTIPLIER``, modulo 2**64."""
+        return (keys * np.uint64(_HASH_MULTIPLIER)) >> np.uint64(65 - size.bit_length())
+
     def _token_ids(self, keys: np.ndarray, token) -> np.ndarray:
         """Token id of each key; a key not seen before gets the next id, and
-        ``token(i)`` gives the string of key i."""
+        ``token(i)`` gives the string of key i.  A key found in its hash slot
+        takes the slot's id; the others (new keys, and keys another holds
+        the slot of) go through ``_sorted_token_ids``."""
+        slots = self._slots(keys, len(self._slot_keys))
+        ids = self._slot_ids[slots]
+        missed = np.flatnonzero(self._slot_keys[slots] != keys)
+        if missed.size:
+            ids[missed] = self._sorted_token_ids(keys[missed], lambda i: token(missed[i]))
+        return ids
+
+    def _sorted_token_ids(self, keys: np.ndarray, token) -> np.ndarray:
+        """``_token_ids`` by a binary search of the sorted keys seen; new keys
+        are added to them and to the hash table."""
         order = np.argsort(keys)  # sorted, the lookups run several times faster
         keys = keys[order]
         at = np.searchsorted(self._keys, keys)
@@ -234,6 +266,7 @@ class CaptionFeatures:
             self._is_visual = np.append(self._is_visual, [t in self.vocab for t in strings])
             self._keys = np.insert(self._keys, at[new], keys[new])
             self._key_ids = np.insert(self._key_ids, at[new], new_ids)
+            self._hash_table()
             at = np.searchsorted(self._keys, keys)
         ids = np.empty(len(keys), np.int32)
         ids[order] = self._key_ids[at]
@@ -308,6 +341,8 @@ def sample_subset(total: int, n: int, seed: int) -> np.ndarray:
     """Uniform sample of n of ``total`` positions without replacement, sorted."""
     if n > total or n < 0:
         raise DomainError(f"cannot sample {n} of {total} entries")
+    if n == total:  # a whole shuffle, sorted, is every position whatever the seed
+        return np.arange(total)
     return np.sort(_partial_fisher_yates(n, total, seed))
 
 

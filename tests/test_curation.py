@@ -2,6 +2,7 @@ import json
 import tempfile
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -32,6 +33,9 @@ from helpers import (
     RAW, CaptionVariant, Record, build_plain_pool, oracle_kmeans_trace, oracle_strategy,
     oracle_top, pairs, select_best_variant, unit_rows, write_records,
 )
+
+
+NAN = float("nan")
 
 
 def _table(values, source="raw"):
@@ -85,19 +89,33 @@ def test_top_fraction_domain_checks():
         max_size=60,
     ),
     st.sampled_from([1, 10, 30, 50, 99, 100]),
+    st.lists(st.integers(-2**63, 2**63 - 1), min_size=60, max_size=60, unique=True),
 )
+@example([0.5, 0.5, 0.9, 0.5], 75, [9, 7, 1, 3])  # two of three tied 0.5s: ids 3 and 7
 @settings(max_examples=200, deadline=None)
-def test_top_fraction_matches_sort_oracle(values, p):
+def test_top_fraction_matches_sort_oracle(values, p, ids):
+    """Ties at the cut go to the lower ids, not the lower rows: the ids are
+    distinct int64 values in any order (p=1 below 100 records keeps none)."""
+    ids = np.array(ids[: len(values)], np.int64)
     scores = _table(values)
-    mask, tau = top_fraction(scores, p, np.arange(len(values)))
-    want_ids, want_tau = oracle_top(
-        {i: float(v) for i, v in enumerate(scores.scores)}, p
-    )
-    assert set(np.flatnonzero(mask).tolist()) == want_ids
-    if want_tau is None:
-        assert tau is None
-    else:
-        assert tau == pytest.approx(want_tau)
+    mask, tau = top_fraction(scores, p, ids)
+    want_ids, want_tau = oracle_top(dict(zip(ids.tolist(), scores.scores.tolist())), p)
+    assert set(ids[mask].tolist()) == want_ids
+    assert tau == want_tau
+
+
+@pytest.mark.parametrize("values, ids, p, kept, tau", [
+    ([NAN, 0.5, NAN, 0.2], [4, 3, 2, 1], 75, [1, 2, 3], NAN),
+    ([NAN, 0.5, NAN, 0.2], [4, 3, 2, 1], 50, [1, 3], 0.2),
+    ([NAN, NAN], [5, 1], 50, [1], NAN),
+    ([0.1, NAN, 0.1, 0.3], [9, 8, 7, 6], 50, [2, 3], 0.1),
+])
+def test_top_fraction_ranks_a_nan_score_last(values, ids, p, kept, tau):
+    """As a sort by descending score does: NaN rows fill the cut only after
+    every number, the lower ids first."""
+    mask, got = top_fraction(_table(values), p, np.array(ids))
+    assert np.flatnonzero(mask).tolist() == kept
+    assert got == pytest.approx(tau, nan_ok=True)
 
 
 @given(st.integers(1, 1000), st.integers(1, 2999))
@@ -758,6 +776,34 @@ def test_curated_set_sorts_and_dedups():
     spec = StrategySpec("raw_all")
     curated = CuratedSet(entries=[(3, 0), (1, RAW), (3, 0), (1, 2)], spec=spec)
     assert pairs(curated) == [(1, RAW), (1, 2), (3, 0)]
+
+
+# each part: an id order of one choice per id, as apply_strategy builds them
+_PARTS = st.lists(st.dictionaries(st.integers(0, 30), st.integers(-1, 3), max_size=20)
+                  .map(lambda part: sorted(part.items())), min_size=1, max_size=4)
+
+
+@given(_PARTS)
+@example([[(1, 0), (2, RAW)], [(1, 2), (3, 1)]])  # each id's choices increase: no lexsort
+@example([[(1, 0), (2, RAW)], [(1, RAW), (2, RAW)]])  # id 1's second choice is lower
+@settings(max_examples=200, deadline=None)
+def test_curated_set_of_id_ordered_parts_matches_the_lexsort_oracle(parts):
+    """Parts in id order, concatenated with overlapping ids, take at most one
+    stable sort by id; the (id, choice) lexsort runs only where an id's
+    choices then decrease, and both give the lexsort oracle's sorted
+    distinct pairs."""
+    entries = np.array([pair for part in parts for pair in part], np.int64).reshape(-1, 2)
+    oracle = entries[np.lexsort((entries[:, 1], entries[:, 0]))]
+    oracle = [pair for i, pair in enumerate(map(tuple, oracle.tolist()))
+              if i == 0 or pair != tuple(oracle[i - 1])]
+    choices: dict[int, list[int]] = {}
+    for rec_id, choice in entries.tolist():
+        choices.setdefault(rec_id, []).append(choice)
+    decreasing = any(b < a for seen in choices.values() for a, b in zip(seen, seen[1:]))
+    with mock.patch.object(np, "lexsort", wraps=np.lexsort) as lexsort:
+        curated = CuratedSet(entries=entries, spec=StrategySpec("raw_all"))
+    assert lexsort.called == decreasing
+    assert pairs(curated) == oracle
 
 
 @given(st.lists(st.tuples(st.integers(-2**62, 2**62), st.integers(-1, 5)), max_size=40)

@@ -649,6 +649,20 @@ def test_cli_usage_errors():
     assert cli_main(["filter", "--pool", "x", "--out", "y"]) == 1  # no p/tau
 
 
+@pytest.mark.parametrize("args, problem", [
+    (["mix", "--pool", "p", "--strategy", "raw_all", "--out", "c.jsonl", "--cluster-seed", "1"],
+     "unrecognized arguments: --cluster-seed 1"),
+    (["mix", "--pool", "p", "--strategy", "raw_all"],
+     "the following arguments are required: --out"),
+    (["frobnicate"], "invalid choice: 'frobnicate'"),
+])
+def test_cli_usage_error_is_one_line(capsys, args, problem):
+    capsys.readouterr()
+    assert cli_main(args) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: ") and err.count("\n") == 1 and problem in err, err
+
+
 def test_cli_open_missing_pool_is_data_error(tmp_path):
     assert cli_main(["validate", str(tmp_path / "nope")]) == 2
 
@@ -991,6 +1005,30 @@ def test_cli_metrics_rejects_a_repeated_entry_or_another_strategy_name(
     out = tmp_path / "m.json"
     capsys.readouterr()
     assert cli_main(["metrics", "--pool", pool, "--curated", str(curated),
+                     "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {curated}: not a curated file: {problem}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("field, problem", [
+    ("strategy", "header lacks field 'strategy'"),
+    ("spec", "header lacks field 'spec'"),
+    ("entries", "header lacks field 'entries'"),
+    ("id", "line 4 lacks field 'id'"),
+    ("cap", "line 4 lacks field 'cap'"),
+])
+def test_cli_metrics_names_a_missing_curated_field(small_pool, tmp_path, capsys, field, problem):
+    """The header's field, or the entry line's, with its line in the file."""
+    header = {"strategy": "raw_all", "tau_used": None, "entries": 2, "spec": {"name": "raw_all"}}
+    entries = [{"id": 1, "cap": "raw"}, {"id": 2, "cap": "raw"}]
+    header.pop(field, None)
+    entries[1].pop(field, None)
+    curated = tmp_path / "c.jsonl"
+    curated.write_text(json.dumps(header) + "\n" + json.dumps(entries[0]) + "\n\n"
+                       + json.dumps(entries[1]) + "\n")
+    out = tmp_path / "m.json"
+    capsys.readouterr()
+    assert cli_main(["metrics", "--pool", str(small_pool), "--curated", str(curated),
                      "--out", str(out)]) == 2
     assert capsys.readouterr().err == f"error: {curated}: not a curated file: {problem}\n"
     assert not out.exists()

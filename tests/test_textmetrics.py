@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from capforge import textmetrics
 from capforge.cli import cli_main
-from capforge.curation import CuratedSet, StrategySpec, write_curated
+from capforge.curation import CuratedSet, StrategySpec, apply_strategy, write_curated
 from capforge.errors import DataError, DomainError
 from capforge.textmetrics import (
     _caption_stats,
@@ -24,7 +24,10 @@ from capforge.textmetrics import (
 from capforge.pool import variant_source_label
 from capforge.report import MetricConfig, build_quality_report, caption_features
 from capforge.scoring import ScoreTables
-from helpers import RAW, entry_captions, oracle_trigrams, read_records, scalar_fisher_yates
+from helpers import (
+    RAW, entry_captions, oracle_quality_report, oracle_trigrams, read_records,
+    scalar_fisher_yates,
+)
 
 
 def test_tokenize_paper_caption():
@@ -153,9 +156,12 @@ _PIECES = st.one_of(
 @given(
     captions=st.lists(st.lists(_PIECES, max_size=6).map("".join), max_size=25),
     chunk=st.sampled_from([1, 5, 64, 1 << 17]),
+    multiplier=st.sampled_from([textmetrics._HASH_MULTIPLIER, 0]),
     data=st.data(),
 )
-def test_caption_features_tokenize_as_tokenize_does(captions, chunk, data):
+def test_caption_features_tokenize_as_tokenize_does(captions, chunk, multiplier, data):
+    """With a hash multiplier of 0, every key hashes to one slot, so all keys
+    but that slot's go through the sorted search."""
     if captions:  # repeats, so non-ASCII texts are met again, in the same chunk or a later one
         captions += data.draw(st.lists(st.sampled_from(captions), max_size=10))
     texts = [c.encode("utf-8") for c in captions]
@@ -164,7 +170,8 @@ def test_caption_features_tokenize_as_tokenize_does(captions, chunk, data):
     # fill a few captions first, so later fills meet tokens seen before
     first = data.draw(st.lists(st.integers(0, max(len(captions) - 1, 0)), max_size=5))
     ids: dict[str, int] = {}
-    with mock.patch.object(textmetrics, "_CHUNK_BYTES", chunk):
+    with mock.patch.object(textmetrics, "_CHUNK_BYTES", chunk), \
+            mock.patch.object(textmetrics, "_HASH_MULTIPLIER", multiplier):
         features.token_ids(np.array(first if captions else [], np.int64))
         for i, caption in enumerate(captions):
             tokens, lengths = features.token_ids(np.array([i]))
@@ -219,6 +226,13 @@ def test_metrics_order_independent():
 
 def test_sample_subset_full_is_identity():
     assert sample_subset(20, 20, seed=3).tolist() == list(range(20))
+
+
+@given(st.integers(0, 3000), st.integers(0, 2**64 - 1))
+@settings(max_examples=100, deadline=None)
+def test_sample_subset_of_every_entry_is_a_whole_shuffle_sorted(total, seed):
+    assert sample_subset(total, total, seed).tolist() == \
+        np.sort(_partial_fisher_yates(total, total, seed)).tolist()
 
 
 def test_sample_subset_empty():
@@ -329,6 +343,28 @@ def test_report_sample_counts_never_decrease_as_it_grows(gen_pool):
     for a, b in zip(rows, rows[1:]):
         assert b.unique_trigrams >= a.unique_trigrams
         assert b.unique_nouns >= a.unique_nouns
+
+
+def test_report_matches_the_oracle_when_every_key_shares_one_hash_slot(gen_pool):
+    """A hash multiplier of 0 sends every token key to slot 0: the token ids
+    are those of the default multiplier, and a report row is the
+    caption-by-caption oracle's."""
+    tables = ScoreTables(gen_pool)
+    spec = StrategySpec("raw_top_plus_syn_rest", p=30, syn_source="syn.blip2.0.75")
+    curated = apply_strategy(gen_pool, spec, tables)
+    everything = np.arange(len(gen_pool.records().offsets) - 1)
+    rows, features = [], []
+    for multiplier in (textmetrics._HASH_MULTIPLIER, 0):
+        with mock.patch.object(textmetrics, "_HASH_MULTIPLIER", multiplier):
+            features.append(caption_features(gen_pool, MetricConfig()))
+            rows.append(build_quality_report(gen_pool, curated, tables, features[-1],
+                                             sample_size=3000, seed=4))
+            features[-1].token_ids(everything)  # then the captions the sample left out
+    assert np.count_nonzero(features[1]._slot_keys != textmetrics._NO_KEY) == 1
+    want = oracle_quality_report(gen_pool, curated, tables.__getitem__, vocab=features[0].vocab,
+                                 lexicon=features[0].lexicon, sample_size=3000, seed=4)
+    assert rows == [want, want]
+    assert features[1].tokens.tolist() == features[0].tokens.tolist()
 
 
 def test_report_syn_sample_stays_below_raw_at_every_size(tmp_path):
