@@ -239,7 +239,7 @@ def _cmd_sweep(args) -> int:
 
 def build_parser() -> _Parser:
     parser = _Parser(prog="capforge", description=__doc__)
-    sub = parser.add_subparsers(dest="command", parser_class=_Parser)
+    sub = parser.add_subparsers(dest="command", parser_class=_Parser, required=True)
 
     def add_common(p, seed_help="seed for sampled metrics"):
         p.add_argument("--workers", type=int, default=None,
@@ -330,9 +330,6 @@ def cli_main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
-        return 1
-    if getattr(args, "func", None) is None:
-        parser.print_usage(sys.stderr)
         return 1
     try:
         args.workers = _resolve_workers(args)

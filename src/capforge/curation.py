@@ -520,21 +520,23 @@ def resolve_syn_source(labels: Sequence[str], requested: str) -> str:
 def _best_variants(handle: PoolHandle, table: Callable[[str], ScoreTable]) -> np.ndarray:
     """Position of each record's highest-scoring variant.
 
-    Scores are stacked by variant position, so argmax sends ties to the
-    lowest position whatever order a record lists its sources in.
+    Scores sit at the variant positions of the caption table's labels, so
+    argmax sends ties to the lowest position whatever order a record lists
+    its sources in.  Score tables are read in the order labels first appear.
     """
-    positions = {label: handle.variant_index(label) for label in handle.variant_labels()}
-    if not positions and handle.num_records:
+    records = handle.records()
+    labels = records.labels
+    used, first = np.unique(labels[labels >= 0], return_index=True)
+    if not used.size and handle.num_records:
         raise DataError("pool has no synthetic caption sources")
-    width = 1 + max((int(pos.max()) for pos in positions.values()), default=0)
-    stacked = np.full((width, handle.num_records), -np.inf, dtype=np.float32)
-    for label, pos in positions.items():
-        rows = np.flatnonzero(pos >= 0)
-        stacked[pos[rows], rows] = table(label).scores[rows]
-    empty = np.isneginf(stacked).all(axis=0)
+    scores = np.full((len(labels), max(labels.shape[1], 1)), -np.inf, dtype=np.float32)
+    for j in used[np.argsort(first)].tolist():
+        rows, positions = np.nonzero(labels == j)
+        scores[rows, positions] = table(records.sources[1 + j]).scores[rows]
+    empty = np.isneginf(scores).all(axis=1)
     if empty.any():
-        raise DataError(f"record {handle.ids()[np.argmax(empty)]} has no synthetic variants")
-    return stacked.argmax(axis=0)
+        raise DataError(f"record {records.ids[np.argmax(empty)]} has no synthetic variants")
+    return scores.argmax(axis=1)
 
 
 def apply_strategy(

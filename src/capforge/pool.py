@@ -447,9 +447,9 @@ class PoolHandle:
 
     The records are read once, shard by shard, into a ``CaptionTable``
     (``records()``).  Curated (id, caption choice) entries resolve to rows,
-    sources and texts through it: ``ids``, ``rows``, ``variant_labels``,
-    ``variant_index`` and ``caption_ids`` all read the table.  Embeddings are
-    not cached: each ``embeddings`` call reads the source's sidecars again.
+    sources and texts through it: ``ids``, ``rows``, ``variant_index`` and
+    ``caption_ids`` all read the table.  Embeddings are not cached: each
+    ``embeddings`` call reads the source's sidecars again.
     Every read of a pool file checks its manifest checksum.
     """
 
@@ -509,12 +509,6 @@ class PoolHandle:
             raise DataError(f"curated entry references unknown record id {bad}")
         return rows
 
-    def variant_labels(self) -> list[str]:
-        """Source label of every variant some record lists, by first appearance."""
-        table = self.records()
-        used, first = np.unique(table.labels[table.labels >= 0], return_index=True)
-        return [table.sources[1 + j] for j in used[np.argsort(first)].tolist()]
-
     def variant_index(self, label: str) -> np.ndarray:
         """Per-record position of the variant with source `label`, -1 if none."""
         table = self.records()
@@ -572,11 +566,14 @@ def open_pool(path: str | Path) -> PoolHandle:
     manifest = PoolManifest.from_json(
         fileio.read_text(manifest_path), context=str(manifest_path)
     )
-    layout = {shard_caption_name(k) for k in range(manifest.num_shards)} | {
-        shard_embedding_name(k, s)
-        for k in range(manifest.num_shards)
-        for s in manifest.embedding_sources
-    }
+    sources = manifest.embedding_sources
+    layout = (name for k in range(manifest.num_shards) for name in
+              [shard_caption_name(k)] + [shard_embedding_name(k, s) for s in sources])
+    if manifest.num_shards * (1 + len(sources)) > len(manifest.checksums):
+        # the first len(checksums) + 1 names of the layout hold one that lacks a checksum
+        name = next(name for name in layout if name not in manifest.checksums)
+        raise IntegrityError(f"{pool_dir}: manifest lacks checksum for {name}")
+    layout = set(layout)
     if layout != set(manifest.checksums):
         name = min(layout.symmetric_difference(manifest.checksums))
         what = "lacks checksum for" if name in layout else "lists checksum for stray file"
@@ -598,8 +595,9 @@ def validate_pool(handle: PoolHandle) -> ValidationReport:
 
     shards = (read("shard_error", shard_caption_name(k), handle.shard_columns, k)
               for k in range(handle.manifest.num_shards))
+    ids = [columns[0] for columns in shards if columns is not None]
     try:
-        CaptionTable.from_shards(filter(None, shards), handle.manifest.caption_labels)
+        id_order(np.concatenate([np.zeros(0, np.int64), *ids]), IntegrityError)
     except IntegrityError as exc:  # the shards that read repeat an id
         report.findings.append(Finding("duplicate_id", str(exc)))
     for source in handle.manifest.embedding_sources:

@@ -57,6 +57,7 @@ _CAPTIONER_BASE_VOCAB = 160
 _TEMPLATE_WEIGHT_EXP = 1.3
 
 ALPHA_CLAMP = 0.999
+MAX_NUM_RECORDS = 10_000_000  # the generator limit
 
 
 @dataclass(frozen=True)
@@ -96,6 +97,9 @@ class GenConfig:
                 raise ConfigError(f"{name} must be finite, got {value}")
         if self.num_records < 0:
             raise ConfigError(f"num_records must be >= 0, got {self.num_records}")
+        if self.num_records > MAX_NUM_RECORDS:
+            raise ConfigError(f"num_records {self.num_records} exceeds generator limit "
+                              f"{MAX_NUM_RECORDS}")
         if not 0 <= self.seed < 2**64:
             raise ConfigError("seed must be an unsigned 64-bit integer")
         if self.embedding_dim < 2:
@@ -311,13 +315,6 @@ class _Text:
         return words + self.num_words * (pos > 0)
 
 
-@dataclass
-class _ShardOutput:
-    checksums: dict[str, str]
-    raw_alphas: np.ndarray
-    syn_alphas: dict[str, np.ndarray]
-
-
 def _generate_shard(
     config: GenConfig,
     shard_index: int,
@@ -326,7 +323,9 @@ def _generate_shard(
     zipf_cum: np.ndarray,
     text: _Text,
     out_dir: Path,
-) -> _ShardOutput:
+) -> tuple[dict[str, str], dict[str, np.ndarray]]:
+    """Write shard ``shard_index``; returns its file->crc map and its float32
+    alignment draws by source label, "raw" first."""
     rng = shard_rng(config.seed, shard_index)
     dim = config.embedding_dim
 
@@ -423,14 +422,9 @@ def _generate_shard(
         offsets=ends[np.concatenate(([0], np.cumsum(counts)))],
         text="".join(text.pieces[pieces].tolist()).encode("utf-8"),
     )
-    checksums = pool.write_shard(out_dir, shard_index, shard, embeddings)
-    return _ShardOutput(
-        checksums=checksums,
-        raw_alphas=raw_alphas.astype(np.float32),
-        syn_alphas={
-            label: draws[1].astype(np.float32) for label, draws in syn_draws.items()
-        },
-    )
+    alphas = {"raw": raw_alphas} | {label: draws[1] for label, draws in syn_draws.items()}
+    return (pool.write_shard(out_dir, shard_index, shard, embeddings),
+            {label: a.astype(np.float32) for label, a in alphas.items()})
 
 
 def generate_pool(config: GenConfig, out_path: str | Path, *, workers: int = 1) -> PoolManifest:
@@ -438,8 +432,11 @@ def generate_pool(config: GenConfig, out_path: str | Path, *, workers: int = 1) 
 
     Ground-truth alignment draws are written as score sidecars named
     ``{source}.alpha`` so tests can compare measured cosines against them.
+    ``workers`` (at least 1) threads generate the shards.
     """
     config.validate()
+    if workers < 1:
+        raise ConfigError(f"workers must be >= 1, got {workers}")
     out_dir = new_pool_dir(out_path)
 
     sizes = shard_layout(config.num_records, config.records_per_shard)
@@ -452,18 +449,15 @@ def generate_pool(config: GenConfig, out_path: str | Path, *, workers: int = 1) 
     zipf_cum = _zipf_cumulative(config.concept_vocab_size, config.zipf_exponent)
     text = _Text.build(config)
 
-    def job(k: int) -> _ShardOutput:
+    def job(k: int) -> tuple[dict[str, str], dict[str, np.ndarray]]:
         return _generate_shard(config, k, sizes[k], concept_mat, zipf_cum, text, out_dir)
 
-    if workers > 1 and len(sizes) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as executor:
-            outputs = list(executor.map(job, range(len(sizes))))
-    else:
-        outputs = [job(k) for k in range(len(sizes))]
+    with ThreadPoolExecutor(max_workers=workers) as executor:
+        outputs = list(executor.map(job, range(len(sizes))))
 
     checksums: dict[str, str] = {}
-    for out in outputs:
-        checksums.update(out.checksums)
+    for shard_checksums, _ in outputs:
+        checksums.update(shard_checksums)
 
     caption_labels = [s.label for s in config.syn_sources]
     manifest = PoolManifest(
@@ -479,17 +473,7 @@ def generate_pool(config: GenConfig, out_path: str | Path, *, workers: int = 1) 
     )
     write_manifest(out_dir, manifest)
 
-    raw_truth = (
-        np.concatenate([o.raw_alphas for o in outputs])
-        if outputs
-        else np.zeros(0, dtype=np.float32)
-    )
-    fileio.write_scores(out_dir / score_sidecar_name("raw.alpha"), raw_truth)
-    for src in config.syn_sources:
-        truth = (
-            np.concatenate([o.syn_alphas[src.label] for o in outputs])
-            if outputs
-            else np.zeros(0, dtype=np.float32)
-        )
-        fileio.write_scores(out_dir / score_sidecar_name(f"{src.label}.alpha"), truth)
+    for label in ["raw", *caption_labels]:
+        truth = np.concatenate([np.zeros(0, np.float32)] + [alphas[label] for _, alphas in outputs])
+        fileio.write_scores(out_dir / score_sidecar_name(f"{label}.alpha"), truth)
     return manifest

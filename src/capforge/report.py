@@ -33,7 +33,7 @@ from .textmetrics import (
 )
 
 DEFAULT_SAMPLE_SIZE = 100_000
-MAX_SWEEP_SCALE = 10_000_000
+
 
 @dataclass
 class QualityReport:
@@ -124,31 +124,6 @@ def build_quality_report(
     )
 
 
-def report_rows(
-    handle: PoolHandle, specs: Sequence[StrategySpec], config: MetricConfig
-) -> list[QualityReport]:
-    tables = ScoreTables(handle)
-    masks: dict[ClusterParams, np.ndarray] = {}
-    features = None
-    rows = []
-    for spec in specs:
-        curated = apply_strategy(handle, spec, tables, config.in1k_refs, seed=config.seed,
-                                 masks=masks)
-        if features is None:  # here, so no caption table is held through k-means
-            features = caption_features(handle, config)
-        rows.append(
-            build_quality_report(
-                handle,
-                curated,
-                tables,
-                features,
-                sample_size=config.sample_size,
-                seed=config.seed,
-            )
-        )
-    return rows
-
-
 def _cell(value) -> str:
     return "" if value is None else str(value)
 
@@ -176,7 +151,17 @@ def run_report(
 ) -> list[QualityReport]:
     """Evaluate strategies on a pool; optionally emit report.json/report.csv."""
     handle = open_pool(pool_path)
-    rows = report_rows(handle, specs, config)
+    tables = ScoreTables(handle)
+    masks: dict[ClusterParams, np.ndarray] = {}
+    features = None
+    rows = []
+    for spec in specs:
+        curated = apply_strategy(handle, spec, tables, config.in1k_refs, seed=config.seed,
+                                 masks=masks)
+        if features is None:  # here, so no caption table is held through k-means
+            features = caption_features(handle, config)
+        rows.append(build_quality_report(handle, curated, tables, features,
+                                         sample_size=config.sample_size, seed=config.seed))
     if out_dir is not None:
         write_report_files(rows, out_dir)
     return rows
@@ -204,10 +189,8 @@ def run_sweep(
         raise ConfigError("scales must be strictly increasing")
     if scales[0] <= 0:
         raise ConfigError("scales must be positive")
-    if scales[-1] > MAX_SWEEP_SCALE:
-        raise ConfigError(
-            f"scale {scales[-1]} exceeds generator limit {MAX_SWEEP_SCALE}"
-        )
+    # the largest scale's config first, so a refusal comes before any write
+    dataclasses.replace(template, num_records=int(scales[-1])).validate()
 
     result = SweepResult()
     base = Path(out_dir)

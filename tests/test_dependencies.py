@@ -28,9 +28,17 @@ def test_numpy_is_the_only_runtime_dependency():
 
 # module: the package modules it may import, or (with "not") may not import
 LAYERS = {
+    "errors": ("only", set()),
+    "_words": ("only", set()),
+    "fileio": ("only", {"errors"}),
     "pool": ("only", {"errors", "fileio"}),
     "textmetrics": ("only", {"errors", "fileio"}),
     "scoring": ("not", {"curation", "report", "textmetrics"}),
+    "poolgen": ("only", {"_words", "errors", "fileio", "pool"}),  # gen knows no curation
+    "curation": ("not", {"cli", "poolgen", "report", "textmetrics"}),
+    "report": ("not", {"cli"}),
+    "cli": ("not", set()),  # the top layer
+    "__init__": ("not", {"cli"}),  # so ``python -m capforge.cli`` imports cli once
 }
 
 
@@ -52,3 +60,8 @@ def test_modules_import_only_the_layers_below_them():
         if wrong:
             broken[module] = sorted(wrong)
     assert broken == {}
+
+
+def test_every_module_has_a_layer():
+    package = Path(capforge.__file__).parent
+    assert sorted(LAYERS) == sorted(path.stem for path in package.glob("*.py"))

@@ -321,8 +321,6 @@ def test_caption_table_reads_every_record(pool, records_per_shard):
                 label = f"syn.{src}.{temp:.2f}"
                 want = labels.index(label) if label in labels else -1
                 assert handle.variant_index(label)[row] == want
-        first_seen = [label for _, captions in expected for label, _ in captions[1:]]
-        assert handle.variant_labels() == list(dict.fromkeys(first_seen))
         # one call over every (row, cap) pair: captions numbered in shard order
         rows = np.array([row for row, (_, captions) in enumerate(expected) for _ in captions],
                         np.int64)
@@ -346,7 +344,6 @@ def test_a_caption_label_no_record_lists_has_no_variants(tmp_path):
     assert handle.records().labels.shape == (3, 0)
     assert handle.variant_index("syn.a.1.00").tolist() == [-1, -1, -1]
     assert handle.variant_index("raw").tolist() == [-1, -1, -1]
-    assert handle.variant_labels() == []
     with pytest.raises(DataError, match="^curated entry references variant 0 of record 2 "
                                         "which has 0 variants$"):
         handle.caption_ids(np.array([0, 2]), np.array([-1, 0]))

@@ -88,6 +88,12 @@ def test_worker_count_does_not_change_bytes(tmp_path):
     assert _dir_bytes(tmp_path / "a") == _dir_bytes(tmp_path / "b")
 
 
+def test_fewer_than_one_worker_is_refused_before_the_directory_is_made(tmp_path):
+    with pytest.raises(ConfigError, match="^workers must be >= 1, got 0$"):
+        generate_pool(GenConfig(num_records=10, seed=1), tmp_path / "pool", workers=0)
+    assert not (tmp_path / "pool").exists()
+
+
 # quotes, backslashes, controls, U+2028 and non-ASCII, for source names
 _NAME_CHARS = ["a", "b", "\u00e9", "\u96ea", '"', "\\", "\u2028", "\x01", "\x1f", "\t", " "]
 

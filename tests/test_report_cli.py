@@ -2,6 +2,7 @@ import csv
 import json
 import os
 import re
+import resource
 import shlex
 import subprocess
 import sys
@@ -655,6 +656,7 @@ def test_cli_usage_errors():
     (["mix", "--pool", "p", "--strategy", "raw_all"],
      "the following arguments are required: --out"),
     (["frobnicate"], "invalid choice: 'frobnicate'"),
+    ([], "required: command"),
 ])
 def test_cli_usage_error_is_one_line(capsys, args, problem):
     capsys.readouterr()
@@ -935,6 +937,50 @@ def test_cli_gen_and_sweep_refuse_a_used_directory(tmp_path, capsys):
     capsys.readouterr()
     assert cli_main(sweep) == 2
     assert "not empty" in capsys.readouterr().err
+
+
+_ADDRESS_SPACE = 1536 * 2**20
+
+
+def _run_limited(*args: str) -> subprocess.CompletedProcess:
+    """``python -m capforge.cli *args`` under a 1.5 GiB address-space limit
+    and a 30 s timeout, so a command that sets out to build something huge
+    fails alone instead of filling the machine's memory."""
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (_ADDRESS_SPACE, _ADDRESS_SPACE))
+
+    return subprocess.run([sys.executable, "-m", "capforge.cli", *args], capture_output=True,
+                          text=True, env=_subprocess_env(), preexec_fn=limit, timeout=30)
+
+
+@pytest.mark.parametrize("command", ["validate", "report"])
+def test_cli_a_huge_manifest_layout_is_refused_at_once(tmp_path, command):
+    """A manifest of about 200 bytes whose layout implies 2 * 10**15 files
+    and which lists no checksum: the layout's first file lacks one."""
+    pool = tmp_path / "pool"
+    pool.mkdir()
+    (pool / "manifest.json").write_text(json.dumps({
+        "format_version": 3, "num_records": 10**15, "num_shards": 10**15,
+        "records_per_shard": 1, "embedding_dim": 4, "embedding_sources": ["image"],
+        "caption_labels": [], "checksums": {}}))
+    strategies = tmp_path / "s.json"
+    strategies.write_text(json.dumps([{"name": "raw_all"}]))
+    args = {"validate": ["validate", str(pool)],
+            "report": ["report", "--pool", str(pool), "--strategies", str(strategies),
+                       "--out-dir", str(tmp_path / "rep")]}[command]
+    proc = _run_limited(*args)
+    assert proc.returncode == 2
+    assert proc.stderr == f"error: {pool}: manifest lacks checksum for shard-00000.cap\n"
+
+
+def test_cli_gen_over_the_generator_limit_is_one_line_and_makes_no_directory(tmp_path):
+    config = tmp_path / "g.json"
+    config.write_text(json.dumps({"num_records": 10**15, "seed": 1}))
+    proc = _run_limited("gen", "--config", str(config), "--out", str(tmp_path / "pool"))
+    assert proc.returncode == 1
+    assert proc.stderr == ("config error: num_records 1000000000000000 exceeds generator "
+                           "limit 10000000\n")
+    assert not (tmp_path / "pool").exists()
 
 
 def test_cli_metrics_sample_size_zero_is_honoured(small_pool, tmp_path):
