@@ -567,13 +567,13 @@ def open_pool(path: str | Path) -> PoolHandle:
         fileio.read_text(manifest_path), context=str(manifest_path)
     )
     sources = manifest.embedding_sources
-    layout = (name for k in range(manifest.num_shards) for name in
-              [shard_caption_name(k)] + [shard_embedding_name(k, s) for s in sources])
+    names = (name for k in range(manifest.num_shards) for name in
+             [shard_caption_name(k)] + [shard_embedding_name(k, s) for s in sources])
     if manifest.num_shards * (1 + len(sources)) > len(manifest.checksums):
         # the first len(checksums) + 1 names of the layout hold one that lacks a checksum
-        name = next(name for name in layout if name not in manifest.checksums)
+        name = next(name for name in names if name not in manifest.checksums)
         raise IntegrityError(f"{pool_dir}: manifest lacks checksum for {name}")
-    layout = set(layout)
+    layout = set(names)
     if layout != set(manifest.checksums):
         name = min(layout.symmetric_difference(manifest.checksums))
         what = "lacks checksum for" if name in layout else "lists checksum for stray file"
