@@ -218,7 +218,8 @@ def _cmd_report(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    template = load_config(args.config)
+    # each scale replaces num_records, and run_sweep validates the largest first
+    template = load_config(args.config, num_records=0)
     if args.seed is not None:
         template = dataclasses.replace(template, seed=args.seed)
         template.validate()

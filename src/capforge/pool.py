@@ -566,18 +566,16 @@ def open_pool(path: str | Path) -> PoolHandle:
     manifest = PoolManifest.from_json(
         fileio.read_text(manifest_path), context=str(manifest_path)
     )
-    sources = manifest.embedding_sources
-    names = (name for k in range(manifest.num_shards) for name in
-             [shard_caption_name(k)] + [shard_embedding_name(k, s) for s in sources])
-    if manifest.num_shards * (1 + len(sources)) > len(manifest.checksums):
-        # the first len(checksums) + 1 names of the layout hold one that lacks a checksum
-        name = next(name for name in names if name not in manifest.checksums)
-        raise IntegrityError(f"{pool_dir}: manifest lacks checksum for {name}")
-    layout = set(names)
-    if layout != set(manifest.checksums):
-        name = min(layout.symmetric_difference(manifest.checksums))
-        what = "lacks checksum for" if name in layout else "lists checksum for stray file"
-        raise IntegrityError(f"{pool_dir}: manifest {what} {name}")
+    # layout names are distinct, so the walk stops within len(checksums) + 1 names
+    seen = set()
+    for k in range(manifest.num_shards):
+        for name in [shard_caption_name(k)] + [
+                shard_embedding_name(k, s) for s in manifest.embedding_sources]:
+            if name not in manifest.checksums:
+                raise IntegrityError(f"{pool_dir}: manifest lacks checksum for {name}")
+            seen.add(name)
+    if strays := set(manifest.checksums) - seen:
+        raise IntegrityError(f"{pool_dir}: manifest lists checksum for stray file {min(strays)}")
     return PoolHandle(pool_dir, manifest)
 
 

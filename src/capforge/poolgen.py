@@ -143,20 +143,21 @@ class GenConfig:
             labels.add(src.label)
 
 
-def config_from_dict(obj: dict) -> GenConfig:
+def config_from_dict(obj: dict, **overrides) -> GenConfig:
+    """The validated config ``obj`` gives, with ``overrides`` replacing its fields."""
     kwargs = read_fields(GenConfig, obj, "config")
     if "syn_sources" in kwargs:
         if not isinstance(kwargs["syn_sources"], list):
             raise ConfigError("syn_sources must be a list")
         kwargs["syn_sources"] = [SynSource(**read_fields(SynSource, entry, "syn_sources"))
                                  for entry in kwargs["syn_sources"]]
-    config = GenConfig(**kwargs)
+    config = GenConfig(**(kwargs | overrides))
     config.validate()
     return config
 
 
-def load_config(path: str | Path) -> GenConfig:
-    return config_from_dict(fileio.read_json(path, ConfigError))
+def load_config(path: str | Path, **overrides) -> GenConfig:
+    return config_from_dict(fileio.read_json(path, ConfigError), **overrides)
 
 
 # ---------------------------------------------------------------------------

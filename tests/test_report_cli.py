@@ -983,6 +983,28 @@ def test_cli_gen_over_the_generator_limit_is_one_line_and_makes_no_directory(tmp
     assert not (tmp_path / "pool").exists()
 
 
+@pytest.mark.parametrize("template_records, scales, code", [
+    (10**15, "20,40", 0),
+    (40, "20,10000001", 1),
+])
+def test_cli_sweep_holds_its_scales_not_its_template_to_the_generator_limit(
+        tmp_path, capsys, template_records, scales, code):
+    config = tmp_path / "g.json"
+    config.write_text(json.dumps({"num_records": template_records, "seed": 1,
+                                  "records_per_shard": 20}))
+    strategies = tmp_path / "s.json"
+    strategies.write_text(json.dumps([{"name": "raw_all"}]))
+    out_dir = tmp_path / "sweep"
+    assert cli_main(["sweep", "--config", str(config), "--scales", scales, "--strategies",
+                     str(strategies), "--out-dir", str(out_dir)]) == code
+    if code == 0:
+        assert len((out_dir / "sweep.csv").read_text().splitlines()) == 3
+    else:
+        assert capsys.readouterr().err == ("config error: num_records 10000001 exceeds "
+                                           "generator limit 10000000\n")
+        assert not (out_dir / "pools").exists()
+
+
 def test_cli_metrics_sample_size_zero_is_honoured(small_pool, tmp_path):
     pool = str(small_pool)
     curated = tmp_path / "c.jsonl"
