@@ -2,18 +2,19 @@
 
 Subcommands: gen, score, filter, mix, metrics, report, sweep, validate.
 Exit codes: 0 success, 1 usage/config error, 2 data/format error.
-``--workers`` (or CAPFORGE_WORKERS) parallelizes pool generation only and never
-changes outputs; ``--seed`` flows to every seeded operation of a subcommand.
+Every subcommand takes ``--workers`` (default 1, at least 1), but only gen and
+sweep use it, to parallelize pool generation, and it never changes outputs.
+gen, sweep, mix, metrics and report take ``--seed``: in gen and sweep it
+replaces the config's seed before the config is checked, and in sweep, mix,
+metrics and report it seeds the sampled metrics and k-means (default 0).
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import itertools
 import json
 import math
-import os
 import sys
 
 import numpy as np
@@ -29,7 +30,7 @@ from .curation import (
     top_fraction,
     write_curated,
 )
-from .errors import CapforgeError, ConfigError
+from .errors import CapforgeError, ConfigError, DataError
 from .pool import open_pool, score_sidecar_name, validate_pool
 from .poolgen import generate_pool, load_config
 from .report import (
@@ -54,42 +55,36 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _resolve_workers(args) -> int:
-    """--workers, else CAPFORGE_WORKERS, else 1; either must be >= 1."""
-    workers, name = getattr(args, "workers", None), "--workers"
-    if workers is None:
-        env, name = os.environ.get("CAPFORGE_WORKERS"), "CAPFORGE_WORKERS"
-        if not env:
-            return 1
-        try:
-            workers = int(env)
-        except ValueError as exc:
-            raise ConfigError(f"CAPFORGE_WORKERS={env!r} is not an integer") from exc
-    if workers < 1:
-        raise ConfigError(f"{name} must be >= 1")
-    return workers
-
-
 def _resolve_source(handle, requested: str) -> str:
     if requested == "raw":
         return "raw"
+    if requested == "image":
+        raise DataError("'image' is the image embedding, not a caption source")
     return resolve_syn_source(handle.manifest.embedding_sources, requested)
 
 
+def _config_overrides(args) -> dict:
+    """The config fields gen's and sweep's flags replace: ``--seed``, if given."""
+    return {"seed": args.seed} if "seed" in args else {}
+
+
 def _metric_config(args) -> MetricConfig:
+    """The metric settings of mix, metrics, report and sweep, read and checked
+    here alone: mix has no ``--sample-size``, and sweep's metric seed is 0
+    unless ``--seed`` is given."""
     vocab = load_token_file(args.vocab) if getattr(args, "vocab", None) else None
     lexicon = load_token_file(args.lexicon) if getattr(args, "lexicon", None) else None
     refs = None
     if getattr(args, "in1k_refs", None):
         refs = fileio.read_embeddings(args.in1k_refs)
-    sample_size = getattr(args, "sample_size", None)
-    if sample_size is not None and sample_size < 0:
+    sample_size = getattr(args, "sample_size", DEFAULT_SAMPLE_SIZE)
+    if sample_size < 0:
         raise ConfigError(f"--sample-size must be >= 0, got {sample_size}")
-    seed = getattr(args, "seed", None) or 0
+    seed = getattr(args, "seed", 0)
     if not 0 <= seed < 2**64:
         raise ConfigError("seed must be an unsigned 64-bit integer")
     return MetricConfig(
-        sample_size=DEFAULT_SAMPLE_SIZE if sample_size is None else sample_size,
+        sample_size=sample_size,
         seed=seed,
         vocab=vocab,
         lexicon=lexicon,
@@ -109,10 +104,7 @@ def _load_strategy_file(path: str) -> list[StrategySpec]:
 
 
 def _cmd_gen(args) -> int:
-    config = load_config(args.config)
-    if args.seed is not None:
-        config = dataclasses.replace(config, seed=args.seed)
-        config.validate()
+    config = load_config(args.config, **_config_overrides(args))
     manifest = generate_pool(config, args.out, workers=args.workers)
     print(f"generated {manifest.num_records} records in {manifest.num_shards} shards at {args.out}")
     return 0
@@ -168,6 +160,7 @@ def _cmd_filter(args) -> int:
 
 def _cmd_mix(args) -> int:
     handle = open_pool(args.pool)
+    config = _metric_config(args)
     cluster_params = None
     if args.in1k_refs:
         k = args.cluster_k
@@ -175,7 +168,7 @@ def _cmd_mix(args) -> int:
             k=ClusterParams.default_k(handle.num_records) if k is None else k,
             max_iters=args.cluster_iters,
             tol=args.cluster_tol,
-            seed=args.seed or 0,
+            seed=config.seed,
         )
     spec = StrategySpec(
         name=args.strategy,
@@ -184,8 +177,7 @@ def _cmd_mix(args) -> int:
         in1k_intersect=args.in1k_refs is not None,
         cluster_params=cluster_params,
     )
-    refs = None if args.in1k_refs is None else fileio.read_embeddings(args.in1k_refs)
-    curated = apply_strategy(handle, spec, ScoreTables(handle), refs, seed=args.seed or 0)
+    curated = apply_strategy(handle, spec, ScoreTables(handle), config.in1k_refs, seed=config.seed)
     write_curated(curated, args.out)
     tau = "none" if curated.tau_used is None else f"{curated.tau_used:.6f}"
     print(f"{spec.name}: {len(curated)} entries (tau_used {tau}) -> {args.out}")
@@ -219,10 +211,7 @@ def _cmd_report(args) -> int:
 
 def _cmd_sweep(args) -> int:
     # each scale replaces num_records, and run_sweep validates the largest first
-    template = load_config(args.config, num_records=0)
-    if args.seed is not None:
-        template = dataclasses.replace(template, seed=args.seed)
-        template.validate()
+    template = load_config(args.config, num_records=0, **_config_overrides(args))
     try:
         scales = [int(s) for s in args.scales.split(",") if s.strip()]
     except ValueError as exc:
@@ -242,27 +231,21 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="capforge", description=__doc__)
     sub = parser.add_subparsers(dest="command", parser_class=_Parser, required=True)
 
-    def add_common(p, seed_help="seed for sampled metrics"):
-        p.add_argument("--workers", type=int, default=None,
-                       help="pool-generation workers (default CAPFORGE_WORKERS or 1)")
-        p.add_argument("--seed", type=int, default=None, help=seed_help)
-
     p = sub.add_parser("gen", help="generate a synthetic pool")
     p.add_argument("--config", required=True, help="generator config JSON")
     p.add_argument("--out", required=True, help="output pool directory")
-    add_common(p, seed_help="override the config seed")
+    p.add_argument("--seed", type=int, default=argparse.SUPPRESS,
+                   help="replaces the config's seed")
     p.set_defaults(func=_cmd_gen)
 
     p = sub.add_parser("score", help="compute and store cosine scores")
     p.add_argument("--pool", required=True)
     p.add_argument("--source", required=True,
                    help='caption source: "raw" or a synthetic source name/label')
-    add_common(p)
     p.set_defaults(func=_cmd_score)
 
     p = sub.add_parser("validate", help="check pool invariants")
     p.add_argument("pool", help="pool directory")
-    add_common(p)
     p.set_defaults(func=_cmd_validate)
 
     p = sub.add_parser("filter", help="select records by score")
@@ -271,7 +254,6 @@ def build_parser() -> _Parser:
     p.add_argument("--p", type=float, default=None, help="top percentage in (0, 100]")
     p.add_argument("--tau", type=float, default=None, help="inclusive score threshold")
     p.add_argument("--out", required=True, help="output id-list JSONL")
-    add_common(p)
     p.set_defaults(func=_cmd_filter)
 
     p = sub.add_parser("mix", help="apply a caption-mixing strategy")
@@ -287,28 +269,28 @@ def build_parser() -> _Parser:
                    default=ClusterParams.max_iters)
     p.add_argument("--cluster-tol", dest="cluster_tol", type=float, default=ClusterParams.tol)
     p.add_argument("--out", required=True, help="output curated JSONL")
-    add_common(p, seed_help="k-means seed with --in1k-refs (default 0)")
+    p.add_argument("--seed", type=int, default=0, help="k-means seed with --in1k-refs")
     p.set_defaults(func=_cmd_mix)
 
     p = sub.add_parser("metrics", help="quality metrics for a curated set")
     p.add_argument("--pool", required=True)
     p.add_argument("--curated", required=True, help="curated JSONL from mix")
     p.add_argument("--out", required=True, help="output metrics JSON")
-    p.add_argument("--sample-size", dest="sample_size", type=int, default=None)
+    p.add_argument("--sample-size", dest="sample_size", type=int, default=DEFAULT_SAMPLE_SIZE)
     p.add_argument("--vocab", default=None, help="visual vocabulary file")
     p.add_argument("--lexicon", default=None, help="noun lexicon file")
-    add_common(p)
+    p.add_argument("--seed", type=int, default=0, help="seed for sampled metrics")
     p.set_defaults(func=_cmd_metrics)
 
     p = sub.add_parser("report", help="noise-vs-diversity report for strategies")
     p.add_argument("--pool", required=True)
     p.add_argument("--strategies", required=True, help="JSON list of strategy specs")
     p.add_argument("--out-dir", dest="out_dir", required=True)
-    p.add_argument("--sample-size", dest="sample_size", type=int, default=None)
+    p.add_argument("--sample-size", dest="sample_size", type=int, default=DEFAULT_SAMPLE_SIZE)
     p.add_argument("--vocab", default=None)
     p.add_argument("--lexicon", default=None)
     p.add_argument("--in1k-refs", dest="in1k_refs", default=None)
-    add_common(p)
+    p.add_argument("--seed", type=int, default=0, help="seed for sampled metrics and k-means")
     p.set_defaults(func=_cmd_report)
 
     p = sub.add_parser("sweep", help="multi-scale generate-and-report sweep")
@@ -316,12 +298,15 @@ def build_parser() -> _Parser:
     p.add_argument("--scales", required=True, help="comma-separated pool sizes")
     p.add_argument("--strategies", required=True)
     p.add_argument("--out-dir", dest="out_dir", required=True)
-    p.add_argument("--sample-size", dest="sample_size", type=int, default=None)
+    p.add_argument("--sample-size", dest="sample_size", type=int, default=DEFAULT_SAMPLE_SIZE)
     p.add_argument("--vocab", default=None)
     p.add_argument("--lexicon", default=None)
-    add_common(p)
+    p.add_argument("--seed", type=int, default=argparse.SUPPRESS,
+                   help="replaces the config's seed and seeds sampled metrics (default 0)")
     p.set_defaults(func=_cmd_sweep)
 
+    for p in sub.choices.values():  # gen and sweep use it; the rest accept it alike
+        p.add_argument("--workers", type=int, default=1, help="pool-generation workers")
     return parser
 
 
@@ -333,7 +318,8 @@ def cli_main(argv: list[str] | None = None) -> int:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
     try:
-        args.workers = _resolve_workers(args)
+        if args.workers < 1:
+            raise ConfigError("--workers must be >= 1")
         return args.func(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

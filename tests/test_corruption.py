@@ -6,6 +6,12 @@ file then either succeeds with the clean run's output bytes, or refuses
 with exit 1 or 2 and one stderr line (``validate``: its findings, one line
 each, and their count), never a traceback.  ``materialize`` runs through
 the API and may raise only a ``CapforgeError`` or an ``OSError``.
+
+A user-written JSON input (a generator config, a strategy list) takes the
+same mutations, and also has each of its digits turned into another, so
+most of its variants still parse.  A file that parses asks for something
+else, so a command reading it either succeeds or refuses in one line, never
+with a traceback.
 """
 
 import json
@@ -15,6 +21,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from capforge import fileio
 from capforge.cli import cli_main
 from capforge.curation import read_curated
 from capforge.errors import CapforgeError
@@ -31,6 +38,15 @@ FILES = {
     "raw.scores.f32": ("mix", "filter", "metrics", "report"),
     "syn.blip2.0.75.scores.f32": ("mix", "metrics", "report"),
     CURATED: ("metrics", "materialize"),
+}
+# user-written JSON in the work directory: (its text, the commands that read it)
+JSON_FILES = {
+    "gen.json": (json.dumps({"num_records": 300, "seed": SEED, "records_per_shard": 100}),
+                 ("gen", "sweep")),
+    "in1k.json": (json.dumps([{"name": "raw_top", "p": 30, "in1k_intersect": True,
+                               "cluster_params": {"k": 8, "max_iters": 10, "tol": 1e-4,
+                                                  "seed": 3}}]),
+                  ("in1k-report",)),
 }
 MUTATIONS = ("flip0", "flip1", "flip2", "truncate", "append")
 STRATEGIES = [
@@ -66,8 +82,16 @@ def _cases():
 
 
 def _corrupt(blob: bytes, name: str, mutation: str) -> bytes:
-    """``blob`` under one seeded mutation, drawn from (SEED, file, mutation)."""
-    rng = np.random.default_rng([SEED, list(FILES).index(name), MUTATIONS.index(mutation)])
+    """``blob`` under one seeded mutation, drawn from (SEED, file, mutation);
+    ``digitN`` turns the N-th ASCII digit of ``blob`` into another digit."""
+    file_index = [*FILES, *JSON_FILES].index(name)
+    if mutation.startswith("digit"):
+        n = int(mutation.removeprefix("digit"))
+        rng = np.random.default_rng([SEED, file_index, len(MUTATIONS) + n])
+        at = [m.start() for m in re.finditer(rb"[0-9]", blob)][n]
+        digit = (blob[at] - ord("0") + int(rng.integers(1, 10))) % 10
+        return blob[:at] + str(digit).encode() + blob[at + 1 :]
+    rng = np.random.default_rng([SEED, file_index, MUTATIONS.index(mutation)])
     if mutation == "truncate":
         return blob[: rng.integers(len(blob))]
     if mutation == "append":
@@ -97,6 +121,11 @@ def _run(command: str, work: Path, out: Path, capsys) -> tuple[int, dict[str, by
                     str(out / "m.json")],
         "report": ["report", "--pool", pool, "--strategies", str(work / "strategies.json"),
                    "--out-dir", str(out / "rep")],
+        "gen": ["gen", "--config", str(work / "gen.json"), "--out", str(out / "pool")],
+        "sweep": ["sweep", "--config", str(work / "gen.json"), "--scales", "100,200",
+                  "--strategies", str(work / "strategies.json"), "--out-dir", str(out / "sweep")],
+        "in1k-report": ["report", "--pool", pool, "--strategies", str(work / "in1k.json"),
+                        "--in1k-refs", str(work / "refs.f32"), "--out-dir", str(out / "rep")],
     }[command]
     code = cli_main(args)
     captured = capsys.readouterr()
@@ -115,7 +144,8 @@ def _files(out: Path) -> dict[str, bytes]:
 def sweep(tmp_path_factory):
     """(work directory, clean output of each command).  The work directory
     holds the pool, its raw and blip2 score sidecars, a curated file from
-    ``mix`` and the report's strategies."""
+    ``mix``, the report's strategies, and the JSON inputs of ``JSON_FILES``
+    beside the reference embeddings their in1k report reads."""
     work = tmp_path_factory.mktemp("corruption")
     syn = [SynSource("blip2", 0.75, 0.7), SynSource("coca", 1.0, 0.5)]
     generate_pool(GenConfig(num_records=300, seed=SEED, records_per_shard=100,
@@ -126,6 +156,9 @@ def sweep(tmp_path_factory):
                      "raw_top_plus_syn_rest_filtered", "--p", "30", "--syn-source", "blip2",
                      "--out", str(work / CURATED)]) == 0
     (work / "strategies.json").write_text(json.dumps(STRATEGIES))
+    for name, (text, _) in JSON_FILES.items():
+        (work / name).write_text(text)
+    fileio.write_embeddings(work / "refs.f32", open_pool(work / "pool").embeddings("image")[:10])
     return work, {}
 
 
@@ -150,6 +183,31 @@ def test_a_corrupt_file_gives_the_clean_output_or_one_line(sweep, tmp_path, caps
         _check(command, want, *_run(command, work, tmp_path / "out", capsys))
     finally:
         path.write_bytes(blob)
+
+
+def _json_cases():
+    for name, (text, commands) in JSON_FILES.items():
+        digits = len(re.findall(r"[0-9]", text))
+        for mutation in [*MUTATIONS, *(f"digit{n}" for n in range(digits))]:
+            for command in commands:
+                yield pytest.param(name, mutation, command, id=f"{name}-{mutation}-{command}")
+
+
+@pytest.mark.parametrize("name, mutation, command", list(_json_cases()))
+def test_a_corrupt_json_input_runs_or_is_refused_in_one_line(sweep, tmp_path, capsys, name,
+                                                              mutation, command):
+    work, _ = sweep
+    _clean(sweep, command, tmp_path, capsys)
+    path = work / name
+    blob = path.read_bytes()
+    path.write_bytes(_corrupt(blob, name, mutation))
+    try:
+        code, _, err = _run(command, work, tmp_path / "out", capsys)
+    finally:
+        path.write_bytes(blob)
+    assert "Traceback" not in err
+    if code != 0:
+        assert code in (1, 2) and err.endswith("\n") and len(err.splitlines()) == 1, err
 
 
 def _check(command: str, want: dict[str, bytes], code: int, files: dict[str, bytes], err: str):

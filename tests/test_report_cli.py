@@ -1,3 +1,4 @@
+import argparse
 import csv
 import json
 import os
@@ -389,6 +390,20 @@ def test_readme_commands_parse():
         assert parser.parse_args(shlex.split(command)[1:]).func is not None, command
 
 
+def test_readme_names_every_option():
+    """Each ``--option`` of each subcommand appears in the README as a whole
+    word, so ``--p`` is not found inside ``--pool``."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    missing = [
+        f"{name} {option}" for name, parser in sub.choices.items()
+        for action in parser._actions for option in action.option_strings
+        if option.startswith("--") and option != "--help"
+        and not re.search(rf"(?<![\w-]){re.escape(option)}(?![\w-])", readme)
+    ]
+    assert not missing, missing
+
+
 def test_cli_gen_then_validate(tmp_path):
     config = _write_config(tmp_path)
     pool = str(tmp_path / "pool")
@@ -482,6 +497,20 @@ def test_cli_score_writes_sidecar(tmp_path):
     assert (pool / "raw.scores.f32").exists()
     assert cli_main(["score", "--pool", str(pool), "--source", "blip2"]) == 0
     assert (pool / "syn.blip2.0.75.scores.f32").exists()
+
+
+@pytest.mark.parametrize("command", ["score", "filter"])
+def test_cli_refuses_the_image_as_a_caption_source(small_pool, tmp_path, capsys, command):
+    """The image embedding scores 1.0 against itself, so a cut on it is
+    decided by ids alone: it is no caption source, and nothing is written."""
+    before = sorted(p.name for p in small_pool.iterdir())
+    args = {"score": [], "filter": ["--p", "30", "--out", str(tmp_path / "f.jsonl")]}[command]
+    capsys.readouterr()
+    assert cli_main([command, "--pool", str(small_pool), "--source", "image", *args]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "'image'" in err and err.count("\n") == 1, err
+    assert sorted(p.name for p in small_pool.iterdir()) == before
+    assert not (tmp_path / "f.jsonl").exists()
 
 
 def test_cli_mix_header_carries_tau(tmp_path):
@@ -657,6 +686,11 @@ def test_cli_usage_errors():
      "the following arguments are required: --out"),
     (["frobnicate"], "invalid choice: 'frobnicate'"),
     ([], "required: command"),
+    (["score", "--pool", "p", "--source", "raw", "--seed", "1"],
+     "unrecognized arguments: --seed 1"),
+    (["validate", "p", "--seed", "1"], "unrecognized arguments: --seed 1"),
+    (["filter", "--pool", "p", "--p", "30", "--out", "f.jsonl", "--seed", "1"],
+     "unrecognized arguments: --seed 1"),
 ])
 def test_cli_usage_error_is_one_line(capsys, args, problem):
     capsys.readouterr()
@@ -717,17 +751,13 @@ def test_cli_sweep(tmp_path):
     assert len(lines) == 3
 
 
-def test_cli_workers_env(tmp_path, monkeypatch, capsys):
+def test_cli_workers(tmp_path, capsys):
     config = _write_config(tmp_path)
-    monkeypatch.setenv("CAPFORGE_WORKERS", "4")
-    assert cli_main(["gen", "--config", config, "--out", str(tmp_path / "p1")]) == 0
-    monkeypatch.setenv("CAPFORGE_WORKERS", "banana")
-    assert cli_main(["gen", "--config", config, "--out", str(tmp_path / "p2")]) == 1
-    for env in ["0", "-3"]:  # the rule --workers follows
-        monkeypatch.setenv("CAPFORGE_WORKERS", env)
+    for workers in ["0", "-3"]:
         capsys.readouterr()
-        assert cli_main(["gen", "--config", config, "--out", str(tmp_path / "p2")]) == 1
-        assert capsys.readouterr().err == "config error: CAPFORGE_WORKERS must be >= 1\n"
+        assert cli_main(["gen", "--config", config, "--out", str(tmp_path / "p2"),
+                         "--workers", workers]) == 1
+        assert capsys.readouterr().err == "config error: --workers must be >= 1\n"
         assert not (tmp_path / "p2").exists()
     assert cli_main(["gen", "--config", config, "--out", str(tmp_path / "p2"),
                      "--workers", "2"]) == 0
@@ -765,6 +795,23 @@ def test_cli_gen_seed_override(tmp_path):
     assert base["generator_seed"] == 99
     cli_main(["gen", "--config", config, "--out", str(p2)])
     assert json.loads((p2 / "manifest.json").read_text())["generator_seed"] == 1
+
+
+def test_cli_gen_seed_replaces_an_out_of_range_config_seed(tmp_path, capsys):
+    """``--seed`` replaces the config's seed before the config is checked, so
+    only the seed gen uses must be in range."""
+    (tmp_path / "a").mkdir()
+    (tmp_path / "b").mkdir()
+    bad, good = _write_config(tmp_path / "a", seed=-1), _write_config(tmp_path / "b", seed=5)
+    capsys.readouterr()
+    assert cli_main(["gen", "--config", bad, "--out", str(tmp_path / "bad")]) == 1
+    assert capsys.readouterr().err == "config error: seed must be an unsigned 64-bit integer\n"
+    assert cli_main(["gen", "--config", bad, "--out", str(tmp_path / "p1"), "--seed", "5"]) == 0
+    assert cli_main(["gen", "--config", good, "--out", str(tmp_path / "p2")]) == 0
+    files = sorted(p.name for p in (tmp_path / "p1").iterdir())
+    assert files == sorted(p.name for p in (tmp_path / "p2").iterdir())
+    for name in files:
+        assert (tmp_path / "p1" / name).read_bytes() == (tmp_path / "p2" / name).read_bytes()
 
 
 def test_cli_in1k_mix(tmp_path):
@@ -1018,14 +1065,15 @@ def test_cli_metrics_sample_size_zero_is_honoured(small_pool, tmp_path):
     assert cli_main(args + ["--sample-size", "-1"]) == 1
 
 
-@pytest.mark.parametrize("command", ["metrics", "report"])
+@pytest.mark.parametrize("command", ["metrics", "report", "mix"])
 def test_cli_metrics_and_report_reject_a_negative_seed(small_pool, tmp_path, capsys, command):
     curated, strategies = tmp_path / "c.jsonl", tmp_path / "s.json"
     strategies.write_text(json.dumps([{"name": "raw_all"}]))
     assert cli_main(["mix", "--strategy", "raw_all", "--pool", str(small_pool),
                      "--out", str(curated)]) == 0
     args = {"metrics": ["--curated", str(curated), "--out", str(tmp_path / "m.json")],
-            "report": ["--strategies", str(strategies), "--out-dir", str(tmp_path / "r")]}
+            "report": ["--strategies", str(strategies), "--out-dir", str(tmp_path / "r")],
+            "mix": ["--strategy", "raw_all", "--out", str(tmp_path / "m.jsonl")]}
     capsys.readouterr()
     assert cli_main([command, "--pool", str(small_pool), "--seed", "-3", *args[command]]) == 1
     assert capsys.readouterr().err == "config error: seed must be an unsigned 64-bit integer\n"
