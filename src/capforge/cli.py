@@ -25,6 +25,7 @@ from .curation import (
     StrategySpec,
     STRATEGY_NAMES,
     apply_strategy,
+    read_curated,
     resolve_syn_source,
     threshold_filter,
     top_fraction,
@@ -41,7 +42,6 @@ from .report import (
     run_report,
     run_sweep,
 )
-from .curation import read_curated
 from .scoring import ScoreTables, score_pool
 from .textmetrics import load_token_file
 

@@ -151,9 +151,17 @@ class CuratedSet:
 
 
 _CURATED_CHUNK = 16384  # entry lines formatted per join
-_INT = r"-?(?:0|[1-9][0-9]{0,17})"  # JSON's integer grammar, within int64
-_CANONICAL_ENTRIES = re.compile(rf'(?:\{{"id":{_INT},"cap":(?:"raw"|{_INT})\}}\n)*')
+_INT = r"(?:0|-?[1-9][0-9]{0,18})"  # an integer as ``str`` writes one of int64's
+_ENTRY_LINES = re.compile(rf'(?:\{{"id":{_INT},"cap":(?:"raw"|{_INT})\}}\n)*')
 _ENTRY_SYNTAX = str.maketrans(dict.fromkeys('{"id:,cap}\n', " "))
+
+
+def _checksum(header: dict, entries: np.ndarray) -> str:
+    """A curated file's ``"crc32"``: over its header's other fields, serialized
+    as ``write_curated`` writes them, then its entries as little-endian int64."""
+    fields = {name: value for name, value in header.items() if name != "crc32"}
+    blob = json.dumps(fields, ensure_ascii=False, separators=(",", ":")).encode("utf-8")
+    return fileio.crc32c_hex(blob + np.ascontiguousarray(entries, dtype="<i8").tobytes())
 
 
 def write_curated(curated: CuratedSet, path: str | Path) -> None:
@@ -163,6 +171,7 @@ def write_curated(curated: CuratedSet, path: str | Path) -> None:
         "entries": len(curated.entries),
         "spec": curated.spec.to_dict(),
     }
+    header["crc32"] = _checksum(header, curated.entries)
     raw = '"raw"'  # Python 3.11 f-strings cannot nest their own quote
 
     def chunks() -> Iterator[bytes]:
@@ -175,13 +184,19 @@ def write_curated(curated: CuratedSet, path: str | Path) -> None:
     fileio.write_atomic(path, chunks())
 
 
-def _canonical_entries(body: str) -> np.ndarray | None:
-    """The (n, 2) entries of a body of ``write_curated``'s entry lines, or
-    None if any line is written otherwise."""
-    if not _CANONICAL_ENTRIES.fullmatch(body):
-        return None
+def _canonical_entries(body: str) -> np.ndarray:
+    """The (n, 2) entries of a body of ``write_curated``'s entry lines; any
+    other line, or a number outside int64, is a ValueError."""
+    if (end := _ENTRY_LINES.match(body).end()) < len(body):
+        line = body.count("\n", 0, end) + 2
+        raise ValueError(f"line {line} is not an entry line as mix writes one")
     numbers = body.replace('"raw"', str(RAW_CHOICE)).translate(_ENTRY_SYNTAX)
-    return np.fromstring(numbers, dtype=np.int64, sep=" ").reshape(-1, 2)
+    entries = np.fromstring(numbers, dtype=np.int64, sep=" ").reshape(-1, 2)
+    # np.fromstring reads a number past int64 as a bound, so then each is read exactly
+    if entries.size and (entries.max() == 2**63 - 1 or entries.min() == -2**63) and any(
+            not -2**63 <= int(n) < 2**63 for n in re.findall(r"-?[0-9]{19}", body)):
+        raise ValueError("an entry holds a number outside int64")
+    return entries
 
 
 def _field(obj: dict, name: str, where: str):
@@ -193,19 +208,11 @@ def _field(obj: dict, name: str, where: str):
 
 
 def read_curated(path: str | Path) -> CuratedSet:
-    """A curated file as ``write_curated`` writes it, or any file whose lines
-    are JSON objects of the same values; anything else raises a FormatError."""
+    """A curated file as ``write_curated`` writes it, with the ``"crc32"`` its
+    header and entries give; anything else raises a FormatError."""
     try:
-        with open(path, encoding="utf-8") as fh:
-            text = fh.read()
-        head, _, body = text.partition("\n")
-        entries = _canonical_entries(body) if head.strip() else None
-        if entries is None:
-            lines = [(number, line) for number, line in enumerate(text.split("\n"), 1)
-                     if line.strip()]
-            if not lines:
-                raise DataError(f"{path}: empty curated file")
-            head = lines[0][1]
+        with open(path, encoding="utf-8", newline="") as fh:  # a "\r" is kept, and refused
+            head, _, body = fh.read().partition("\n")
         header = json.loads(head)
         spec = StrategySpec.from_dict(_field(header, "spec", "header"))
         strategy = _field(header, "strategy", "header")
@@ -216,19 +223,12 @@ def read_curated(path: str | Path) -> CuratedSet:
         if tau_used is not None and not (type(tau_used) in (int, float)
                                          and math.isfinite(tau_used)):
             raise ValueError(f"tau_used {tau_used!r} is not a finite number")
-        if entries is None:
-            entries = []
-            for number, line in lines[1:]:
-                obj = json.loads(line)
-                where = f"line {number}"
-                rec_id, cap = _field(obj, "id", where), _field(obj, "cap", where)
-                cap = RAW_CHOICE if cap == "raw" else cap
-                if type(rec_id) is not int or type(cap) is not int:
-                    raise ValueError(f"entry {line.strip()} needs an integer id and cap")
-                entries.append((rec_id, cap))
         count = _field(header, "entries", "header")
+        entries = _canonical_entries(body)
         if type(count) is not int or count != len(entries):
             raise ValueError(f"header counts {count!r} entries, file holds {len(entries)}")
+        if (crc := _field(header, "crc32", "header")) != _checksum(header, entries):
+            raise ValueError(f"header crc32 {crc!r} does not match the file's contents")
         curated = CuratedSet(entries=entries, spec=spec, tau_used=tau_used)
         if len(curated) != count:
             raise ValueError(f"{count - len(curated)} entry line(s) repeat an earlier one")

@@ -411,15 +411,14 @@ def write_pool(
             raise DataError(
                 f"source {source}: {mat.shape[0]} vectors for {n} records"
             )
-        if n > 0:
-            if dim is not None and mat.shape[1] != dim:
-                raise DataError(
-                    f"source {source}: dimension {mat.shape[1]} != {dim} of other sources"
-                )
-            dim = mat.shape[1]
-            if (bad := first_bad_row(mat)) is not None:
-                what = "zero-norm embedding" if bad[1] else "non-finite entry"
-                raise DataError(f"source {source}: {what} at row {bad[0]}")
+        if dim is not None and mat.shape[1] != dim:
+            raise DataError(
+                f"source {source}: dimension {mat.shape[1]} != {dim} of other sources"
+            )
+        dim = mat.shape[1]
+        if (bad := first_bad_row(mat)) is not None:
+            what = "zero-norm embedding" if bad[1] else "non-finite entry"
+            raise DataError(f"source {source}: {what} at row {bad[0]}")
         matrices[source] = mat
     manifest = PoolManifest(FORMAT_VERSION, n, len(sizes), records_per_shard, dim or 0,
                             list(matrices), list(caption_labels))

@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import math
 import struct
+import zlib
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
@@ -343,6 +344,26 @@ def select_best_variant(handle, record_index: int) -> int:
 def pairs(curated) -> list[tuple[int, int]]:
     """A curated set's (id, caption choice) entries as a list of tuples."""
     return list(map(tuple, curated.entries.tolist()))
+
+
+def write_checked_curated(path, entries, /, **header) -> bytes:
+    """Write, and return, a curated file of ``entries`` ((id, caption choice)
+    pairs, in the order given, repeats kept), one compact JSON line each,
+    under a ``raw_all`` header whose fields ``header`` replaces or adds to.
+    Its ``"crc32"`` is the one ``read_curated`` checks: zlib's CRC-32 of the
+    other header fields as compact JSON, then the entries as little-endian
+    int64.  So a hand-made file reaches the checks that come after it."""
+    header = {"strategy": "raw_all", "tau_used": None, "entries": len(entries),
+              "spec": {"name": "raw_all"}, **header}
+    header.pop("crc32", None)
+    fields = json.dumps(header, ensure_ascii=False, separators=(",", ":")).encode()
+    words = [value for entry in entries for value in entry]
+    header["crc32"] = f"{zlib.crc32(fields + struct.pack(f'<{len(words)}q', *words)):08x}"
+    lines = [header] + [{"id": i, "cap": "raw" if c == RAW else c} for i, c in entries]
+    blob = "".join(json.dumps(obj, ensure_ascii=False, separators=(",", ":")) + "\n"
+                   for obj in lines).encode()
+    Path(path).write_bytes(blob)
+    return blob
 
 
 def scalar_fisher_yates(n: int, total: int, seed: int) -> list[int]:

@@ -58,8 +58,8 @@ FINDING_KINDS = ("shard_error", "sidecar_error", "duplicate_id")
 
 # The cases known to fail: a score sidecar carries no checksum, so a flipped
 # score that is still a cosine changes what selects on it or is averaged.
-# Under other seeds a flip in a curated file can fail the same way; see
-# ``test_a_curated_id_flipped_to_another_pool_id_is_refused``.
+# A curated file's header holds a crc32 of its fields and entries, so no
+# flip of it reads; see ``test_a_curated_id_flipped_to_another_pool_id_is_refused``.
 KNOWN = {
     ("raw.scores.f32", "flip0", "mix"), ("raw.scores.f32", "flip0", "filter"),
     ("raw.scores.f32", "flip0", "report"), ("raw.scores.f32", "flip1", "metrics"),
@@ -225,8 +225,6 @@ def _check(command: str, want: dict[str, bytes], code: int, files: dict[str, byt
         assert err.endswith("\n") and len(lines) == 1, err
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError,
-                   reason="a curated file carries no checksum, so an id may turn into another")
 @pytest.mark.parametrize("command", FILES[CURATED])
 def test_a_curated_id_flipped_to_another_pool_id_is_refused(sweep, tmp_path, capsys, command):
     """The first entry whose id, with the low bit of its last digit flipped,
@@ -250,5 +248,22 @@ def test_a_curated_id_flipped_to_another_pool_id_is_refused(sweep, tmp_path, cap
     path.write_bytes(flipped)
     try:
         _check(command, want, *_run(command, work, tmp_path / "out", capsys))
+    finally:
+        path.write_bytes(blob)
+
+
+def test_a_curated_tau_used_digit_turned_into_another_is_refused(sweep, tmp_path, capsys):
+    """The header's ``tau_used`` with its first decimal digit one higher
+    (0.2347... -> 0.3347...) is still a finite number, which ``metrics``
+    would copy into its output."""
+    work, _ = sweep
+    want = _clean(sweep, "metrics", tmp_path, capsys)
+    path = work / CURATED
+    blob = path.read_bytes()
+    match = re.search(rb'"tau_used":0\.([0-9])', blob)
+    digit = str((int(match[1]) + 1) % 10).encode()
+    path.write_bytes(blob[: match.start(1)] + digit + blob[match.end(1) :])
+    try:
+        _check("metrics", want, *_run("metrics", work, tmp_path / "out", capsys))
     finally:
         path.write_bytes(blob)

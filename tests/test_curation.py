@@ -1,4 +1,6 @@
+import contextlib
 import json
+import re
 import tempfile
 import warnings
 from pathlib import Path
@@ -31,7 +33,7 @@ from capforge.pool import open_pool
 from capforge.scoring import ScoreTable, score_pool
 from helpers import (
     RAW, CaptionVariant, Record, build_plain_pool, oracle_kmeans_trace, oracle_strategy,
-    oracle_top, pairs, select_best_variant, unit_rows, write_records,
+    oracle_top, pairs, select_best_variant, unit_rows, write_checked_curated, write_records,
 )
 
 
@@ -829,22 +831,6 @@ def test_curated_roundtrip(tmp_path):
     assert back.spec.p == spec.p
 
 
-def _json_curated_bytes(curated) -> bytes:
-    """A curated file written one ``json.dumps`` per line."""
-    header = {"strategy": curated.spec.name, "tau_used": curated.tau_used,
-              "entries": len(curated), "spec": curated.spec.to_dict()}
-    lines = [json.dumps(header, ensure_ascii=False, separators=(",", ":"))]
-    lines += [json.dumps({"id": i, "cap": "raw" if c == RAW else c}, separators=(",", ":"))
-              for i, c in curated.entries.tolist()]
-    return "".join(line + "\n" for line in lines).encode("utf-8")
-
-
-def _json_curated_pairs(text: str) -> list[tuple[int, int]]:
-    """The entries ``json.loads`` reads from each non-blank line after the first."""
-    objs = [json.loads(line) for line in text.split("\n") if line.strip()][1:]
-    return sorted({(o["id"], RAW if o["cap"] == "raw" else o["cap"]) for o in objs})
-
-
 _SPECS = [StrategySpec("raw_all"), StrategySpec("raw_top", p=12.5),
           StrategySpec("raw_top_plus_syn_rest_filtered", p=30, syn_source="bl\u00e9ip\"2")]
 
@@ -855,6 +841,8 @@ _SPECS = [StrategySpec("raw_all"), StrategySpec("raw_top", p=12.5),
        tau=st.none() | st.floats(allow_nan=False, allow_infinity=False),
        chunk=st.sampled_from([1, 2, 7, curation._CURATED_CHUNK]))
 @example(entries=[], spec=_SPECS[0], tau=None, chunk=1)
+@example(entries=[(2**63 - 1, RAW), (-2**63, 0), (5, 2**63 - 1), (3, -2**63)], spec=_SPECS[0],
+         tau=None, chunk=1)  # each int64 bound, as an id and as a cap
 @settings(max_examples=150, deadline=None)
 def test_curated_files_roundtrip_through_the_canonical_lines(entries, spec, tau, chunk):
     curated = CuratedSet(entries=entries, spec=spec, tau_used=tau)
@@ -863,55 +851,75 @@ def test_curated_files_roundtrip_through_the_canonical_lines(entries, spec, tau,
         path = Path(tmp) / "c.jsonl"
         write_curated(curated, path)
         text = path.read_bytes()
-        assert text == _json_curated_bytes(curated)
-        if all(abs(i) < 10**18 for i, _ in entries):  # 19 digits go through json.loads
-            assert curation._canonical_entries(text.decode().partition("\n")[2]) is not None
+        assert text == write_checked_curated(
+            Path(tmp) / "oracle.jsonl", curated.entries.tolist(), strategy=spec.name,
+            tau_used=tau, entries=len(curated), spec=spec.to_dict())
+        body = text.decode().partition("\n")[2]
+        assert curation._canonical_entries(body).tolist() == curated.entries.tolist()
         back = read_curated(path)
     assert pairs(back) == pairs(curated)
     assert back.tau_used == tau and back.spec == spec
 
 
-_HEADER = '{"strategy":"raw_all","tau_used":null,"entries":%d,"spec":{"name":"raw_all"}}\n'
-
-
-@pytest.mark.parametrize("body, count", [
-    pytest.param('{"id": 5, "cap": "raw"}\n{"id":2,"cap":0}\n', 2, id="spaces"),
-    pytest.param('{"cap":1,"id":3}\n', 1, id="key_order"),
-    pytest.param('{"id":-0,"cap":-0}\n{"id":4,"cap":"raw"}\n', 2, id="minus_zero"),
-    pytest.param('{"id":01,"cap":"raw"}\n', 1, id="leading_zero"),
-    pytest.param('{"id":1,"cap":01}\n', 1, id="cap_leading_zero"),
-    pytest.param('\n{"id":1,"cap":"raw"}\n  \n\n{"id":3,"cap":2}\n\n', 2, id="blank_lines"),
-    pytest.param('{"id":1,"cap":"raw"}', 1, id="no_final_newline"),
-    pytest.param('{"id":1,"cap":"raw"}\r\n{"id":2,"cap":"raw"}\r\n', 2, id="crlf"),
-    pytest.param('{"id":9223372036854775807,"cap":"raw"}\n', 1, id="int64_max"),
-    pytest.param('{"id":-9223372036854775808,"cap":0}\n', 1, id="int64_min"),
-    pytest.param('{"id":9223372036854775808,"cap":"raw"}\n', 1, id="past_int64"),
-    pytest.param('{"id":1,"cap":"raw"}\n{"id":1e2,"cap":"raw"}\n', 2, id="exponent"),
-    pytest.param('{"id":1,"cap":"raw"}\n{"id":2,"cap":"raw"}garbage\n', 2, id="trailing_text"),
-    pytest.param('{"id":1,"cap":"raw"}\n{"id":2,"cap":"RAW"}\n', 2, id="cap_upper"),
-    pytest.param('{"id":1,"cap":"raw","x":0}\n', 1, id="extra_key"),
-    pytest.param('{"id":1,"cap":"raw"}\n', 2, id="count_too_high"),
-    pytest.param('{"id":1,"cap":"raw"}\n{"id":1,"cap":"raw"}\n', 2, id="repeated_line"),
-    pytest.param('{"id":3,"cap":0}\n{"id": 3, "cap": 0}\n', 2, id="repeated_entry"),
+@pytest.mark.parametrize("body, count, problem", [
+    pytest.param('{"id": 5, "cap": "raw"}\n{"id":2,"cap":0}\n', 2, "line 2", id="spaces"),
+    pytest.param('{"cap":1,"id":3}\n', 1, "line 2", id="key_order"),
+    pytest.param('{"id":-0,"cap":-0}\n{"id":4,"cap":"raw"}\n', 2, "line 2", id="minus_zero"),
+    pytest.param('{"id":01,"cap":"raw"}\n', 1, "line 2", id="leading_zero"),
+    pytest.param('{"id":1,"cap":01}\n', 1, "line 2", id="cap_leading_zero"),
+    pytest.param('\n{"id":1,"cap":"raw"}\n  \n\n{"id":3,"cap":2}\n\n', 2, "line 2",
+                 id="blank_lines"),
+    pytest.param('{"id":1,"cap":"raw"}', 1, "line 2", id="no_final_newline"),
+    pytest.param('{"id":1,"cap":"raw"}\r\n{"id":2,"cap":"raw"}\r\n', 2, "line 2", id="crlf"),
+    pytest.param('{"id":1,"cap":"raw"}\n{"id":1e2,"cap":"raw"}\n', 2, "line 3", id="exponent"),
+    pytest.param('{"id":1,"cap":"raw"}\n{"id":2,"cap":"raw"}garbage\n', 2, "line 3",
+                 id="trailing_text"),
+    pytest.param('{"id":1,"cap":"raw"}\n{"id":2,"cap":"RAW"}\n', 2, "line 3", id="cap_upper"),
+    pytest.param('{"id":1,"cap":"raw","x":0}\n', 1, "line 2", id="extra_key"),
+    pytest.param('{"id":1,"cap":"raw"}\n', 2, "header counts 2 entries, file holds 1",
+                 id="count_too_high"),
+    pytest.param('{"id":1,"cap":"raw"}\n{"id":1,"cap":"raw"}\n', 2,
+                 "1 entry line(s) repeat an earlier one", id="repeated_line"),
+    pytest.param('{"id":3,"cap":0}\n{"id": 3, "cap": 0}\n', 2, "line 3", id="repeated_entry"),
 ])
-def test_non_canonical_curated_files_read_as_json_reads_them(tmp_path, body, count):
-    """Lines other than ``write_curated``'s go through ``json.loads``: a file
-    reads to the entries it reads to, or fails as a FormatError."""
+def test_curated_files_mix_does_not_write_are_refused(tmp_path, body, count, problem):
+    """Only ``write_curated``'s lines read, even under the header and crc32
+    of the entries each line holds as JSON: the first line written otherwise
+    is named, and a file of ``mix``'s own lines still meets the count and
+    repeat checks."""
+    entries = []
+    for line in filter(str.strip, body.split("\n")):
+        with contextlib.suppress(ValueError):  # a line json cannot read holds no entry
+            obj = json.loads(line)
+            entries.append((obj["id"], RAW if obj["cap"] == "raw" else obj["cap"]))
     path = tmp_path / "c.jsonl"
-    text = _HEADER % count + body
-    path.write_bytes(text.encode())
-    try:
-        expected = _json_curated_pairs(text.replace("\r\n", "\n"))
-        np.array(expected, np.int64)
-        ok = len(expected) == count and all(
-            type(i) is int and type(c) is int for i, c in expected)
-    except (ValueError, TypeError, KeyError, OverflowError):
-        ok = False
-    if ok:
-        assert pairs(read_curated(path)) == expected
-    else:
-        with pytest.raises(FormatError, match="not a curated file"):
-            read_curated(path)
+    head = write_checked_curated(path, [e for e in entries if {type(v) for v in e} == {int}],
+                                 entries=count).partition(b"\n")[0]
+    path.write_bytes(head + b"\n" + body.encode())
+    if problem.startswith("line"):
+        problem += " is not an entry line as mix writes one"
+    with pytest.raises(FormatError, match=f"^{re.escape(str(path))}: not a curated file: "
+                                          f"{re.escape(problem)}$"):
+        read_curated(path)
+
+
+@pytest.mark.parametrize("field", ["id", "cap"])
+@pytest.mark.parametrize("number", ["9223372036854775808", "-9223372036854775809",
+                                    "9999999999999999999"])
+def test_a_checksum_valid_number_past_int64_is_refused_not_saturated(tmp_path, field, number):
+    """``np.fromstring`` reads a number past int64 as one of its bounds; a
+    file whose crc32 matches that reading is refused all the same."""
+    saturated = int(np.fromstring(number, dtype=np.int64, sep=" ")[0])
+    assert saturated in (2**63 - 1, -2**63)
+    entry = {"id": (saturated, 0), "cap": (4, saturated)}[field]
+    path = tmp_path / "c.jsonl"
+    blob = write_checked_curated(path, [(1, RAW), entry])
+    edited = blob.replace(f'"{field}":{saturated}'.encode(), f'"{field}":{number}'.encode())
+    path.write_bytes(edited)
+    assert edited != blob
+    with pytest.raises(FormatError, match=f"^{re.escape(str(path))}: not a curated file: "
+                                          "an entry holds a number outside int64$"):
+        read_curated(path)
 
 
 def test_write_curated_failing_halfway_keeps_the_old_file(tmp_path, monkeypatch):

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from capforge import fileio
 from capforge.cli import cli_main
 from capforge.curation import (
-    ClusterParams, CuratedSet, StrategySpec, apply_strategy, in1k_cluster_mask,
+    ClusterParams, CuratedSet, StrategySpec, apply_strategy, in1k_cluster_mask, read_curated,
 )
 from capforge.errors import CapforgeError, DataError, FormatError, IntegrityError
 from capforge.pool import (
@@ -28,10 +28,10 @@ from capforge.pool import (
 )
 from capforge.scoring import ScoreTables, score_pool
 from helpers import (
-    BROKEN_POOLS, RESHAPED_SIDECARS, CaptionVariant, Record, break_pool, broken_pool_inputs,
+    BROKEN_POOLS, RAW, RESHAPED_SIDECARS, CaptionVariant, Record, break_pool, broken_pool_inputs,
     build_plain_pool, handle_captions, materialize_by_records, read_records, record_captions,
-    record_columns, replace_pool_file, unit_rows, write_broken_pool, write_nan_raw_pool,
-    write_records, write_reshaped_pool,
+    record_columns, replace_pool_file, unit_rows, write_broken_pool, write_checked_curated,
+    write_nan_raw_pool, write_records, write_reshaped_pool,
 )
 
 
@@ -913,6 +913,23 @@ def test_materialize_subset_count(tmp_path):
     assert manifest.num_records == 3
 
 
+def test_materialize_of_an_empty_selection_keeps_the_embedding_dim(tmp_path, capsys):
+    """The empty pool it writes has the source pool's dim, so reference
+    embeddings of that dim still cluster it: ``mix --in1k-refs`` keeps 0
+    entries, as on an empty pool from ``gen``."""
+    build_plain_pool(tmp_path / "pool", 6)
+    handle = open_pool(tmp_path / "pool")
+    manifest = materialize(handle, _curated([]), tmp_path / "out")
+    assert (manifest.num_records, manifest.embedding_dim) == (0, handle.embedding_dim)
+    assert open_pool(tmp_path / "out").embeddings("image").shape == (0, handle.embedding_dim)
+    fileio.write_embeddings(tmp_path / "refs.f32", handle.embeddings("image")[:2])
+    capsys.readouterr()
+    assert cli_main(["mix", "--strategy", "raw_all", "--in1k-refs", str(tmp_path / "refs.f32"),
+                     "--pool", str(tmp_path / "out"), "--out", str(tmp_path / "c.jsonl")]) == 0
+    assert capsys.readouterr().err == ""
+    assert len(read_curated(tmp_path / "c.jsonl")) == 0
+
+
 def test_materialize_dangling_reference(tmp_path):
     pool_dir = tmp_path / "pool"
     build_plain_pool(pool_dir, 3)
@@ -973,9 +990,7 @@ def test_a_pool_breaking_an_invariant_exits_2_with_one_line_from_every_reader(
     write_broken_pool(pool, case)
     strategy = "raw_top" if case == "zero_row" else "raw_all"  # raw_all reads no sidecar
     (tmp_path / "s.json").write_text(json.dumps([{"name": strategy, "p": 50}]))
-    (tmp_path / "c.jsonl").write_text("".join(json.dumps(obj) + "\n" for obj in [
-        {"strategy": "raw_all", "tau_used": None, "entries": 2, "spec": {"name": "raw_all"}},
-        {"id": 0, "cap": "raw"}, {"id": 4, "cap": 1}]))
+    write_checked_curated(tmp_path / "c.jsonl", [(0, RAW), (4, 1)])
     args = {
         "score": ["--source", "raw"],
         "filter": ["--p", "50", "--out", str(out)],

@@ -36,9 +36,9 @@ from capforge.scoring import ScoreTables, score_pool
 from capforge.textmetrics import CaptionFeatures
 from capforge.errors import ConfigError
 from helpers import (
-    BROKEN_POOLS, RESHAPED_SIDECARS, CaptionVariant, Record, oracle_quality_report, pairs,
+    BROKEN_POOLS, RAW, RESHAPED_SIDECARS, CaptionVariant, Record, oracle_quality_report, pairs,
     read_records, replace_pool_file, set_sidecar_entry, unit_rows, write_broken_pool,
-    write_nan_raw_pool, write_records, write_reshaped_pool,
+    write_checked_curated, write_nan_raw_pool, write_records, write_reshaped_pool,
 )
 
 
@@ -1084,9 +1084,7 @@ def test_cli_metrics_rejects_a_tau_used_that_is_no_finite_number(
     small_pool, tmp_path, capsys, tau
 ):
     curated = tmp_path / "c.jsonl"
-    curated.write_text(
-        '{"strategy":"raw_all","tau_used":%s,"entries":1,"spec":{"name":"raw_all"}}\n'
-        '{"id":1,"cap":"raw"}\n' % tau)
+    write_checked_curated(curated, [(1, RAW)], tau_used=json.loads(tau))
     out = tmp_path / "m.json"
     capsys.readouterr()
     assert cli_main(["metrics", "--pool", str(small_pool), "--curated", str(curated),
@@ -1109,15 +1107,15 @@ def test_cli_metrics_rejects_a_repeated_entry_or_another_strategy_name(
     curated = tmp_path / "c.jsonl"
     assert cli_main(["mix", "--pool", pool, "--strategy", "raw_top", "--p", "30",
                      "--out", str(curated)]) == 0
-    head, *lines = curated.read_text().splitlines(keepends=True)
-    assert len(lines) == 90
+    header = json.loads(curated.read_text().partition("\n")[0])
+    entries = read_curated(curated).entries.tolist()
+    assert len(entries) == header["entries"] == 90
     if edit == "repeat":
-        edited = head.replace('"entries":90', '"entries":91')
-        lines.insert(40, lines[39])
+        header["entries"] = 91
+        entries.insert(40, entries[39])
     else:
-        edited = head.replace('"strategy":"raw_top"', '"strategy":"syn_all"')
-    assert edited != head
-    curated.write_text(edited + "".join(lines))
+        header["strategy"] = "syn_all"
+    write_checked_curated(curated, entries, **header)
     out = tmp_path / "m.json"
     capsys.readouterr()
     assert cli_main(["metrics", "--pool", pool, "--curated", str(curated),
@@ -1130,18 +1128,19 @@ def test_cli_metrics_rejects_a_repeated_entry_or_another_strategy_name(
     ("strategy", "header lacks field 'strategy'"),
     ("spec", "header lacks field 'spec'"),
     ("entries", "header lacks field 'entries'"),
-    ("id", "line 4 lacks field 'id'"),
-    ("cap", "line 4 lacks field 'cap'"),
+    ("id", "line 3 is not an entry line as mix writes one"),
+    ("cap", "line 3 is not an entry line as mix writes one"),
 ])
 def test_cli_metrics_names_a_missing_curated_field(small_pool, tmp_path, capsys, field, problem):
-    """The header's field, or the entry line's, with its line in the file."""
+    """The header's field by name; an entry line without one by its line in
+    the file, as no line ``mix`` writes."""
     header = {"strategy": "raw_all", "tau_used": None, "entries": 2, "spec": {"name": "raw_all"}}
     entries = [{"id": 1, "cap": "raw"}, {"id": 2, "cap": "raw"}]
     header.pop(field, None)
     entries[1].pop(field, None)
     curated = tmp_path / "c.jsonl"
-    curated.write_text(json.dumps(header) + "\n" + json.dumps(entries[0]) + "\n\n"
-                       + json.dumps(entries[1]) + "\n")
+    curated.write_text(json.dumps(header) + "\n" + "".join(
+        json.dumps(entry, separators=(",", ":")) + "\n" for entry in entries))
     out = tmp_path / "m.json"
     capsys.readouterr()
     assert cli_main(["metrics", "--pool", str(small_pool), "--curated", str(curated),
@@ -1153,10 +1152,7 @@ def test_cli_metrics_names_a_missing_curated_field(small_pool, tmp_path, capsys,
 def test_cli_metrics_names_the_missing_variant(two_captioner_pool, tmp_path, capsys):
     rec = read_records(two_captioner_pool)[4]
     curated = tmp_path / "c.jsonl"
-    lines = [{"strategy": "raw_all", "tau_used": None, "entries": 3,
-              "spec": {"name": "raw_all"}},
-             {"id": 1, "cap": "raw"}, {"id": rec.id, "cap": 5}, {"id": rec.id, "cap": 9}]
-    curated.write_text("".join(json.dumps(obj) + "\n" for obj in lines))
+    write_checked_curated(curated, [(1, RAW), (rec.id, 5), (rec.id, 9)])
     capsys.readouterr()
     assert cli_main(["metrics", "--pool", str(two_captioner_pool), "--curated", str(curated),
                      "--out", str(tmp_path / "m.json")]) == 2
@@ -1194,7 +1190,7 @@ _STRATEGY_FILES = {
     "p_past_float": [{"name": "raw_top", "p": 10**400}],
 }
 _CURATED_ENTRIES = {
-    "curated_unknown_id": {"id": 99999999, "cap": "raw"},
+    "curated_unknown_id": {"id": 99999999, "cap": RAW},
     "curated_variant_past_end": {"id": 0, "cap": 7},
     "curated_variant_negative": {"id": 0, "cap": -2},
     "curated_id_past_int64": {"id": 2**70, "cap": "raw"},
@@ -1202,6 +1198,8 @@ _CURATED_ENTRIES = {
     "curated_cap_float": {"id": 2, "cap": 0.7},
     "curated_cap_bool": {"id": 2, "cap": True},
 }
+# the cases written with a valid crc32, so that the pool lookup refuses them
+_CHECKED_ENTRIES = ("curated_unknown_id", "curated_variant_past_end", "curated_variant_negative")
 
 
 def _syn_config(**changes) -> dict:
@@ -1320,9 +1318,7 @@ def test_cli_malformed_input_exits_without_traceback(
                 str(truncated_curated / "c.jsonl"), "--out", str(tmp_path / "m.json")]
     elif case == "curated_count_not_integer":
         path = tmp_path / "c.jsonl"
-        header = {"strategy": "raw_all", "tau_used": None, "entries": "1",
-                  "spec": {"name": "raw_all"}}
-        path.write_text("".join(json.dumps(obj) + "\n" for obj in [header, {"id": 1, "cap": "raw"}]))
+        write_checked_curated(path, [(1, RAW)], entries="1")
         args = ["metrics", "--pool", str(small_pool), "--curated", str(path),
                 "--out", str(tmp_path / "m.json")]
     elif case == "scores_corrupt_mix":
@@ -1333,10 +1329,7 @@ def test_cli_malformed_input_exits_without_traceback(
                 "--out", str(tmp_path / "ids.jsonl")]
     elif case == "scores_corrupt_metrics":
         path = tmp_path / "c.jsonl"
-        header = {"strategy": "raw_all", "tau_used": None, "entries": 2,
-                  "spec": {"name": "raw_all"}}
-        lines = [header, {"id": 1, "cap": "raw"}, {"id": 2, "cap": "raw"}]
-        path.write_text("".join(json.dumps(obj) + "\n" for obj in lines))
+        write_checked_curated(path, [(1, RAW), (2, RAW)])
         args = ["metrics", "--pool", str(corrupt_scores_pool), "--curated", str(path),
                 "--out", str(tmp_path / "m.json")]
     elif case == "shard_line_truncated_mix":
@@ -1359,10 +1352,14 @@ def test_cli_malformed_input_exits_without_traceback(
     elif case in _CURATED_ENTRIES:
         # the whole curated set is checked, not only the sampled captions
         path = tmp_path / "c.jsonl"
-        header = {"strategy": "raw_all", "tau_used": None, "entries": 2,
-                  "spec": {"name": "raw_all"}}
-        lines = [header, {"id": 1, "cap": "raw"}, _CURATED_ENTRIES[case]]
-        path.write_text("".join(json.dumps(obj) + "\n" for obj in lines))
+        entry = _CURATED_ENTRIES[case]
+        if case in _CHECKED_ENTRIES:
+            write_checked_curated(path, [(1, RAW), (entry["id"], entry["cap"])])
+        else:  # a value no checksum covers, refused as it is read
+            header = {"strategy": "raw_all", "tau_used": None, "entries": 2,
+                      "spec": {"name": "raw_all"}}
+            lines = [header, {"id": 1, "cap": "raw"}, entry]
+            path.write_text("".join(json.dumps(obj) + "\n" for obj in lines))
         args = ["metrics", "--pool", str(two_captioner_pool), "--curated", str(path),
                 "--out", str(tmp_path / "m.json"), "--sample-size", "0"]
     else:
