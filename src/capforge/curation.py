@@ -152,7 +152,8 @@ class CuratedSet:
 
 _CURATED_CHUNK = 16384  # entry lines formatted per join
 _INT = r"(?:0|-?[1-9][0-9]{0,18})"  # an integer as ``str`` writes one of int64's
-_ENTRY_LINES = re.compile(rf'(?:\{{"id":{_INT},"cap":(?:"raw"|{_INT})\}}\n)*')
+# possessive: nothing follows the group, so no line needs backtracking state
+_ENTRY_LINES = re.compile(rf'(?:\{{"id":{_INT},"cap":(?:"raw"|{_INT})\}}\n)*+')
 _ENTRY_SYNTAX = str.maketrans(dict.fromkeys('{"id:,cap}\n', " "))
 
 

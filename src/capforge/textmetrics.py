@@ -10,7 +10,8 @@ caption bytes: each caption is tokenized once, in numpy, on the first
 sample that needs it, into a word count, a grounded fraction and int token
 ids.  A sample's statistics are then gathers over those arrays: an integer
 word sum, a float sum in sample order, and distinct counts of the trigram
-keys and noun token ids of its distinct captions.
+keys and noun token ids of its distinct captions, read a block of captions
+at a time.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from . import fileio
 from .errors import DataError, DomainError
 
 _TOKEN_RE = re.compile(r"[a-z0-9]+")
+_DIRECT_KEY_VOCAB = 2**21  # the largest V whose trigram key (a*V + b)*V + c fits int64
 
 
 def tokenize(text: str) -> list[str]:
@@ -59,17 +61,34 @@ def _window_starts(lengths: np.ndarray) -> np.ndarray:
     return np.flatnonzero(_positions_in_text(lengths) < np.repeat(lengths - 2, lengths))
 
 
-def trigram_keys(tokens: np.ndarray, lengths: np.ndarray, vocab_size: int) -> np.ndarray:
+def _windows(tokens: np.ndarray, lengths: np.ndarray,
+             vocab_size: int) -> tuple[np.ndarray, np.ndarray]:
+    """Each trigram window's bigram a*V + b and last token id c."""
+    first = _window_starts(lengths)
+    return tokens[first] * vocab_size + tokens[first + 1], tokens[first + 2]
+
+
+def trigram_keys(tokens: np.ndarray, lengths: np.ndarray, vocab_size: int,
+                 bigrams: np.ndarray | None = None) -> np.ndarray:
     """One int64 key per window of three consecutive token ids inside each
     text of ``tokens`` (texts concatenated, ``lengths`` tokens each); equal
     keys mean equal trigrams.  The key (a*V + b)*V + c fits int64 while
-    V = vocab_size <= 2**21; past that, bigrams are ranked first, so keys
-    stay below windows * V."""
-    first = _window_starts(lengths)
-    bigram = tokens[first] * vocab_size + tokens[first + 1]
-    if vocab_size > 2**21:
-        _, bigram = np.unique(bigram, return_inverse=True)
-    return bigram * vocab_size + tokens[first + 2]
+    V = vocab_size <= _DIRECT_KEY_VOCAB; past that, the bigram a*V + b is
+    replaced by its rank in ``bigrams``, the sorted distinct bigrams of every
+    call whose keys are compared (by default this call's), so keys stay
+    below len(bigrams) * V."""
+    bigram, last = _windows(tokens, lengths, vocab_size)
+    if vocab_size > _DIRECT_KEY_VOCAB:
+        bigram = np.searchsorted(_distinct(bigram) if bigrams is None else bigrams, bigram)
+    return bigram * vocab_size + last
+
+
+def _count_distinct(parts: list[np.ndarray]) -> int:
+    """Distinct values among the parts: one in-place sort of their
+    concatenation, then a count of the adjacent values that differ."""
+    values = np.concatenate(parts)
+    values.sort()
+    return int(values.size and 1 + np.count_nonzero(values[1:] != values[:-1]))
 
 
 class SampleStats(NamedTuple):
@@ -80,6 +99,7 @@ class SampleStats(NamedTuple):
 
 
 _CHUNK_BYTES = 1 << 17  # caption text tokenized per numpy pass; bounds its scratch arrays
+_STATS_BLOCK = 1 << 14  # distinct captions per block of a sample's trigrams and nouns
 _KEY_CHARS = 12  # token characters packed into one key, in base 37: 37**12 < 2**64
 _LONG_KEY = 37**_KEY_CHARS  # keys from here on number the longer tokens
 _HASH_MULTIPLIER = 0x9E3779B97F4A7C15  # 2**64 over the golden ratio: Fibonacci hashing
@@ -134,7 +154,7 @@ class CaptionFeatures:
         self._text = np.frombuffer(text, np.uint8)
         self._bounds = np.asarray(offsets, np.int64)
         count = len(self._bounds) - 1
-        self.words = np.full(count, -1, np.int64)  # -1: not computed yet
+        self.words = np.full(count, -1, np.int32)  # -1: not computed yet
         self.grounded = np.zeros(count)
         self.offsets = np.zeros(count, np.int64)
         self.tokens = np.zeros(0, np.int32)
@@ -280,15 +300,34 @@ class CaptionFeatures:
         at = np.repeat(self.offsets[caption_ids], lengths) + _positions_in_text(lengths)
         return self.tokens[at].astype(np.int64), lengths
 
+    def _blocks(self, caption_ids: np.ndarray):
+        """``token_ids`` of the captions, _STATS_BLOCK captions at a time (one
+        block if there are none)."""
+        for start in range(0, max(len(caption_ids), 1), _STATS_BLOCK):
+            yield self.token_ids(caption_ids[start : start + _STATS_BLOCK])
+
     def sample_stats(self, caption_ids: np.ndarray) -> SampleStats:
-        """Statistics of a caption sample given by caption index, in sample order."""
+        """Statistics of a caption sample given by caption index, in sample
+        order.  Trigrams and nouns are read from its distinct captions block
+        by block, so their scratch is bounded by _STATS_BLOCK captions; each
+        block keeps only its distinct trigram keys and marks its nouns."""
         caption_ids = np.asarray(caption_ids, np.int64)
-        tokens, lengths = self.token_ids(_distinct(caption_ids))
+        distinct = _distinct(caption_ids)
+        self._fill(distinct)
+        size = len(self.is_noun)  # V: no token id is added from here on
+        bigrams = None  # past _DIRECT_KEY_VOCAB, keys rank bigrams among the whole sample's
+        if size > _DIRECT_KEY_VOCAB:
+            bigrams = _distinct(np.concatenate([_distinct(_windows(tokens, lengths, size)[0])
+                                                for tokens, lengths in self._blocks(distinct)]))
+        trigrams, nouns = [], np.zeros(size, bool)
+        for tokens, lengths in self._blocks(distinct):
+            trigrams.append(_distinct(trigram_keys(tokens, lengths, size, bigrams)))
+            nouns[tokens[self.is_noun[tokens]]] = True
         return SampleStats(
-            word_sum=int(self.words[caption_ids].sum()),
+            word_sum=int(self.words[caption_ids].sum(dtype=np.int64)),
             ground_sum=ordered_sum(self.grounded[caption_ids]),
-            unique_trigrams=len(_distinct(trigram_keys(tokens, lengths, len(self.is_noun)))),
-            unique_nouns=len(_distinct(tokens[self.is_noun[tokens]])),
+            unique_trigrams=_count_distinct(trigrams),
+            unique_nouns=int(np.count_nonzero(nouns)),
         )
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import math
 import struct
+import tracemalloc
 import zlib
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -433,6 +434,17 @@ def oracle_kmeans_trace(points: np.ndarray, params):
                 centroids[cluster] = points[farthest[slot % n]]
     assignments, min_dists = assign()
     yield KMeansStep(params.max_iters, centroids.copy(), assignments, float(min_dists.sum()))
+
+
+def traced_peak(fn, *args):
+    """``fn(*args)`` and the most bytes that Python objects and numpy arrays
+    allocated during the call held at once, by ``tracemalloc``."""
+    tracemalloc.start()
+    try:
+        result = fn(*args)
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def oracle_trigrams(captions: list[str], tokenizer) -> int:

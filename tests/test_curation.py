@@ -33,7 +33,8 @@ from capforge.pool import open_pool
 from capforge.scoring import ScoreTable, score_pool
 from helpers import (
     RAW, CaptionVariant, Record, build_plain_pool, oracle_kmeans_trace, oracle_strategy,
-    oracle_top, pairs, select_best_variant, unit_rows, write_checked_curated, write_records,
+    oracle_top, pairs, select_best_variant, traced_peak, unit_rows, write_checked_curated,
+    write_records,
 )
 
 
@@ -900,6 +901,25 @@ def test_curated_files_mix_does_not_write_are_refused(tmp_path, body, count, pro
         problem += " is not an entry line as mix writes one"
     with pytest.raises(FormatError, match=f"^{re.escape(str(path))}: not a curated file: "
                                           f"{re.escape(problem)}$"):
+        read_curated(path)
+
+
+def test_read_curated_of_a_large_file_holds_a_few_copies_of_it(tmp_path):
+    """The entry-line check keeps no state per line: reading 200k entries
+    peaks below four times the file's size, and a bad line near the end is
+    still the one named."""
+    rng = np.random.default_rng(0)
+    entries = np.stack([np.arange(200_000) * 3, rng.integers(-1, 3, 200_000)], axis=1)
+    path = tmp_path / "c.jsonl"
+    write_curated(CuratedSet(entries=entries, spec=StrategySpec("raw_all")), path)
+    back, peak = traced_peak(read_curated, path)
+    assert np.array_equal(back.entries, entries)
+    assert peak < 4 * path.stat().st_size
+    blob = path.read_bytes()
+    at = blob.rindex(b'{"id":', 0, len(blob) - 100)
+    path.write_bytes(blob[:at] + b" " + blob[at:])
+    line = blob.count(b"\n", 0, at) + 1
+    with pytest.raises(FormatError, match=f"line {line} is not an entry line as mix writes one$"):
         read_curated(path)
 
 

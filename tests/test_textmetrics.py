@@ -26,7 +26,7 @@ from capforge.report import MetricConfig, build_quality_report, caption_features
 from capforge.scoring import ScoreTables
 from helpers import (
     RAW, entry_captions, oracle_quality_report, oracle_trigrams, read_records,
-    scalar_fisher_yates,
+    scalar_fisher_yates, traced_peak,
 )
 
 
@@ -125,6 +125,49 @@ def test_trigram_keys_exact_for_token_ids_past_2_21(vocab_size):
     keys = trigram_keys(tokens, lengths, vocab_size)
     assert np.unique(keys).size == len(expected)
     assert keys.size == int(np.maximum(lengths - 2, 0).sum())
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    captions=st.lists(st.lists(st.sampled_from(["a", "b", "c", "dd"]), max_size=7).map(" ".join),
+                      max_size=12),
+    block=st.sampled_from([1, 2, 3]),
+    direct=st.sampled_from([0, 1, 3]),
+    data=st.data(),
+)
+def test_sample_stats_blocks_count_as_one_sample(captions, block, direct, data):
+    """Trigram keys and nouns of blocks of a few captions compare across
+    blocks, also where V exceeds the direct-key limit and bigrams are ranked."""
+    texts = [c.encode() for c in captions]
+    sample = data.draw(st.lists(st.integers(0, len(captions) - 1), max_size=20)
+                       if captions else st.just([]))
+    picked = [captions[i] for i in sample]
+    lexicon = {"a", "dd"}
+
+    def stats():
+        features = CaptionFeatures(b"".join(texts), np.cumsum([0, *map(len, texts)]), set(),
+                                   lexicon)
+        return features.sample_stats(np.array(sample, np.int64))
+
+    default = stats()
+    with mock.patch.multiple(textmetrics, _STATS_BLOCK=block, _DIRECT_KEY_VOCAB=direct):
+        blocked = stats()
+    assert blocked == default
+    assert blocked.unique_trigrams == oracle_trigrams(picked, tokenize)
+    assert blocked.unique_nouns == _unique_nouns(picked, lexicon)
+
+
+def test_sample_stats_scratch_is_bounded_by_its_blocks():
+    """200k captions of 8 tokens: the call, tokenizing included, peaks below
+    24 bytes per token; int64 trigram keys over the whole sample take about 43."""
+    rng = np.random.default_rng(0)
+    words = [b"w%d" % i for i in range(2000)]
+    texts = [b" ".join([words[i] for i in row]) for row in rng.integers(0, 2000, (200_000, 8))
+             .tolist()]
+    features = CaptionFeatures(b"".join(texts), np.cumsum([0, *map(len, texts)]), {"w1"}, {"w2"})
+    stats, peak = traced_peak(features.sample_stats, np.arange(len(texts)))
+    assert stats.word_sum == 8 * len(texts)
+    assert peak < 24 * stats.word_sum
 
 
 def test_caption_features_fill_only_the_texts_asked_for():
